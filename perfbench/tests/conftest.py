@@ -1,0 +1,7 @@
+"""Put the benchmark's modules and the package under test on the path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
