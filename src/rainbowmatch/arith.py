@@ -6,6 +6,8 @@ boundary flakiness, so every such comparison is routed through exact
 integer k-th roots instead.
 """
 
+import math
+
 
 def int_kth_root(x: int, k: int) -> int:
     """Largest integer r with r**k <= x. Requires x >= 0, k >= 1."""
@@ -13,14 +15,15 @@ def int_kth_root(x: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0
-    # float seed, then exact correction in both directions
-    r = int(round(x ** (1.0 / k)))
-    if r < 1:
-        r = 1
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if k == 1 or x == 0:
+        return x
+    if k == 2:
+        return math.isqrt(x)
+    # integer Newton from 2**ceil(bits/k), which lies above the root;
+    # the iterates fall strictly until they reach the floor root
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y

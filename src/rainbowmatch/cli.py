@@ -223,12 +223,13 @@ def _parse_certificate(text: str) -> tuple[list, list]:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if fields[0] == "edge" and len(fields) == 4:
-            edges.append(tuple(int(x) for x in fields[1:]))
-        elif fields[0] == "cell" and len(fields) == 4:
-            cells.append(tuple(int(x) for x in fields[1:]))
-        else:
+        if fields[0] not in ("edge", "cell") or len(fields) != 4:
             raise BadShape(f"unrecognized certificate line: {line!r}")
+        try:
+            values = tuple(int(x) for x in fields[1:])
+        except ValueError:
+            raise BadShape(f"non-integer field in certificate line: {line!r}") from None
+        (edges if fields[0] == "edge" else cells).append(values)
     return edges, cells
 
 
@@ -242,9 +243,13 @@ def _cmd_verify(args) -> int:
         "",
     )
     if first.startswith("graph"):
+        if cells:
+            raise BadShape("certificate holds cell lines but the instance is a graph")
         g = parse_graph(instance)
         ok, why = validate_rainbow_matching(g, edges)
     else:
+        if edges:
+            raise BadShape("certificate holds edge lines but the instance is a Latin square")
         sq = parse_latin(instance)
         forbid = math.inf if args.cycle_free else args.k
         ok, why = validate_transversal(sq, cells, forbid_cycles_up_to=forbid)
@@ -276,11 +281,14 @@ def parse_sizes(spec: str) -> list:
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            sizes.extend(range(int(lo), int(hi) + 1))
-        else:
-            sizes.append(int(part))
+        try:
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                sizes.extend(range(int(lo), int(hi) + 1))
+            else:
+                sizes.append(int(part))
+        except ValueError:
+            raise InfeasibleParameters(f"bad size {part!r} in {spec!r}") from None
     if not sizes:
         raise InfeasibleParameters(f"no sizes in {spec!r}")
     return sizes

@@ -199,21 +199,28 @@ def forbidden_edges(state: TransversalSearchState, color: int, layer: int) -> se
     return out
 
 
+def _least_forbidden(state: TransversalSearchState, reach_of, loops: bool) -> tuple:
+    """(color, count) for the unspent symbol with the fewest forbidden
+    arcs into the A-front, ties to the smallest. Arc v -> u is forbidden
+    when v is in reach_of(state, u), or v == u with loops; its color is
+    entry(v, u), so one pass over the reach sets counts every color."""
+    rows = state.square.rows
+    count = [0] * (state.square.order + 1)
+    for u in state.a_set:
+        col = u - 1
+        if loops:
+            count[rows[col][col]] += 1
+        for v in reach_of(state, u):
+            count[rows[v - 1][col]] += 1
+    color = min(state.remaining, key=count.__getitem__)
+    return color, count[color]
+
+
 def choose_color(state: TransversalSearchState, layer: int) -> int:
     """Unspent symbol with the fewest forbidden arcs, ties to smallest."""
     if not state.remaining:
         raise ColorsExhausted(f"layer {layer}: no unspent symbols remain")
-    front = sorted(state.a_set)
-    best_color = None
-    best_count = None
-    for color in state.remaining:
-        count = 0
-        for u in front:
-            if _is_forbidden(state, state.square.row_of(u, color), u):
-                count += 1
-        if best_count is None or count < best_count:
-            best_color, best_count = color, count
-    return best_color
+    return _least_forbidden(state, _reach_of, loops=True)[0]
 
 
 def expand_layer(state: TransversalSearchState, layer: int):
@@ -280,17 +287,7 @@ def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) 
 def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) -> None:
     """Pigeonhole law: some unspent symbol has few narrowly-forbidden
     arcs (counting only paths of 2..k-1 arcs ending in an initial arc)."""
-    front = sorted(state.a_set)
-    best = None
-    for color in state.remaining:
-        count = 0
-        for u in front:
-            if state.square.row_of(u, color) in _narrow_reach_of(state, u):
-                count += 1
-        if best is None or count < best:
-            best = count
-    if best is None:
-        return
+    best = _least_forbidden(state, _narrow_reach_of, loops=False)[1]
     if best * len(state.remaining) > state.k * layer ** (state.k - 1) * (n - t):
         raise InternalInvariantBroken(
             f"layer {layer}: every unspent symbol has too many forbidden arcs"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import RainbowError, int_kth_root
+from rainbowmatch import RainbowError, int_kth_root, theorem_bound
 from rainbowmatch.errors import (
     BadShape,
     BudgetExceeded,
@@ -50,8 +50,19 @@ def test_huge_values_stay_exact():
     assert int_kth_root(x + 1, 3) == 10**6
 
 
+def test_huge_bases_and_exponents_finish_exactly():
+    # far outside float range: both bounds must come back at once and exact
+    x = 6**3 * (10**40) ** 2
+    r = int_kth_root(x, 3)
+    assert r**3 <= x < (r + 1) ** 3
+    assert theorem_bound(10**40, 3) == 10**40 - r
+    assert theorem_bound(30, 400) == 0
+    assert int_kth_root(2**4000, 400) == 2**10
+    assert int_kth_root(2**4000 - 1, 400) == 2**10 - 1
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=10**24), st.integers(min_value=1, max_value=7))
+@given(st.integers(min_value=0, max_value=10**400), st.integers(min_value=1, max_value=400))
 def test_floor_root_identity(x, k):
     r = int_kth_root(x, k)
     assert r >= 0

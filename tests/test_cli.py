@@ -236,3 +236,64 @@ def test_sweep_stdout_by_default(capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("instance,")
     assert "margin min:" in err
+
+
+def test_verify_rejects_cell_lines_against_a_graph(tmp_path, capsys):
+    inst = tmp_path / "g.txt"
+    cert = tmp_path / "t.txt"
+    inst.write_text("graph 4 4\n1 2 1\n2 3 2\n3 4 1\n1 4 2\n")
+    cert.write_text("cell 1 2 1\n")
+    code, out, err = run(capsys, "verify", "--input", str(inst), "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert "cell lines" in err
+
+
+def test_verify_rejects_edge_lines_against_a_square(tmp_path, capsys):
+    inst = tmp_path / "sq.txt"
+    cert = tmp_path / "m.txt"
+    run(capsys, "gen", "--kind", "cyclic", "--n", "5", "--out", str(inst))
+    cert.write_text("edge 1 2 1\n")
+    code, out, err = run(capsys, "verify", "--input", str(inst), "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert "edge lines" in err
+
+
+def test_verify_accepts_an_empty_certificate(tmp_path, capsys):
+    # verify checks validity, not size: no cells is a valid transversal
+    inst = tmp_path / "sq.txt"
+    cert = tmp_path / "empty.txt"
+    run(capsys, "gen", "--kind", "cyclic", "--n", "5", "--out", str(inst))
+    cert.write_text("# nothing selected\n")
+    code, out, _ = run(capsys, "verify", "--input", str(inst), "--certificate", str(cert),
+                       "--cycle-free")
+    assert code == 0 and out.strip() == "valid"
+
+
+def test_verify_non_integer_field_exit_code(tmp_path, capsys):
+    inst = tmp_path / "sq.txt"
+    cert = tmp_path / "t.txt"
+    run(capsys, "gen", "--kind", "cyclic", "--n", "5", "--out", str(inst))
+    cert.write_text("cell 1 x 1\n")
+    code, _, err = run(capsys, "verify", "--input", str(inst), "--certificate", str(cert))
+    assert code == 1
+    assert "error:" in err
+
+
+def test_sweep_bad_sizes_exit_code(capsys):
+    code, out, err = run(capsys, "sweep", "--suite", "delta", "--sizes", "2..x",
+                         "--trials", "1")
+    assert code == 2
+    assert "error:" in err and "2..x" in err
+    assert out == ""
+
+
+def test_transversal_with_a_large_cycle_bound(tmp_path, capsys):
+    # the bound's root once overflowed a float after the solve finished
+    inst = tmp_path / "sq.txt"
+    run(capsys, "gen", "--kind", "cyclic", "--n", "5", "--out", str(inst))
+    code, out, _ = run(capsys, "transversal", "--input", str(inst), "--k", "400",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["bound"] == 0

@@ -1,5 +1,6 @@
 """Short-cycle-free and fully cycle-free partial transversals."""
 
+import hashlib
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from rainbowmatch import (
     ColorsExhausted,
     PreconditionViolated,
     build_short_cycle_free_transversal,
+    build_square,
     corollary_bound,
     cycle_free_transversal,
     cycles_of,
@@ -139,6 +141,78 @@ def test_expansion_layer_protocol():
     assert sorted(state.a_set) == [1, 2, 3, 4]
     with pytest.raises(ColorsExhausted):
         tv.choose_color(state, 4)
+
+
+def _search_states(sq, k):
+    """Every state an expansion round reaches just before it picks a
+    color, over all rounds of a build; each is advanced as the builder
+    advances it once the caller is done with it."""
+    cells = tv._greedy_init(sq, k)
+    while len(cells) < sq.order:
+        state = tv._start_state(sq, k, cells)
+        for layer in itertools.count(2):
+            state.reach = {}
+            state.narrow_reach = {}
+            if not state.remaining:
+                return
+            yield state, layer
+            state.layer_color = tv.choose_color(state, layer)
+            state.remaining.remove(state.layer_color)
+            outcome = tv.expand_layer(state, layer)
+            if isinstance(outcome, tv.AugmentationFound):
+                cells = tv.apply_augmentation(state, outcome)
+                break
+
+
+def _reversed_cyclic(n):
+    """The cyclic square with its columns reversed: greedy starts far
+    short of n here, so every builder runs many augmentations."""
+    return build_square([[((r + (n - 1 - c)) % n) + 1 for c in range(n)] for r in range(n)])
+
+
+def test_color_counts_match_the_per_arc_definition(monkeypatch):
+    least = tv._least_forbidden
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(least(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tv, "_least_forbidden", recorded)
+    squares = [random_square(n, seed=split_seed(55, 10 * n + trial))
+               for n in range(4, 13) for trial in range(4)]
+    squares += [_reversed_cyclic(n) for n in (16, 24, 32, 40)]
+    seen = 0
+    for sq in squares:
+        for k in (2, 3):
+            for state, layer in _search_states(sq, k):
+                # smallest unspent color with the fewest forbidden arcs
+                wide = min(state.remaining,
+                           key=lambda c: (len(tv.forbidden_edges(state, c, layer)), c))
+                assert tv.choose_color(state, layer) == wide
+                narrow = {c: sum(sq.row_of(u, c) in tv._narrow_reach_of(state, u)
+                                 for u in state.a_set)
+                          for c in state.remaining}
+                best = min(state.remaining, key=lambda c: (narrow[c], c))
+                results.clear()
+                tv._check_color_law(state, layer, sq.order, len(state.cells))
+                assert results == [(best, narrow[best])]
+                seen += 1
+    assert seen > 150
+
+
+def test_builders_output_is_pinned():
+    # tie-breaking drift in any builder changes this digest
+    squares = [_reversed_cyclic(n) for n in (60, 101, 150)]
+    squares += [random_square(n, seed=n) for n in range(2, 13)]
+    digest = hashlib.sha256()
+    for sq in squares:
+        for result in (build_short_cycle_free_transversal(sq, 2, check=True),
+                       build_short_cycle_free_transversal(sq, 3, check=True),
+                       cycle_free_transversal(sq, check=True)):
+            digest.update(repr(tuple(result)).encode())
+    assert digest.hexdigest() == (
+        "a943d1701e5d6007af4ceac3cd91d1050b02caf0d1baae5f82f6d4e94e7599b4")
 
 
 def test_cycle_free_output_has_no_cycles_at_all():
