@@ -298,8 +298,8 @@ def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool
     """Run one instance; returns the CSV row fields."""
     instance = f"{suite}-{size}-{trial}"
     if suite == "delta":
-        spread = seed % 14  # vertex counts from 4*delta-3 to 4*delta+10
-        g = generators.random_proper_graph(4 * size - 3 + spread, size, seed)
+        spread = seed % 14  # vertex counts from 4*delta-3 to 4*delta+10, at least 2
+        g = generators.random_proper_graph(max(2, 4 * size - 3 + spread), size, seed)
         delta = min_degree(g)
         m = find_rainbow_matching_delta(g, check=check)
         ok, _ = validate_rainbow_matching(g, list(m))
@@ -363,6 +363,11 @@ def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool
 def _cmd_sweep(args) -> int:
     suite = _SUITE_ALIASES[args.suite]
     sizes = parse_sizes(args.sizes)
+    negative = next((size for size in sizes if size < 0), None)
+    if negative is not None:
+        raise InfeasibleParameters(f"sweep sizes must be non-negative, got {negative}")
+    if args.trials < 1:
+        raise InfeasibleParameters(f"--trials must be at least 1, got {args.trials}")
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8", newline="")
     fields = ["instance", "size", "k", "bound", "achieved", "valid", "augmentations"]
     if args.timing:

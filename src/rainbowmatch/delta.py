@@ -37,6 +37,24 @@ class Chain:
 
 
 @dataclass
+class _Index:
+    """Lookups derived from a configuration, kept in step with it.
+
+    banned holds the colors a probe edge may not use: the twin colors
+    and the colors of uncovered core edges. cursor is a lower bound on
+    the first vertex outside the structure; the structure only grows
+    within one configuration, so the cursor never moves back.
+    """
+
+    roles: dict  # vertex -> role; anchors shadow core entries
+    core_by_color: dict
+    twin_colors: set
+    banned: set
+    anchors: set
+    cursor: int = 1
+
+
+@dataclass
 class GoodConfiguration:
     graph: ColoredGraph = field(repr=False)
     target: int
@@ -45,6 +63,7 @@ class GoodConfiguration:
     core: list
     chains: list
     cover: dict  # core index -> (chain index, position)
+    _index: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def pair_count(self) -> int:
@@ -70,8 +89,7 @@ def _normalize(v: int, w: int, c: int) -> Edge:
     return (v, w, c) if v <= w else (w, v, c)
 
 
-def _roles(config: GoodConfiguration) -> dict:
-    """Map each structure vertex to its role; anchors shadow core entries."""
+def _build_index(config: GoodConfiguration) -> _Index:
     roles: dict[int, tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
@@ -84,11 +102,33 @@ def _roles(config: GoodConfiguration) -> dict:
             free_end = e[1] if e[0] == anchor else e[0]
             roles[anchor] = ("anchor", ci, p)
             roles[free_end] = ("chain", ci, p)
-    return roles
+    twin_colors = {e[2] for e in config.twins_a}
+    return _Index(
+        roles=roles,
+        core_by_color={e[2]: i for i, e in enumerate(config.core)},
+        twin_colors=twin_colors,
+        banned=twin_colors
+        | {e[2] for i, e in enumerate(config.core) if i not in config.cover},
+        anchors={a for chain in config.chains for a in chain.anchors},
+    )
 
 
-def _occupied(config: GoodConfiguration) -> set[int]:
-    return set(_roles(config))
+def _index_of(config: GoodConfiguration) -> _Index:
+    if config._index is None:
+        config._index = _build_index(config)
+    return config._index
+
+
+def _first_free(config: GoodConfiguration) -> int:
+    """Smallest vertex outside the structure."""
+    index = _index_of(config)
+    v = index.cursor
+    while v in index.roles:
+        v += 1
+    index.cursor = v
+    if v > config.graph.vertex_count:
+        raise InternalInvariantBroken("no vertex left outside the structure")
+    return v
 
 
 def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
@@ -99,13 +139,10 @@ def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     always remains. Smallest admissible neighbor wins.
     """
     g = config.graph
-    banned_colors = {e[2] for e in config.twins_a}
-    banned_colors.update(
-        e[2] for i, e in enumerate(config.core) if i not in config.cover
-    )
-    anchors = {a for chain in config.chains for a in chain.anchors}
+    index = _index_of(config)
+    banned, anchors = index.banned, index.anchors
     for w in g.neighbors(v):
-        if g.color_of(v, w) in banned_colors or w in anchors:
+        if g.color_of(v, w) in banned or w in anchors:
             continue
         return v, w
     raise InternalInvariantBroken(f"no admissible probe edge at vertex {v}")
@@ -185,12 +222,11 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     g = config.graph
     c = g.color_of(v, w)
     vw = _normalize(v, w, c)
-    roles = _roles(config)
-    core_by_color = {e[2]: i for i, e in enumerate(config.core)}
-    twin_colors = {e[2] for e in config.twins_a}
-    fresh = c not in twin_colors and c not in core_by_color
+    index = _index_of(config)
+    core_by_color = index.core_by_color
+    fresh = c not in index.twin_colors and c not in core_by_color
 
-    role = roles.get(w)
+    role = index.roles.get(w)
     if role is None:
         # w outside the structure
         if fresh:
@@ -226,15 +262,20 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
             return RepeatIncreased(_restructure(config, candidate))
         # uncovered core edge: start or continue a chain
         if fresh:
-            config.chains.append(Chain(edges=[vw], anchors=[w], cores=[core_idx]))
-            config.cover[core_idx] = (len(config.chains) - 1, 0)
-            return ChainsExtended(config)
-        ci, _ = _covering(config, core_by_color[c])
+            ci = len(config.chains)
+            config.chains.append(Chain(edges=[], anchors=[], cores=[]))
+        else:
+            ci, _ = _covering(config, core_by_color[c])
         chain = config.chains[ci]
+        p = len(chain.edges)
         chain.edges.append(vw)
         chain.anchors.append(w)
         chain.cores.append(core_idx)
-        config.cover[core_idx] = (ci, len(chain.edges) - 1)
+        config.cover[core_idx] = (ci, p)
+        index.roles[w] = ("anchor", ci, p)
+        index.roles[v] = ("chain", ci, p)
+        index.anchors.add(w)
+        index.banned.discard(config.core[core_idx][2])
         return ChainsExtended(config)
 
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
@@ -254,11 +295,8 @@ def _finish_full_twins(config: GoodConfiguration) -> RainbowMatching:
     has an edge avoiding the d-1 twin colors, and whichever endpoint it
     hits, one twin per pair survives."""
     g = config.graph
-    occupied = _occupied(config)
-    v = next((u for u in g.vertices() if u not in occupied), None)
-    if v is None:
-        raise InternalInvariantBroken("no vertex left outside the structure")
-    twin_colors = {e[2] for e in config.twins_a}
+    v = _first_free(config)
+    twin_colors = _index_of(config).twin_colors
     for w in g.neighbors(v):
         c = g.color_of(v, w)
         if c not in twin_colors:
@@ -331,6 +369,14 @@ def _audit(config: GoodConfiguration) -> None:
         fail("cover map size mismatch")
     if len(seen | chain_vertices) > 4 * (d - 1):
         fail("structure grew past its vertex budget")
+    cached = config._index
+    if cached is not None:
+        fresh = _build_index(config)
+        for name in ("roles", "core_by_color", "twin_colors", "banned", "anchors"):
+            if getattr(cached, name) != getattr(fresh, name):
+                fail(f"cached {name} out of sync with the structure")
+        if any(u not in fresh.roles for u in range(1, cached.cursor)):
+            fail("free-vertex cursor skipped a vertex outside the structure")
 
 
 def _advance_level(g: ColoredGraph, d: int, prev: list, check: bool, log) -> list:
@@ -346,11 +392,7 @@ def _advance_level(g: ColoredGraph, d: int, prev: list, check: bool, log) -> lis
             if log is not None:
                 log(f"level {d}: k={config.pair_count} completed from full twin set")
             return list(result.edges)
-        occupied = _occupied(config)
-        v = next((u for u in g.vertices() if u not in occupied), None)
-        if v is None:
-            raise InternalInvariantBroken("no vertex left outside the structure")
-        v, w = extend_by_free_edge(config, v)
+        v, w = extend_by_free_edge(config, _first_free(config))
         outcome = resolve_case(config, (v, w))
         if log is not None:
             log(

@@ -81,13 +81,6 @@ class TwoSided:
 
 
 @dataclass
-class LayerRecord:
-    level: int
-    edges: list
-    classified: list
-
-
-@dataclass
 class LayerState:
     graph: ColoredGraph = field(repr=False)
     matching: list
@@ -95,7 +88,6 @@ class LayerState:
     free: list
     origins: dict = field(default_factory=dict)  # color -> ClassifiedEdge
     quiet_side: dict = field(default_factory=dict)  # y vertex -> ClassifiedEdge
-    layers: list = field(default_factory=list)
     violation: object = None
 
 
@@ -103,12 +95,16 @@ def _normalize(u: int, v: int, c: int) -> Edge:
     return (u, v, c) if u <= v else (v, u, c)
 
 
-def _extend_maximal(g: ColoredGraph, matching: list) -> list:
-    """Add every edge that fits directly, in (color, u, v) order."""
+def _greedy_order(g: ColoredGraph) -> list:
+    return sorted(g.edges, key=lambda e: (e[2], e[0], e[1]))
+
+
+def _extend_maximal(order: list, matching: list) -> list:
+    """Add every edge of order, a _greedy_order list, that fits directly."""
     m = list(matching)
     used_v = {x for e in m for x in (e[0], e[1])}
     used_c = {e[2] for e in m}
-    for u, v, c in sorted(g.edges, key=lambda e: (e[2], e[0], e[1])):
+    for u, v, c in order:
         if u in used_v or v in used_v or c in used_c:
             continue
         m.append((u, v, c))
@@ -312,7 +308,6 @@ def _run_layers(state: LayerState, *, attempt: bool, check: bool) -> tuple[list 
         for record in classified:
             state.origins[record.edge[2]] = record
             state.quiet_side[record.y] = record
-        state.layers.append(LayerRecord(level, list(current), list(classified)))
         rows.append((level, len(current), len(classified)))
         candidates = _scan_candidates(state, survivors, two_sided)
         if candidates:
@@ -381,7 +376,8 @@ def find_rainbow_matching_layered(
             f"need at least {2 * delta} vertices for minimum degree {delta},"
             f" got {g.vertex_count}"
         )
-    matching = _extend_maximal(g, [])
+    order = _greedy_order(g)
+    matching = _extend_maximal(order, [])
     start = len(matching)
     rounds = 0
     while True:
@@ -402,7 +398,7 @@ def find_rainbow_matching_layered(
             )
         if result is None:
             break
-        matching = _extend_maximal(g, result)
+        matching = _extend_maximal(order, result)
     bound = guaranteed_size(delta)
     if len(matching) < bound:
         raise InternalInvariantBroken(

@@ -297,3 +297,36 @@ def test_transversal_with_a_large_cycle_bound(tmp_path, capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["bound"] == 0
+
+
+def test_sweep_non_positive_trials_exit_code(tmp_path, capsys):
+    out_file = tmp_path / "t.csv"
+    for trials in ("0", "-1"):
+        code, out, err = run(capsys, "sweep", "--suite", "delta", "--sizes", "3",
+                             "--trials", trials, "--out", str(out_file))
+        assert code == 2
+        assert f"--trials must be at least 1, got {trials}" in err
+        assert out == ""
+        assert not out_file.exists()
+
+
+def test_sweep_negative_size_is_named(capsys):
+    for suite in ("delta", "layered"):
+        code, out, err = run(capsys, "sweep", "--suite", suite, "--sizes", "3,-2",
+                             "--trials", "1")
+        assert code == 2
+        assert "got -2" in err
+        assert out == ""
+
+
+def test_sweep_delta_small_sizes_on_every_spread(capsys):
+    # seeds 1, 6 and 8 each draw a trial whose vertex spread is 0, which
+    # once asked for 4*1-3 = 1 vertex at size 1 and -3 at size 0
+    for seed in ("1", "6", "8"):
+        code, out, _ = run(capsys, "sweep", "--suite", "delta", "--sizes", "0,1",
+                           "--trials", "3", "--seed", seed, "--check")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 6
+        assert rows[:3] == [f"delta-0-{t},0,,0,0,true,0" for t in range(3)]
+        assert rows[3:] == [f"delta-1-{t},1,,1,1,true,1" for t in range(3)]

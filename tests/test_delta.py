@@ -1,18 +1,31 @@
 """Rainbow matchings of size equal to the minimum degree."""
 
+import hashlib
+
 import pytest
 
 from rainbowmatch import (
     InternalInvariantBroken,
     PreconditionViolated,
     build_graph,
+    build_square,
     find_rainbow_matching_delta,
+    find_rainbow_matching_layered,
     min_degree,
     random_proper_graph,
     split_seed,
+    to_bipartite_factorization,
     validate_rainbow_matching,
 )
-from rainbowmatch.delta import GoodConfiguration, _restructure, chain_rotate, Chain
+from rainbowmatch.delta import (
+    Chain,
+    ChainsExtended,
+    GoodConfiguration,
+    _audit,
+    _restructure,
+    chain_rotate,
+    resolve_case,
+)
 
 
 def _solve_and_check(g):
@@ -107,3 +120,46 @@ def test_restructure_rejects_candidates_without_one_duplicate():
     )
     with pytest.raises(InternalInvariantBroken):
         _restructure(config, [(1, 2, 1), (3, 4, 2)])
+
+
+def test_cached_index_passes_every_audit():
+    # check=True compares the configuration's cached index with one
+    # rebuilt from the structure after every probe
+    for delta in range(1, 13):
+        for trial in range(3):
+            seed = split_seed(77, delta * 10 + trial)
+            n = max(delta + 1, 4 * delta - 3 + seed % 14)
+            _solve_and_check(random_proper_graph(n, delta, seed=seed))
+
+
+def test_audit_rejects_a_stale_index():
+    # probe 5-1 starts a chain on the uncovered core edge 1-2
+    g = build_graph(6, [(1, 2, 1), (3, 4, 2), (1, 5, 3)])
+    config = GoodConfiguration(
+        graph=g, target=3, twins_a=[], twins_b=[],
+        core=[(1, 2, 1), (3, 4, 2)], chains=[], cover={},
+    )
+    outcome = resolve_case(config, (5, 1))
+    assert isinstance(outcome, ChainsExtended)
+    _audit(config)
+    assert config._index.banned == {2}
+    config._index.banned.add(1)
+    with pytest.raises(InternalInvariantBroken, match="banned"):
+        _audit(config)
+
+
+def test_matching_outputs_are_pinned():
+    # tie-breaking in either solver changes this digest
+    digest = hashlib.sha256()
+    for d in (1, 2, 3, 5, 8, 13, 21, 34):
+        for j in range(3):
+            seed = split_seed(404, 10 * d + j)
+            g = random_proper_graph(max(d + 1, 4 * d - 3 + seed % 14), d, seed)
+            digest.update(repr(tuple(find_rainbow_matching_delta(g, check=True))).encode())
+    for n in (64, 80, 96):
+        sq = build_square([[((r + 7 * c) % n) + 1 for c in range(n)] for r in range(n)])
+        m = find_rainbow_matching_layered(to_bipartite_factorization(sq), check=True)
+        digest.update(repr(tuple(m)).encode())
+    assert digest.hexdigest() == (
+        "cad72d77c52fc9d74221d83cf93de7a155045e19ce6f974de5f60e5dcf3bb924"
+    )

@@ -17,7 +17,7 @@ from rainbowmatch import (
     trace_back_augment,
     validate_rainbow_matching,
 )
-from rainbowmatch.layered import FreeFree, HitsY, TwoSided, _extend_maximal
+from rainbowmatch.layered import FreeFree, HitsY, TwoSided, _extend_maximal, _greedy_order
 
 
 def test_guaranteed_size_values():
@@ -133,7 +133,7 @@ def test_detect_returns_none_when_no_exchange_exists():
 
 def test_extend_maximal_is_greedy_by_color():
     g = build_graph(6, [(5, 6, 3), (1, 2, 1), (3, 4, 1), (2, 3, 2)])
-    base = _extend_maximal(g, [])
+    base = _extend_maximal(_greedy_order(g), [])
     # color 1 first (smallest edge wins the color), color 2 is then
     # blocked at vertex 2, color 3 still fits
     assert base == [(1, 2, 1), (5, 6, 3)]
