@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -330,3 +331,46 @@ def test_sweep_delta_small_sizes_on_every_spread(capsys):
         assert len(rows) == 6
         assert rows[:3] == [f"delta-0-{t},0,,0,0,true,0" for t in range(3)]
         assert rows[3:] == [f"delta-1-{t},1,,1,1,true,1" for t in range(3)]
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    # one digest over every solving command's bytes: exit codes, stdout,
+    # stderr and written files, for each solver, format and sweep suite
+    from rainbowmatch import format_graph, random_square, to_bipartite_factorization
+
+    digest = hashlib.sha256()
+
+    def feed(*argv, files=()):
+        code, out, err = run(capsys, *argv)
+        label = " ".join(argv).replace(str(tmp_path), "")
+        digest.update(f"{label} -> {code}\n{out}\n{err}\n".encode())
+        for path in files:
+            digest.update(path.read_bytes())
+
+    sweeps = [("delta", "1..6", []), ("layered", "4..9", []),
+              ("shortcycle", "5..12", ["--k", "3"]), ("cyclefree", "0..3,7,12", [])]
+    for suite, sizes, extra in sweeps:
+        feed("sweep", "--suite", suite, "--sizes", sizes, "--trials", "2",
+             "--seed", "17", "--check", *extra)
+    graph = tmp_path / "g.txt"
+    run(capsys, "gen", "--kind", "graph", "--n", "30", "--target", "7",
+        "--seed", "3", "--out", str(graph))
+    bipartite = tmp_path / "b.txt"
+    bipartite.write_text(format_graph(to_bipartite_factorization(random_square(10, seed=3))))
+    trace = tmp_path / "trace.jsonl"
+    for algo, inst in (("delta", graph), ("layered", bipartite)):
+        for fmt in ("text", "json"):
+            feed("solve", "--algo", algo, "--input", str(inst), "--format", fmt, "--check")
+    feed("solve", "--algo", "layered", "--input", str(bipartite), "--trace", str(trace),
+         files=[trace])
+    pair = tmp_path / "pair.txt"
+    run(capsys, "gen", "--kind", "k4pair", "--out", str(pair))
+    feed("solve", "--algo", "oracle", "--input", str(pair))
+    square = tmp_path / "sq.txt"
+    run(capsys, "gen", "--kind", "square", "--n", "11", "--seed", "4", "--out", str(square))
+    for mode in (["--k", "3"], ["--cycle-free"]):
+        for fmt in ("text", "json"):
+            feed("transversal", "--input", str(square), *mode, "--format", fmt, "--check")
+    assert digest.hexdigest() == (
+        "14d798e6eff546c1f9346d39d674df21d39ee66be31f9f65b8fcd8376d29de60"
+    )
