@@ -12,20 +12,12 @@ Solvers for three guarantees on properly edge-colored structures:
 
 Exact brute-force oracles, validators, seeded generators, and a CLI
 (`rainbowmatch`) round out the toolkit. Pure Python, stdlib only.
+The solvers' internal steps, states and outcomes are imported from
+their own modules (`delta`, `layered`, `transversal`).
 """
 
 from .arith import int_kth_root
-from .delta import (
-    Chain,
-    ChainsExtended,
-    GoodConfiguration,
-    Matched,
-    RepeatIncreased,
-    chain_rotate,
-    extend_by_free_edge,
-    find_rainbow_matching_delta,
-    resolve_case,
-)
+from .delta import find_rainbow_matching_delta
 from .errors import (
     BadShape,
     BudgetExceeded,
@@ -52,37 +44,22 @@ from .graphs import (
     RainbowMatching,
     build_graph,
     format_graph,
-    free_vertices,
     min_degree,
     parse_graph,
     validate_rainbow_matching,
 )
 from .latin import (
-    ColoredDigraph,
     CycleDecomposition,
     LatinSquare,
     PartialTransversal,
     build_square,
     cycles_of,
-    matching_to_transversal,
     parse_latin,
     serialize_latin,
     to_bipartite_factorization,
-    to_digraph_factorization,
-    transversal_to_matching,
     validate_transversal,
 )
-from .layered import (
-    FreeFree,
-    HitsY,
-    LayerState,
-    TwoSided,
-    build_layers,
-    detect_violation,
-    find_rainbow_matching_layered,
-    guaranteed_size,
-    trace_back_augment,
-)
+from .layered import find_rainbow_matching_layered, guaranteed_size
 from .oracle import (
     OracleBudget,
     max_cyclefree_transversal_exact,
@@ -90,77 +67,47 @@ from .oracle import (
     max_transversal_exact,
 )
 from .transversal import (
-    AugmentationFound,
-    Expanded,
-    TransversalSearchState,
-    apply_augmentation,
     build_short_cycle_free_transversal,
-    choose_color,
     corollary_bound,
     cycle_free_transversal,
     default_cycle_bound,
-    expand_layer,
-    forbidden_edges,
     theorem_bound,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentationFound",
     "BadShape",
     "BudgetExceeded",
-    "Chain",
-    "ChainsExtended",
-    "ColoredDigraph",
     "ColoredGraph",
     "ColorsExhausted",
     "CycleDecomposition",
     "DuplicateEdge",
-    "Expanded",
-    "FreeFree",
-    "GoodConfiguration",
-    "HitsY",
     "ImproperColoring",
     "InfeasibleParameters",
     "InternalInvariantBroken",
     "LatinSquare",
-    "LayerState",
-    "Matched",
     "NotLatin",
     "OracleBudget",
     "PartialTransversal",
     "PreconditionViolated",
     "RainbowError",
     "RainbowMatching",
-    "RepeatIncreased",
     "SelfLoop",
-    "TransversalSearchState",
-    "TwoSided",
-    "apply_augmentation",
     "build_graph",
-    "build_layers",
     "build_short_cycle_free_transversal",
     "build_square",
-    "chain_rotate",
-    "choose_color",
     "corollary_bound",
     "cycle_free_transversal",
     "cycles_of",
     "cyclic_square",
     "default_cycle_bound",
-    "detect_violation",
-    "expand_layer",
-    "extend_by_free_edge",
     "find_rainbow_matching_delta",
     "find_rainbow_matching_layered",
-    "forbidden_edges",
     "format_graph",
-    "free_vertices",
     "guaranteed_size",
     "int_kth_root",
     "k4_factorization_pair",
-    "matching_to_transversal",
     "max_cyclefree_transversal_exact",
     "max_rainbow_matching_exact",
     "max_transversal_exact",
@@ -169,13 +116,10 @@ __all__ = [
     "parse_latin",
     "random_proper_graph",
     "random_square",
-    "resolve_case",
     "serialize_latin",
     "split_seed",
     "theorem_bound",
     "to_bipartite_factorization",
-    "to_digraph_factorization",
-    "transversal_to_matching",
     "validate_rainbow_matching",
     "validate_transversal",
     "witness_square_4",

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from typing import NamedTuple
 
 from . import generators
 from .errors import (
@@ -42,13 +43,7 @@ from .latin import (
 )
 from .layered import find_rainbow_matching_layered, guaranteed_size
 from .oracle import max_rainbow_matching_exact
-from .transversal import (
-    build_short_cycle_free_transversal,
-    corollary_bound,
-    cycle_free_transversal,
-    default_cycle_bound,
-    theorem_bound,
-)
+from .transversal import build_short_cycle_free_transversal, cycle_free_transversal
 
 _IO_ERRORS = (OSError, BadShape, NotLatin, SelfLoop, DuplicateEdge, ImproperColoring)
 _PRECONDITION_ERRORS = (PreconditionViolated, InfeasibleParameters, BudgetExceeded)
@@ -73,6 +68,17 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write("\n")
 
 
+def _emit(args, payload: dict, header: list, word: str, items: list) -> None:
+    """Write a certificate as JSON, or as '# ' header lines then one
+    'word a b c' line per edge or cell."""
+    if args.format == "json":
+        _write_text(args.out, json.dumps(payload, indent=2))
+        return
+    lines = [f"# {line}" for line in header]
+    lines.extend(f"{word} {a} {b} {c}" for a, b, c in items)
+    _write_text(args.out, "\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------- gen
 
 
@@ -95,63 +101,138 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# ---------------------------------------------------------------- solvers
+
+
+# An adapter takes (instance, cycle cutoff k, check flag, events), calls
+# its solver through this module's global name, so that a wrapper patched
+# onto the name sees the call, and appends the solver's own report to
+# events: delta log lines, layered trace rows or the stats dict. It
+# returns (result, k used, stated bound, augmentations).
+
+
+def _run_delta(g, k, check, events):
+    m = find_rainbow_matching_delta(g, check=check, log=events.append)
+    return m, "", min_degree(g), len(m)
+
+
+def _run_layered(g, k, check, events):
+    m = find_rainbow_matching_layered(g, check=check, trace=events.append)
+    return m, "", guaranteed_size(min_degree(g)), events[-1]["final"] - events[-1]["initial"]
+
+
+def _run_oracle(g, k, check, events):
+    m = max_rainbow_matching_exact(g)
+    return m, "", len(m), 0
+
+
+def _run_shortcycle(sq, k, check, events):
+    stats: dict = {}
+    events.append(stats)
+    t = build_short_cycle_free_transversal(sq, k, check=check, stats=stats)
+    return t, k, stats["bound"], stats["augmentations"]
+
+
+def _run_cyclefree(sq, k, check, events):
+    stats: dict = {}
+    events.append(stats)
+    t = cycle_free_transversal(sq, check=check, stats=stats)
+    return t, stats["k"], stats["corollary"], stats["augmentations"]
+
+
+def _delta_instance(size: int, seed: int):
+    spread = seed % 14  # vertex counts from 4*delta-3 to 4*delta+10, at least 2
+    return generators.random_proper_graph(max(2, 4 * size - 3 + spread), size, seed)
+
+
+def _square_instance(size: int, seed: int):
+    return generators.random_square(size, seed=seed)
+
+
+def _bipartite_instance(size: int, seed: int):
+    return to_bipartite_factorization(_square_instance(size, seed))
+
+
+class _Solver(NamedTuple):
+    run: object  # the adapter
+    make: object  # (size, seed) -> seeded sweep instance; None for oracle
+    cutoff: object  # k used -> cycle cutoff for revalidation; None for matchings
+
+
+_SOLVERS = {
+    "delta": _Solver(_run_delta, _delta_instance, None),
+    "layered": _Solver(_run_layered, _bipartite_instance, None),
+    "oracle": _Solver(_run_oracle, None, None),
+    "shortcycle": _Solver(_run_shortcycle, _square_instance, lambda k: k),
+    "cyclefree": _Solver(_run_cyclefree, _square_instance, lambda k: math.inf),
+}
+
+
+class _Solved(NamedTuple):
+    found: list  # the sorted certificate
+    k: object
+    bound: int
+    augmentations: int
+    events: list
+    why: str | None  # None when the certificate revalidated
+
+
+def _solve(algo: str, instance, k, check: bool) -> _Solved:
+    """Run one solver of the table and revalidate its sorted certificate."""
+    solver = _SOLVERS[algo]
+    events: list = []
+    result, k_used, bound, augmentations = solver.run(instance, k, check, events)
+    found = sorted(result)
+    if solver.cutoff is None:
+        _, why = validate_rainbow_matching(instance, found)
+    else:
+        _, why = validate_transversal(instance, found, forbid_cycles_up_to=solver.cutoff(k_used))
+    return _Solved(found, k_used, bound, augmentations, events, why)
+
+
+def _solve_valid(algo: str, instance, k, check: bool) -> _Solved:
+    solved = _solve(algo, instance, k, check)
+    if solved.why is not None:
+        raise InternalInvariantBroken(f"certificate failed revalidation: {solved.why}")
+    return solved
+
+
 # ---------------------------------------------------------------- solve
 
 
-def _solve_edges_text(header_lines: list, edges) -> str:
-    lines = [f"# {line}" for line in header_lines]
-    lines.extend(f"edge {u} {v} {c}" for u, v, c in edges)
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_solve(args) -> int:
+    if args.trace and args.algo != "layered":
+        raise InfeasibleParameters(
+            f"--trace writes layered rounds only; --algo {args.algo} has none"
+        )
     g = parse_graph(_read_text(args.input))
     delta = min_degree(g)
-    log_lines: list = []
-    trace_rows: list = []
-    if args.algo == "delta":
-        matching = find_rainbow_matching_delta(g, check=args.check, log=log_lines.append)
-        edges = sorted(matching.edges)
-        bound = delta
-    elif args.algo == "layered":
-        matching = find_rainbow_matching_layered(
-            g, check=args.check, trace=trace_rows.append
-        )
-        edges = sorted(matching.edges)
-        bound = guaranteed_size(delta)
-    else:  # oracle
-        matching = max_rainbow_matching_exact(g)
-        edges = sorted(matching.edges)
-        bound = len(edges)
-    ok, why = validate_rainbow_matching(g, edges)
-    if not ok:
-        raise InternalInvariantBroken(f"certificate failed revalidation: {why}")
+    solved = _solve_valid(args.algo, g, None, args.check)
+    edges, bound = solved.found, solved.bound
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for row in trace_rows:
+            for row in solved.events:
                 fh.write(json.dumps(row) + "\n")
-    if args.format == "json":
-        payload = {
-            "algo": args.algo,
-            "vertices": g.vertex_count,
-            "delta": delta,
-            "size": len(edges),
-            "bound": bound,
-            "valid": True,
-            "edges": [list(e) for e in edges],
-        }
-        if log_lines:
-            payload["log"] = log_lines
-        _write_text(args.out, json.dumps(payload, indent=2))
-    else:
-        header = [
-            f"solve --algo {args.algo}",
-            f"vertices: {g.vertex_count} delta: {delta}",
-            f"size: {len(edges)} bound: {bound}",
-            "valid: true",
-        ]
-        header.extend(f"log: {line}" for line in log_lines)
-        _write_text(args.out, _solve_edges_text(header, edges))
+    log_lines = solved.events if args.algo == "delta" else []
+    payload = {
+        "algo": args.algo,
+        "vertices": g.vertex_count,
+        "delta": delta,
+        "size": len(edges),
+        "bound": bound,
+        "valid": True,
+        "edges": [list(e) for e in edges],
+    }
+    if log_lines:
+        payload["log"] = log_lines
+    header = [
+        f"solve --algo {args.algo}",
+        f"vertices: {g.vertex_count} delta: {delta}",
+        f"size: {len(edges)} bound: {bound}",
+        "valid: true",
+    ]
+    header.extend(f"log: {line}" for line in log_lines)
+    _emit(args, payload, header, "edge", edges)
     return 0
 
 
@@ -160,55 +241,36 @@ def _cmd_solve(args) -> int:
 
 def _cmd_transversal(args) -> int:
     sq = parse_latin(_read_text(args.input))
-    stats: dict = {}
-    if args.cycle_free:
-        result = cycle_free_transversal(sq, check=args.check, stats=stats)
-        k_used = stats["k"]
-        forbid = math.inf
-        bound = corollary_bound(sq.order)
-    else:
-        if args.k is None or args.k < 2:
-            raise PreconditionViolated(
-                f"--k must be at least 2 (got {args.k}); use --cycle-free for the automatic cutoff"
-            )
-        result = build_short_cycle_free_transversal(
-            sq, args.k, check=args.check, stats=stats
+    if not args.cycle_free and (args.k is None or args.k < 2):
+        raise PreconditionViolated(
+            f"--k must be at least 2 (got {args.k}); use --cycle-free for the automatic cutoff"
         )
-        k_used = args.k
-        forbid = args.k
-        bound = stats["bound"]
-    cells = sorted(result)
-    ok, why = validate_transversal(sq, cells, forbid_cycles_up_to=forbid)
-    if not ok:
-        raise InternalInvariantBroken(f"certificate failed revalidation: {why}")
+    algo = "cyclefree" if args.cycle_free else "shortcycle"
+    solved = _solve_valid(algo, sq, args.k, args.check)
+    cells, k_used, bound = solved.found, solved.k, solved.bound
     parts = cycles_of(sq, cells)
     cycle_lengths = sorted(len(cyc) for cyc in parts.cycles)
-    if args.format == "json":
-        payload = {
-            "order": sq.order,
-            "k": k_used,
-            "cycle_free": bool(args.cycle_free),
-            "size": len(cells),
-            "bound": bound,
-            "valid": True,
-            "cycles": cycle_lengths,
-            "paths": len(parts.paths),
-            "cells": [list(c) for c in cells],
-        }
-        if args.cycle_free:
-            payload["cycles_removed"] = stats["cycles_removed"]
-        _write_text(args.out, json.dumps(payload, indent=2))
-    else:
-        header = [
-            "transversal" + (" --cycle-free" if args.cycle_free else f" --k {k_used}"),
-            f"order: {sq.order} k: {k_used}",
-            f"size: {len(cells)} bound: {bound}",
-            f"cycles: {cycle_lengths} paths: {len(parts.paths)}",
-            "valid: true",
-        ]
-        lines = [f"# {line}" for line in header]
-        lines.extend(f"cell {r} {c} {s}" for r, c, s in cells)
-        _write_text(args.out, "\n".join(lines) + "\n")
+    payload = {
+        "order": sq.order,
+        "k": k_used,
+        "cycle_free": bool(args.cycle_free),
+        "size": len(cells),
+        "bound": bound,
+        "valid": True,
+        "cycles": cycle_lengths,
+        "paths": len(parts.paths),
+        "cells": [list(c) for c in cells],
+    }
+    if args.cycle_free:
+        payload["cycles_removed"] = solved.events[-1]["cycles_removed"]
+    header = [
+        "transversal" + (" --cycle-free" if args.cycle_free else f" --k {k_used}"),
+        f"order: {sq.order} k: {k_used}",
+        f"size: {len(cells)} bound: {bound}",
+        f"cycles: {cycle_lengths} paths: {len(parts.paths)}",
+        "valid: true",
+    ]
+    _emit(args, payload, header, "cell", cells)
     return 0
 
 
@@ -234,6 +296,8 @@ def _parse_certificate(text: str) -> tuple[list, list]:
 
 
 def _cmd_verify(args) -> int:
+    if args.k is not None and args.k < 0:
+        raise InfeasibleParameters(f"--k must be non-negative, got {args.k}")
     instance = _read_text(args.input)
     edges, cells = _parse_certificate(_read_text(args.certificate))
     if edges and cells:
@@ -251,7 +315,7 @@ def _cmd_verify(args) -> int:
         if edges:
             raise BadShape("certificate holds edge lines but the instance is a Latin square")
         sq = parse_latin(instance)
-        forbid = math.inf if args.cycle_free else args.k
+        forbid = math.inf if args.cycle_free else args.k or 0
         ok, why = validate_transversal(sq, cells, forbid_cycles_up_to=forbid)
     if ok:
         print("valid")
@@ -296,67 +360,15 @@ def parse_sizes(spec: str) -> list:
 
 def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool) -> dict:
     """Run one instance; returns the CSV row fields."""
-    instance = f"{suite}-{size}-{trial}"
-    if suite == "delta":
-        spread = seed % 14  # vertex counts from 4*delta-3 to 4*delta+10, at least 2
-        g = generators.random_proper_graph(max(2, 4 * size - 3 + spread), size, seed)
-        delta = min_degree(g)
-        m = find_rainbow_matching_delta(g, check=check)
-        ok, _ = validate_rainbow_matching(g, list(m))
-        return {
-            "instance": instance,
-            "size": size,
-            "k": "",
-            "bound": delta,
-            "achieved": len(m),
-            "valid": ok,
-            "augmentations": len(m),
-        }
-    if suite == "layered":
-        sq = generators.random_square(size, seed=seed)
-        g = to_bipartite_factorization(sq)
-        delta = min_degree(g)
-        rows: list = []
-        m = find_rainbow_matching_layered(g, check=check, trace=rows.append)
-        ok, _ = validate_rainbow_matching(g, list(m))
-        summary = rows[-1] if rows else {}
-        grown = summary.get("final", len(m)) - summary.get("initial", len(m))
-        return {
-            "instance": instance,
-            "size": size,
-            "k": "",
-            "bound": guaranteed_size(delta),
-            "achieved": len(m),
-            "valid": ok,
-            "augmentations": grown,
-        }
-    if suite == "shortcycle":
-        sq = generators.random_square(size, seed=seed)
-        stats: dict = {}
-        t = build_short_cycle_free_transversal(sq, k, check=check, stats=stats)
-        ok, _ = validate_transversal(sq, list(t), forbid_cycles_up_to=k)
-        return {
-            "instance": instance,
-            "size": size,
-            "k": k,
-            "bound": theorem_bound(size, k),
-            "achieved": len(t),
-            "valid": ok,
-            "augmentations": stats["augmentations"],
-        }
-    # cyclefree
-    sq = generators.random_square(size, seed=seed)
-    stats = {}
-    t = cycle_free_transversal(sq, check=check, stats=stats)
-    ok, _ = validate_transversal(sq, list(t), forbid_cycles_up_to=math.inf)
+    solved = _solve(suite, _SOLVERS[suite].make(size, seed), k, check)
     return {
-        "instance": instance,
+        "instance": f"{suite}-{size}-{trial}",
         "size": size,
-        "k": stats["k"],
-        "bound": corollary_bound(size),
-        "achieved": len(t),
-        "valid": ok,
-        "augmentations": stats["augmentations"],
+        "k": solved.k,
+        "bound": solved.bound,
+        "achieved": len(solved.found),
+        "valid": solved.why is None,
+        "augmentations": solved.augmentations,
     }
 
 
@@ -368,6 +380,10 @@ def _cmd_sweep(args) -> int:
         raise InfeasibleParameters(f"sweep sizes must be non-negative, got {negative}")
     if args.trials < 1:
         raise InfeasibleParameters(f"--trials must be at least 1, got {args.trials}")
+    if suite == "shortcycle" and args.k < 2:
+        raise InfeasibleParameters(
+            f"--k must be at least 2 for the shortcycle suite, got {args.k}"
+        )
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8", newline="")
     fields = ["instance", "size", "k", "bound", "achieved", "valid", "augmentations"]
     if args.timing:
@@ -438,14 +454,15 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="graph file, or - for stdin")
     solve.add_argument("--format", choices=["text", "json"], default="text")
     solve.add_argument("--check", action="store_true", help="verify solver invariants while running")
-    solve.add_argument("--trace", default=None, help="write per-round JSON lines (layered)")
+    solve.add_argument("--trace", default=None, help="write per-round JSON lines (layered only)")
     solve.add_argument("--out", default=None)
     solve.set_defaults(func=_cmd_solve)
 
     trans = sub.add_parser("transversal", help="build a short-cycle-free partial transversal")
     trans.add_argument("--input", required=True, help="Latin square file, or - for stdin")
-    trans.add_argument("--k", type=int, default=None, help="forbid cycles of length <= k (k >= 2)")
-    trans.add_argument("--cycle-free", action="store_true", help="remove all cycles; picks k automatically")
+    cutoff = trans.add_mutually_exclusive_group()
+    cutoff.add_argument("--k", type=int, default=None, help="forbid cycles of length <= k (k >= 2)")
+    cutoff.add_argument("--cycle-free", action="store_true", help="remove all cycles; picks k automatically")
     trans.add_argument("--format", choices=["text", "json"], default="text")
     trans.add_argument("--check", action="store_true")
     trans.add_argument("--out", default=None)
@@ -454,8 +471,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="revalidate a certificate against its instance")
     verify.add_argument("--input", required=True, help="instance file")
     verify.add_argument("--certificate", required=True, help="edge/cell list, e.g. solve output")
-    verify.add_argument("--k", type=int, default=0, help="forbid cycles of length <= k in transversals")
-    verify.add_argument("--cycle-free", action="store_true", help="forbid all cycles in transversals")
+    cutoff = verify.add_mutually_exclusive_group()
+    # default None, not 0: argparse lets a flag equal to its default pass the exclusive group
+    cutoff.add_argument(
+        "--k", type=int, default=None, help="forbid cycles of length <= k in transversals (0: none)"
+    )
+    cutoff.add_argument("--cycle-free", action="store_true", help="forbid all cycles in transversals")
     verify.set_defaults(func=_cmd_verify)
 
     sweep = sub.add_parser("sweep", help="run a suite over sizes and seeds, emit CSV")

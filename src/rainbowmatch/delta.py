@@ -24,7 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantBroken, PreconditionViolated
-from .graphs import ColoredGraph, Edge, RainbowMatching, min_degree, validate_rainbow_matching
+from .graphs import (
+    ColoredGraph,
+    Edge,
+    RainbowMatching,
+    _normalize,
+    min_degree,
+    validate_rainbow_matching,
+)
 
 
 @dataclass
@@ -83,10 +90,6 @@ class RepeatIncreased:
 @dataclass
 class ChainsExtended:
     config: GoodConfiguration
-
-
-def _normalize(v: int, w: int, c: int) -> Edge:
-    return (v, w, c) if v <= w else (w, v, c)
 
 
 def _build_index(config: GoodConfiguration) -> _Index:

@@ -20,12 +20,13 @@ class ColoredGraph:
     vertex_count: int
     edges: tuple[Edge, ...]
     _adj: dict = field(init=False, repr=False, compare=False)
-    _palette: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise BadShape("vertex_count must be non-negative")
         adj: dict[int, dict[int, int]] = {v: {} for v in range(1, self.vertex_count + 1)}
+        # color -> neighbor at each vertex, for the properness check only;
+        # dicts keep the build's peak memory below that of sets
         palette: dict[int, dict[int, int]] = {v: {} for v in range(1, self.vertex_count + 1)}
         for u, v, c in self.edges:
             if u == v:
@@ -45,7 +46,6 @@ class ColoredGraph:
             palette[u][c] = v
             palette[v][c] = u
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_palette", palette)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -55,13 +55,6 @@ class ColoredGraph:
 
     def color_of(self, u: int, v: int) -> int | None:
         return self._adj[u].get(v)
-
-    def neighbor_by_color(self, v: int, color: int) -> int | None:
-        """The unique neighbor joined to v by an edge of the given color."""
-        return self._palette[v].get(color)
-
-    def colors_at(self, v: int) -> set[int]:
-        return set(self._adj[v].values())
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
@@ -121,14 +114,6 @@ def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:
         seen_vertices.update((a, b))
         seen_colors.add(c)
     return True, None
-
-
-def free_vertices(g: ColoredGraph, m) -> list[int]:
-    """Vertices not covered by the matching, ascending."""
-    covered: set[int] = set()
-    for u, v, _ in _as_edges(m):
-        covered.update((u, v))
-    return [v for v in g.vertices() if v not in covered]
 
 
 def parse_graph(text: str) -> ColoredGraph:

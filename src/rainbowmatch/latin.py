@@ -1,18 +1,16 @@
-"""Latin squares, partial transversals and the two factorization views.
+"""Latin squares, partial transversals and the bipartite graph view.
 
 A Latin square of order n is stored as a tuple of n rows, each a tuple of
 n symbols drawn from 1..n with no repeat in any row or column. A partial
 transversal is a set of cells, one per row / column / symbol at most.
 
-Cycle structure: each cell (r, c) selecting symbol s defines the successor
-step c -> (row of the transversal cell in column... ) -- concretely, walk
-from a cell to the cell whose row equals the current column. Cells with
-r == c == implicit fixed points are 1-cycles (loops in the digraph view).
+Cycle structure: a cell (r, c, s) is the arc r -> c, so the walk goes
+from a cell to the cell whose row equals the current column. A cell
+with r == c is a 1-cycle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import BadShape, NotLatin
@@ -149,33 +147,6 @@ def to_bipartite_factorization(square: LatinSquare) -> ColoredGraph:
     return build_graph(2 * n, edges)
 
 
-@dataclass(frozen=True)
-class ColoredDigraph:
-    """Complete loop-equipped digraph on 1..n; arc r -> c carries the
-    symbol in cell (r, c). Every color class is a permutation digraph."""
-
-    vertex_count: int
-    arcs: tuple[tuple[int, int, int], ...]
-
-
-def to_digraph_factorization(square: LatinSquare) -> ColoredDigraph:
-    n = square.order
-    arcs = []
-    color_out: dict[int, set[int]] = {}
-    color_in: dict[int, set[int]] = {}
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            s = square.entry(r, c)
-            outs = color_out.setdefault(s, set())
-            ins = color_in.setdefault(s, set())
-            if r in outs or c in ins:
-                raise NotLatin(f"symbol {s} is not a permutation class")
-            outs.add(r)
-            ins.add(c)
-            arcs.append((r, c, s))
-    return ColoredDigraph(n, tuple(arcs))
-
-
 def cycles_of(square: LatinSquare, transversal) -> CycleDecomposition:
     """Split a partial transversal into successor cycles and open paths.
 
@@ -217,6 +188,17 @@ def cycles_of(square: LatinSquare, transversal) -> CycleDecomposition:
     return CycleDecomposition(tuple(cycles), tuple(paths))
 
 
+def _closes_short_cycle(col_by_row: dict, r: int, c: int, k: float) -> bool:
+    """Would cell (r, c) close a successor cycle of length <= k, given the
+    row -> column map of the cells already chosen? The walk stops after
+    k steps, so k = 0 forbids nothing and math.inf forbids every cycle."""
+    cur, length = c, 1
+    while cur != r and cur in col_by_row and length <= k:
+        cur = col_by_row[cur]
+        length += 1
+    return cur == r and length <= k
+
+
 def validate_transversal(
     square: LatinSquare, transversal, forbid_cycles_up_to: float = 0
 ) -> tuple[bool, str | None]:
@@ -248,21 +230,3 @@ def validate_transversal(
             if len(cyc) <= forbid_cycles_up_to:
                 return False, f"cycle of length {len(cyc)} through row {cyc[0][0]}"
     return True, None
-
-
-def matching_to_transversal(square: LatinSquare, matching) -> PartialTransversal:
-    """Interpret a rainbow matching of the bipartite view as cells."""
-    n = square.order
-    cells = []
-    for u, v, c in matching:
-        r, col = (u, v - n) if u <= n else (v, u - n)
-        if not (1 <= r <= n and 1 <= col <= n):
-            raise BadShape(f"edge {u}-{v} is not row-column")
-        cells.append((r, col, c))
-    cells.sort()
-    return PartialTransversal(tuple(cells))
-
-
-def transversal_to_matching(square: LatinSquare, transversal) -> list[tuple[int, int, int]]:
-    n = square.order
-    return sorted((r, n + c, s) for r, c, s in transversal)

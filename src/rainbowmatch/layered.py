@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 
 from .arith import int_kth_root
 from .errors import InternalInvariantBroken, PreconditionViolated
-from .graphs import ColoredGraph, Edge, RainbowMatching, min_degree, validate_rainbow_matching
+from .graphs import (
+    ColoredGraph,
+    Edge,
+    RainbowMatching,
+    _normalize,
+    min_degree,
+    validate_rainbow_matching,
+)
 
 
 def guaranteed_size(delta: int) -> int:
@@ -89,10 +96,6 @@ class LayerState:
     origins: dict = field(default_factory=dict)  # color -> ClassifiedEdge
     quiet_side: dict = field(default_factory=dict)  # y vertex -> ClassifiedEdge
     violation: object = None
-
-
-def _normalize(u: int, v: int, c: int) -> Edge:
-    return (u, v, c) if u <= v else (v, u, c)
 
 
 def _greedy_order(g: ColoredGraph) -> list:
@@ -344,11 +347,6 @@ def build_layers(g: ColoredGraph, matching) -> LayerState:
     state = _fresh_state(g, m, min_degree(g))
     _run_layers(state, attempt=False, check=False)
     return state
-
-
-def detect_violation(state: LayerState):
-    """The violation the layer build stopped at, or None."""
-    return state.violation
 
 
 def trace_back_augment(state: LayerState, violation) -> RainbowMatching:

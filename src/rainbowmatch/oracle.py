@@ -6,12 +6,11 @@ refuse oversized inputs instead of running without bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .graphs import ColoredGraph, RainbowMatching
-from .latin import LatinSquare, PartialTransversal
+from .latin import LatinSquare, PartialTransversal, _closes_short_cycle
 
 
 @dataclass(frozen=True)
@@ -66,18 +65,6 @@ def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = No
     return RainbowMatching(tuple(best))
 
 
-def _closes_short_cycle(r: int, c: int, col_by_row: dict[int, int], k: float) -> bool:
-    """Would selecting cell (r, c) close a successor cycle of length <= k?"""
-    if not k:
-        return False
-    cur = c
-    length = 1
-    while cur != r and cur in col_by_row:
-        cur = col_by_row[cur]
-        length += 1
-    return cur == r and length <= k
-
-
 def max_cyclefree_transversal_exact(
     square: LatinSquare, k: float = 0, budget: OracleBudget | None = None
 ) -> PartialTransversal:
@@ -112,7 +99,7 @@ def max_cyclefree_transversal_exact(
             s = square.entry(r, c)
             if s in used_syms:
                 continue
-            if _closes_short_cycle(r, c, col_by_row, k):
+            if _closes_short_cycle(col_by_row, r, c, k):
                 continue
             used_cols.add(c)
             used_syms.add(s)

@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 
 from .arith import int_kth_root
 from .errors import ColorsExhausted, InternalInvariantBroken, PreconditionViolated
-from .latin import LatinSquare, PartialTransversal, cycles_of, validate_transversal
+from .latin import (
+    LatinSquare,
+    PartialTransversal,
+    _closes_short_cycle,
+    cycles_of,
+    validate_transversal,
+)
 
 
 def theorem_bound(n: int, k: int) -> int:
@@ -49,32 +55,22 @@ def default_cycle_bound(n: int) -> int:
     return max(2, int(math.log(n) / (3.0 * math.log(math.log(n)))))
 
 
-def _closes_short_cycle(out_map: dict, r: int, c: int, k: int) -> bool:
-    """Would arc r -> c close a directed cycle of length ≤ k?"""
-    cur = c
-    length = 1
-    while cur != r and cur in out_map and length <= k:
-        cur = out_map[cur][0]
-        length += 1
-    return cur == r and length <= k
-
-
 def _greedy_init(square: LatinSquare, k: int) -> list:
     """One cell per symbol, smallest usable row, no cycle of length ≤ k."""
     n = square.order
-    out_map: dict = {}
+    col_by_row: dict = {}
     used_cols: set = set()
     cells = []
     for s in range(1, n + 1):
         for r in range(1, n + 1):
-            if r in out_map:
+            if r in col_by_row:
                 continue
             c = square.col_of(r, s)
             if c in used_cols or c == r:
                 continue
-            if _closes_short_cycle(out_map, r, c, k):
+            if _closes_short_cycle(col_by_row, r, c, k):
                 continue
-            out_map[r] = (c, s)
+            col_by_row[r] = c
             used_cols.add(c)
             cells.append((r, c, s))
             break
@@ -106,7 +102,6 @@ class TransversalSearchState:
     b_parent: dict = field(default_factory=dict)  # B vertex -> (head it shot at, color)
     arcs_out: dict = field(default_factory=dict)  # v -> [(head, color, from_initial)]
     remaining: list = field(default_factory=list)  # unspent symbols, ascending
-    layer: int = 1
     layer_color: int | None = None
     reach: dict = field(default_factory=dict)
     narrow_reach: dict = field(default_factory=dict)
@@ -188,9 +183,8 @@ def _is_forbidden(state: TransversalSearchState, v: int, u: int) -> bool:
     return v == u or v in _reach_of(state, u)
 
 
-def forbidden_edges(state: TransversalSearchState, color: int, layer: int) -> set:
+def forbidden_edges(state: TransversalSearchState, color: int) -> set:
     """The forbidden color-colored arcs into the current A-front."""
-    del layer
     out = set()
     for u in state.a_set:
         v = state.square.row_of(u, color)
@@ -223,7 +217,7 @@ def choose_color(state: TransversalSearchState, layer: int) -> int:
     return _least_forbidden(state, _reach_of, loops=True)[0]
 
 
-def expand_layer(state: TransversalSearchState, layer: int):
+def expand_layer(state: TransversalSearchState):
     """Shoot the layer's color into the A-front.
 
     A non-forbidden arc whose tail is an original path end augments;
@@ -247,7 +241,6 @@ def expand_layer(state: TransversalSearchState, layer: int):
         successor = state.out_map[v][0]
         state.a_parent[successor] = v
         state.a_set.add(successor)
-    del layer
     return Expanded(grew=len(minted))
 
 
@@ -313,7 +306,6 @@ def _expansion_round(square: LatinSquare, k: int, cells: list, check: bool):
         return None
     state = _start_state(square, k, cells)
     for layer in range(2, n * n + n + 2):
-        state.layer = layer
         state.reach = {}
         state.narrow_reach = {}
         try:
@@ -324,7 +316,7 @@ def _expansion_round(square: LatinSquare, k: int, cells: list, check: bool):
             _check_color_law(state, layer, n, t)
         state.layer_color = color
         state.remaining.remove(color)
-        outcome = expand_layer(state, layer)
+        outcome = expand_layer(state)
         if isinstance(outcome, AugmentationFound):
             return apply_augmentation(state, outcome)
         if check:

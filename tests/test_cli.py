@@ -333,6 +333,58 @@ def test_sweep_delta_small_sizes_on_every_spread(capsys):
         assert rows[3:] == [f"delta-1-{t},1,,1,1,true,1" for t in range(3)]
 
 
+def test_cycle_free_and_k_are_exclusive(tmp_path, capsys):
+    inst = tmp_path / "sq.txt"
+    cert = tmp_path / "t.txt"
+    run(capsys, "gen", "--kind", "cyclic", "--n", "5", "--out", str(inst))
+    cert.write_text("cell 1 2 2\n")
+    for argv in (["transversal", "--input", str(inst)],
+                 ["verify", "--input", str(inst), "--certificate", str(cert)]):
+        for k in ("5", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--cycle-free", "--k", k])
+            assert exc.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_verify_negative_k_exit_code(tmp_path, capsys):
+    # a 1-cycle: invalid at every positive cutoff, valid with no check
+    inst = tmp_path / "sq.txt"
+    cert = tmp_path / "t.txt"
+    run(capsys, "gen", "--kind", "cyclic", "--n", "5", "--out", str(inst))
+    cert.write_text("cell 1 1 1\n")
+    base = ["verify", "--input", str(inst), "--certificate", str(cert), "--k"]
+    code, out, err = run(capsys, *base, "-4")
+    assert code == 2
+    assert out == "" and "--k must be non-negative, got -4" in err
+    code, out, _ = run(capsys, *base, "0")
+    assert code == 0 and out.strip() == "valid"
+    code, out, _ = run(capsys, *base, "1")
+    assert code == 3 and out.startswith("invalid: cycle of length 1")
+
+
+def test_solve_trace_needs_layered(tmp_path, capsys):
+    # refused before the input is read: the input file does not exist
+    trace = tmp_path / "trace.jsonl"
+    for algo in ("delta", "oracle"):
+        code, out, err = run(capsys, "solve", "--algo", algo, "--input",
+                             str(tmp_path / "missing.txt"), "--trace", str(trace))
+        assert code == 2
+        assert f"--algo {algo}" in err
+        assert out == ""
+        assert not trace.exists()
+
+
+def test_sweep_shortcycle_k_below_two_exit_code(tmp_path, capsys):
+    out_file = tmp_path / "s.csv"
+    code, out, err = run(capsys, "sweep", "--suite", "shortcycle", "--sizes", "9",
+                         "--trials", "1", "--k", "1", "--out", str(out_file))
+    assert code == 2
+    assert "--k must be at least 2 for the shortcycle suite, got 1" in err
+    assert out == ""
+    assert not out_file.exists()
+
+
 def test_cli_outputs_are_pinned(tmp_path, capsys):
     # one digest over every solving command's bytes: exit codes, stdout,
     # stderr and written files, for each solver, format and sweep suite

@@ -9,7 +9,6 @@ from rainbowmatch import (
     SelfLoop,
     build_graph,
     format_graph,
-    free_vertices,
     min_degree,
     parse_graph,
     validate_rainbow_matching,
@@ -61,12 +60,6 @@ def test_min_degree():
     assert min_degree(build_graph(4, C4_EDGES)) == 2
     assert min_degree(build_graph(3, [(1, 2, 1)])) == 0
     assert min_degree(build_graph(1, [])) == 0
-
-
-def test_free_vertices():
-    g = build_graph(5, C4_EDGES + [(4, 5, 3)])
-    assert free_vertices(g, [(1, 2, 1)]) == [3, 4, 5]
-    assert free_vertices(g, []) == [1, 2, 3, 4, 5]
 
 
 def test_validate_accepts_rainbow_matching():

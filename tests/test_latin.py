@@ -1,4 +1,4 @@
-"""Latin squares, transversal validation, cycle structure, factorizations."""
+"""Latin squares, transversal validation, cycle structure, the bipartite view."""
 
 import math
 
@@ -10,12 +10,9 @@ from rainbowmatch import (
     build_square,
     cycles_of,
     cyclic_square,
-    matching_to_transversal,
     parse_latin,
     serialize_latin,
     to_bipartite_factorization,
-    to_digraph_factorization,
-    transversal_to_matching,
     validate_transversal,
 )
 
@@ -142,27 +139,6 @@ def test_bipartite_factorization_shape():
     # proper n-coloring: each vertex sees each symbol exactly once
     for v in range(1, 5):
         assert sorted(g.color_of(v, w) for w in g.neighbors(v)) == [1, 2, 3, 4]
-
-
-def test_digraph_factorization_is_color_regular():
-    sq = cyclic_square(4)
-    d = to_digraph_factorization(sq)
-    heads_by_color = {}
-    for r, c, s in d.arcs:
-        heads_by_color.setdefault(s, []).append(c)
-        assert sq.entry(r, c) == s
-    for heads in heads_by_color.values():
-        assert sorted(heads) == [1, 2, 3, 4]
-
-
-def test_transversal_matching_round_trip():
-    sq = build_square(WITNESS_ROWS)
-    cells = [(1, 2, 2), (2, 3, 4)]
-    m = transversal_to_matching(sq, cells)
-    g = to_bipartite_factorization(sq)
-    for u, v, c in m:
-        assert g.color_of(u, v) == c
-    assert matching_to_transversal(sq, m).cells == tuple(sorted(cells))
 
 
 def test_validate_transversal_strictest_setting_accepts_paths():

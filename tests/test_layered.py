@@ -5,8 +5,6 @@ import pytest
 from rainbowmatch import (
     PreconditionViolated,
     build_graph,
-    build_layers,
-    detect_violation,
     find_rainbow_matching_layered,
     guaranteed_size,
     k4_factorization_pair,
@@ -14,10 +12,17 @@ from rainbowmatch import (
     random_square,
     split_seed,
     to_bipartite_factorization,
-    trace_back_augment,
     validate_rainbow_matching,
 )
-from rainbowmatch.layered import FreeFree, HitsY, TwoSided, _extend_maximal, _greedy_order
+from rainbowmatch.layered import (
+    FreeFree,
+    HitsY,
+    TwoSided,
+    _extend_maximal,
+    _greedy_order,
+    build_layers,
+    trace_back_augment,
+)
 
 
 def test_guaranteed_size_values():
@@ -83,7 +88,7 @@ def test_detects_directly_addable_edge_as_free_free():
     # free vertices; the scan must surface it and the exchange adds it
     g = build_graph(4, [(1, 2, 1), (3, 4, 2)])
     state = build_layers(g, [])
-    violation = detect_violation(state)
+    violation = state.violation
     assert isinstance(violation, FreeFree)
     assert violation.edge == (1, 2, 1)
     assert sorted(trace_back_augment(state, violation)) == [(1, 2, 1)]
@@ -95,7 +100,7 @@ def test_detects_two_sided_exchange():
     edges = [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (1, 6, 5), (2, 3, 6)]
     g = build_graph(6, edges)
     state = build_layers(g, [(1, 2, 1)])
-    violation = detect_violation(state)
+    violation = state.violation
     assert isinstance(violation, TwoSided)
     assert violation.origin.edge == (1, 2, 1)
     augmented = sorted(trace_back_augment(state, violation))
@@ -113,7 +118,7 @@ def test_detects_hit_on_quiet_side_and_repairs_collisions():
              (1, 10, 8), (1, 11, 9), (1, 12, 10), (1, 13, 11)]
     g = build_graph(13, edges)
     state = build_layers(g, [(1, 2, 1), (3, 4, 2)])
-    violation = detect_violation(state)
+    violation = state.violation
     assert isinstance(violation, HitsY)
     assert violation.edge == (2, 5, 2)
     assert violation.origin.edge == (1, 2, 1)
@@ -128,7 +133,7 @@ def test_detect_returns_none_when_no_exchange_exists():
     edges = [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (1, 6, 5)]
     g = build_graph(6, edges)
     state = build_layers(g, [(1, 2, 1)])
-    assert detect_violation(state) is None
+    assert state.violation is None
 
 
 def test_extend_maximal_is_greedy_by_color():

@@ -127,16 +127,15 @@ def test_expansion_layer_protocol():
     assert sorted(state.b_first) == [2, 4]
     assert sorted(state.remaining) == [3, 4]
     assert tv.choose_color(state, 2) == 3
-    assert tv.forbidden_edges(state, 4, 2) == {(2, 3), (4, 1)}
+    assert tv.forbidden_edges(state, 4) == {(2, 3), (4, 1)}
 
     outcomes = []
-    for layer, color in ((2, 3), (3, 4)):
-        state.layer = layer
+    for color in (3, 4):
         state.reach = {}
         state.narrow_reach = {}
         state.layer_color = color
         state.remaining.remove(color)
-        outcomes.append(tv.expand_layer(state, layer))
+        outcomes.append(tv.expand_layer(state))
     assert [o.grew for o in outcomes] == [2, 0]
     assert sorted(state.a_set) == [1, 2, 3, 4]
     with pytest.raises(ColorsExhausted):
@@ -158,7 +157,7 @@ def _search_states(sq, k):
             yield state, layer
             state.layer_color = tv.choose_color(state, layer)
             state.remaining.remove(state.layer_color)
-            outcome = tv.expand_layer(state, layer)
+            outcome = tv.expand_layer(state)
             if isinstance(outcome, tv.AugmentationFound):
                 cells = tv.apply_augmentation(state, outcome)
                 break
@@ -188,7 +187,7 @@ def test_color_counts_match_the_per_arc_definition(monkeypatch):
             for state, layer in _search_states(sq, k):
                 # smallest unspent color with the fewest forbidden arcs
                 wide = min(state.remaining,
-                           key=lambda c: (len(tv.forbidden_edges(state, c, layer)), c))
+                           key=lambda c: (len(tv.forbidden_edges(state, c)), c))
                 assert tv.choose_color(state, layer) == wide
                 narrow = {c: sum(sq.row_of(u, c) in tv._narrow_reach_of(state, u)
                                  for u in state.a_set)
