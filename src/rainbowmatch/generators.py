@@ -1,8 +1,9 @@
 """Seeded instance generators.
 
-Every generator is deterministic in its seed and uses randrange only,
-so byte-identical output does not depend on the interpreter's float or
-shuffle details.
+Every generator is deterministic in its seed. Each draw from range(m)
+follows _below, the rule CPython's Random.randrange(m) uses, applied to
+getrandbits directly: that halves the cost of the square walk, and the
+outputs depend only on the Mersenne Twister's getrandbits stream.
 """
 
 from __future__ import annotations
@@ -25,11 +26,20 @@ def split_seed(master: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _shuffled(rng: random.Random, items: list) -> list:
-    """Fisher-Yates with randrange; random.shuffle is not pinned across versions."""
+def _below(getrandbits, m: int) -> int:
+    """Draw from range(m), m >= 1, exactly as Random.randrange(m) does."""
+    k = m.bit_length()  # so m = 1 still takes one bit, and m = 2 two
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffled(getrandbits, items: list) -> list:
+    """Fisher-Yates with _below; random.shuffle is not pinned across versions."""
     out = list(items)
     for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        j = _below(getrandbits, i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -61,116 +71,104 @@ def k4_factorization_pair() -> ColoredGraph:
     return build_graph(8, edges)
 
 
-class _SquareWalk:
-    """Mutable state for the random-square walk.
-
-    Either proper, or improper with a single flawed cell (r0, c0) that
-    carries two positive symbols (grid[r0][c0] and extra) and one
-    negative symbol neg. While improper, neg's position in row r0 /
-    column c0 is ambiguous and tracked by neg_cols / neg_rows instead of
-    the position tables.
-    """
-
-    def __init__(self, square: LatinSquare):
-        n = square.order
-        self.n = n
-        self.grid = [[0] * (n + 1)] + [
-            [0] + list(row) for row in square.rows
-        ]
-        self.col_of = [[0] * (n + 1) for _ in range(n + 1)]
-        self.row_of = [[0] * (n + 1) for _ in range(n + 1)]
-        for r in range(1, n + 1):
-            for c in range(1, n + 1):
-                s = self.grid[r][c]
-                self.col_of[r][s] = c
-                self.row_of[c][s] = r
-        self.flaw: tuple | None = None  # (r0, c0, neg, extra, neg_cols, neg_rows)
-
-    def proper_step(self, rng: random.Random) -> None:
-        n, grid, col_of, row_of = self.n, self.grid, self.col_of, self.row_of
-        cell = rng.randrange(n * n)
-        r, c = cell // n + 1, cell % n + 1
-        old = grid[r][c]
-        s = 1 + rng.randrange(n - 1)
-        if s >= old:
-            s += 1
-        c2 = col_of[r][s]
-        r2 = row_of[c][s]
-        grid[r][c] = s
-        grid[r][c2] = old
-        grid[r2][c] = old
-        col_of[r][s] = c
-        col_of[r][old] = c2
-        row_of[c][s] = r
-        row_of[c][old] = r2
-        row_of[c2][s] = r2
-        if grid[r2][c2] == old:
-            grid[r2][c2] = s
-            col_of[r2][s] = c2
-            col_of[r2][old] = c
-            row_of[c2][old] = r
-        else:
-            # cell (r2, c2) gains s, loses old: improper
-            self.flaw = (
-                r2, c2, old, s,
-                (c, col_of[r2][old]),
-                (r, row_of[c2][old]),
-            )
-            col_of[r2][s] = c2
-
-    def improper_step(self, rng: random.Random) -> None:
-        grid, col_of, row_of = self.grid, self.col_of, self.row_of
-        r0, c0, neg, extra, neg_cols, neg_rows = self.flaw
-        c1 = neg_cols[rng.randrange(2)]
-        r1 = neg_rows[rng.randrange(2)]
-        pos = (grid[r0][c0], extra)
-        s1 = pos[rng.randrange(2)]
-        other = pos[1] if s1 == pos[0] else pos[0]
-        grid[r0][c0] = other
-        grid[r0][c1] = s1
-        grid[r1][c0] = s1
-        col_of[r0][s1] = c1
-        row_of[c0][s1] = r1
-        col_of[r0][neg] = neg_cols[0] if neg_cols[1] == c1 else neg_cols[1]
-        row_of[c0][neg] = neg_rows[0] if neg_rows[1] == r1 else neg_rows[1]
-        col_of[r1][neg] = c1
-        row_of[c1][neg] = r1
-        if grid[r1][c1] == s1:
-            grid[r1][c1] = neg
-            col_of[r1][s1] = c0
-            row_of[c1][s1] = r0
-            self.flaw = None
-        else:
-            self.flaw = (
-                r1, c1, s1, neg,
-                (c0, col_of[r1][s1]),
-                (r0, row_of[c1][s1]),
-            )
-
-    def to_square(self) -> LatinSquare:
-        return build_square([row[1:] for row in self.grid[1:]])
-
-
 def random_square(n: int, seed: int) -> LatinSquare:
     """Uniformly-flavored random Latin square of order n.
 
-    Runs n**3 symbol-exchange moves from the cyclic square, then keeps
+    Runs n**3 Jacobson-Matthews moves from the cyclic square, then keeps
     moving until the state is proper again.
     """
     if n < 0:
         raise InfeasibleParameters("order must be non-negative")
     if n <= 1:
         return cyclic_square(n)
-    rng = random.Random(seed)
-    walk = _SquareWalk(cyclic_square(n))
-    for _ in range(n * n * n):
-        if walk.flaw is None:
-            walk.proper_step(rng)
+    getrandbits = random.Random(seed).getrandbits
+    # symbols 0..n-1 here; col_of[r][s] and row_of[c][s] locate symbol s
+    grid = [[(r + c) % n for c in range(n)] for r in range(n)]
+    col_of = [[(s - r) % n for s in range(n)] for r in range(n)]
+    row_of = [[(s - c) % n for s in range(n)] for c in range(n)]
+    cells, cell_bits = n * n, (n * n).bit_length()
+    others, other_bits = n - 1, (n - 1).bit_length()
+    # None while proper, else (r0, c0, neg, extra, c_a, c_b, r_a, r_b): cell
+    # (r0, c0) holds grid[r0][c0], extra and -neg; neg sits at c_a, c_b in
+    # row r0 and at r_a, r_b in column c0
+    flaw = None
+    steps = n * n * n
+    while steps > 0 or flaw is not None:
+        steps -= 1
+        # every draw below is _below(getrandbits, m), inlined for speed
+        if flaw is None:
+            cell = getrandbits(cell_bits)
+            while cell >= cells:
+                cell = getrandbits(cell_bits)
+            r = cell // n
+            c = cell % n
+            s = getrandbits(other_bits)
+            while s >= others:
+                s = getrandbits(other_bits)
+            row = grid[r]
+            old = row[c]
+            if s >= old:
+                s += 1
+            cols = col_of[r]
+            rows = row_of[c]
+            c2 = cols[s]
+            r2 = rows[s]
+            row2 = grid[r2]
+            row[c] = s
+            row[c2] = old
+            row2[c] = old
+            cols[s] = c
+            cols[old] = c2
+            rows[s] = r
+            rows[old] = r2
+            row_of[c2][s] = r2
+            cols2 = col_of[r2]
+            if row2[c2] == old:
+                row2[c2] = s
+                cols2[s] = c2
+                cols2[old] = c
+                row_of[c2][old] = r
+            else:
+                # cell (r2, c2) gains s and loses old
+                flaw = (r2, c2, old, s, c, cols2[old], r, row_of[c2][old])
+                cols2[s] = c2
         else:
-            walk.improper_step(rng)
-    while walk.flaw is not None:
-        walk.improper_step(rng)
-    return walk.to_square()
+            r0, c0, neg, extra, c_a, c_b, r_a, r_b = flaw
+            # randrange(2) draws two bits, so these do too
+            pick = getrandbits(2)
+            while pick >= 2:
+                pick = getrandbits(2)
+            c1 = c_b if pick else c_a
+            pick = getrandbits(2)
+            while pick >= 2:
+                pick = getrandbits(2)
+            r1 = r_b if pick else r_a
+            pick = getrandbits(2)
+            while pick >= 2:
+                pick = getrandbits(2)
+            row0 = grid[r0]
+            if pick:
+                s1, other = extra, row0[c0]
+            else:
+                s1, other = row0[c0], extra
+            row1 = grid[r1]
+            row0[c0] = other
+            row0[c1] = s1
+            row1[c0] = s1
+            col_of[r0][s1] = c1
+            row_of[c0][s1] = r1
+            col_of[r0][neg] = c_a if c_b == c1 else c_b
+            row_of[c0][neg] = r_a if r_b == r1 else r_b
+            col_of[r1][neg] = c1
+            row_of[c1][neg] = r1
+            if row1[c1] == s1:
+                row1[c1] = neg
+                col_of[r1][s1] = c0
+                row_of[c1][s1] = r0
+                flaw = None
+            else:
+                flaw = (r1, c1, s1, neg, c0, col_of[r1][s1], r0, row_of[c1][s1])
+    return build_square([[s + 1 for s in row] for row in grid])
 
 
 def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
@@ -185,7 +183,7 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
         raise InfeasibleParameters(f"need at least 2 vertices, got {n}")
     if target < 0 or target >= n:
         raise InfeasibleParameters(f"degree {target} impossible on {n} vertices")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
     deficient = {v for v in adj if target > 0}
     edges: list[tuple[int, int]] = []
@@ -202,7 +200,7 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
     for _ in range(rounds):
         if not deficient:
             break
-        order = _shuffled(rng, list(range(1, n + 1)))
+        order = _shuffled(getrandbits, list(range(1, n + 1)))
         for i in range(0, n - 1, 2):
             u, v = order[i], order[i + 1]
             if v in adj[u]:
@@ -222,7 +220,7 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
 
     colored: list[tuple[int, int, int]] = []
     used: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v in _shuffled(rng, sorted(edges)):
+    for u, v in _shuffled(getrandbits, sorted(edges)):
         c = 1
         while c in used[u] or c in used[v]:
             c += 1

@@ -1,6 +1,7 @@
 """Seeded instance generators."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from rainbowmatch import (
     split_seed,
     witness_square_4,
 )
+from rainbowmatch.generators import _below
 
 
 def test_split_seed_is_deterministic_and_spread():
@@ -108,3 +110,14 @@ def test_generator_outputs_are_pinned():
         digest.update(repr(random_proper_graph(n, target, seed).edges).encode())
     assert digest.hexdigest() == (
         "d288289ee1956ee9a2db5bd1ffd161cee51ad9ca1fb1ee8e50ba8c09b4f6a4fb")
+
+
+def test_below_matches_randrange_draw_for_draw():
+    # the generators copy randrange's rejection rule; a CPython change to
+    # it would show here before it silently changed every seeded instance
+    for m in (1, 2, 3, 5, 35, 48, 2401, 4096, 10000):
+        for seed in (0, 1, 11):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            drawn = [_below(ours.getrandbits, m) for _ in range(200)]
+            assert drawn == [theirs.randrange(m) for _ in range(200)], (m, seed)
+            assert ours.getstate() == theirs.getstate(), (m, seed)
