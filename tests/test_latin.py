@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch import (
     BadShape,
@@ -11,6 +13,7 @@ from rainbowmatch import (
     cycles_of,
     cyclic_square,
     parse_latin,
+    random_square,
     serialize_latin,
     to_bipartite_factorization,
     validate_transversal,
@@ -145,3 +148,139 @@ def test_validate_transversal_strictest_setting_accepts_paths():
     sq = build_square(WITNESS_ROWS)
     ok, _ = validate_transversal(sq, [(1, 2, 2), (2, 3, 4)], forbid_cycles_up_to=math.inf)
     assert ok
+
+
+def _reference_validate(square, transversal, forbid_cycles_up_to=0):
+    """The cell-by-cell loop validate_transversal must agree with."""
+    n = square.order
+    rows_seen, cols_seen, syms_seen = set(), set(), set()
+    cells = list(transversal)
+    for r, c, s in cells:
+        if not (1 <= r <= n and 1 <= c <= n):
+            return False, f"cell ({r},{c}) outside the square"
+        if square.entry(r, c) != s:
+            return False, f"cell ({r},{c}) holds {square.entry(r, c)}, not {s}"
+        if r in rows_seen:
+            return False, f"row {r} used twice"
+        if c in cols_seen:
+            return False, f"column {c} used twice"
+        if s in syms_seen:
+            return False, f"symbol {s} used twice"
+        rows_seen.add(r)
+        cols_seen.add(c)
+        syms_seen.add(s)
+    if forbid_cycles_up_to:
+        for cyc in cycles_of(square, cells).cycles:
+            if len(cyc) <= forbid_cycles_up_to:
+                return False, f"cycle of length {len(cyc)} through row {cyc[0][0]}"
+    return True, None
+
+
+CYCLE_CUTOFFS = (0, 1, 2, 3, math.inf)
+
+
+def _cell(sq, r, c):
+    return (r, c, sq.entry(r, c))
+
+
+def _repeat_row(draw, sq, cells):
+    r, _, _ = draw(st.sampled_from(cells))
+    return [_cell(sq, r, draw(st.integers(1, sq.order)))]
+
+
+def _repeat_column(draw, sq, cells):
+    _, c, _ = draw(st.sampled_from(cells))
+    return [_cell(sq, draw(st.integers(1, sq.order)), c)]
+
+
+def _repeat_symbol(draw, sq, cells):
+    _, _, s = draw(st.sampled_from(cells))
+    r = draw(st.integers(1, sq.order))
+    return [(r, sq.col_of(r, s), s)]
+
+
+def _wrong_entry(draw, sq, cells):
+    r, c = draw(st.integers(1, sq.order)), draw(st.integers(1, sq.order))
+    return [(r, c, sq.entry(r, c) % sq.order + 1)]
+
+
+def _off_the_square(draw, sq, cells):
+    n = sq.order
+    edge = draw(st.sampled_from((0, n + 1)))
+    inside = draw(st.integers(1, n))
+    r, c = draw(st.sampled_from(((edge, inside), (inside, edge), (edge, edge))))
+    return [(r, c, draw(st.integers(1, n)))]
+
+
+def _loop(draw, sq, cells):
+    r = draw(st.integers(1, sq.order))
+    return [_cell(sq, r, r)]
+
+
+def _short_cycle(draw, sq, cells):
+    length = min(sq.order, draw(st.integers(2, 3)))
+    ring = draw(st.permutations(range(1, sq.order + 1)))[:length]
+    return [_cell(sq, a, b) for a, b in zip(ring, ring[1:] + ring[:1])]
+
+
+MUTATIONS = (_repeat_row, _repeat_column, _repeat_symbol, _wrong_entry,
+             _off_the_square, _loop, _short_cycle)
+
+
+@st.composite
+def mutated_cell_lists(draw):
+    """A square and a cell list: distinct rows and columns from a random
+    permutation (so paths, loops and cycles of any length), then up to
+    three mutations, each spliced in at a random position."""
+    n = draw(st.integers(1, 7))
+    sq = random_square(n, seed=draw(st.integers(0, 2**16)))
+    perm = draw(st.permutations(range(1, n + 1)))
+    rows = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+    cells = [_cell(sq, r, perm[r - 1]) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        mutate = draw(st.sampled_from(MUTATIONS))
+        inside = [cell for cell in cells if 1 <= min(cell[:2]) <= max(cell[:2]) <= n]
+        if not inside and mutate in (_repeat_row, _repeat_column, _repeat_symbol):
+            continue
+        at = draw(st.integers(0, len(cells)))
+        cells[at:at] = mutate(draw, sq, inside)
+    return sq, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_cell_lists())
+def test_validate_transversal_matches_the_reference_loop(case):
+    sq, cells = case
+    for cutoff in CYCLE_CUTOFFS:
+        assert (validate_transversal(sq, cells, forbid_cycles_up_to=cutoff)
+                == _reference_validate(sq, cells, cutoff))
+        assert (validate_transversal(sq, iter(cells), forbid_cycles_up_to=cutoff)
+                == _reference_validate(sq, cells, cutoff))
+
+
+def test_validate_transversal_reports_the_first_violation():
+    sq = build_square(WITNESS_ROWS)
+    # cell by cell: range, then entry, then row, column and symbol reuse
+    assert validate_transversal(sq, [(1, 2, 2), (0, 1, 1), (1, 3, 3)]) == (
+        False, "cell (0,1) outside the square")
+    assert validate_transversal(sq, [(1, 2, 2), (1, 3, 3), (0, 1, 1)]) == (
+        False, "row 1 used twice")
+    assert validate_transversal(sq, [(2, 2, 3), (1, 2, 2), (5, 5, 1)]) == (
+        False, "cell (2,2) holds 1, not 3")
+    assert validate_transversal(sq, [(1, 2, 2), (3, 2, 4), (2, 1, 2)]) == (
+        False, "column 2 used twice")
+    assert validate_transversal(sq, [(1, 2, 2), (2, 1, 2)]) == (False, "symbol 2 used twice")
+    # a repeat ends the check before any cycle is looked at
+    assert validate_transversal(sq, [(1, 1, 1), (2, 2, 1)], forbid_cycles_up_to=2) == (
+        False, "symbol 1 used twice")
+    # cycles come after every cell check, led by their smallest row; the
+    # first one short enough wins, wherever its cells are listed
+    sq = build_square([[(2 * r + c) % 5 + 1 for c in range(5)] for r in range(5)])
+    cycles = [(3, 5, 4), (5, 3, 1), (4, 4, 5)]
+    assert validate_transversal(sq, cycles) == (True, None)
+    assert validate_transversal(sq, cycles, forbid_cycles_up_to=1) == (
+        False, "cycle of length 1 through row 4")
+    assert validate_transversal(sq, cycles, forbid_cycles_up_to=2) == (
+        False, "cycle of length 2 through row 3")
+    assert validate_transversal(sq, cycles + [(1, 2, 2), (2, 1, 3)], forbid_cycles_up_to=2) == (
+        False, "cycle of length 2 through row 1")

@@ -8,6 +8,7 @@ import pytest
 
 from rainbowmatch import (
     ColorsExhausted,
+    InternalInvariantBroken,
     PreconditionViolated,
     build_short_cycle_free_transversal,
     build_square,
@@ -140,6 +141,37 @@ def test_expansion_layer_protocol():
     assert sorted(state.a_set) == [1, 2, 3, 4]
     with pytest.raises(ColorsExhausted):
         tv.choose_color(state, 4)
+
+
+def _stalled_state():
+    """The order-4 search state of test_expansion_layer_protocol: cells
+    1 -> 4 and 3 -> 2, path beginnings {1, 3}, path ends {2, 4}."""
+    sq = random_square(4, seed=4)
+    return tv._start_state(sq, 2, tv._greedy_init(sq, 2))
+
+
+def test_apply_augmentation_rejects_a_broken_parent_chain():
+    # column 4 is used but no layer shifted it, so no parent leads back
+    state = _stalled_state()
+    with pytest.raises(InternalInvariantBroken, match="broken parent chain at vertex 4"):
+        tv.apply_augmentation(state, tv.AugmentationFound(edge=(2, 4), color=3))
+
+
+def test_apply_augmentation_rejects_a_tail_that_has_an_arc():
+    # row 1 already carries 1 -> 4, so it cannot take the augmenting arc
+    state = _stalled_state()
+    with pytest.raises(InternalInvariantBroken, match="augmenting tail 1 already has an arc"):
+        tv.apply_augmentation(state, tv.AugmentationFound(edge=(1, 3), color=3))
+
+
+def test_apply_augmentation_rejects_a_chain_longer_than_the_order():
+    # row 1 shifts head 4 and was minted by an arc into 4 itself, so the
+    # parent chain never reaches a path beginning
+    state = _stalled_state()
+    state.a_parent[4] = 1
+    state.b_parent[1] = (4, 3)
+    with pytest.raises(InternalInvariantBroken, match="longer than the square's order"):
+        tv.apply_augmentation(state, tv.AugmentationFound(edge=(2, 4), color=3))
 
 
 def _search_states(sq, k):
