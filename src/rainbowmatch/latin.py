@@ -199,34 +199,70 @@ def _closes_short_cycle(col_by_row: dict, r: int, c: int, k: float) -> bool:
     return cur == r and length <= k
 
 
+def _cells_fit(square: LatinSquare, cells: list) -> bool:
+    """Every cell lies in the square and holds its entry, and rows,
+    columns and symbols are all distinct, in a few whole-list passes.
+    A cell that is not three integers also gives False, so that the
+    cell-by-cell loop words (or raises) exactly as it always has."""
+    if not cells:
+        return True
+    n = square.order
+    grid = square.rows
+    try:
+        rows, cols, syms = zip(*cells)
+        return (
+            len(set(rows)) == len(set(cols)) == len(set(syms)) == len(cells)
+            and 1 <= min(rows) and max(rows) <= n and 1 <= min(cols) and max(cols) <= n
+            and all(grid[r - 1][c - 1] == s for r, c, s in cells)
+        )
+    except (TypeError, ValueError):
+        return False
+
+
 def validate_transversal(
     square: LatinSquare, transversal, forbid_cycles_up_to: float = 0
 ) -> tuple[bool, str | None]:
     """Check cells exist, rows/columns/symbols are distinct, and - when
     forbid_cycles_up_to is k > 0 (math.inf allowed) - that no successor
-    cycle has length <= k."""
-    n = square.order
-    rows_seen: set[int] = set()
-    cols_seen: set[int] = set()
-    syms_seen: set[int] = set()
+    cycle has length <= k.
+
+    The first violation is reported: cells in list order (range, entry,
+    then row, column and symbol reuse), then the cycles in ascending
+    order of their smallest row."""
     cells = list(transversal)
-    for r, c, s in cells:
-        if not (1 <= r <= n and 1 <= c <= n):
-            return False, f"cell ({r},{c}) outside the square"
-        if square.entry(r, c) != s:
-            return False, f"cell ({r},{c}) holds {square.entry(r, c)}, not {s}"
-        if r in rows_seen:
-            return False, f"row {r} used twice"
-        if c in cols_seen:
-            return False, f"column {c} used twice"
-        if s in syms_seen:
-            return False, f"symbol {s} used twice"
-        rows_seen.add(r)
-        cols_seen.add(c)
-        syms_seen.add(s)
+    if not _cells_fit(square, cells):
+        n = square.order
+        rows_seen: set[int] = set()
+        cols_seen: set[int] = set()
+        syms_seen: set[int] = set()
+        for r, c, s in cells:
+            if not (1 <= r <= n and 1 <= c <= n):
+                return False, f"cell ({r},{c}) outside the square"
+            if square.entry(r, c) != s:
+                return False, f"cell ({r},{c}) holds {square.entry(r, c)}, not {s}"
+            if r in rows_seen:
+                return False, f"row {r} used twice"
+            if c in cols_seen:
+                return False, f"column {c} used twice"
+            if s in syms_seen:
+                return False, f"symbol {s} used twice"
+            rows_seen.add(r)
+            cols_seen.add(c)
+            syms_seen.add(s)
     if forbid_cycles_up_to:
-        decomp = cycles_of(square, cells)
-        for cyc in decomp.cycles:
-            if len(cyc) <= forbid_cycles_up_to:
-                return False, f"cycle of length {len(cyc)} through row {cyc[0][0]}"
+        # columns are distinct, so no walk enters a cycle from outside it:
+        # the walk from a cycle's smallest row is the first to touch it
+        succ = {r: c for r, c, _ in cells}
+        seen: set[int] = set()
+        for start in sorted(succ):
+            if start in seen:
+                continue
+            seen.add(start)
+            cur, length = succ[start], 1
+            while cur in succ and cur not in seen:
+                seen.add(cur)
+                cur = succ[cur]
+                length += 1
+            if cur == start and length <= forbid_cycles_up_to:
+                return False, f"cycle of length {length} through row {start}"
     return True, None

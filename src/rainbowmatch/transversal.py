@@ -17,12 +17,20 @@ A-front. Arcs that would let some selection close a short cycle are
 forbidden; the spent symbol is chosen to minimize that loss. When the
 symbols run out without an augmentation, counting shows the result
 already holds at least n - 6*n^((k-1)/k) cells.
+
+One search state is carried from round to round. An augmentation
+rewrites only the rows on its chain and resets what the round added
+(the minted B vertices and their arcs, the parent records, the layer
+colors it did not keep), so the next round starts where a fresh start
+from the bigger transversal would, without an O(order) rebuild.
+check=True compares the carried state with a fresh one every round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field, fields
 
 from .arith import int_kth_root
 from .errors import ColorsExhausted, InternalInvariantBroken, PreconditionViolated
@@ -102,6 +110,7 @@ class TransversalSearchState:
     b_parent: dict = field(default_factory=dict)  # B vertex -> (head it shot at, color)
     arcs_out: dict = field(default_factory=dict)  # v -> [(head, color, from_initial)]
     remaining: list = field(default_factory=list)  # unspent symbols, ascending
+    spent: list = field(default_factory=list)  # this round's layer colors, in order
     layer_color: int | None = None
     reach: dict = field(default_factory=dict)
     narrow_reach: dict = field(default_factory=dict)
@@ -245,36 +254,77 @@ def expand_layer(state: TransversalSearchState):
 
 
 def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) -> list:
-    """Reroute along parent records and add the augmenting arc.
+    """Reroute along parent records, add the augmenting arc, and carry
+    the state into the next round. Returns the new cell list.
 
     Walking back from the hit vertex, every shifted A-front head hands
     its incoming transversal arc over to the layer arc that minted the
     B vertex behind it; the chain bottoms out at an unused column,
-    where the augmenting arc finally lands."""
+    where the augmenting arc finally lands. Only the chain's rows are
+    rewritten, in place in the sorted cell list, and the whole result
+    is revalidated. The state then describes the bigger transversal as
+    a fresh start would: the chain's end column leaves the path
+    beginnings and the augmenting tail the path ends, every minted B
+    vertex is back to its one transversal arc, the round's layer colors
+    not used on the chain are unspent again and the chain's old symbols
+    join them. This costs O(hops + front), not O(order)."""
     v, target = found.edge
-    rewired = {r: (c, s) for r, c, s in state.cells}
+    out_map = state.out_map
+    moved: dict = {}  # chain row -> its new (col, symbol)
     u = target
     hops = 0
     while u not in state.a_first:
         b = state.a_parent.get(u)
-        if b is None or rewired.get(b, (None,))[0] != u:
+        if b is None or moved.get(b, out_map.get(b, (None,)))[0] != u:
             raise InternalInvariantBroken(f"broken parent chain at vertex {u}")
-        head, color = state.b_parent[b]
-        rewired[b] = (head, color)
-        u = head
+        moved[b] = state.b_parent[b]
+        u = moved[b][0]
         hops += 1
         if hops > state.square.order:
             raise InternalInvariantBroken("parent chain longer than the square's order")
-    if v in rewired:
+    if v in out_map:
         raise InternalInvariantBroken(f"augmenting tail {v} already has an arc")
-    rewired[v] = (target, found.color)
-    result = sorted((r, c, s) for r, (c, s) in rewired.items())
-    ok, why = validate_transversal(state.square, result, forbid_cycles_up_to=state.k)
+    cells = state.cells
+    freed = []
+    for b, (c, s) in moved.items():
+        freed.append(out_map[b][1])
+        out_map[b] = (c, s)
+        cells[bisect_left(cells, (b,))] = (b, c, s)
+    out_map[v] = (target, found.color)
+    insort(cells, (v, target, found.color))
+    ok, why = validate_transversal(state.square, cells, forbid_cycles_up_to=state.k)
     if not ok:
         raise InternalInvariantBroken(f"augmented transversal invalid: {why}")
-    if len(result) != len(state.cells) + 1:
-        raise InternalInvariantBroken("augmentation did not add exactly one cell")
-    return result
+
+    used = {s for _, s in moved.values()}
+    used.add(found.color)
+    state.remaining = sorted(state.remaining + freed + [s for s in state.spent if s not in used])
+    state.a_first = state.a_first - {u}
+    state.b_first = state.b_first - {v}
+    for b in state.b_parent:
+        c, s = out_map[b]
+        state.arcs_out[b] = [(c, s, True)]
+    state.arcs_out[v] = [(target, found.color, True)]
+    state.a_set = set(state.a_first)
+    state.b_set = set(state.b_first)
+    state.a_parent = {}
+    state.b_parent = {}
+    state.spent = []
+    state.layer_color = None
+    state.reach = {}
+    state.narrow_reach = {}
+    return cells
+
+
+def _audit_carried_state(state: TransversalSearchState) -> None:
+    """The state carried into a round must equal a fresh start from its
+    cells, field by field."""
+    fresh = _start_state(state.square, state.k, sorted(state.cells))
+    for f in fields(TransversalSearchState):
+        if getattr(state, f.name) != getattr(fresh, f.name):
+            raise InternalInvariantBroken(
+                f"carried search state is stale: {f.name} differs from a fresh start"
+            )
 
 
 def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) -> None:
@@ -297,28 +347,31 @@ def _check_growth_law(state: TransversalSearchState, layer: int, n: int, t: int,
             )
 
 
-def _expansion_round(square: LatinSquare, k: int, cells: list, check: bool):
-    """One augmentation attempt. Returns the bigger cell list, or None
-    when the symbols run out first."""
-    n = square.order
-    t = len(cells)
+def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
+    """One augmentation attempt. Returns True once the state holds a
+    transversal one cell bigger, False when the symbols run out first."""
+    if check:
+        _audit_carried_state(state)
+    n = state.square.order
+    t = len(state.cells)
     if t >= n:
-        return None
-    state = _start_state(square, k, cells)
+        return False
     for layer in range(2, n * n + n + 2):
         state.reach = {}
         state.narrow_reach = {}
         try:
             color = choose_color(state, layer)
         except ColorsExhausted:
-            return None
+            return False
         if check:
             _check_color_law(state, layer, n, t)
         state.layer_color = color
         state.remaining.remove(color)
+        state.spent.append(color)
         outcome = expand_layer(state)
         if isinstance(outcome, AugmentationFound):
-            return apply_augmentation(state, outcome)
+            apply_augmentation(state, outcome)
+            return True
         if check:
             _check_growth_law(state, layer, n, t, outcome.grew)
     raise InternalInvariantBroken(f"expansion exceeded {n * n + n} layers")
@@ -331,20 +384,18 @@ def build_short_cycle_free_transversal(
     theorem_bound(order, k) cells.
 
     check=True additionally verifies the layer counting laws on every
-    expansion round; stats (a dict) receives size/bound/round counts.
+    expansion round and compares the carried search state with a fresh
+    one; stats (a dict) receives size/bound/round counts.
     """
     if k < 2:
         raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")
     n = square.order
-    cells = _greedy_init(square, k)
-    initial = len(cells)
+    state = _start_state(square, k, _greedy_init(square, k))
+    initial = len(state.cells)
     augmentations = 0
-    while True:
-        grown = _expansion_round(square, k, cells, check)
-        if grown is None:
-            break
-        cells = grown
+    while _expansion_round(state, check):
         augmentations += 1
+    cells = state.cells
     bound = theorem_bound(n, k)
     if len(cells) < bound:
         raise InternalInvariantBroken(

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from bisect import insort
 
 import pytest
 
@@ -176,11 +177,11 @@ def test_apply_augmentation_rejects_a_chain_longer_than_the_order():
 
 def _search_states(sq, k):
     """Every state an expansion round reaches just before it picks a
-    color, over all rounds of a build; each is advanced as the builder
-    advances it once the caller is done with it."""
-    cells = tv._greedy_init(sq, k)
-    while len(cells) < sq.order:
-        state = tv._start_state(sq, k, cells)
+    color, over all rounds of a build. Like the builder, this carries
+    one state from round to round and advances it once the caller is
+    done with it."""
+    state = tv._start_state(sq, k, tv._greedy_init(sq, k))
+    while len(state.cells) < sq.order:
         for layer in itertools.count(2):
             state.reach = {}
             state.narrow_reach = {}
@@ -189,9 +190,10 @@ def _search_states(sq, k):
             yield state, layer
             state.layer_color = tv.choose_color(state, layer)
             state.remaining.remove(state.layer_color)
+            state.spent.append(state.layer_color)
             outcome = tv.expand_layer(state)
             if isinstance(outcome, tv.AugmentationFound):
-                cells = tv.apply_augmentation(state, outcome)
+                tv.apply_augmentation(state, outcome)
                 break
 
 
@@ -230,6 +232,65 @@ def test_color_counts_match_the_per_arc_definition(monkeypatch):
                 assert results == [(best, narrow[best])]
                 seen += 1
     assert seen > 150
+
+
+def test_carried_state_matches_a_fresh_start_every_round():
+    # the builder keeps one state across rounds; after each augmentation
+    # it must equal what a fresh start from the new cells would build
+    for sq in [_reversed_cyclic(n) for n in (16, 24)] + [random_square(6, seed=4)]:
+        for k in (2, 3):
+            rounds = 0
+            for state, layer in _search_states(sq, k):
+                if layer == 2:
+                    assert state.cells == sorted(state.cells)
+                    tv._audit_carried_state(state)
+                    rounds += 1
+            assert rounds > 1
+
+
+def _stale_after_first_augmentation(monkeypatch, corrupt):
+    """Make the build's first augmentation that minted B vertices leave
+    one stale field behind: corrupt(state, before) gets the state just
+    after the augmentation and a copy of what it held just before."""
+    real = tv.apply_augmentation
+    done = []
+
+    def augment(state, found):
+        before = {"a_first": state.a_first, "b_parent": dict(state.b_parent)}
+        cells = real(state, found)
+        if before["b_parent"] and not done:
+            corrupt(state, before)
+            done.append(found)
+        return cells
+
+    monkeypatch.setattr(tv, "apply_augmentation", augment)
+
+
+def _put_back_a_spent_symbol(state, before):
+    insort(state.remaining, state.cells[0][2])
+
+
+def _keep_a_minted_arc(state, before):
+    b, (head, color) = next(iter(before["b_parent"].items()))
+    state.arcs_out[b].append((head, color, False))
+
+
+def _keep_a_used_column(state, before):
+    assert before["a_first"] > state.a_first  # the chain's end column left
+    state.a_first = before["a_first"]
+
+
+@pytest.mark.parametrize("corrupt, field_name", [
+    (_put_back_a_spent_symbol, "remaining"),
+    (_keep_a_minted_arc, "arcs_out"),
+    (_keep_a_used_column, "a_first"),
+])
+def test_check_catches_a_stale_carried_state(monkeypatch, corrupt, field_name):
+    sq = _reversed_cyclic(16)
+    assert build_short_cycle_free_transversal(sq, 2, check=True)
+    _stale_after_first_augmentation(monkeypatch, corrupt)
+    with pytest.raises(InternalInvariantBroken, match=f"stale: {field_name} differs"):
+        build_short_cycle_free_transversal(sq, 2, check=True)
 
 
 def test_builders_output_is_pinned():
