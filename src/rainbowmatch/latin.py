@@ -202,10 +202,9 @@ def _closes_short_cycle(col_by_row: dict, r: int, c: int, k: float) -> bool:
 def _cells_fit(square: LatinSquare, cells: list) -> bool:
     """Every cell lies in the square and holds its entry, and rows,
     columns and symbols are all distinct, in a few whole-list passes.
-    A cell that is not three integers also gives False, so that the
-    cell-by-cell loop words (or raises) exactly as it always has."""
-    if not cells:
-        return True
+    An empty list, or a cell that is not three integers, also gives
+    False: it goes to the cell-by-cell loop, which words (or raises)
+    exactly as it always has."""
     n = square.order
     grid = square.rows
     try:

@@ -253,9 +253,9 @@ def expand_layer(state: TransversalSearchState):
     return Expanded(grew=len(minted))
 
 
-def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) -> list:
+def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) -> None:
     """Reroute along parent records, add the augmenting arc, and carry
-    the state into the next round. Returns the new cell list.
+    the state into the next round.
 
     Walking back from the hit vertex, every shifted A-front head hands
     its incoming transversal arc over to the layer arc that minted the
@@ -313,7 +313,6 @@ def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) 
     state.layer_color = None
     state.reach = {}
     state.narrow_reach = {}
-    return cells
 
 
 def _audit_carried_state(state: TransversalSearchState) -> None:
