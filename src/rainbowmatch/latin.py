@@ -12,6 +12,7 @@ with r == c is a 1-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import BadShape, NotLatin
 from .graphs import ColoredGraph, build_graph
@@ -199,23 +200,26 @@ def _closes_short_cycle(col_by_row: dict, r: int, c: int, k: float) -> bool:
     return cur == r and length <= k
 
 
-def _cells_fit(square: LatinSquare, cells: list) -> bool:
-    """Every cell lies in the square and holds its entry, and rows,
-    columns and symbols are all distinct, in a few whole-list passes.
-    An empty list, or a cell that is not three integers, also gives
-    False: it goes to the cell-by-cell loop, which words (or raises)
-    exactly as it always has."""
+def _successors(square: LatinSquare, cells: list) -> dict | None:
+    """The cells' row -> column map, when every cell lies in the square
+    and holds its entry and rows, columns and symbols are all distinct;
+    else None. Whole-list passes only. An empty list, or a cell that is
+    not three integers, also gives None: it goes to the cell-by-cell
+    loop, which words (or raises) exactly as it always has."""
     n = square.order
     grid = square.rows
     try:
-        rows, cols, syms = zip(*cells)
-        return (
-            len(set(rows)) == len(set(cols)) == len(set(syms)) == len(cells)
+        rows = list(map(itemgetter(0), cells))
+        cols = list(map(itemgetter(1), cells))
+        succ = dict(zip(rows, cols))
+        fit = (
+            len(succ) == len(set(cols)) == len(set(map(itemgetter(2), cells))) == len(cells)
             and 1 <= min(rows) and max(rows) <= n and 1 <= min(cols) and max(cols) <= n
             and all(grid[r - 1][c - 1] == s for r, c, s in cells)
         )
-    except (TypeError, ValueError):
-        return False
+    except (LookupError, TypeError, ValueError):
+        return None
+    return succ if fit else None
 
 
 def validate_transversal(
@@ -229,7 +233,8 @@ def validate_transversal(
     then row, column and symbol reuse), then the cycles in ascending
     order of their smallest row."""
     cells = list(transversal)
-    if not _cells_fit(square, cells):
+    succ = _successors(square, cells)
+    if succ is None:
         n = square.order
         rows_seen: set[int] = set()
         cols_seen: set[int] = set()
@@ -248,10 +253,10 @@ def validate_transversal(
             rows_seen.add(r)
             cols_seen.add(c)
             syms_seen.add(s)
+        succ = {r: c for r, c, _ in cells}
     if forbid_cycles_up_to:
         # columns are distinct, so no walk enters a cycle from outside it:
         # the walk from a cycle's smallest row is the first to touch it
-        succ = {r: c for r, c, _ in cells}
         seen: set[int] = set()
         for start in sorted(succ):
             if start in seen:
