@@ -206,15 +206,16 @@ def _successors(square: LatinSquare, cells: list) -> dict | None:
     else None. Whole-list passes only. An empty list, or a cell that is
     not three integers, also gives None: it goes to the cell-by-cell
     loop, which words (or raises) exactly as it always has."""
-    n = square.order
     grid = square.rows
     try:
         rows = list(map(itemgetter(0), cells))
         cols = list(map(itemgetter(1), cells))
         succ = dict(zip(rows, cols))
+        # a row or column above the order makes the entry lookup raise
+        # IndexError; one below 1 would wrap around, so it is ruled out
         fit = (
             len(succ) == len(set(cols)) == len(set(map(itemgetter(2), cells))) == len(cells)
-            and 1 <= min(rows) and max(rows) <= n and 1 <= min(cols) and max(cols) <= n
+            and min(rows) >= 1 and min(cols) >= 1
             and all(grid[r - 1][c - 1] == s for r, c, s in cells)
         )
     except (LookupError, TypeError, ValueError):
