@@ -267,7 +267,8 @@ def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) 
     beginnings and the augmenting tail the path ends, every minted B
     vertex is back to its one transversal arc, the round's layer colors
     not used on the chain are unspent again and the chain's old symbols
-    join them. This costs O(hops + front), not O(order)."""
+    join them. Apart from the revalidation, this costs O(hops + front),
+    not O(order)."""
     v, target = found.edge
     out_map = state.out_map
     moved: dict = {}  # chain row -> its new (col, symbol)
