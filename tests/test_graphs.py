@@ -122,3 +122,30 @@ def test_parse_rejects_garbage_line():
 def test_parse_rejects_non_integer_fields():
     with pytest.raises(BadShape):
         parse_graph("graph 2 1\n1 two 1\n")
+
+
+# (text, exception class, 1-based line of the first offending edge); the
+# wording after the "line N: " prefix is free to change
+MALFORMED_GRAPHS = [
+    ("graph 3 1\n2 2 1\n", SelfLoop, 2),
+    ("graph 3 1\n0 2 1\n", BadShape, 2),
+    ("graph 3 1\n1 4 1\n", BadShape, 2),
+    ("graph 3 1\n1 2 -1\n", BadShape, 2),
+    ("graph 3 2\n1 2 1\n1 2 2\n", DuplicateEdge, 3),
+    ("graph 3 2\n1 2 1\n2 1 2\n", DuplicateEdge, 3),
+    ("graph 4 2\n1 2 1\n1 3 1\n", ImproperColoring, 3),
+    ("graph 4 2\n1 3 1\n2 3 1\n", ImproperColoring, 3),
+    # the self-loop sorts after the duplicate pair but comes first in the file
+    ("graph 3 3\n2 2 1\n1 2 1\n1 2 1\n", SelfLoop, 2),
+    ("# c\ngraph 4 3\n\n1 2 1\n# x\n3 4 5\n2 1 3\n", DuplicateEdge, 7),
+    ("graph 3 5\n1 2 1\n2 2 1\n", SelfLoop, 3),
+    ("graph 3 1\n1 2 1\n1 3 1\n", ImproperColoring, 3),
+]
+
+
+@pytest.mark.parametrize("text, error, line", MALFORMED_GRAPHS)
+def test_parse_reports_first_offending_line(text, error, line):
+    with pytest.raises(error) as info:
+        parse_graph(text)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"line {line}: ")
