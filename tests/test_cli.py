@@ -1,10 +1,22 @@
 """End-to-end command-line behavior, driven through main()."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rainbowmatch import (
+    build_short_cycle_free_transversal,
+    find_rainbow_matching_delta,
+    format_graph,
+    random_proper_graph,
+    random_square,
+    serialize_latin,
+)
 from rainbowmatch.cli import main, parse_sizes
 
 
@@ -98,6 +110,14 @@ def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--algo", "delta",
                        "--input", str(tmp_path / "nope.txt"))
     assert code == 1
+
+
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    inst = tmp_path / "bad.txt"
+    inst.write_bytes(b"graph 2 1\n1 2 \xff\n")
+    code, _, err = run(capsys, "solve", "--algo", "delta", "--input", str(inst))
+    assert code == 1
+    assert "error:" in err
 
 
 def test_verify_detects_corruption(tmp_path, capsys):
@@ -426,3 +446,57 @@ def test_cli_outputs_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == (
         "14d798e6eff546c1f9346d39d674df21d39ee66be31f9f65b8fcd8376d29de60"
     )
+
+
+def _certificate(word, items):
+    return "".join(f"{word} {a} {b} {c}\n" for a, b, c in items).encode()
+
+
+_GRAPH = random_proper_graph(9, 3, 1)
+_SQUARE = random_square(4, seed=3)
+# the valid files the mutations start from
+FUZZ_BASES = {
+    "graph": format_graph(_GRAPH).encode(),
+    "edges": _certificate("edge", find_rainbow_matching_delta(_GRAPH)),
+    "square": serialize_latin(_SQUARE).encode(),
+    "cells": _certificate("cell", build_short_cycle_free_transversal(_SQUARE, 2)),
+}
+# the commands reading each file; {graph}, {edges}, ... name the files
+FUZZ_COMMANDS = {
+    "graph": [["solve", "--algo", "oracle", "--input", "{graph}"],
+              ["solve", "--algo", "delta", "--input", "{graph}"],
+              ["verify", "--input", "{graph}", "--certificate", "{edges}"]],
+    "edges": [["verify", "--input", "{graph}", "--certificate", "{edges}"]],
+    "square": [["transversal", "--input", "{square}", "--k", "2"],
+               ["verify", "--input", "{square}", "--certificate", "{cells}", "--k", "2"]],
+    "cells": [["verify", "--input", "{square}", "--certificate", "{cells}", "--k", "2"]],
+}
+
+
+@st.composite
+def mutated_files(draw):
+    """One base file with one byte replaced, inserted or deleted."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    data = FUZZ_BASES[name]
+    kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+    at = draw(st.integers(0, len(data) - (kind != "insert")))
+    byte = bytes([draw(st.sampled_from(b"0123456789 -+_#\n") | st.integers(0, 255))])
+    if kind == "replace":
+        return name, data[:at] + byte + data[at + 1:]
+    if kind == "insert":
+        return name, data[:at] + byte + data[at:]
+    return name, data[:at] + data[at + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_files())
+def test_mutated_files_exit_cleanly(tmp_path_factory, case):
+    name, data = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = {key: folder / key for key in FUZZ_BASES}
+    for key, path in paths.items():
+        path.write_bytes(data if key == name else FUZZ_BASES[key])
+    for argv in FUZZ_COMMANDS[name]:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([arg.format(**paths) for arg in argv])
+        assert code in (0, 1, 2, 3), (argv, data)

@@ -1,6 +1,8 @@
 """Colored graph container, validation, and the text format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch import (
     BadShape,
@@ -100,6 +102,29 @@ def test_format_parse_round_trip():
     h = parse_graph(text)
     assert h.vertex_count == g.vertex_count
     assert h.edges == g.edges
+
+
+@st.composite
+def proper_graphs(draw):
+    """Up to 8 vertices (isolated ones and 0 edges included); drawn
+    edges that would break properness are dropped, the rest kept in
+    drawn order and orientation."""
+    n = draw(st.integers(0, 8))
+    edges, pairs, colors = [], set(), set()
+    ends = st.integers(1, max(n, 1))
+    for u, v, c in draw(st.lists(st.tuples(ends, ends, st.integers(0, 5)), max_size=14)):
+        if u == v or (min(u, v), max(u, v)) in pairs or {(u, c), (v, c)} & colors:
+            continue
+        edges.append((u, v, c))
+        pairs.add((min(u, v), max(u, v)))
+        colors.update({(u, c), (v, c)})
+    return build_graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(proper_graphs())
+def test_format_parse_round_trip_property(g):
+    assert parse_graph(format_graph(g)) == g
 
 
 def test_parse_skips_comments_and_blank_lines():

@@ -57,6 +57,13 @@ def test_serialize_parse_round_trip():
     assert parse_latin(text).rows == sq.rows
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32))
+def test_serialize_parse_round_trip_property(n, seed):
+    sq = random_square(n, seed=seed)
+    assert parse_latin(serialize_latin(sq)) == sq
+
+
 def test_parse_accepts_comments():
     text = "# a square\n2\n1 2\n2 1\n"
     assert parse_latin(text).rows == ((1, 2), (2, 1))
