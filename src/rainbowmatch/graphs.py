@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadShape, DuplicateEdge, ImproperColoring, SelfLoop
+from .errors import BadShape, DuplicateEdge, ImproperColoring, RainbowError, SelfLoop
 
 # an edge is (u, v, color) with u < v after normalization
 Edge = tuple[int, int, int]
@@ -17,34 +17,54 @@ Edge = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class ColoredGraph:
+    """A properly edge-colored graph on the vertices 1..vertex_count.
+
+    The constructor is the one place where edges are checked, in the
+    order given: self-loop, vertex range, negative color, repeated pair,
+    color repeated at an endpoint; BadShape if not three integers. The
+    error's ``position`` is the failing edge's index in that order. The
+    edges are stored normalized (u < v) and sorted.
+    """
+
     vertex_count: int
     edges: tuple[Edge, ...]
     _adj: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise BadShape("vertex_count must be non-negative")
-        adj: dict[int, dict[int, int]] = {v: {} for v in range(1, self.vertex_count + 1)}
+        given = tuple(self.edges)
+        adj: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
         # color -> neighbor at each vertex, for the properness check only;
         # dicts keep the build's peak memory below that of sets
-        palette: dict[int, dict[int, int]] = {v: {} for v in range(1, self.vertex_count + 1)}
-        for u, v, c in self.edges:
-            if u == v:
-                raise SelfLoop(f"edge {u}-{v} is a self-loop")
-            if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
-                raise BadShape(f"edge {u}-{v} outside vertex range 1..{self.vertex_count}")
-            if c < 0:
-                raise BadShape(f"edge {u}-{v} has negative color {c}")
-            if v in adj[u]:
-                raise DuplicateEdge(f"edge {u}-{v} appears more than once")
-            if c in palette[u]:
-                raise ImproperColoring(f"color {c} repeated at vertex {u}")
-            if c in palette[v]:
-                raise ImproperColoring(f"color {c} repeated at vertex {v}")
-            adj[u][v] = c
-            adj[v][u] = c
-            palette[u][c] = v
-            palette[v][c] = u
+        palette: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+        try:
+            for i, (u, v, c) in enumerate(given):
+                if u == v:
+                    raise SelfLoop(f"edge {u}-{v} is a self-loop")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise BadShape(f"edge {u}-{v} outside vertex range 1..{n}")
+                if c < 0:
+                    raise BadShape(f"edge {u}-{v} has negative color {c}")
+                adj_u, colors_u, colors_v = adj[u], palette[u], palette[v]
+                if v in adj_u:
+                    raise DuplicateEdge(f"edge {u}-{v} appears more than once")
+                if c in colors_u:
+                    raise ImproperColoring(f"color {c} repeated at vertex {u}")
+                if c in colors_v:
+                    raise ImproperColoring(f"color {c} repeated at vertex {v}")
+                adj_u[v] = c
+                adj[v][u] = c
+                colors_u[c] = v
+                colors_v[c] = u
+        except (RainbowError, KeyError, TypeError, ValueError) as exc:
+            if not isinstance(exc, RainbowError):
+                # a non-integral vertex misses adj, other types fail to compare
+                exc = BadShape(f"edge {given[i]!r} is not three integers")
+            exc.position = i
+            raise exc from None
+        object.__setattr__(self, "edges", tuple(sorted(_normalize(u, v, c) for u, v, c in given)))
         object.__setattr__(self, "_adj", adj)
 
     def degree(self, v: int) -> int:
@@ -79,20 +99,13 @@ def _normalize(u: int, v: int, c: int) -> Edge:
 
 def build_graph(vertex_count: int, edge_list) -> ColoredGraph:
     """Validate and freeze an edge list into a ColoredGraph."""
-    edges = tuple(sorted(_normalize(u, v, c) for u, v, c in edge_list))
-    return ColoredGraph(vertex_count, edges)
+    return ColoredGraph(vertex_count, edge_list)
 
 
 def min_degree(g: ColoredGraph) -> int:
     if g.vertex_count == 0:
         return 0
     return min(g.degree(v) for v in g.vertices())
-
-
-def _as_edges(m) -> list[Edge]:
-    if isinstance(m, RainbowMatching):
-        return list(m.edges)
-    return [(u, v, c) for u, v, c in m]
 
 
 def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:
@@ -102,10 +115,14 @@ def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:
     """
     seen_vertices: set[int] = set()
     seen_colors: set[int] = set()
-    for u, v, c in _as_edges(m):
-        a, b = (u, v) if u <= v else (v, u)
-        if not (1 <= a <= g.vertex_count and 1 <= b <= g.vertex_count) or g.color_of(a, b) != c:
-            return False, f"edge {a}-{b} with color {c} is not in the graph"
+    for edge in m:
+        try:
+            u, v, c = edge
+            a, b = (u, v) if u <= v else (v, u)
+            if not (1 <= a <= g.vertex_count and 1 <= b <= g.vertex_count) or g.color_of(a, b) != c:
+                return False, f"edge {a}-{b} with color {c} is not in the graph"
+        except (KeyError, TypeError, ValueError):
+            return False, f"edge {edge!r} is not three integers"
         if a in seen_vertices or b in seen_vertices:
             shared = a if a in seen_vertices else b
             return False, f"vertex {shared} is covered twice"
@@ -120,12 +137,15 @@ def parse_graph(text: str) -> ColoredGraph:
     """Parse the colored-graph text format.
 
     Line 1: ``graph V E``; then E lines ``u v c``. Lines starting with
-    '#' and blank lines are ignored. Errors carry 1-based line numbers.
+    '#' and blank lines are ignored. The parser checks the layout only:
+    the header, three integers per edge line and the edge count.
+    ColoredGraph checks the edges, and its error is raised again as
+    ``line N: <message>`` for the first offending line. An edge error
+    wins over a wrong edge count.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
-    pairs: set[tuple[int, int]] = set()
-    colors_at: dict[int, set[int]] = {}
+    lines: list[int] = []  # the line number of each edge
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,30 +162,20 @@ def parse_graph(text: str) -> ColoredGraph:
                 raise BadShape(f"line {ln}: header counts must be non-negative")
             continue
         try:
-            u, v, c = (int(p) for p in parts)
+            u, v, c = map(int, parts)
         except ValueError:
             raise BadShape(f"line {ln}: expected 'u v c' integers") from None
-        if u == v:
-            raise SelfLoop(f"line {ln}: edge {u}-{v} is a self-loop")
-        if not (1 <= u <= header[0] and 1 <= v <= header[0]):
-            raise BadShape(f"line {ln}: vertex outside range 1..{header[0]}")
-        if c < 0:
-            raise BadShape(f"line {ln}: negative color {c}")
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) in pairs:
-            raise DuplicateEdge(f"line {ln}: duplicate edge {a}-{b}")
-        for end in (a, b):
-            if c in colors_at.setdefault(end, set()):
-                raise ImproperColoring(f"line {ln}: color {c} repeated at vertex {end}")
-        pairs.add((a, b))
-        colors_at[a].add(c)
-        colors_at[b].add(c)
-        edges.append((a, b, c))
+        edges.append((u, v, c))
+        lines.append(ln)
     if header is None:
         raise BadShape("empty input: missing 'graph V E' header")
+    try:
+        g = ColoredGraph(header[0], edges)
+    except RainbowError as exc:
+        raise type(exc)(f"line {lines[exc.position]}: {exc}") from None
     if len(edges) != header[1]:
         raise BadShape(f"header announced {header[1]} edges, found {len(edges)}")
-    return build_graph(header[0], edges)
+    return g
 
 
 def format_graph(g: ColoredGraph) -> str:

@@ -205,7 +205,7 @@ def _successors(square: LatinSquare, cells: list) -> dict | None:
     and holds its entry and rows, columns and symbols are all distinct;
     else None. Whole-list passes only. An empty list, or a cell that is
     not three integers, also gives None: it goes to the cell-by-cell
-    loop, which words (or raises) exactly as it always has."""
+    loop, which words the first violation."""
     grid = square.rows
     try:
         rows = list(map(itemgetter(0), cells))
@@ -240,11 +240,15 @@ def validate_transversal(
         rows_seen: set[int] = set()
         cols_seen: set[int] = set()
         syms_seen: set[int] = set()
-        for r, c, s in cells:
-            if not (1 <= r <= n and 1 <= c <= n):
-                return False, f"cell ({r},{c}) outside the square"
-            if square.entry(r, c) != s:
-                return False, f"cell ({r},{c}) holds {square.entry(r, c)}, not {s}"
+        for cell in cells:
+            try:
+                r, c, s = cell
+                if not (1 <= r <= n and 1 <= c <= n):
+                    return False, f"cell ({r},{c}) outside the square"
+                if square.entry(r, c) != s:
+                    return False, f"cell ({r},{c}) holds {square.entry(r, c)}, not {s}"
+            except (TypeError, ValueError):
+                return False, f"cell {cell!r} is not three integers"
             if r in rows_seen:
                 return False, f"row {r} used twice"
             if c in cols_seen:

@@ -294,18 +294,17 @@ def _check_level(state: LayerState, level: int, classified: list, survivors: lis
             )
 
 
-def _run_layers(state: LayerState, *, attempt: bool, check: bool) -> tuple[list | None, list]:
+def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, list]:
     """Drive the level loop on a prepared state.
 
-    attempt=True realizes candidates as exchanges and returns the
-    augmented matching as soon as one validates; attempt=False stops at
-    the first candidate, recording it as state.violation. The second
+    Realizes candidates as exchanges and returns the augmented matching
+    as soon as one validates, recording its candidate as
+    state.violation; returns None when no level yields one. The second
     return value holds (level, |M_j|, |M_j'|) rows for tracing.
     """
     delta = state.delta
     rows: list = []
     current = list(state.matching)
-    saw_candidate = False
     for level in range(1, _level_count(delta) + 1):
         survivors, classified, two_sided = _classify_level(state, level, current)
         for record in classified:
@@ -314,10 +313,6 @@ def _run_layers(state: LayerState, *, attempt: bool, check: bool) -> tuple[list 
         rows.append((level, len(current), len(classified)))
         candidates = _scan_candidates(state, survivors, two_sided)
         if candidates:
-            saw_candidate = True
-            if not attempt:
-                state.violation = candidates[0]
-                return None, rows
             for candidate in candidates:
                 result = _attempt_exchange(state, candidate)
                 if result is not None:
@@ -330,8 +325,6 @@ def _run_layers(state: LayerState, *, attempt: bool, check: bool) -> tuple[list 
         if check:
             _check_level(state, level, classified, survivors)
         current = survivors
-    if saw_candidate and attempt and _in_regime(len(state.matching), delta):
-        raise InternalInvariantBroken("no detected exchange could be realized")
     return None, rows
 
 
@@ -339,24 +332,6 @@ def _fresh_state(g: ColoredGraph, matching: list, delta: int) -> LayerState:
     covered = {x for e in matching for x in (e[0], e[1])}
     free = [v for v in g.vertices() if v not in covered]
     return LayerState(graph=g, matching=list(matching), delta=delta, free=free)
-
-
-def build_layers(g: ColoredGraph, matching) -> LayerState:
-    """Layer a maximal rainbow matching, stopping at the first violation."""
-    m = sorted(tuple(e) for e in matching)
-    state = _fresh_state(g, m, min_degree(g))
-    _run_layers(state, attempt=False, check=False)
-    return state
-
-
-def trace_back_augment(state: LayerState, violation) -> RainbowMatching:
-    """Realize a detected violation as a one-edge augmentation."""
-    result = _attempt_exchange(state, violation)
-    if result is None:
-        raise InternalInvariantBroken(
-            "exchange could not be realized: free-vertex pools exhausted"
-        )
-    return RainbowMatching(tuple(result))
 
 
 def find_rainbow_matching_layered(
@@ -381,7 +356,7 @@ def find_rainbow_matching_layered(
     while True:
         rounds += 1
         state = _fresh_state(g, matching, delta)
-        result, rows = _run_layers(state, attempt=True, check=check)
+        result, rows = _run_layers(state, check=check)
         if trace is not None:
             trace(
                 {

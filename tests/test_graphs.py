@@ -10,10 +10,12 @@ from rainbowmatch import (
     ImproperColoring,
     SelfLoop,
     build_graph,
+    cyclic_square,
     format_graph,
     min_degree,
     parse_graph,
     validate_rainbow_matching,
+    validate_transversal,
 )
 
 C4_EDGES = [(1, 2, 1), (2, 3, 2), (3, 4, 1), (1, 4, 2)]
@@ -56,6 +58,23 @@ def test_vertex_out_of_range_rejected():
         build_graph(3, [(1, 4, 1)])
     with pytest.raises(BadShape):
         build_graph(3, [(0, 2, 1)])
+
+
+def test_malformed_api_input_gets_a_rainbow_error_or_a_verdict():
+    for bad in [(1.5, 2, 1), ("1", 2, 1), (1, 2, "a"), (1, 2)]:
+        with pytest.raises(BadShape) as info:
+            build_graph(3, [(2, 3, 1), bad])
+        assert repr(bad) in str(info.value)
+        assert info.value.position == 1
+    g = build_graph(3, [(1, 2, 1)])
+    ok, why = validate_rainbow_matching(g, [(1.5, 2, 1)])
+    assert not ok and "(1.5, 2, 1)" in why
+    ok, why = validate_transversal(cyclic_square(4), [(1.0, 2, 2)])
+    assert not ok and "(1.0, 2, 2)" in why
+    # values equal to the right integers keep their verdicts
+    assert build_graph(3, [(1.0, 2, 1)]).edges == ((1.0, 2, 1),)
+    assert validate_rainbow_matching(g, [(1.0, 2, 1)]) == (True, None)
+    assert validate_transversal(cyclic_square(4), [(1, 2, 2.0)]) == (True, None)
 
 
 def test_min_degree():

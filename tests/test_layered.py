@@ -19,9 +19,9 @@ from rainbowmatch.layered import (
     HitsY,
     TwoSided,
     _extend_maximal,
+    _fresh_state,
     _greedy_order,
-    build_layers,
-    trace_back_augment,
+    _run_layers,
 )
 
 
@@ -83,15 +83,23 @@ def test_trace_records_rounds_and_sizes():
         assert {"round", "size", "levels", "violation"} <= set(row)
 
 
+def _layer_once(g, matching):
+    """One round of layering on a given matching: the state, whose
+    violation is the candidate realized, and the augmented matching."""
+    state = _fresh_state(g, sorted(matching), min_degree(g))
+    augmented, _ = _run_layers(state, check=False)
+    return state, augmented
+
+
 def test_detects_directly_addable_edge_as_free_free():
     # a non-maximal matching leaves a fresh-colored edge between two
     # free vertices; the scan must surface it and the exchange adds it
     g = build_graph(4, [(1, 2, 1), (3, 4, 2)])
-    state = build_layers(g, [])
+    state, augmented = _layer_once(g, [])
     violation = state.violation
     assert isinstance(violation, FreeFree)
     assert violation.edge == (1, 2, 1)
-    assert sorted(trace_back_augment(state, violation)) == [(1, 2, 1)]
+    assert sorted(augmented) == [(1, 2, 1)]
 
 
 def test_detects_two_sided_exchange():
@@ -99,11 +107,11 @@ def test_detects_two_sided_exchange():
     # dropping it for one edge on each side gains a unit
     edges = [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (1, 6, 5), (2, 3, 6)]
     g = build_graph(6, edges)
-    state = build_layers(g, [(1, 2, 1)])
+    state, augmented = _layer_once(g, [(1, 2, 1)])
     violation = state.violation
     assert isinstance(violation, TwoSided)
     assert violation.origin.edge == (1, 2, 1)
-    augmented = sorted(trace_back_augment(state, violation))
+    augmented = sorted(augmented)
     assert augmented == [(1, 4, 3), (2, 3, 6)]
     ok, why = validate_rainbow_matching(g, augmented)
     assert ok, why
@@ -117,12 +125,12 @@ def test_detects_hit_on_quiet_side_and_repairs_collisions():
              (3, 6, 3), (3, 7, 4), (3, 8, 5), (3, 9, 6),
              (1, 10, 8), (1, 11, 9), (1, 12, 10), (1, 13, 11)]
     g = build_graph(13, edges)
-    state = build_layers(g, [(1, 2, 1), (3, 4, 2)])
+    state, augmented = _layer_once(g, [(1, 2, 1), (3, 4, 2)])
     violation = state.violation
     assert isinstance(violation, HitsY)
     assert violation.edge == (2, 5, 2)
     assert violation.origin.edge == (1, 2, 1)
-    augmented = sorted(trace_back_augment(state, violation))
+    augmented = sorted(augmented)
     assert augmented == [(1, 10, 8), (2, 5, 2), (3, 6, 3)]
     ok, why = validate_rainbow_matching(g, augmented)
     assert ok, why
@@ -132,8 +140,9 @@ def test_detect_returns_none_when_no_exchange_exists():
     # every off-matching edge leans on vertex 1: the matching is maximum
     edges = [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (1, 6, 5)]
     g = build_graph(6, edges)
-    state = build_layers(g, [(1, 2, 1)])
+    state, augmented = _layer_once(g, [(1, 2, 1)])
     assert state.violation is None
+    assert augmented is None
 
 
 def test_extend_maximal_is_greedy_by_color():
