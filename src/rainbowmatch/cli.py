@@ -45,9 +45,7 @@ from .layered import find_rainbow_matching_layered, guaranteed_size
 from .oracle import max_rainbow_matching_exact
 from .transversal import build_short_cycle_free_transversal, cycle_free_transversal
 
-_IO_ERRORS = (
-    OSError, UnicodeDecodeError, BadShape, NotLatin, SelfLoop, DuplicateEdge, ImproperColoring
-)
+_IO_ERRORS = (OSError, UnicodeDecodeError, BadShape, NotLatin, SelfLoop, DuplicateEdge, ImproperColoring)
 _PRECONDITION_ERRORS = (PreconditionViolated, InfeasibleParameters, BudgetExceeded)
 
 

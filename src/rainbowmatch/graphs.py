@@ -15,56 +15,67 @@ from .errors import BadShape, DuplicateEdge, ImproperColoring, RainbowError, Sel
 Edge = tuple[int, int, int]
 
 
+def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
+    """Check the edges in list order for a self-loop, the vertex range, a
+    negative color, a repeated pair and a color repeated at an endpoint
+    (BadShape if not three integers), and index them by vertex. The first
+    failing edge raises, with its index as the error's ``position``."""
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+    # color -> neighbor at each vertex, for the properness check only;
+    # dicts keep the build's peak memory below that of sets
+    palette: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+    try:
+        for i, (u, v, c) in enumerate(edges):
+            if u == v:
+                raise SelfLoop(f"edge {u}-{v} is a self-loop")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise BadShape(f"edge {u}-{v} outside vertex range 1..{n}")
+            if c < 0:
+                raise BadShape(f"edge {u}-{v} has negative color {c}")
+            if v in adj[u]:
+                raise DuplicateEdge(f"edge {u}-{v} appears more than once")
+            if c in palette[u]:
+                raise ImproperColoring(f"color {c} repeated at vertex {u}")
+            if c in palette[v]:
+                raise ImproperColoring(f"color {c} repeated at vertex {v}")
+            adj[u][v] = c
+            adj[v][u] = c
+            palette[u][c] = v
+            palette[v][c] = u
+    except (RainbowError, KeyError, TypeError, ValueError) as exc:
+        if not isinstance(exc, RainbowError):
+            # a non-integral vertex misses adj, other types fail to compare
+            exc = BadShape(f"edge {edges[i]!r} is not three integers")
+        exc.position = i
+        raise exc from None
+    return adj
+
+
 @dataclass(frozen=True)
 class ColoredGraph:
-    """A properly edge-colored graph on the vertices 1..vertex_count.
-
-    The constructor is the one place where edges are checked, in the
-    order given: self-loop, vertex range, negative color, repeated pair,
-    color repeated at an endpoint; BadShape if not three integers. The
-    error's ``position`` is the failing edge's index in that order. The
-    edges are stored normalized (u < v) and sorted.
-    """
+    """A properly edge-colored graph on the vertices 1..vertex_count, its
+    edges stored normalized (u < v) and sorted. The constructor is the one
+    place where edges are checked (see _adjacency); an error's
+    ``position`` is the first failing edge's index in the order given."""
 
     vertex_count: int
     edges: tuple[Edge, ...]
     _adj: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.vertex_count
-        if n < 0:
+        if self.vertex_count < 0:
             raise BadShape("vertex_count must be non-negative")
         given = tuple(self.edges)
-        adj: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
-        # color -> neighbor at each vertex, for the properness check only;
-        # dicts keep the build's peak memory below that of sets
-        palette: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
         try:
-            for i, (u, v, c) in enumerate(given):
-                if u == v:
-                    raise SelfLoop(f"edge {u}-{v} is a self-loop")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise BadShape(f"edge {u}-{v} outside vertex range 1..{n}")
-                if c < 0:
-                    raise BadShape(f"edge {u}-{v} has negative color {c}")
-                adj_u, colors_u, colors_v = adj[u], palette[u], palette[v]
-                if v in adj_u:
-                    raise DuplicateEdge(f"edge {u}-{v} appears more than once")
-                if c in colors_u:
-                    raise ImproperColoring(f"color {c} repeated at vertex {u}")
-                if c in colors_v:
-                    raise ImproperColoring(f"color {c} repeated at vertex {v}")
-                adj_u[v] = c
-                adj[v][u] = c
-                colors_u[c] = v
-                colors_v[c] = u
-        except (RainbowError, KeyError, TypeError, ValueError) as exc:
-            if not isinstance(exc, RainbowError):
-                # a non-integral vertex misses adj, other types fail to compare
-                exc = BadShape(f"edge {given[i]!r} is not three integers")
-            exc.position = i
-            raise exc from None
-        object.__setattr__(self, "edges", tuple(sorted(_normalize(u, v, c) for u, v, c in given)))
+            edges = tuple(sorted(_normalize(u, v, c) for u, v, c in given))
+            adj = _adjacency(self.vertex_count, edges)
+        except (RainbowError, TypeError, ValueError):
+            # sorted edges keep each adjacency dict in vertex order, so
+            # neighbors() sorts it cheaply; no check depends on the order,
+            # so the given order fails too, at the edge to report
+            _adjacency(self.vertex_count, given)
+            raise
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", adj)
 
     def degree(self, v: int) -> int:
@@ -137,11 +148,10 @@ def parse_graph(text: str) -> ColoredGraph:
     """Parse the colored-graph text format.
 
     Line 1: ``graph V E``; then E lines ``u v c``. Lines starting with
-    '#' and blank lines are ignored. The parser checks the layout only:
-    the header, three integers per edge line and the edge count.
-    ColoredGraph checks the edges, and its error is raised again as
-    ``line N: <message>`` for the first offending line. An edge error
-    wins over a wrong edge count.
+    '#' and blank lines are ignored. The parser checks the header, the
+    integer fields and the edge count; ColoredGraph checks the edges, and
+    the first failing one is raised again as ``line N: <message>``, ahead
+    of a wrong edge count.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
