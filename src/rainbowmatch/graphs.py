@@ -16,10 +16,9 @@ Edge = tuple[int, int, int]
 
 
 def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
-    """Check the edges in list order for a self-loop, the vertex range, a
-    negative color, a repeated pair and a color repeated at an endpoint
-    (BadShape if not three integers), and index them by vertex. The first
-    failing edge raises, with its index as the error's ``position``."""
+    """Check each edge in list order (self-loop, vertex range, negative
+    color, repeated pair, color repeated at an end; BadShape if not three
+    integers) and index them by vertex. Errors carry the edge's ``position``."""
     adj: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
     # color -> neighbor at each vertex, for the properness check only;
     # dicts keep the build's peak memory below that of sets
@@ -65,7 +64,8 @@ class ColoredGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise BadShape("vertex_count must be non-negative")
-        given = tuple(self.edges)
+        # a list or tuple is read in place, since a copy would raise the build's peak heap
+        given = self.edges if isinstance(self.edges, (list, tuple)) else tuple(self.edges)
         try:
             edges = tuple(sorted(_normalize(u, v, c) for u, v, c in given))
             adj = _adjacency(self.vertex_count, edges)
