@@ -41,7 +41,6 @@ from .generators import (
 )
 from .graphs import (
     ColoredGraph,
-    RainbowMatching,
     build_graph,
     format_graph,
     min_degree,
@@ -51,7 +50,6 @@ from .graphs import (
 from .latin import (
     CycleDecomposition,
     LatinSquare,
-    PartialTransversal,
     build_square,
     cycles_of,
     parse_latin,
@@ -89,10 +87,8 @@ __all__ = [
     "LatinSquare",
     "NotLatin",
     "OracleBudget",
-    "PartialTransversal",
     "PreconditionViolated",
     "RainbowError",
-    "RainbowMatching",
     "SelfLoop",
     "build_graph",
     "build_short_cycle_free_transversal",

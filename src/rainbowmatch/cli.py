@@ -68,7 +68,7 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write("\n")
 
 
-def _emit(args, payload: dict, header: list, word: str, items: list) -> None:
+def _emit(args, payload: dict, header: list, word: str, items: tuple) -> None:
     """Write a certificate as JSON, or as '# ' header lines then one
     'word a b c' line per edge or cell."""
     if args.format == "json":
@@ -169,7 +169,7 @@ _SOLVERS = {
 
 
 class _Solved(NamedTuple):
-    found: list  # the sorted certificate
+    found: tuple  # the solver's sorted certificate
     k: object
     bound: int
     augmentations: int
@@ -181,8 +181,7 @@ def _solve(algo: str, instance, k, check: bool) -> _Solved:
     """Run one solver of the table and revalidate its sorted certificate."""
     solver = _SOLVERS[algo]
     events: list = []
-    result, k_used, bound, augmentations = solver.run(instance, k, check, events)
-    found = sorted(result)
+    found, k_used, bound, augmentations = solver.run(instance, k, check, events)
     if solver.cutoff is None:
         _, why = validate_rainbow_matching(instance, found)
     else:

@@ -27,7 +27,6 @@ from .errors import InternalInvariantBroken, PreconditionViolated
 from .graphs import (
     ColoredGraph,
     Edge,
-    RainbowMatching,
     _normalize,
     min_degree,
     validate_rainbow_matching,
@@ -79,7 +78,7 @@ class GoodConfiguration:
 
 @dataclass
 class Matched:
-    matching: RainbowMatching
+    matching: tuple  # sorted edges
 
 
 @dataclass
@@ -144,8 +143,8 @@ def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     g = config.graph
     index = _index_of(config)
     banned, anchors = index.banned, index.anchors
-    for w in g.neighbors(v):
-        if g.color_of(v, w) in banned or w in anchors:
+    for w, c in g.neighbors(v).items():
+        if c in banned or w in anchors:
             continue
         return v, w
     raise InternalInvariantBroken(f"no admissible probe edge at vertex {v}")
@@ -233,23 +232,23 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     if role is None:
         # w outside the structure
         if fresh:
-            return Matched(_as_matching(config.twins_a + config.core + [vw]))
+            return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
         removed, added = chain_rotate(config, *_covering(config, core_by_color[c]))
         rotated = _apply_rotation(config.core, removed, added)
-        return Matched(_as_matching(config.twins_a + rotated + [vw]))
+        return Matched(tuple(sorted(config.twins_a + rotated + [vw])))
 
     kind = role[0]
     if kind == "twin":
         if fresh:
             keep = config.twins_b if role[2] == 0 else config.twins_a
-            return Matched(_as_matching(list(keep) + config.core + [vw]))
+            return Matched(tuple(sorted(keep + config.core + [vw])))
         removed, added = chain_rotate(config, *_covering(config, core_by_color[c]))
         rotated = _apply_rotation(config.core, removed, added)
-        return Matched(_as_matching(_avoiding_pairs(config, w) + rotated + [vw]))
+        return Matched(tuple(sorted(_avoiding_pairs(config, w) + rotated + [vw])))
 
     if kind == "chain":
         if fresh:
-            return Matched(_as_matching(config.twins_a + config.core + [vw]))
+            return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
         candidate = config.twins_a + config.core + [vw]
         return RepeatIncreased(_restructure(config, candidate))
 
@@ -261,7 +260,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
             candidate = config.twins_a + rotated + [vw]
             colors = [e[2] for e in candidate]
             if len(set(colors)) == len(colors):
-                return Matched(_as_matching(candidate))
+                return Matched(tuple(sorted(candidate)))
             return RepeatIncreased(_restructure(config, candidate))
         # uncovered core edge: start or continue a chain
         if fresh:
@@ -289,22 +288,17 @@ def _apply_rotation(core: list, removed: list, added: list) -> list:
     return [e for e in core if e not in gone] + added
 
 
-def _as_matching(edges: list) -> RainbowMatching:
-    return RainbowMatching(tuple(sorted(edges)))
-
-
-def _finish_full_twins(config: GoodConfiguration) -> RainbowMatching:
+def _finish_full_twins(config: GoodConfiguration) -> tuple:
     """All d-1 colors are duplicated; any vertex outside the structure
     has an edge avoiding the d-1 twin colors, and whichever endpoint it
     hits, one twin per pair survives."""
     g = config.graph
     v = _first_free(config)
     twin_colors = _index_of(config).twin_colors
-    for w in g.neighbors(v):
-        c = g.color_of(v, w)
+    for w, c in g.neighbors(v).items():
         if c not in twin_colors:
             vw = _normalize(v, w, c)
-            return _as_matching(_avoiding_pairs(config, w) + [vw])
+            return tuple(sorted(_avoiding_pairs(config, w) + [vw]))
     raise InternalInvariantBroken(f"no fresh-colored edge at vertex {v}")
 
 
@@ -382,7 +376,7 @@ def _audit(config: GoodConfiguration) -> None:
             fail("free-vertex cursor skipped a vertex outside the structure")
 
 
-def _advance_level(g: ColoredGraph, d: int, prev: list, check: bool, log) -> list:
+def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, log) -> tuple:
     """Grow a rainbow matching of size d-1 to size d."""
     config = GoodConfiguration(
         graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), chains=[], cover={}
@@ -394,7 +388,7 @@ def _advance_level(g: ColoredGraph, d: int, prev: list, check: bool, log) -> lis
             result = _finish_full_twins(config)
             if log is not None:
                 log(f"level {d}: k={config.pair_count} completed from full twin set")
-            return list(result.edges)
+            return result
         v, w = extend_by_free_edge(config, _first_free(config))
         outcome = resolve_case(config, (v, w))
         if log is not None:
@@ -403,7 +397,7 @@ def _advance_level(g: ColoredGraph, d: int, prev: list, check: bool, log) -> lis
                 f" probe {v}-{w} -> {type(outcome).__name__}"
             )
         if isinstance(outcome, Matched):
-            edges = list(outcome.matching.edges)
+            edges = outcome.matching
             ok, why = validate_rainbow_matching(g, edges)
             if not ok or len(edges) != d:
                 raise InternalInvariantBroken(f"level {d} produced a bad matching: {why}")
@@ -414,8 +408,8 @@ def _advance_level(g: ColoredGraph, d: int, prev: list, check: bool, log) -> lis
     raise InternalInvariantBroken(f"level {d} exceeded its probe budget")
 
 
-def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, log=None) -> RainbowMatching:
-    """Rainbow matching of size exactly min_degree(g).
+def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, log=None) -> tuple:
+    """Rainbow matching of size exactly min_degree(g), as sorted (u, v, color) edges.
 
     Needs vertex_count >= 4*min_degree - 3; raises PreconditionViolated
     otherwise. check=True re-audits every intermediate structure; log
@@ -427,10 +421,10 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, log=Non
             f"need at least {4 * delta - 3} vertices for minimum degree {delta},"
             f" got {g.vertex_count}"
         )
-    matching: list = []
+    matching: tuple = ()
     for d in range(1, delta + 1):
         matching = _advance_level(g, d, matching, check, log)
     ok, why = validate_rainbow_matching(g, matching)
     if not ok or len(matching) != delta:
         raise InternalInvariantBroken(f"final matching invalid: {why}")
-    return RainbowMatching(tuple(sorted(matching)))
+    return matching

@@ -8,6 +8,7 @@ certifies its output against the unchanged instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import BadShape, DuplicateEdge, ImproperColoring, RainbowError, SelfLoop
 
@@ -55,7 +56,10 @@ class ColoredGraph:
     """A properly edge-colored graph on the vertices 1..vertex_count, its
     edges stored normalized (u < v) and sorted. The constructor is the one
     place where edges are checked (see _adjacency); an error's
-    ``position`` is the first failing edge's index in the order given."""
+    ``position`` is the first failing edge's index in the order given.
+
+    neighbors(v) is v's read-only {neighbor: color} map, iterating in
+    ascending neighbor order; solvers read colors from it directly."""
 
     vertex_count: int
     edges: tuple[Edge, ...]
@@ -65,14 +69,19 @@ class ColoredGraph:
         if self.vertex_count < 0:
             raise BadShape("vertex_count must be non-negative")
         # a list or tuple is read in place, since a copy would raise the build's peak heap
-        given = self.edges if isinstance(self.edges, (list, tuple)) else tuple(self.edges)
+        given = self.edges
+        if not isinstance(given, (list, tuple)):
+            try:
+                given = tuple(given)
+            except TypeError:
+                raise BadShape(f"edges must be an iterable of (u, v, color), got {given!r}") from None
         try:
             edges = tuple(sorted(_normalize(u, v, c) for u, v, c in given))
             adj = _adjacency(self.vertex_count, edges)
         except (RainbowError, TypeError, ValueError):
-            # sorted edges keep each adjacency dict in vertex order, so
-            # neighbors() sorts it cheaply; no check depends on the order,
-            # so the given order fails too, at the edge to report
+            # indexing the sorted edges inserts each vertex's neighbors in
+            # ascending order, which neighbors() promises; no check depends
+            # on the order, so the given order fails too, at the edge to report
             _adjacency(self.vertex_count, given)
             raise
         object.__setattr__(self, "edges", edges)
@@ -81,27 +90,14 @@ class ColoredGraph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj[v])
+    def neighbors(self, v: int) -> MappingProxyType:
+        return MappingProxyType(self._adj[v])
 
     def color_of(self, u: int, v: int) -> int | None:
         return self._adj[u].get(v)
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
-
-
-@dataclass(frozen=True)
-class RainbowMatching:
-    """Container for a solver certificate; validity is checked externally."""
-
-    edges: tuple[Edge, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
 
 
 def _normalize(u: int, v: int, c: int) -> Edge:
@@ -124,9 +120,13 @@ def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:
 
     Returns (True, None) or (False, first violation).
     """
+    try:
+        edges = iter(m)
+    except TypeError:
+        return False, f"matching {m!r} is not iterable"
     seen_vertices: set[int] = set()
     seen_colors: set[int] = set()
-    for edge in m:
+    for edge in edges:
         try:
             u, v, c = edge
             a, b = (u, v) if u <= v else (v, u)

@@ -67,17 +67,6 @@ Cell = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
-class PartialTransversal:
-    cells: tuple[Cell, ...]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-
-@dataclass(frozen=True)
 class CycleDecomposition:
     """Cycles and paths of a partial transversal's successor walk."""
 
@@ -233,7 +222,10 @@ def validate_transversal(
     The first violation is reported: cells in list order (range, entry,
     then row, column and symbol reuse), then the cycles in ascending
     order of their smallest row."""
-    cells = list(transversal)
+    try:
+        cells = list(transversal)
+    except TypeError:
+        return False, f"transversal {transversal!r} is not iterable"
     succ = _successors(square, cells)
     if succ is None:
         n = square.order

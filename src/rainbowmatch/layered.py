@@ -35,7 +35,6 @@ from .errors import InternalInvariantBroken, PreconditionViolated
 from .graphs import (
     ColoredGraph,
     Edge,
-    RainbowMatching,
     _normalize,
     min_degree,
     validate_rainbow_matching,
@@ -119,13 +118,11 @@ def _extend_maximal(order: list, matching: list) -> list:
 def _active_edges(g: ColoredGraph, vertex: int, free_set: set, blocked_colors: set) -> list:
     """(color, r) pairs for edges from vertex to free vertices in colors
     outside blocked_colors, sorted by color then vertex."""
-    found = []
-    for r in g.neighbors(vertex):
-        if r not in free_set:
-            continue
-        c = g.color_of(vertex, r)
-        if c not in blocked_colors:
-            found.append((c, r))
+    found = [
+        (c, r)
+        for r, c in g.neighbors(vertex).items()
+        if r in free_set and c not in blocked_colors
+    ]
     found.sort()
     return found
 
@@ -173,28 +170,25 @@ def _classify_level(state: LayerState, level: int, current: list) -> tuple[list,
 
 
 def _scan_candidates(state: LayerState, survivors: list, two_sided: list) -> list:
-    """Violations visible after this level, cheapest family first."""
+    """Violations visible after this level, cheapest family first.
+
+    One walk over the free vertices' edges; quiet_side keys are matched
+    vertices, so an edge is a FreeFree or a HitsY candidate, never both."""
     g = state.graph
     free_set = set(state.free)
     next_colors = {e[2] for e in survivors}
-    found: list = []
+    free_free: list = []
+    hits_y: list = []
     for v in state.free:
-        for w in g.neighbors(v):
-            if w <= v or w not in free_set:
+        for w, c in g.neighbors(v).items():
+            if c in next_colors:
                 continue
-            c = g.color_of(v, w)
-            if c not in next_colors:
-                found.append(FreeFree((v, w, c)))
-    found.extend(two_sided)
-    for v in state.free:
-        for w in g.neighbors(v):
-            record = state.quiet_side.get(w)
-            if record is None:
-                continue
-            c = g.color_of(v, w)
-            if c not in next_colors:
-                found.append(HitsY(_normalize(v, w, c), record))
-    return found
+            if w in free_set:
+                if w > v:
+                    free_free.append(FreeFree((v, w, c)))
+            elif w in state.quiet_side:
+                hits_y.append(HitsY(_normalize(v, w, c), state.quiet_side[w]))
+    return free_free + two_sided + hits_y
 
 
 def _attempt_exchange(state: LayerState, violation) -> list | None:
@@ -284,8 +278,8 @@ def _check_level(state: LayerState, level: int, classified: list, survivors: lis
     for v in state.free:
         d = sum(
             1
-            for w in g.neighbors(v)
-            if w in matched and g.color_of(v, w) not in next_colors
+            for w, c in g.neighbors(v).items()
+            if w in matched and c not in next_colors
         )
         if d**3 <= 8 * delta * delta:
             raise InternalInvariantBroken(
@@ -336,8 +330,9 @@ def _fresh_state(g: ColoredGraph, matching: list, delta: int) -> LayerState:
 
 def find_rainbow_matching_layered(
     g: ColoredGraph, *, check: bool = False, trace=None
-) -> RainbowMatching:
-    """Rainbow matching of size at least guaranteed_size(min_degree(g)).
+) -> tuple:
+    """Rainbow matching of size at least guaranteed_size(min_degree(g)),
+    as sorted (u, v, color) edges.
 
     Needs vertex_count >= 2*min_degree. check=True verifies the layer
     claims on every round; trace (a callable taking one dict) receives
@@ -382,4 +377,4 @@ def find_rainbow_matching_layered(
         raise InternalInvariantBroken(f"final matching invalid: {why}")
     if trace is not None:
         trace({"rounds": rounds, "initial": start, "final": len(matching)})
-    return RainbowMatching(tuple(sorted(matching)))
+    return tuple(sorted(matching))

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graphs import ColoredGraph, RainbowMatching
-from .latin import LatinSquare, PartialTransversal, _closes_short_cycle
+from .graphs import ColoredGraph
+from .latin import LatinSquare, _closes_short_cycle
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,9 @@ class OracleBudget:
     node_limit: int = 10_000_000
 
 
-def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = None) -> RainbowMatching:
-    """Maximum-cardinality rainbow matching by take/skip search.
+def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = None) -> tuple:
+    """Maximum-cardinality rainbow matching by take/skip search, as
+    sorted (u, v, color) edges.
 
     Edges are visited in lexicographic order; the bound prunes on the
     number of distinct colors remaining in the suffix.
@@ -62,13 +63,14 @@ def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = No
         walk(i + 1)
 
     walk(0)
-    return RainbowMatching(tuple(best))
+    return tuple(sorted(best))
 
 
 def max_cyclefree_transversal_exact(
     square: LatinSquare, k: float = 0, budget: OracleBudget | None = None
-) -> PartialTransversal:
-    """Maximum partial transversal whose cycles all exceed length k.
+) -> tuple:
+    """Maximum partial transversal whose cycles all exceed length k, as
+    sorted (row, col, symbol) cells.
 
     k = 0 puts no constraint on cycles; k = math.inf forbids them all.
     Row-by-row take/skip search with column and symbol occupancy sets.
@@ -113,9 +115,9 @@ def max_cyclefree_transversal_exact(
         walk(r + 1)
 
     walk(1)
-    return PartialTransversal(tuple(best))
+    return tuple(sorted(best))
 
 
-def max_transversal_exact(square: LatinSquare, budget: OracleBudget | None = None) -> PartialTransversal:
+def max_transversal_exact(square: LatinSquare, budget: OracleBudget | None = None) -> tuple:
     """Maximum partial transversal with no cycle constraint."""
     return max_cyclefree_transversal_exact(square, 0, budget)

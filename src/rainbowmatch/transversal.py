@@ -36,7 +36,6 @@ from .arith import int_kth_root
 from .errors import ColorsExhausted, InternalInvariantBroken, PreconditionViolated
 from .latin import (
     LatinSquare,
-    PartialTransversal,
     _closes_short_cycle,
     cycles_of,
     validate_transversal,
@@ -379,9 +378,9 @@ def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
 
 def build_short_cycle_free_transversal(
     square: LatinSquare, k: int, *, check: bool = False, stats: dict | None = None
-) -> PartialTransversal:
+) -> tuple:
     """Partial transversal with no cycle of length ≤ k and at least
-    theorem_bound(order, k) cells.
+    theorem_bound(order, k) cells, as sorted (row, col, symbol) cells.
 
     check=True additionally verifies the layer counting laws on every
     expansion round and compares the carried search state with a fresh
@@ -412,28 +411,19 @@ def build_short_cycle_free_transversal(
             initial=initial,
             augmentations=augmentations,
         )
-    return PartialTransversal(tuple(cells))
+    return tuple(sorted(cells))
 
 
-def _path_starts(n: int, cells: list) -> dict:
-    """Map every vertex 1..n to (start of its path, position on it).
+def _path_starts(square: LatinSquare, cells: list) -> dict:
+    """Map every vertex 1..order to (start of its path, position on it).
 
     The cells must hold no cycle. A path starts at a vertex no arc
     enters (an unused column) and follows the arcs r -> c; an untouched
     vertex is a path of its own."""
-    out_col = {r: c for r, c, _ in cells}
-    entered = set(out_col.values())
-    where: dict = {}
-    for start in range(1, n + 1):
-        if start in entered:
-            continue
-        v, pos = start, 0
-        while True:
-            where[v] = (start, pos)
-            if v not in out_col:
-                break
-            v = out_col[v]
-            pos += 1
+    where = {v: (v, 0) for v in range(1, square.order + 1)}
+    for path in cycles_of(square, cells).paths:
+        for pos, (_, c, _) in enumerate(path, start=1):
+            where[c] = (path[0][0], pos)
     return where
 
 
@@ -466,7 +456,7 @@ def _find_exchange(square: LatinSquare, cells: list):
     free_syms = [s for s in range(1, n + 1) if s not in used_syms]
     if not free_rows:
         return None
-    where = _path_starts(n, cells)
+    where = _path_starts(square, cells)
     free = sorted(_free_cells(square, free_rows, free_cols, free_syms))
     for cell in free:
         if where[cell[0]][0] != cell[1]:
@@ -517,9 +507,9 @@ def _exchange_pass(square: LatinSquare, cells: list) -> list:
 
 def cycle_free_transversal(
     square: LatinSquare, *, check: bool = False, stats: dict | None = None
-) -> PartialTransversal:
+) -> tuple:
     """Partial transversal with no cycles at all, which no 0-for-1 or
-    1-for-2 exchange can enlarge.
+    1-for-2 exchange can enlarge, as sorted (row, col, symbol) cells.
 
     Builds a short-cycle-free transversal at the standard cutoff, drops
     the smallest-row cell of each surviving (long) cycle, then adds a
@@ -530,8 +520,7 @@ def cycle_free_transversal(
     n = square.order
     k = default_cycle_bound(n)
     inner: dict = {}
-    base = build_short_cycle_free_transversal(square, k, check=check, stats=inner)
-    cells = list(base)
+    cells = build_short_cycle_free_transversal(square, k, check=check, stats=inner)
     keep = set(cells)
     removed = 0
     for cycle in cycles_of(square, cells).cycles:
@@ -551,4 +540,4 @@ def cycle_free_transversal(
             size=len(result),
             corollary=corollary_bound(n),
         )
-    return PartialTransversal(tuple(result))
+    return tuple(sorted(result))

@@ -72,7 +72,9 @@ def test_random_instances_across_degrees():
 
 def test_output_is_deterministic():
     g = random_proper_graph(13, 4, seed=21)
-    assert find_rainbow_matching_delta(g) == find_rainbow_matching_delta(g)
+    result = find_rainbow_matching_delta(g)
+    assert result == find_rainbow_matching_delta(g)
+    assert type(result) is tuple and list(result) == sorted(result)
 
 
 def test_log_reports_every_level():

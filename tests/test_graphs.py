@@ -1,5 +1,7 @@
 """Colored graph container, validation, and the text format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from rainbowmatch import (
     format_graph,
     min_degree,
     parse_graph,
+    random_proper_graph,
     validate_rainbow_matching,
     validate_transversal,
 )
@@ -33,6 +36,19 @@ def test_neighbors_are_sorted():
     assert list(g.neighbors(3)) == [1, 2, 5]
     assert g.degree(3) == 3
     assert g.degree(4) == 0
+    # the solvers read colors off this read-only map, in this order
+    base = random_proper_graph(30, 6, seed=5)
+    shuffled = list(base.edges)
+    random.Random(5).shuffle(shuffled)
+    flipped = [(v, u, c) for u, v, c in reversed(base.edges)]
+    for edges in (shuffled, flipped):
+        g = build_graph(base.vertex_count, edges)
+        for v in g.vertices():
+            nbrs = g.neighbors(v)
+            assert list(nbrs) == sorted(nbrs)
+            assert dict(nbrs.items()) == {w: g.color_of(v, w) for w in nbrs}
+            with pytest.raises(TypeError):
+                nbrs[v] = 0
 
 
 def test_self_loop_rejected():
@@ -66,11 +82,15 @@ def test_malformed_api_input_gets_a_rainbow_error_or_a_verdict():
             build_graph(3, [(2, 3, 1), bad])
         assert repr(bad) in str(info.value)
         assert info.value.position == 1
+    with pytest.raises(BadShape):
+        build_graph(3, None)
     g = build_graph(3, [(1, 2, 1)])
     ok, why = validate_rainbow_matching(g, [(1.5, 2, 1)])
     assert not ok and "(1.5, 2, 1)" in why
     ok, why = validate_transversal(cyclic_square(4), [(1.0, 2, 2)])
     assert not ok and "(1.0, 2, 2)" in why
+    for ok, why in (validate_rainbow_matching(g, None), validate_transversal(cyclic_square(3), None)):
+        assert not ok and "None" in why
     # values equal to the right integers keep their verdicts
     assert build_graph(3, [(1.0, 2, 1)]).edges == ((1.0, 2, 1),)
     assert validate_rainbow_matching(g, [(1.0, 2, 1)]) == (True, None)

@@ -67,7 +67,9 @@ def test_factorized_squares_meet_the_bound():
 
 def test_output_is_deterministic():
     g = to_bipartite_factorization(random_square(9, seed=17))
-    assert find_rainbow_matching_layered(g) == find_rainbow_matching_layered(g)
+    result = find_rainbow_matching_layered(g)
+    assert result == find_rainbow_matching_layered(g)
+    assert type(result) is tuple and list(result) == sorted(result)
 
 
 def test_trace_records_rounds_and_sizes():

@@ -104,3 +104,5 @@ def test_oracle_views_agree_on_small_squares():
         m = max_rainbow_matching_exact(g, budget=OracleBudget(max_edges=25))
         assert len(t) == len(m)
         assert len(t) >= 4
+        for result in (t, m):
+            assert type(result) is tuple and list(result) == sorted(result)

@@ -104,6 +104,7 @@ def test_output_is_deterministic():
     a = build_short_cycle_free_transversal(sq, 2)
     b = build_short_cycle_free_transversal(sq, 2)
     assert a == b
+    assert type(a) is tuple and list(a) == sorted(a)
 
 
 def test_stats_from_an_augmenting_run():
