@@ -21,7 +21,6 @@ from .delta import find_rainbow_matching_delta
 from .errors import (
     BadShape,
     BudgetExceeded,
-    ColorsExhausted,
     DuplicateEdge,
     ImproperColoring,
     InfeasibleParameters,
@@ -78,7 +77,6 @@ __all__ = [
     "BadShape",
     "BudgetExceeded",
     "ColoredGraph",
-    "ColorsExhausted",
     "CycleDecomposition",
     "DuplicateEdge",
     "ImproperColoring",

@@ -41,10 +41,6 @@ class BudgetExceeded(RainbowError):
     """An exact search hit its node or size budget."""
 
 
-class ColorsExhausted(RainbowError):
-    """An expansion step found no usable color (all stalled or consumed)."""
-
-
 class InternalInvariantBroken(RainbowError):
     """A step the construction guarantees to succeed failed anyway.
 

@@ -33,7 +33,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
 
 from .arith import int_kth_root
-from .errors import ColorsExhausted, InternalInvariantBroken, PreconditionViolated
+from .errors import InternalInvariantBroken, PreconditionViolated
 from .latin import (
     LatinSquare,
     _closes_short_cycle,
@@ -85,17 +85,6 @@ def _greedy_init(square: LatinSquare, k: int) -> list:
 
 
 @dataclass
-class Expanded:
-    grew: int
-
-
-@dataclass
-class AugmentationFound:
-    edge: tuple  # (tail v in B1, head u in the A-front)
-    color: int
-
-
-@dataclass
 class TransversalSearchState:
     square: LatinSquare = field(repr=False)
     k: int
@@ -110,9 +99,6 @@ class TransversalSearchState:
     arcs_out: dict = field(default_factory=dict)  # v -> [(head, color, from_initial)]
     remaining: list = field(default_factory=list)  # unspent symbols, ascending
     spent: list = field(default_factory=list)  # this round's layer colors, in order
-    layer_color: int | None = None
-    reach: dict = field(default_factory=dict)
-    narrow_reach: dict = field(default_factory=dict)
 
 
 def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchState:
@@ -169,76 +155,56 @@ def _collect_reach(arcs_out: dict, u: int, limit: int, narrow: bool) -> set:
     return found
 
 
-def _reach_of(state: TransversalSearchState, u: int) -> set:
-    got = state.reach.get(u)
-    if got is None:
-        got = _collect_reach(state.arcs_out, u, state.k - 1, narrow=False)
-        state.reach[u] = got
-    return got
-
-
-def _narrow_reach_of(state: TransversalSearchState, u: int) -> set:
-    got = state.narrow_reach.get(u)
-    if got is None:
-        got = _collect_reach(state.arcs_out, u, state.k - 1, narrow=True)
-        state.narrow_reach[u] = got
-    return got
-
-
-def _is_forbidden(state: TransversalSearchState, v: int, u: int) -> bool:
-    """Arc v -> u is forbidden when it could close a cycle of length ≤ k:
-    a loop, or some rainbow path u ~> v of ≤ k-1 arcs already exists."""
-    return v == u or v in _reach_of(state, u)
-
-
 def forbidden_edges(state: TransversalSearchState, color: int) -> set:
-    """The forbidden color-colored arcs into the current A-front."""
+    """The forbidden color-colored arcs into the current A-front: arc
+    v -> u could close a cycle of length ≤ k when it is a loop or some
+    rainbow path u ~> v of ≤ k-1 arcs already exists."""
     out = set()
     for u in state.a_set:
         v = state.square.row_of(u, color)
-        if _is_forbidden(state, v, u):
+        if v == u or v in _collect_reach(state.arcs_out, u, state.k - 1, narrow=False):
             out.add((v, u))
     return out
 
 
-def _least_forbidden(state: TransversalSearchState, reach_of, loops: bool) -> tuple:
+def _least_forbidden(state: TransversalSearchState, reach: dict, loops: bool) -> tuple:
     """(color, count) for the unspent symbol with the fewest forbidden
     arcs into the A-front, ties to the smallest. Arc v -> u is forbidden
-    when v is in reach_of(state, u), or v == u with loops; its color is
+    when v is in reach[u], or v == u with loops; its color is
     entry(v, u), so one pass over the reach sets counts every color."""
     rows = state.square.rows
     count = [0] * (state.square.order + 1)
-    for u in state.a_set:
+    for u, heads in reach.items():
         col = u - 1
         if loops:
             count[rows[col][col]] += 1
-        for v in reach_of(state, u):
+        for v in heads:
             count[rows[v - 1][col]] += 1
     color = min(state.remaining, key=count.__getitem__)
     return color, count[color]
 
 
-def choose_color(state: TransversalSearchState, layer: int) -> int:
-    """Unspent symbol with the fewest forbidden arcs, ties to smallest."""
-    if not state.remaining:
-        raise ColorsExhausted(f"layer {layer}: no unspent symbols remain")
-    return _least_forbidden(state, _reach_of, loops=True)[0]
+def choose_color(state: TransversalSearchState) -> tuple:
+    """(color, reach): the unspent symbol with the fewest forbidden arcs,
+    ties to smallest, and the A-front's reach sets it counted them from,
+    u -> heads of rainbow paths out of u with ≤ k-1 arcs."""
+    reach = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=False) for u in state.a_set}
+    return _least_forbidden(state, reach, loops=True)[0], reach
 
 
-def expand_layer(state: TransversalSearchState):
+def expand_layer(state: TransversalSearchState, color: int, reach: dict):
     """Shoot the layer's color into the A-front.
 
-    A non-forbidden arc whose tail is an original path end augments;
-    otherwise fresh tails become B vertices and their successors join
-    the A-front."""
-    color = state.layer_color
+    A non-forbidden arc whose tail is an original path end augments and
+    is returned as (tail, head); otherwise fresh tails become B vertices,
+    their successors join the A-front, and None is returned."""
     minted = []
     for u in sorted(state.a_set):
         v = state.square.row_of(u, color)
-        if _is_forbidden(state, v, u):
+        if v == u or v in reach[u]:
             continue
         if v in state.b_first:
-            return AugmentationFound(edge=(v, u), color=color)
+            return v, u
         if v in state.b_set:
             continue
         minted.append((v, u))
@@ -249,10 +215,10 @@ def expand_layer(state: TransversalSearchState):
         successor = state.out_map[v][0]
         state.a_parent[successor] = v
         state.a_set.add(successor)
-    return Expanded(grew=len(minted))
+    return None
 
 
-def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) -> None:
+def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -> None:
     """Reroute along parent records, add the augmenting arc, and carry
     the state into the next round.
 
@@ -268,7 +234,7 @@ def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) 
     not used on the chain are unspent again and the chain's old symbols
     join them. Apart from the revalidation, this costs O(hops + front),
     not O(order)."""
-    v, target = found.edge
+    v, target = edge  # (tail v in B1, head in the A-front)
     out_map = state.out_map
     moved: dict = {}  # chain row -> its new (col, symbol)
     u = target
@@ -290,29 +256,26 @@ def apply_augmentation(state: TransversalSearchState, found: AugmentationFound) 
         freed.append(out_map[b][1])
         out_map[b] = (c, s)
         cells[bisect_left(cells, (b,))] = (b, c, s)
-    out_map[v] = (target, found.color)
-    insort(cells, (v, target, found.color))
+    out_map[v] = (target, color)
+    insort(cells, (v, target, color))
     ok, why = validate_transversal(state.square, cells, forbid_cycles_up_to=state.k)
     if not ok:
         raise InternalInvariantBroken(f"augmented transversal invalid: {why}")
 
     used = {s for _, s in moved.values()}
-    used.add(found.color)
+    used.add(color)
     state.remaining = sorted(state.remaining + freed + [s for s in state.spent if s not in used])
     state.a_first = state.a_first - {u}
     state.b_first = state.b_first - {v}
     for b in state.b_parent:
         c, s = out_map[b]
         state.arcs_out[b] = [(c, s, True)]
-    state.arcs_out[v] = [(target, found.color, True)]
+    state.arcs_out[v] = [(target, color, True)]
     state.a_set = set(state.a_first)
     state.b_set = set(state.b_first)
     state.a_parent = {}
     state.b_parent = {}
     state.spent = []
-    state.layer_color = None
-    state.reach = {}
-    state.narrow_reach = {}
 
 
 def _audit_carried_state(state: TransversalSearchState) -> None:
@@ -329,7 +292,8 @@ def _audit_carried_state(state: TransversalSearchState) -> None:
 def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) -> None:
     """Pigeonhole law: some unspent symbol has few narrowly-forbidden
     arcs (counting only paths of 2..k-1 arcs ending in an initial arc)."""
-    best = _least_forbidden(state, _narrow_reach_of, loops=False)[1]
+    narrow = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=True) for u in state.a_set}
+    best = _least_forbidden(state, narrow, loops=False)[1]
     if best * len(state.remaining) > state.k * layer ** (state.k - 1) * (n - t):
         raise InternalInvariantBroken(
             f"layer {layer}: every unspent symbol has too many forbidden arcs"
@@ -356,23 +320,20 @@ def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
     if t >= n:
         return False
     for layer in range(2, n * n + n + 2):
-        state.reach = {}
-        state.narrow_reach = {}
-        try:
-            color = choose_color(state, layer)
-        except ColorsExhausted:
+        if not state.remaining:
             return False
+        color, reach = choose_color(state)
         if check:
             _check_color_law(state, layer, n, t)
-        state.layer_color = color
         state.remaining.remove(color)
         state.spent.append(color)
-        outcome = expand_layer(state)
-        if isinstance(outcome, AugmentationFound):
-            apply_augmentation(state, outcome)
+        before = len(state.b_set)
+        edge = expand_layer(state, color, reach)
+        if edge is not None:
+            apply_augmentation(state, edge, color)
             return True
         if check:
-            _check_growth_law(state, layer, n, t, outcome.grew)
+            _check_growth_law(state, layer, n, t, len(state.b_set) - before)
     raise InternalInvariantBroken(f"expansion exceeded {n * n + n} layers")
 
 

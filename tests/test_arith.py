@@ -8,7 +8,6 @@ from rainbowmatch import RainbowError, int_kth_root, theorem_bound
 from rainbowmatch.errors import (
     BadShape,
     BudgetExceeded,
-    ColorsExhausted,
     DuplicateEdge,
     ImproperColoring,
     InfeasibleParameters,
@@ -72,7 +71,7 @@ def test_floor_root_identity(x, k):
 
 def test_every_package_error_shares_the_base_class():
     errors = [
-        BadShape, BudgetExceeded, ColorsExhausted, DuplicateEdge,
+        BadShape, BudgetExceeded, DuplicateEdge,
         ImproperColoring, InfeasibleParameters, InternalInvariantBroken,
         NotLatin, PreconditionViolated, SelfLoop,
     ]

@@ -8,7 +8,6 @@ from bisect import insort
 import pytest
 
 from rainbowmatch import (
-    ColorsExhausted,
     InternalInvariantBroken,
     PreconditionViolated,
     build_short_cycle_free_transversal,
@@ -121,7 +120,7 @@ def test_stats_from_an_augmenting_run():
 def test_expansion_layer_protocol():
     # greedy stalls at two cells; the first layer spends the cheaper
     # symbol and doubles the reachable front, the second finds nothing,
-    # then the symbols run out
+    # and no symbol is left
     sq = random_square(4, seed=4)
     cells = tv._greedy_init(sq, 2)
     assert sorted(cells) == [(1, 4, 1), (3, 2, 2)]
@@ -129,20 +128,19 @@ def test_expansion_layer_protocol():
     assert sorted(state.a_first) == [1, 3]
     assert sorted(state.b_first) == [2, 4]
     assert sorted(state.remaining) == [3, 4]
-    assert tv.choose_color(state, 2) == 3
+    assert tv.choose_color(state)[0] == 3
     assert tv.forbidden_edges(state, 4) == {(2, 3), (4, 1)}
 
-    outcomes = []
+    grew = []
     for color in (3, 4):
-        state.reach = {}
-        state.narrow_reach = {}
-        state.layer_color = color
+        before = len(state.b_set)
+        _, reach = tv.choose_color(state)
         state.remaining.remove(color)
-        outcomes.append(tv.expand_layer(state))
-    assert [o.grew for o in outcomes] == [2, 0]
+        assert tv.expand_layer(state, color, reach) is None
+        grew.append(len(state.b_set) - before)
+    assert grew == [2, 0]
     assert sorted(state.a_set) == [1, 2, 3, 4]
-    with pytest.raises(ColorsExhausted):
-        tv.choose_color(state, 4)
+    assert state.remaining == []
 
 
 def _stalled_state():
@@ -156,14 +154,14 @@ def test_apply_augmentation_rejects_a_broken_parent_chain():
     # column 4 is used but no layer shifted it, so no parent leads back
     state = _stalled_state()
     with pytest.raises(InternalInvariantBroken, match="broken parent chain at vertex 4"):
-        tv.apply_augmentation(state, tv.AugmentationFound(edge=(2, 4), color=3))
+        tv.apply_augmentation(state, (2, 4), 3)
 
 
 def test_apply_augmentation_rejects_a_tail_that_has_an_arc():
     # row 1 already carries 1 -> 4, so it cannot take the augmenting arc
     state = _stalled_state()
     with pytest.raises(InternalInvariantBroken, match="augmenting tail 1 already has an arc"):
-        tv.apply_augmentation(state, tv.AugmentationFound(edge=(1, 3), color=3))
+        tv.apply_augmentation(state, (1, 3), 3)
 
 
 def test_apply_augmentation_rejects_a_chain_longer_than_the_order():
@@ -173,7 +171,7 @@ def test_apply_augmentation_rejects_a_chain_longer_than_the_order():
     state.a_parent[4] = 1
     state.b_parent[1] = (4, 3)
     with pytest.raises(InternalInvariantBroken, match="longer than the square's order"):
-        tv.apply_augmentation(state, tv.AugmentationFound(edge=(2, 4), color=3))
+        tv.apply_augmentation(state, (2, 4), 3)
 
 
 def _search_states(sq, k):
@@ -184,17 +182,15 @@ def _search_states(sq, k):
     state = tv._start_state(sq, k, tv._greedy_init(sq, k))
     while len(state.cells) < sq.order:
         for layer in itertools.count(2):
-            state.reach = {}
-            state.narrow_reach = {}
             if not state.remaining:
                 return
             yield state, layer
-            state.layer_color = tv.choose_color(state, layer)
-            state.remaining.remove(state.layer_color)
-            state.spent.append(state.layer_color)
-            outcome = tv.expand_layer(state)
-            if isinstance(outcome, tv.AugmentationFound):
-                tv.apply_augmentation(state, outcome)
+            color, reach = tv.choose_color(state)
+            state.remaining.remove(color)
+            state.spent.append(color)
+            edge = tv.expand_layer(state, color, reach)
+            if edge is not None:
+                tv.apply_augmentation(state, edge, color)
                 break
 
 
@@ -223,9 +219,10 @@ def test_color_counts_match_the_per_arc_definition(monkeypatch):
                 # smallest unspent color with the fewest forbidden arcs
                 wide = min(state.remaining,
                            key=lambda c: (len(tv.forbidden_edges(state, c)), c))
-                assert tv.choose_color(state, layer) == wide
-                narrow = {c: sum(sq.row_of(u, c) in tv._narrow_reach_of(state, u)
-                                 for u in state.a_set)
+                assert tv.choose_color(state)[0] == wide
+                heads = {u: tv._collect_reach(state.arcs_out, u, k - 1, narrow=True)
+                         for u in state.a_set}
+                narrow = {c: sum(sq.row_of(u, c) in heads[u] for u in state.a_set)
                           for c in state.remaining}
                 best = min(state.remaining, key=lambda c: (narrow[c], c))
                 results.clear()
@@ -242,12 +239,12 @@ def _stale_after_first_augmentation(monkeypatch, corrupt):
     real = tv.apply_augmentation
     done = []
 
-    def augment(state, found):
+    def augment(state, edge, color):
         before = {"a_first": state.a_first, "b_parent": dict(state.b_parent)}
-        real(state, found)
+        real(state, edge, color)
         if before["b_parent"] and not done:
             corrupt(state, before)
-            done.append(found)
+            done.append(edge)
 
     monkeypatch.setattr(tv, "apply_augmentation", augment)
 
