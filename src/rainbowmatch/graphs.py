@@ -17,15 +17,18 @@ Edge = tuple[int, int, int]
 
 
 def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
-    """Check each edge in list order (self-loop, vertex range, negative
-    color, repeated pair, color repeated at an end; BadShape if not three
-    integers) and index them by vertex. Errors carry the edge's ``position``."""
+    """Check each edge in list order (BadShape if not three ints, bools
+    and integral floats included; self-loop, vertex range, negative color,
+    repeated pair, color repeated at an end) and index them by vertex.
+    Errors carry the edge's ``position``."""
     adj: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
     # color -> neighbor at each vertex, for the properness check only;
     # dicts keep the build's peak memory below that of sets
     palette: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
     try:
         for i, (u, v, c) in enumerate(edges):
+            if type(u) is not int or type(v) is not int or type(c) is not int:
+                raise TypeError  # worded below
             if u == v:
                 raise SelfLoop(f"edge {u}-{v} is a self-loop")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -42,9 +45,9 @@ def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
             adj[v][u] = c
             palette[u][c] = v
             palette[v][c] = u
-    except (RainbowError, KeyError, TypeError, ValueError) as exc:
+    except (RainbowError, TypeError, ValueError) as exc:
         if not isinstance(exc, RainbowError):
-            # a non-integral vertex misses adj, other types fail to compare
+            # a field that is not an int, or an edge that is not three fields
             exc = BadShape(f"edge {edges[i]!r} is not three integers")
         exc.position = i
         raise exc from None
@@ -66,8 +69,8 @@ class ColoredGraph:
     _adj: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise BadShape("vertex_count must be non-negative")
+        if type(self.vertex_count) is not int or self.vertex_count < 0:
+            raise BadShape(f"vertex_count must be a non-negative int, got {self.vertex_count!r}")
         # a list or tuple is read in place, since a copy would raise the build's peak heap
         given = self.edges
         if not isinstance(given, (list, tuple)):

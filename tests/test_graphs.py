@@ -77,11 +77,19 @@ def test_vertex_out_of_range_rejected():
 
 
 def test_malformed_api_input_gets_a_rainbow_error_or_a_verdict():
-    for bad in [(1.5, 2, 1), ("1", 2, 1), (1, 2, "a"), (1, 2)]:
+    # a graph holds ints only, so format_graph never writes a file parse_graph rejects
+    for bad in [(1.5, 2, 1), ("1", 2, 1), (1, 2, "a"), (1, 2), (1.0, 2, 1), (1, 2.0, 1),
+                (1, 2, 1.5), (1, 2, True), (True, 2, 1)]:
         with pytest.raises(BadShape) as info:
             build_graph(3, [(2, 3, 1), bad])
         assert repr(bad) in str(info.value)
         assert info.value.position == 1
+    with pytest.raises(BadShape) as info:
+        build_graph(3, [(1, 2, 1.5), (2, 3, True)])
+    assert info.value.position == 0
+    for count in (None, "3", 2.5, True, -1):
+        with pytest.raises(BadShape, match="vertex_count must be a non-negative int"):
+            build_graph(count, [])
     with pytest.raises(BadShape):
         build_graph(3, None)
     g = build_graph(3, [(1, 2, 1)])
@@ -91,8 +99,7 @@ def test_malformed_api_input_gets_a_rainbow_error_or_a_verdict():
     assert not ok and "(1.0, 2, 2)" in why
     for ok, why in (validate_rainbow_matching(g, None), validate_transversal(cyclic_square(3), None)):
         assert not ok and "None" in why
-    # values equal to the right integers keep their verdicts
-    assert build_graph(3, [(1.0, 2, 1)]).edges == ((1.0, 2, 1),)
+    # the validators' verdicts on values equal to the right integers stand
     assert validate_rainbow_matching(g, [(1.0, 2, 1)]) == (True, None)
     assert validate_transversal(cyclic_square(4), [(1, 2, 2.0)]) == (True, None)
 
