@@ -28,7 +28,7 @@ def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
     try:
         for i, (u, v, c) in enumerate(edges):
             if type(u) is not int or type(v) is not int or type(c) is not int:
-                raise TypeError  # worded below
+                raise BadShape(f"edge {edges[i]!r} is not three integers")
             if u == v:
                 raise SelfLoop(f"edge {u}-{v} is a self-loop")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -47,7 +47,7 @@ def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
             palette[v][c] = u
     except (RainbowError, TypeError, ValueError) as exc:
         if not isinstance(exc, RainbowError):
-            # a field that is not an int, or an edge that is not three fields
+            # an edge that is not three fields
             exc = BadShape(f"edge {edges[i]!r} is not three integers")
         exc.position = i
         raise exc from None
