@@ -14,6 +14,7 @@ from rainbowmatch import (
     to_bipartite_factorization,
     validate_rainbow_matching,
 )
+from rainbowmatch import layered
 from rainbowmatch.layered import (
     FreeFree,
     HitsY,
@@ -145,6 +146,69 @@ def test_detect_returns_none_when_no_exchange_exists():
     state, augmented = _layer_once(g, [(1, 2, 1)])
     assert state.violation is None
     assert augmented is None
+
+
+def _attempts(monkeypatch, g, matching):
+    """Layer once, recording every candidate tried and what it gave."""
+    tried = []
+    attempt = layered._attempt_exchange
+
+    def record(state, violation):
+        result = attempt(state, violation)
+        tried.append((violation, result))
+        return result
+
+    monkeypatch.setattr(layered, "_attempt_exchange", record)
+    _, augmented = _layer_once(g, matching)
+    return tried, augmented
+
+
+def test_hit_on_quiet_side_fails_when_the_origin_pool_is_spent(monkeypatch):
+    # 1-2 is classified with x = 1; its pool reaches 3 in color 2 and 4
+    # in color 3, and each hit on the quiet side 2 takes one of those
+    # vertices in the other color, so no repair edge is left
+    edges = [(1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 3, 3), (2, 4, 2), (5, 6, 4)]
+    g = build_graph(6, edges)
+    tried, augmented = _attempts(monkeypatch, g, [(1, 2, 1), (5, 6, 4)])
+    assert augmented is None
+    assert {violation.edge for violation, _ in tried} == {(2, 3, 3), (2, 4, 2)}
+    for violation, result in tried:
+        assert isinstance(violation, HitsY)
+        assert violation.origin.edge == (1, 2, 1)
+        assert result is None
+        for c, r in violation.origin.pool:
+            assert c == violation.edge[2] or r in violation.edge[:2]
+
+
+def test_reused_color_whose_origin_cannot_be_repaired(monkeypatch):
+    # the free edge 3-4 reuses the color of the matched edge 1-5, whose
+    # pool only reaches 3 and 4; the two-sided exchange then succeeds
+    edges = [(1, 3, 1), (1, 4, 2), (1, 5, 3), (2, 5, 1), (3, 4, 3), (3, 5, 2)]
+    g = build_graph(5, edges)
+    tried, augmented = _attempts(monkeypatch, g, [(1, 5, 3)])
+    (first, failed), (second, realized) = tried
+    assert isinstance(first, FreeFree) and first.edge == (3, 4, 3)
+    assert failed is None
+    assert isinstance(second, TwoSided) and second.origin.edge == (1, 5, 3)
+    assert realized == augmented == [(1, 4, 2), (2, 5, 1)]
+
+
+def test_reused_color_of_an_origin_already_deleted(monkeypatch):
+    # 1-2 is classified at level 1; 3-4 only at level 2, once color 1 is
+    # active. The hit 2-5 takes 3-4's color, 3-4's repair takes color 1,
+    # and color 1 traces back to 1-2, which the hit already deleted
+    edges = [(1, 2, 1), (3, 4, 2), (2, 5, 2),
+             (1, 6, 3), (1, 7, 4), (1, 8, 5), (1, 9, 6),
+             (3, 10, 1), (3, 11, 3), (3, 12, 4), (3, 13, 5)]
+    g = build_graph(13, edges)
+    tried, augmented = _attempts(monkeypatch, g, [(1, 2, 1), (3, 4, 2)])
+    [(violation, realized)] = tried
+    assert isinstance(violation, HitsY)
+    assert violation.edge == (2, 5, 2)
+    assert violation.origin.edge == (1, 2, 1)
+    assert realized == augmented == [(1, 6, 3), (2, 5, 2), (3, 10, 1)]
+    ok, why = validate_rainbow_matching(g, augmented)
+    assert ok, why
 
 
 def test_extend_maximal_is_greedy_by_color():
