@@ -43,7 +43,13 @@ from .latin import (
 )
 from .layered import find_rainbow_matching_layered, guaranteed_size
 from .oracle import max_rainbow_matching_exact
-from .transversal import build_short_cycle_free_transversal, cycle_free_transversal
+from .transversal import (
+    build_short_cycle_free_transversal,
+    corollary_bound,
+    cycle_free_transversal,
+    default_cycle_bound,
+    theorem_bound,
+)
 
 _IO_ERRORS = (OSError, UnicodeDecodeError, BadShape, NotLatin, SelfLoop, DuplicateEdge, ImproperColoring)
 _PRECONDITION_ERRORS = (PreconditionViolated, InfeasibleParameters, BudgetExceeded)
@@ -130,14 +136,15 @@ def _run_shortcycle(sq, k, check, events):
     stats: dict = {}
     events.append(stats)
     t = build_short_cycle_free_transversal(sq, k, check=check, stats=stats)
-    return t, k, stats["bound"], stats["augmentations"]
+    return t, k, theorem_bound(sq.order, k), stats["augmentations"]
 
 
 def _run_cyclefree(sq, k, check, events):
     stats: dict = {}
     events.append(stats)
     t = cycle_free_transversal(sq, check=check, stats=stats)
-    return t, stats["k"], stats["corollary"], stats["augmentations"]
+    n = sq.order
+    return t, default_cycle_bound(n), corollary_bound(n), stats["augmentations"]
 
 
 def _delta_instance(size: int, seed: int):

@@ -218,6 +218,13 @@ def _covering(config: GoodConfiguration, core_idx: int) -> tuple[int, int]:
     return spot
 
 
+def _rotated_core(config: GoodConfiguration, core_idx: int) -> list:
+    """The core after rotating in the chain that covers core_idx."""
+    removed, added = chain_rotate(config, *_covering(config, core_idx))
+    gone = set(removed)
+    return [e for e in config.core if e not in gone] + added
+
+
 def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     """Apply one probe edge; finish, add a twin pair, or grow chains."""
     v, w = edge
@@ -233,8 +240,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         # w outside the structure
         if fresh:
             return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
-        removed, added = chain_rotate(config, *_covering(config, core_by_color[c]))
-        rotated = _apply_rotation(config.core, removed, added)
+        rotated = _rotated_core(config, core_by_color[c])
         return Matched(tuple(sorted(config.twins_a + rotated + [vw])))
 
     kind = role[0]
@@ -242,8 +248,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         if fresh:
             keep = config.twins_b if role[2] == 0 else config.twins_a
             return Matched(tuple(sorted(keep + config.core + [vw])))
-        removed, added = chain_rotate(config, *_covering(config, core_by_color[c]))
-        rotated = _apply_rotation(config.core, removed, added)
+        rotated = _rotated_core(config, core_by_color[c])
         return Matched(tuple(sorted(_avoiding_pairs(config, w) + rotated + [vw])))
 
     if kind == "chain":
@@ -255,9 +260,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     if kind == "core":
         core_idx = role[1]
         if core_idx in config.cover:
-            removed, added = chain_rotate(config, *_covering(config, core_idx))
-            rotated = _apply_rotation(config.core, removed, added)
-            candidate = config.twins_a + rotated + [vw]
+            candidate = config.twins_a + _rotated_core(config, core_idx) + [vw]
             colors = [e[2] for e in candidate]
             if len(set(colors)) == len(colors):
                 return Matched(tuple(sorted(candidate)))
@@ -281,11 +284,6 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         return ChainsExtended(config)
 
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
-
-
-def _apply_rotation(core: list, removed: list, added: list) -> list:
-    gone = set(removed)
-    return [e for e in core if e not in gone] + added
 
 
 def _finish_full_twins(config: GoodConfiguration) -> tuple:

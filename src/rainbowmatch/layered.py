@@ -64,26 +64,12 @@ class ClassifiedEdge:
     edge: Edge
     x: int  # endpoint carrying the active edges to free vertices
     y: int
-    level: int
     pool: list  # (color, free vertex) options at x, sorted
 
 
-@dataclass
-class FreeFree:
-    edge: Edge
-
-
-@dataclass
-class HitsY:
-    edge: Edge
-    origin: ClassifiedEdge
-
-
-@dataclass
-class TwoSided:
-    origin: ClassifiedEdge
-    into_x: Edge
-    into_y: Edge
+# A violation is (kind, origin, added): kind is "FreeFree", "TwoSided" or
+# "HitsY", origin the ClassifiedEdge the exchange deletes (None for
+# FreeFree), and added the tuple of edges it adds.
 
 
 @dataclass
@@ -94,7 +80,6 @@ class LayerState:
     free: list
     origins: dict = field(default_factory=dict)  # color -> ClassifiedEdge
     quiet_side: dict = field(default_factory=dict)  # y vertex -> ClassifiedEdge
-    violation: object = None
 
 
 def _greedy_order(g: ColoredGraph) -> list:
@@ -127,9 +112,9 @@ def _active_edges(g: ColoredGraph, vertex: int, free_set: set, blocked_colors: s
     return found
 
 
-def _classify_level(state: LayerState, level: int, current: list) -> tuple[list, list, list]:
+def _classify_level(state: LayerState, current: list) -> tuple[list, list, list]:
     """Split one level. Returns (survivors, classified records, two-sided
-    candidates found while designating)."""
+    violations found while designating)."""
     g = state.graph
     free_set = set(state.free)
     blocked = {e[2] for e in current}
@@ -159,13 +144,12 @@ def _classify_level(state: LayerState, level: int, current: list) -> tuple[list,
             pair = None
             x, pool = (e[0], ex) if ex else (e[1], ey)
         y = e[1] if x == e[0] else e[0]
-        record = ClassifiedEdge(edge=e, x=x, y=y, level=level, pool=pool)
+        record = ClassifiedEdge(edge=e, x=x, y=y, pool=pool)
         classified.append(record)
         if pair is not None:
             (c1, r1), (c2, r2) = pair
-            two_sided.append(
-                TwoSided(record, _normalize(x, r1, c1), _normalize(y, r2, c2))
-            )
+            added = (_normalize(x, r1, c1), _normalize(y, r2, c2))
+            two_sided.append(("TwoSided", record, added))
     return survivors, classified, two_sided
 
 
@@ -185,19 +169,21 @@ def _scan_candidates(state: LayerState, survivors: list, two_sided: list) -> lis
                 continue
             if w in free_set:
                 if w > v:
-                    free_free.append(FreeFree((v, w, c)))
+                    free_free.append(("FreeFree", None, ((v, w, c),)))
             elif w in state.quiet_side:
-                hits_y.append(HitsY(_normalize(v, w, c), state.quiet_side[w]))
+                hits_y.append(("HitsY", state.quiet_side[w], (_normalize(v, w, c),)))
     return free_free + two_sided + hits_y
 
 
-def _attempt_exchange(state: LayerState, violation) -> list | None:
+def _attempt_exchange(state: LayerState, violation: tuple) -> list | None:
     """Realize a violation as a +1 exchange, or report None.
 
-    Every addition whose color sits on the current matching obliges us
-    to delete that color's classified origin edge and repair it with a
-    pooled edge; repair colors come from strictly earlier levels, so
-    the obligation stack drains.
+    The origin edge goes, the added edges come in, and a HitsY also
+    repairs its origin from its pool. Every addition whose color sits
+    on the current matching obliges us to delete that color's
+    classified origin edge and repair it with a pooled edge; repair
+    colors come from strictly earlier levels, so the obligation stack
+    drains.
     """
     g = state.graph
     m = state.matching
@@ -223,19 +209,13 @@ def _attempt_exchange(state: LayerState, violation) -> list | None:
             return True
         return False
 
-    if isinstance(violation, FreeFree):
-        push(violation.edge)
-    elif isinstance(violation, TwoSided):
-        deletions.add(violation.origin.edge)
-        push(violation.into_x)
-        push(violation.into_y)
-    elif isinstance(violation, HitsY):
-        deletions.add(violation.origin.edge)
-        push(violation.edge)
-        if not repair(violation.origin):
-            return None
-    else:
-        raise InternalInvariantBroken(f"unknown violation {violation!r}")
+    kind, origin, added = violation
+    if origin is not None:
+        deletions.add(origin.edge)
+    for edge in added:
+        push(edge)
+    if kind == "HitsY" and not repair(origin):
+        return None
 
     while pending:
         color = pending.pop()
@@ -288,19 +268,19 @@ def _check_level(state: LayerState, level: int, classified: list, survivors: lis
             )
 
 
-def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, list]:
+def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, tuple | None, list]:
     """Drive the level loop on a prepared state.
 
-    Realizes candidates as exchanges and returns the augmented matching
-    as soon as one validates, recording its candidate as
-    state.violation; returns None when no level yields one. The second
-    return value holds (level, |M_j|, |M_j'|) rows for tracing.
+    Realizes candidates as exchanges and returns (augmented matching,
+    the violation it realized, rows) as soon as one validates, or
+    (None, None, rows) when no level yields one. The rows are
+    (level, |M_j|, |M_j'|) for tracing.
     """
     delta = state.delta
     rows: list = []
     current = list(state.matching)
     for level in range(1, _level_count(delta) + 1):
-        survivors, classified, two_sided = _classify_level(state, level, current)
+        survivors, classified, two_sided = _classify_level(state, current)
         for record in classified:
             state.origins[record.edge[2]] = record
             state.quiet_side[record.y] = record
@@ -310,8 +290,7 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, list]:
             for candidate in candidates:
                 result = _attempt_exchange(state, candidate)
                 if result is not None:
-                    state.violation = candidate
-                    return result, rows
+                    return result, candidate, rows
             if _in_regime(len(state.matching), delta):
                 raise InternalInvariantBroken(
                     f"level {level}: no detected exchange could be realized"
@@ -319,7 +298,7 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, list]:
         if check:
             _check_level(state, level, classified, survivors)
         current = survivors
-    return None, rows
+    return None, None, rows
 
 
 def _fresh_state(g: ColoredGraph, matching: list, delta: int) -> LayerState:
@@ -351,7 +330,7 @@ def find_rainbow_matching_layered(
     while True:
         rounds += 1
         state = _fresh_state(g, matching, delta)
-        result, rows = _run_layers(state, check=check)
+        result, violation, rows = _run_layers(state, check=check)
         if trace is not None:
             trace(
                 {
@@ -361,7 +340,7 @@ def find_rainbow_matching_layered(
                         {"level": lv, "edges": ne, "classified": nc}
                         for lv, ne, nc in rows
                     ],
-                    "violation": type(state.violation).__name__ if state.violation else None,
+                    "violation": violation[0] if violation else None,
                 }
             )
         if result is None:

@@ -345,7 +345,8 @@ def build_short_cycle_free_transversal(
 
     check=True additionally verifies the layer counting laws on every
     expansion round and compares the carried search state with a fresh
-    one; stats (a dict) receives size/bound/round counts.
+    one. stats (a dict) receives initial, the greedy start's size, and
+    augmentations, the expansion rounds that grew it.
     """
     if k < 2:
         raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")
@@ -365,13 +366,7 @@ def build_short_cycle_free_transversal(
     if not ok:
         raise InternalInvariantBroken(f"final transversal invalid: {why}")
     if stats is not None:
-        stats.update(
-            k=k,
-            size=len(cells),
-            bound=bound,
-            initial=initial,
-            augmentations=augmentations,
-        )
+        stats.update(initial=initial, augmentations=augmentations)
     return tuple(sorted(cells))
 
 
@@ -476,29 +471,14 @@ def cycle_free_transversal(
     the smallest-row cell of each surviving (long) cycle, then adds a
     free cell, or trades one cell for two, while such a move keeps the
     result cycle-free. stats (a dict) receives the builder's counts plus
-    cycles_removed, short_cycle_free_size, exchanged (cells the moves
-    gained), size and corollary."""
-    n = square.order
-    k = default_cycle_bound(n)
-    inner: dict = {}
-    cells = build_short_cycle_free_transversal(square, k, check=check, stats=inner)
-    keep = set(cells)
-    removed = 0
-    for cycle in cycles_of(square, cells).cycles:
-        keep.discard(cycle[0])  # cycles lead with their smallest row
-        removed += 1
-    acyclic = sorted(keep)
-    result = _exchange_pass(square, acyclic)
+    cycles_removed."""
+    k = default_cycle_bound(square.order)
+    cells = build_short_cycle_free_transversal(square, k, check=check, stats=stats)
+    cycles = cycles_of(square, cells).cycles  # each leads with its smallest row
+    result = _exchange_pass(square, sorted(set(cells) - {cycle[0] for cycle in cycles}))
     ok, why = validate_transversal(square, result, forbid_cycles_up_to=math.inf)
     if not ok:
         raise InternalInvariantBroken(f"cycle-free transversal invalid: {why}")
     if stats is not None:
-        stats.update(inner)
-        stats.update(
-            cycles_removed=removed,
-            short_cycle_free_size=len(cells),
-            exchanged=len(result) - len(acyclic),
-            size=len(result),
-            corollary=corollary_bound(n),
-        )
+        stats["cycles_removed"] = len(cycles)
     return tuple(sorted(result))

@@ -16,9 +16,6 @@ from rainbowmatch import (
 )
 from rainbowmatch import layered
 from rainbowmatch.layered import (
-    FreeFree,
-    HitsY,
-    TwoSided,
     _extend_maximal,
     _fresh_state,
     _greedy_order,
@@ -87,21 +84,19 @@ def test_trace_records_rounds_and_sizes():
 
 
 def _layer_once(g, matching):
-    """One round of layering on a given matching: the state, whose
-    violation is the candidate realized, and the augmented matching."""
+    """One round of layering on a given matching: the violation
+    realized and the augmented matching."""
     state = _fresh_state(g, sorted(matching), min_degree(g))
-    augmented, _ = _run_layers(state, check=False)
-    return state, augmented
+    augmented, violation, _ = _run_layers(state, check=False)
+    return violation, augmented
 
 
 def test_detects_directly_addable_edge_as_free_free():
     # a non-maximal matching leaves a fresh-colored edge between two
     # free vertices; the scan must surface it and the exchange adds it
     g = build_graph(4, [(1, 2, 1), (3, 4, 2)])
-    state, augmented = _layer_once(g, [])
-    violation = state.violation
-    assert isinstance(violation, FreeFree)
-    assert violation.edge == (1, 2, 1)
+    violation, augmented = _layer_once(g, [])
+    assert violation == ("FreeFree", None, ((1, 2, 1),))
     assert sorted(augmented) == [(1, 2, 1)]
 
 
@@ -110,10 +105,10 @@ def test_detects_two_sided_exchange():
     # dropping it for one edge on each side gains a unit
     edges = [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (1, 6, 5), (2, 3, 6)]
     g = build_graph(6, edges)
-    state, augmented = _layer_once(g, [(1, 2, 1)])
-    violation = state.violation
-    assert isinstance(violation, TwoSided)
-    assert violation.origin.edge == (1, 2, 1)
+    violation, augmented = _layer_once(g, [(1, 2, 1)])
+    kind, origin, _ = violation
+    assert kind == "TwoSided"
+    assert origin.edge == (1, 2, 1)
     augmented = sorted(augmented)
     assert augmented == [(1, 4, 3), (2, 3, 6)]
     ok, why = validate_rainbow_matching(g, augmented)
@@ -128,11 +123,11 @@ def test_detects_hit_on_quiet_side_and_repairs_collisions():
              (3, 6, 3), (3, 7, 4), (3, 8, 5), (3, 9, 6),
              (1, 10, 8), (1, 11, 9), (1, 12, 10), (1, 13, 11)]
     g = build_graph(13, edges)
-    state, augmented = _layer_once(g, [(1, 2, 1), (3, 4, 2)])
-    violation = state.violation
-    assert isinstance(violation, HitsY)
-    assert violation.edge == (2, 5, 2)
-    assert violation.origin.edge == (1, 2, 1)
+    violation, augmented = _layer_once(g, [(1, 2, 1), (3, 4, 2)])
+    kind, origin, added = violation
+    assert kind == "HitsY"
+    assert added == ((2, 5, 2),)
+    assert origin.edge == (1, 2, 1)
     augmented = sorted(augmented)
     assert augmented == [(1, 10, 8), (2, 5, 2), (3, 6, 3)]
     ok, why = validate_rainbow_matching(g, augmented)
@@ -143,8 +138,8 @@ def test_detect_returns_none_when_no_exchange_exists():
     # every off-matching edge leans on vertex 1: the matching is maximum
     edges = [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4), (1, 6, 5)]
     g = build_graph(6, edges)
-    state, augmented = _layer_once(g, [(1, 2, 1)])
-    assert state.violation is None
+    violation, augmented = _layer_once(g, [(1, 2, 1)])
+    assert violation is None
     assert augmented is None
 
 
@@ -171,13 +166,13 @@ def test_hit_on_quiet_side_fails_when_the_origin_pool_is_spent(monkeypatch):
     g = build_graph(6, edges)
     tried, augmented = _attempts(monkeypatch, g, [(1, 2, 1), (5, 6, 4)])
     assert augmented is None
-    assert {violation.edge for violation, _ in tried} == {(2, 3, 3), (2, 4, 2)}
-    for violation, result in tried:
-        assert isinstance(violation, HitsY)
-        assert violation.origin.edge == (1, 2, 1)
+    assert {violation[2] for violation, _ in tried} == {((2, 3, 3),), ((2, 4, 2),)}
+    for (kind, origin, [edge]), result in tried:
+        assert kind == "HitsY"
+        assert origin.edge == (1, 2, 1)
         assert result is None
-        for c, r in violation.origin.pool:
-            assert c == violation.edge[2] or r in violation.edge[:2]
+        for c, r in origin.pool:
+            assert c == edge[2] or r in edge[:2]
 
 
 def test_reused_color_whose_origin_cannot_be_repaired(monkeypatch):
@@ -187,9 +182,9 @@ def test_reused_color_whose_origin_cannot_be_repaired(monkeypatch):
     g = build_graph(5, edges)
     tried, augmented = _attempts(monkeypatch, g, [(1, 5, 3)])
     (first, failed), (second, realized) = tried
-    assert isinstance(first, FreeFree) and first.edge == (3, 4, 3)
+    assert first == ("FreeFree", None, ((3, 4, 3),))
     assert failed is None
-    assert isinstance(second, TwoSided) and second.origin.edge == (1, 5, 3)
+    assert second[0] == "TwoSided" and second[1].edge == (1, 5, 3)
     assert realized == augmented == [(1, 4, 2), (2, 5, 1)]
 
 
@@ -202,10 +197,10 @@ def test_reused_color_of_an_origin_already_deleted(monkeypatch):
              (3, 10, 1), (3, 11, 3), (3, 12, 4), (3, 13, 5)]
     g = build_graph(13, edges)
     tried, augmented = _attempts(monkeypatch, g, [(1, 2, 1), (3, 4, 2)])
-    [(violation, realized)] = tried
-    assert isinstance(violation, HitsY)
-    assert violation.edge == (2, 5, 2)
-    assert violation.origin.edge == (1, 2, 1)
+    [((kind, origin, added), realized)] = tried
+    assert kind == "HitsY"
+    assert added == ((2, 5, 2),)
+    assert origin.edge == (1, 2, 1)
     assert realized == augmented == [(1, 6, 3), (2, 5, 2), (3, 10, 1)]
     ok, why = validate_rainbow_matching(g, augmented)
     assert ok, why

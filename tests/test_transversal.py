@@ -110,11 +110,8 @@ def test_stats_from_an_augmenting_run():
     sq = random_square(6, seed=4)
     stats = {}
     t = build_short_cycle_free_transversal(sq, 2, check=True, stats=stats)
-    assert stats["augmentations"] == 2
-    assert stats["initial"] == 4
-    assert stats["size"] == len(t) == 6
-    assert stats["bound"] == theorem_bound(6, 2)
-    assert stats["k"] == 2
+    assert stats == {"initial": 4, "augmentations": 2}
+    assert len(t) == 6 >= theorem_bound(6, 2)
 
 
 def test_expansion_layer_protocol():
@@ -304,14 +301,11 @@ def test_cycle_free_stats_shape():
     sq = cyclic_square(9)
     stats = {}
     t = cycle_free_transversal(sq, check=True, stats=stats)
-    assert stats["size"] == len(t)
-    assert stats["cycles_removed"] >= 0
-    assert stats["exchanged"] >= 0
-    assert (stats["short_cycle_free_size"] - stats["cycles_removed"]
-            + stats["exchanged"] == len(t))
-    assert stats["k"] == default_cycle_bound(9)
-    assert "corollary" in stats
-    assert stats["initial"] <= stats["short_cycle_free_size"]
+    assert set(stats) == {"initial", "augmentations", "cycles_removed"}
+    short = build_short_cycle_free_transversal(sq, default_cycle_bound(9))
+    assert stats["initial"] + stats["augmentations"] == len(short)
+    assert stats["cycles_removed"] == len(cycles_of(sq, list(short)).cycles)
+    assert len(short) - stats["cycles_removed"] <= len(t)
 
 
 def _growing_exchange(sq, cells):
