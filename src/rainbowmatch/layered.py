@@ -147,8 +147,8 @@ def _classify_level(state: LayerState, current: list) -> tuple[list, list, list]
         record = ClassifiedEdge(edge=e, x=x, y=y, pool=pool)
         classified.append(record)
         if pair is not None:
-            (c1, r1), (c2, r2) = pair
-            added = (_normalize(x, r1, c1), _normalize(y, r2, c2))
+            (c1, r1), (c2, r2) = pair  # from ex at e[0] and ey at e[1]
+            added = (_normalize(e[0], r1, c1), _normalize(e[1], r2, c2))
             two_sided.append(("TwoSided", record, added))
     return survivors, classified, two_sided
 

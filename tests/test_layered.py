@@ -206,6 +206,18 @@ def test_reused_color_of_an_origin_already_deleted(monkeypatch):
     assert ok, why
 
 
+def test_two_sided_exchange_when_the_second_endpoint_is_designated(monkeypatch):
+    # 3-5 sees one fresh color at 3 and three at 5, so 5 carries the
+    # pool; the exchange still adds the edge found at 3 and one at 5
+    edges = [(1, 5, 8), (2, 5, 7), (3, 4, 1), (3, 5, 6), (4, 5, 9)]
+    g = build_graph(5, edges)
+    tried, augmented = _attempts(monkeypatch, g, [(3, 5, 6)])
+    (kind, origin, added), realized = tried[0]
+    assert kind == "TwoSided" and origin.x == 5
+    assert added == ((3, 4, 1), (2, 5, 7))
+    assert realized == augmented == [(2, 5, 7), (3, 4, 1)]
+
+
 def test_extend_maximal_is_greedy_by_color():
     g = build_graph(6, [(5, 6, 3), (1, 2, 1), (3, 4, 1), (2, 3, 2)])
     base = _extend_maximal(_greedy_order(g), [])
