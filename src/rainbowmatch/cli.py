@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -345,23 +346,22 @@ _SUITE_ALIASES = {
 
 
 def parse_sizes(spec: str) -> list:
-    """"2..6" and "49,64,100" and mixes of both, ascending runs kept as given."""
-    sizes = []
+    """"2..6" and "49,64,100" and mixes of both, as one range per part
+    in the order given. The ranges stay lazy, so a huge one costs
+    nothing until its sizes run."""
+    parts = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
+        lo, sep, hi = part.partition("..")
         try:
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                sizes.extend(range(int(lo), int(hi) + 1))
-            else:
-                sizes.append(int(part))
+            parts.append(range(int(lo), int(hi if sep else lo) + 1))
         except ValueError:
             raise InfeasibleParameters(f"bad size {part!r} in {spec!r}") from None
-    if not sizes:
+    if not any(parts):
         raise InfeasibleParameters(f"no sizes in {spec!r}")
-    return sizes
+    return parts
 
 
 def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool) -> dict:
@@ -380,8 +380,8 @@ def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool
 
 def _cmd_sweep(args) -> int:
     suite = _SUITE_ALIASES[args.suite]
-    sizes = parse_sizes(args.sizes)
-    negative = next((size for size in sizes if size < 0), None)
+    parts = parse_sizes(args.sizes)
+    negative = next((part[0] for part in parts if part and part[0] < 0), None)
     if negative is not None:
         raise InfeasibleParameters(f"sweep sizes must be non-negative, got {negative}")
     if args.trials < 1:
@@ -400,7 +400,7 @@ def _cmd_sweep(args) -> int:
     try:
         writer.writeheader()
         out.flush()
-        for si, size in enumerate(sizes):
+        for si, size in enumerate(itertools.chain.from_iterable(parts)):
             for trial in range(args.trials):
                 seed = generators.split_seed(args.seed, si * args.trials + trial)
                 started = time.perf_counter()

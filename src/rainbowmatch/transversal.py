@@ -43,7 +43,12 @@ from .latin import (
 
 
 def theorem_bound(n: int, k: int) -> int:
-    """max(0, ceil(n - 6*n^((k-1)/k))) in exact integer arithmetic."""
+    """max(0, ceil(n - 6*n^((k-1)/k))) in exact integer arithmetic.
+
+    Once 2^k > n, 6^k > n puts 6*n^((k-1)/k) above n, so a huge k
+    gives 0 without the huge powers."""
+    if k >= n.bit_length():
+        return 0
     return max(0, n - int_kth_root(6**k * n ** (k - 1), k))
 
 
@@ -294,7 +299,9 @@ def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) 
     arcs (counting only paths of 2..k-1 arcs ending in an initial arc)."""
     narrow = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=True) for u in state.a_set}
     best = _least_forbidden(state, narrow, loops=False)[1]
-    if best * len(state.remaining) > state.k * layer ** (state.k - 1) * (n - t):
+    total = best * len(state.remaining)
+    # layer >= 2 and n > t, so once k-1 reaches total's bit length the law holds
+    if state.k - 1 < total.bit_length() and total > state.k * layer ** (state.k - 1) * (n - t):
         raise InternalInvariantBroken(
             f"layer {layer}: every unspent symbol has too many forbidden arcs"
             f" (best {best} of {len(state.remaining)} symbols)"
@@ -303,7 +310,8 @@ def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) 
 
 def _check_growth_law(state: TransversalSearchState, layer: int, n: int, t: int, grew: int) -> None:
     """Early layers must mint at least (n-t)/2 new B vertices."""
-    if 4 * state.k * layer ** (state.k - 1) <= n - t:
+    # layer >= 2, so once k-1 reaches the bit length of n-t no layer is early
+    if state.k - 1 < (n - t).bit_length() and 4 * state.k * layer ** (state.k - 1) <= n - t:
         if 2 * grew < n - t:
             raise InternalInvariantBroken(
                 f"layer {layer}: minted only {grew} vertices, expected at least (n-t)/2"

@@ -3,7 +3,9 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from rainbowmatch import (
     random_square,
     serialize_latin,
 )
+from rainbowmatch import cli
 from rainbowmatch.cli import main, parse_sizes
 
 
@@ -27,9 +30,12 @@ def run(capsys, *argv):
 
 
 def test_parse_sizes_forms():
-    assert parse_sizes("2..6") == [2, 3, 4, 5, 6]
-    assert parse_sizes("49,64,100") == [49, 64, 100]
-    assert parse_sizes("1..3,10") == [1, 2, 3, 10]
+    def sizes(spec):
+        return list(itertools.chain.from_iterable(parse_sizes(spec)))
+
+    assert sizes("2..6") == [2, 3, 4, 5, 6]
+    assert sizes("49,64,100") == [49, 64, 100]
+    assert sizes("1..3,10") == [1, 2, 3, 10]
 
 
 def test_gen_graph_then_solve_then_verify(tmp_path, capsys):
@@ -318,6 +324,44 @@ def test_transversal_with_a_large_cycle_bound(tmp_path, capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["bound"] == 0
+
+
+def test_transversal_with_a_huge_cycle_bound(tmp_path, capsys):
+    # 6**k * n**(k-1) once took seconds to build for k = 10**6
+    inst = tmp_path / "sq.txt"
+    run(capsys, "gen", "--kind", "cyclic", "--n", "5", "--out", str(inst))
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "transversal", "--input", str(inst), "--k", "1000000",
+                       "--check", "--format", "json")
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert json.loads(out)["bound"] == 0
+
+
+def test_sweep_huge_size_range_is_lazy(monkeypatch, capsys):
+    huge = str(10**30)
+    code, out, err = run(capsys, "sweep", "--suite", "delta", f"--sizes=-1..{huge}",
+                         "--trials", "1")
+    assert code == 2
+    assert "got -1" in err
+    assert out == ""
+    calls = []
+    sweep_row = cli._sweep_row
+
+    def interrupted_on_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return sweep_row(*args)
+
+    monkeypatch.setattr(cli, "_sweep_row", interrupted_on_third)
+    code, out, err = run(capsys, "sweep", "--suite", "delta", "--sizes", f"0..{huge}",
+                         "--trials", "1")
+    assert code == 130
+    assert "interrupted" in err
+    header, *rows = out.splitlines()
+    assert header.startswith("instance,")
+    assert [row.split(",")[0] for row in rows] == ["delta-0-0", "delta-1-0"]
 
 
 def test_sweep_non_positive_trials_exit_code(tmp_path, capsys):

@@ -24,6 +24,7 @@ from rainbowmatch import (
     witness_square_4,
 )
 from rainbowmatch import transversal as tv
+from rainbowmatch.arith import int_kth_root
 
 
 def test_theorem_bound_values():
@@ -33,6 +34,13 @@ def test_theorem_bound_values():
     assert theorem_bound(36, 2) == 0
     assert theorem_bound(216, 3) == 0
     assert theorem_bound(1, 2) == 0
+
+
+def test_theorem_bound_matches_the_integer_formula():
+    # the shortcut for a huge k must not change any value
+    for n in range(301):
+        for k in range(2, 13):
+            assert theorem_bound(n, k) == max(0, n - int_kth_root(6**k * n ** (k - 1), k))
 
 
 def test_theorem_bound_is_monotone_in_order():
