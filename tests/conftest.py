@@ -1,10 +1,6 @@
 """Shared reporting: one visible line per acceptance criterion."""
 
-ACCEPTANCE_RESULTS: dict = {}
-
-
-def record_criterion(number: int, passed: bool, detail: str = "") -> None:
-    ACCEPTANCE_RESULTS[number] = (passed, detail)
+from acceptance_report import ACCEPTANCE_RESULTS
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

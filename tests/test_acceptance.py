@@ -1,14 +1,15 @@
 """Acceptance gate: the package's contract, one test per criterion.
 
-Each test prints a single pass/fail line through the terminal-summary
-hook in conftest.py, independent of pytest's own verdict lines.
+Each test records a single pass/fail line in acceptance_report.py,
+which the terminal-summary hook in conftest.py prints, independent of
+pytest's own verdict lines.
 """
 
 import contextlib
 import math
 import time
 
-from conftest import record_criterion
+from acceptance_report import record_criterion
 
 from rainbowmatch import (
     OracleBudget,
