@@ -144,8 +144,7 @@ def _run_cyclefree(sq, k, check, events):
     stats: dict = {}
     events.append(stats)
     t = cycle_free_transversal(sq, check=check, stats=stats)
-    n = sq.order
-    return t, default_cycle_bound(n), corollary_bound(n), stats["augmentations"]
+    return t, default_cycle_bound(sq.order), corollary_bound(sq.order), stats["augmentations"]
 
 
 def _delta_instance(size: int, seed: int):
