@@ -7,6 +7,7 @@ import pytest
 
 from rainbowmatch import (
     InfeasibleParameters,
+    build_graph,
     build_square,
     cyclic_square,
     k4_factorization_pair,
@@ -16,7 +17,7 @@ from rainbowmatch import (
     split_seed,
     witness_square_4,
 )
-from rainbowmatch.generators import _below
+from rainbowmatch.generators import _below, _shuffled
 
 
 def test_split_seed_is_deterministic_and_spread():
@@ -121,3 +122,92 @@ def test_below_matches_randrange_draw_for_draw():
             drawn = [_below(ours.getrandbits, m) for _ in range(200)]
             assert drawn == [theirs.randrange(m) for _ in range(200)], (m, seed)
             assert ours.getstate() == theirs.getstate(), (m, seed)
+
+
+def _reference_proper_graph(n, target, seed, fallbacks):
+    """The set-based generator that random_proper_graph must match edge for
+    edge: a Fisher-Yates on _below, a used-color set per vertex and a scan
+    for the smallest color free at both ends. Appends to fallbacks each
+    vertex that the pairing rounds left short of target."""
+    getrandbits = random.Random(seed).getrandbits
+
+    def shuffled(items):
+        out = list(items)
+        for i in range(len(out) - 1, 0, -1):
+            j = _below(getrandbits, i + 1)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    adj = {v: set() for v in range(1, n + 1)}
+    deficient = {v for v in adj if target > 0}
+    edges = []
+
+    def add(u, v):
+        adj[u].add(v)
+        adj[v].add(u)
+        edges.append((u, v) if u < v else (v, u))
+        for x in (u, v):
+            if len(adj[x]) >= target:
+                deficient.discard(x)
+
+    for _ in range(8 * (target + 1) + 32):
+        if not deficient:
+            break
+        order = shuffled(list(range(1, n + 1)))
+        for i in range(0, n - 1, 2):
+            u, v = order[i], order[i + 1]
+            if v in adj[u]:
+                continue
+            if u not in deficient and v not in deficient:
+                continue
+            add(u, v)
+            if not deficient:
+                break
+    while deficient:
+        v = min(deficient)
+        fallbacks.append(v)
+        candidates = [w for w in range(1, n + 1) if w != v and w not in adj[v]]
+        pick = min((w for w in candidates if w in deficient), default=None)
+        if pick is None:
+            pick = candidates[0]
+        add(v, pick)
+
+    colored = []
+    used = {v: set() for v in range(1, n + 1)}
+    for u, v in shuffled(sorted(edges)):
+        c = 1
+        while c in used[u] or c in used[v]:
+            c += 1
+        used[u].add(c)
+        used[v].add(c)
+        colored.append((u, v, c))
+    return build_graph(n, colored)
+
+
+def test_random_proper_graph_matches_set_based_reference():
+    # the matching workload's shapes (4d - 3 + spread vertices, degree d),
+    # degree 0, complete graphs (n - 1; these seeds leave vertices short
+    # after the pairing rounds), two vertices and odd orders
+    shapes = [(4 * d - 3 + spread, d) for d in (30, 60, 90) for spread in (0, 13)]
+    shapes += [(10, 0), (9, 0), (40, 39), (71, 70), (2, 0), (2, 1), (7, 3), (41, 10)]
+    seeds = {(40, 39): (9, 20, 1), (71, 70): (0, 2, 7)}
+    fallbacks = []
+    for n, target in shapes:
+        for seed in seeds.get((n, target), (0, 7, 101)):
+            expected = _reference_proper_graph(n, target, seed, fallbacks)
+            assert random_proper_graph(n, target, seed) == expected, (n, target, seed)
+    assert len(fallbacks) >= 5
+
+
+def test_shuffled_matches_fisher_yates_on_below():
+    for size in (0, 1, 2, 3, 17, 100, 357):
+        for seed in (0, 1, 11):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            items = list(range(size))
+            expected = list(items)
+            for i in range(size - 1, 0, -1):
+                j = _below(theirs.getrandbits, i + 1)
+                expected[i], expected[j] = expected[j], expected[i]
+            assert _shuffled(ours.getrandbits, items) == expected, (size, seed)
+            assert items == list(range(size))
+            assert ours.getstate() == theirs.getstate(), (size, seed)
