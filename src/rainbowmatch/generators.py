@@ -2,8 +2,12 @@
 
 Every generator is deterministic in its seed. Each draw from range(m)
 follows _below, the rule CPython's Random.randrange(m) uses, applied to
-getrandbits directly: that halves the cost of the square walk, and the
-outputs depend only on the Mersenne Twister's getrandbits stream.
+getrandbits directly, so the outputs depend only on the Mersenne
+Twister's getrandbits stream. The hot loops (the square walk and the
+Fisher-Yates of _shuffled) write the rule out inline rather than call
+_below, which halves their cost; tests pin _below to randrange and
+_shuffled to a loop on _below. random_proper_graph colors with one
+bitmask of used colors per vertex.
 """
 
 from __future__ import annotations
@@ -35,11 +39,15 @@ def _below(getrandbits, m: int) -> int:
     return r
 
 
-def _shuffled(getrandbits, items: list) -> list:
-    """Fisher-Yates with _below; random.shuffle is not pinned across versions."""
+def _shuffled(getrandbits, items) -> list:
+    """Fisher-Yates, each draw _below(getrandbits, i + 1) inlined;
+    random.shuffle is not pinned across versions."""
     out = list(items)
     for i in range(len(out) - 1, 0, -1):
-        j = _below(getrandbits, i + 1)
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -176,55 +184,55 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
 
     Overlays random pairings one edge at a time and stops the moment no
     vertex is short of target, so the minimum cannot overshoot. Edges
-    then receive the smallest color free at both endpoints, in a
-    shuffled order.
+    then receive, in a shuffled order of the sorted edge list, the
+    smallest color free at both endpoints: bit c - 1 of busy[v] is set
+    once v has color c, so that color is the lowest clear bit of
+    busy[u] | busy[v]. Every shuffle is _shuffled, whose draws are
+    _below written out inline. The colored edges go to ColoredGraph
+    already sorted, and it checks each one as usual.
     """
     if n < 2:
         raise InfeasibleParameters(f"need at least 2 vertices, got {n}")
     if target < 0 or target >= n:
         raise InfeasibleParameters(f"degree {target} impossible on {n} vertices")
     getrandbits = random.Random(seed).getrandbits
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    deficient = {v for v in adj if target > 0}
+    adj = [set() for _ in range(n + 1)]
+    # need[v] = target - degree; a vertex is short while need[v] > 0
+    need = [target] * (n + 1)
+    short = n if target > 0 else 0
     edges: list[tuple[int, int]] = []
-
-    def add(u: int, v: int) -> None:
-        adj[u].add(v)
-        adj[v].add(u)
-        edges.append((u, v) if u < v else (v, u))
-        for x in (u, v):
-            if len(adj[x]) >= target:
-                deficient.discard(x)
-
     rounds = 8 * (target + 1) + 32
-    for _ in range(rounds):
-        if not deficient:
-            break
-        order = _shuffled(getrandbits, list(range(1, n + 1)))
-        for i in range(0, n - 1, 2):
-            u, v = order[i], order[i + 1]
-            if v in adj[u]:
+    while short:
+        if rounds:
+            rounds -= 1
+            order = iter(_shuffled(getrandbits, range(1, n + 1)))
+            batch = zip(order, order)
+        else:
+            # join the smallest short vertex to its smallest short
+            # non-neighbor, else to its smallest non-neighbor
+            v = next(w for w in range(1, n + 1) if need[w] > 0)
+            candidates = [w for w in range(1, n + 1) if w != v and w not in adj[v]]
+            batch = ((v, next((w for w in candidates if need[w] > 0), candidates[0])),)
+        for u, v in batch:
+            if v in adj[u] or (need[u] <= 0 and need[v] <= 0):
                 continue
-            if u not in deficient and v not in deficient:
-                continue
-            add(u, v)
-            if not deficient:
+            adj[u].add(v)
+            adj[v].add(u)
+            edges.append((u, v) if u < v else (v, u))
+            need[u] -= 1
+            need[v] -= 1
+            short -= (need[u] == 0) + (need[v] == 0)
+            if not short:
                 break
-    while deficient:
-        v = min(deficient)
-        candidates = [w for w in range(1, n + 1) if w != v and w not in adj[v]]
-        pick = min((w for w in candidates if w in deficient), default=None)
-        if pick is None:
-            pick = candidates[0]
-        add(v, pick)
 
-    colored: list[tuple[int, int, int]] = []
-    used: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v in _shuffled(getrandbits, sorted(edges)):
-        c = 1
-        while c in used[u] or c in used[v]:
-            c += 1
-        used[u].add(c)
-        used[v].add(c)
-        colored.append((u, v, c))
-    return build_graph(n, colored)
+    pairs = sorted(edges)
+    colors = [0] * len(pairs)
+    busy = [0] * (n + 1)
+    for i in _shuffled(getrandbits, range(len(pairs))):
+        u, v = pairs[i]
+        b = busy[u] | busy[v]
+        free = ~b & (b + 1)
+        busy[u] |= free
+        busy[v] |= free
+        colors[i] = free.bit_length()
+    return build_graph(n, [(u, v, c) for (u, v), c in zip(pairs, colors)])

@@ -79,7 +79,7 @@ class ColoredGraph:
             except TypeError:
                 raise BadShape(f"edges must be an iterable of (u, v, color), got {given!r}") from None
         try:
-            edges = tuple(sorted(_normalize(u, v, c) for u, v, c in given))
+            edges = tuple(sorted([(u, v, c) if u <= v else (v, u, c) for u, v, c in given]))
             adj = _adjacency(self.vertex_count, edges)
         except (RainbowError, TypeError, ValueError):
             # indexing the sorted edges inserts each vertex's neighbors in

@@ -133,7 +133,8 @@ def to_bipartite_factorization(square: LatinSquare) -> ColoredGraph:
     colored by the symbol in cell (r, c). Symbols are a proper coloring
     because each appears once per row and once per column."""
     n = square.order
-    edges = [(r, n + c, square.entry(r, c)) for r in range(1, n + 1) for c in range(1, n + 1)]
+    edges = [(r, n + c, s) for r, row in enumerate(square.rows, start=1)
+             for c, s in enumerate(row, start=1)]
     return build_graph(2 * n, edges)
 
 

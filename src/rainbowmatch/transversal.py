@@ -160,18 +160,6 @@ def _collect_reach(arcs_out: dict, u: int, limit: int, narrow: bool) -> set:
     return found
 
 
-def forbidden_edges(state: TransversalSearchState, color: int) -> set:
-    """The forbidden color-colored arcs into the current A-front: arc
-    v -> u could close a cycle of length ≤ k when it is a loop or some
-    rainbow path u ~> v of ≤ k-1 arcs already exists."""
-    out = set()
-    for u in state.a_set:
-        v = state.square.row_of(u, color)
-        if v == u or v in _collect_reach(state.arcs_out, u, state.k - 1, narrow=False):
-            out.add((v, u))
-    return out
-
-
 def _least_forbidden(state: TransversalSearchState, reach: dict, loops: bool) -> tuple:
     """(color, count) for the unspent symbol with the fewest forbidden
     arcs into the A-front, ties to the smallest. Arc v -> u is forbidden

@@ -27,6 +27,18 @@ from rainbowmatch import transversal as tv
 from rainbowmatch.arith import int_kth_root
 
 
+def forbidden_edges(state, color):
+    """The forbidden color-colored arcs into the current A-front: arc
+    v -> u could close a cycle of length ≤ k when it is a loop or some
+    rainbow path u ~> v of ≤ k-1 arcs already exists."""
+    out = set()
+    for u in state.a_set:
+        v = state.square.row_of(u, color)
+        if v == u or v in tv._collect_reach(state.arcs_out, u, state.k - 1, narrow=False):
+            out.add((v, u))
+    return out
+
+
 def test_theorem_bound_values():
     assert theorem_bound(49, 2) == 7
     assert theorem_bound(64, 2) == 16
@@ -134,7 +146,7 @@ def test_expansion_layer_protocol():
     assert sorted(state.b_first) == [2, 4]
     assert sorted(state.remaining) == [3, 4]
     assert tv.choose_color(state)[0] == 3
-    assert tv.forbidden_edges(state, 4) == {(2, 3), (4, 1)}
+    assert forbidden_edges(state, 4) == {(2, 3), (4, 1)}
 
     grew = []
     for color in (3, 4):
@@ -223,7 +235,7 @@ def test_color_counts_match_the_per_arc_definition(monkeypatch):
             for state, layer in _search_states(sq, k):
                 # smallest unspent color with the fewest forbidden arcs
                 wide = min(state.remaining,
-                           key=lambda c: (len(tv.forbidden_edges(state, c)), c))
+                           key=lambda c: (len(forbidden_edges(state, c)), c))
                 assert tv.choose_color(state)[0] == wide
                 heads = {u: tv._collect_reach(state.arcs_out, u, k - 1, narrow=True)
                          for u in state.a_set}
