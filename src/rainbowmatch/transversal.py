@@ -22,8 +22,12 @@ One search state is carried from round to round. An augmentation
 rewrites only the rows on its chain and resets what the round added
 (the minted B vertices and their arcs, the parent records, the layer
 colors it did not keep), so the next round starts where a fresh start
-from the bigger transversal would, without an O(order) rebuild.
-check=True compares the carried state with a fresh one every round.
+from the bigger transversal would, without an O(order) rebuild. Each
+augmentation checks only the rows it rewrote against the carried used
+columns and symbols, and for cycles of length ≤ k through them; the
+whole result is validated once, at the end. check=True also validates
+the whole transversal and compares the carried state with a fresh one
+every round.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ class TransversalSearchState:
     k: int
     cells: list
     out_map: dict  # row -> (col, symbol) of the current transversal
+    used_cols: set  # columns of the current transversal
+    used_syms: set  # symbols of the current transversal
     a_first: frozenset  # unused columns: path beginnings
     b_first: frozenset  # unused rows: path ends
     a_set: set
@@ -121,6 +127,8 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
         k=k,
         cells=list(cells),
         out_map=out_map,
+        used_cols=used_cols,
+        used_syms=used_syms,
         a_first=a_first,
         b_first=b_first,
         a_set=set(a_first),
@@ -134,29 +142,35 @@ def _collect_reach(arcs_out: dict, u: int, limit: int, narrow: bool) -> set:
     """Heads of rainbow vertex-simple paths out of u with ≤ limit arcs.
 
     narrow=True keeps only heads at distance ≥ 2 whose final arc
-    belongs to the initial transversal."""
+    belongs to the initial transversal. Depth-first with one iterator
+    per arc of the current path, so no path length meets the recursion
+    limit."""
     found: set = set()
     if limit <= 0:
         return found
     on_path = {u}
     used_colors: set = set()
-
-    def walk(vertex: int, depth: int) -> None:
-        for head, color, initial in arcs_out.get(vertex, ()):
+    path: list = []  # (head, color) of each arc on the current path
+    stack = [iter(arcs_out.get(u, ()))]
+    while stack:
+        for head, color, initial in stack[-1]:
             if head in on_path or color in used_colors:
                 continue
-            if not narrow:
+            depth = len(stack)  # arcs from u to head
+            if not narrow or (initial and depth >= 2):
                 found.add(head)
-            elif depth + 1 >= 2 and initial:
-                found.add(head)
-            if depth + 1 < limit:
+            if depth < limit:
                 on_path.add(head)
                 used_colors.add(color)
-                walk(head, depth + 1)
+                path.append((head, color))
+                stack.append(iter(arcs_out.get(head, ())))
+                break
+        else:
+            stack.pop()
+            if path:
+                head, color = path.pop()
                 on_path.discard(head)
                 used_colors.discard(color)
-
-    walk(u, 0)
     return found
 
 
@@ -211,6 +225,41 @@ def expand_layer(state: TransversalSearchState, color: int, reach: dict):
     return None
 
 
+def _rewrite_fault(state: TransversalSearchState, rewritten: dict, old: dict) -> str | None:
+    """The first violation that rewriting some rows brought into the
+    transversal, or None.
+
+    rewritten maps each rewritten row to its new (col, symbol), already
+    in out_map; old maps each row that had a cell to its previous one.
+    The cells were a valid transversal before, so a new clash or short
+    cycle involves a rewritten row: each must hold its square entry,
+    take a column and a symbol that no other cell uses, and close no
+    cycle within k arcs. Costs O(k) per rewritten row."""
+    grid = state.square.rows
+    freed_cols = {c for c, _ in old.values()}
+    freed_syms = {s for _, s in old.values()}
+    taken_cols: set = set()
+    taken_syms: set = set()
+    for r, (c, s) in rewritten.items():
+        if c in taken_cols or (c in state.used_cols and c not in freed_cols):
+            return f"column {c} used twice"
+        if grid[r - 1][c - 1] != s:
+            return f"cell ({r},{c}) holds {grid[r - 1][c - 1]}, not {s}"
+        if s in taken_syms or (s in state.used_syms and s not in freed_syms):
+            return f"symbol {s} used twice"
+        taken_cols.add(c)
+        taken_syms.add(s)
+    out_map = state.out_map
+    for r, (c, _) in rewritten.items():
+        cur, length = c, 1
+        while cur != r and cur in out_map and length <= state.k:
+            cur = out_map[cur][0]
+            length += 1
+        if cur == r and length <= state.k:
+            return f"cycle of length {length} through row {r}"
+    return None
+
+
 def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -> None:
     """Reroute along parent records, add the augmenting arc, and carry
     the state into the next round.
@@ -219,17 +268,17 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     its incoming transversal arc over to the layer arc that minted the
     B vertex behind it; the chain bottoms out at an unused column,
     where the augmenting arc finally lands. Only the chain's rows are
-    rewritten, in place in the sorted cell list, and the whole result
-    is revalidated. The state then describes the bigger transversal as
-    a fresh start would: the chain's end column leaves the path
-    beginnings and the augmenting tail the path ends, every minted B
-    vertex is back to its one transversal arc, the round's layer colors
-    not used on the chain are unspent again and the chain's old symbols
-    join them. Apart from the revalidation, this costs O(hops + front),
-    not O(order)."""
+    rewritten, in place in the sorted cell list, and only they and the
+    augmenting arc are checked (_rewrite_fault). The state then
+    describes the bigger transversal as a fresh start would: the
+    chain's end column leaves the path beginnings and the augmenting
+    tail the path ends, every minted B vertex is back to its one
+    transversal arc, the round's layer colors not used on the chain
+    are unspent again and the chain's old symbols join them. All this
+    costs O(k * hops + front + unspent symbols), not O(order)."""
     v, target = edge  # (tail v in B1, head in the A-front)
     out_map = state.out_map
-    moved: dict = {}  # chain row -> its new (col, symbol)
+    moved: dict = {}  # chain row, then the augmenting tail -> its new (col, symbol)
     u = target
     hops = 0
     while u not in state.a_first:
@@ -244,19 +293,22 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     if v in out_map:
         raise InternalInvariantBroken(f"augmenting tail {v} already has an arc")
     cells = state.cells
-    freed = []
+    old = {}
     for b, (c, s) in moved.items():
-        freed.append(out_map[b][1])
+        old[b] = out_map[b]
         out_map[b] = (c, s)
         cells[bisect_left(cells, (b,))] = (b, c, s)
-    out_map[v] = (target, color)
+    out_map[v] = moved[v] = (target, color)
     insort(cells, (v, target, color))
-    ok, why = validate_transversal(state.square, cells, forbid_cycles_up_to=state.k)
-    if not ok:
+    why = _rewrite_fault(state, moved, old)
+    if why is not None:
         raise InternalInvariantBroken(f"augmented transversal invalid: {why}")
 
+    freed = [s for _, s in old.values()]
     used = {s for _, s in moved.values()}
-    used.add(color)
+    state.used_cols.add(u)
+    state.used_syms.difference_update(freed)
+    state.used_syms.update(used)
     state.remaining = sorted(state.remaining + freed + [s for s in state.spent if s not in used])
     state.a_first = state.a_first - {u}
     state.b_first = state.b_first - {v}
@@ -327,6 +379,10 @@ def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
         edge = expand_layer(state, color, reach)
         if edge is not None:
             apply_augmentation(state, edge, color)
+            if check:
+                ok, why = validate_transversal(state.square, state.cells, forbid_cycles_up_to=state.k)
+                if not ok:
+                    raise InternalInvariantBroken(f"augmented transversal invalid: {why}")
             return True
         if check:
             _check_growth_law(state, layer, n, t, len(state.b_set) - before)

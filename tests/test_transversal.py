@@ -3,7 +3,8 @@
 import hashlib
 import itertools
 import math
-from bisect import insort
+import random
+from bisect import bisect_left, insort
 
 import pytest
 
@@ -280,10 +281,20 @@ def _keep_a_used_column(state, before):
     state.a_first = before["a_first"]
 
 
+def _drop_a_used_column(state, before):
+    state.used_cols.discard(state.cells[0][1])
+
+
+def _drop_a_used_symbol(state, before):
+    state.used_syms.discard(state.cells[0][2])
+
+
 @pytest.mark.parametrize("corrupt, field_name", [
     (_put_back_a_spent_symbol, "remaining"),
     (_keep_a_minted_arc, "arcs_out"),
     (_keep_a_used_column, "a_first"),
+    (_drop_a_used_column, "used_cols"),
+    (_drop_a_used_symbol, "used_syms"),
 ])
 def test_check_catches_a_stale_carried_state(monkeypatch, corrupt, field_name):
     sq = _reversed_cyclic(16)
@@ -291,6 +302,191 @@ def test_check_catches_a_stale_carried_state(monkeypatch, corrupt, field_name):
     _stale_after_first_augmentation(monkeypatch, corrupt)
     with pytest.raises(InternalInvariantBroken, match=f"stale: {field_name} differs"):
         build_short_cycle_free_transversal(sq, 2, check=True)
+
+
+def _recursive_reach(arcs_out, u, limit, narrow):
+    """_collect_reach as the recursive walk it once was, kept as a
+    reference for the iterative one."""
+    found = set()
+    if limit <= 0:
+        return found
+    on_path = {u}
+    used_colors = set()
+
+    def walk(vertex, depth):
+        for head, color, initial in arcs_out.get(vertex, ()):
+            if head in on_path or color in used_colors:
+                continue
+            if not narrow:
+                found.add(head)
+            elif depth + 1 >= 2 and initial:
+                found.add(head)
+            if depth + 1 < limit:
+                on_path.add(head)
+                used_colors.add(color)
+                walk(head, depth + 1)
+                on_path.discard(head)
+                used_colors.discard(color)
+
+    walk(u, 0)
+    return found
+
+
+def test_collect_reach_matches_the_recursive_walk():
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        # few colors, so rainbow paths get cut; loops and repeats allowed
+        arcs_out = {v: [(rng.randint(1, n), rng.randint(1, 4), rng.random() < 0.5)
+                        for _ in range(rng.randint(0, 3))]
+                    for v in range(1, n + 1) if rng.random() < 0.9}
+        for u in range(1, n + 1):
+            for limit in range(7):
+                for narrow in (False, True):
+                    got = tv._collect_reach(arcs_out, u, limit, narrow)
+                    assert got == _recursive_reach(arcs_out, u, limit, narrow)
+                    checked += bool(got)
+    assert checked > 1000
+
+
+def test_collect_reach_walks_paths_past_the_recursion_limit():
+    # one 3,000-arc path 0 -> 1 -> ... -> 3000 in distinct colors
+    arcs_out = {v: [(v + 1, v, True)] for v in range(3000)}
+    assert tv._collect_reach(arcs_out, 0, 2999, narrow=False) == set(range(1, 3000))
+    assert tv._collect_reach(arcs_out, 0, 2999, narrow=True) == set(range(2, 3000))
+
+
+def test_local_check_agrees_with_full_validation(monkeypatch):
+    # every augmentation of seeded builds, and every other column or
+    # symbol for each row it rewrites: the local check accepts exactly
+    # when the whole transversal validates
+    local = tv._rewrite_fault
+    kinds = {True: 0}
+
+    def agree(state, rewritten, old):
+        sq = state.square
+        why = local(state, rewritten, old)
+        assert why is None
+        assert validate_transversal(sq, state.cells, forbid_cycles_up_to=state.k)[0]
+        kinds[True] += 1
+        for r, cell in rewritten.items():
+            i = bisect_left(state.cells, (r,))
+            changes = [(c, sq.entry(r, c)) for c in range(1, sq.order + 1)]
+            changes += [(cell[0], s) for s in range(1, sq.order + 1)]
+            for change in changes:
+                state.out_map[r] = change
+                state.cells[i] = (r, *change)
+                ok, _ = validate_transversal(sq, state.cells, forbid_cycles_up_to=state.k)
+                fault = local(state, {**rewritten, r: change}, old)
+                assert (fault is None) == ok, (r, change, fault)
+                kind = True if ok else fault.split()[0]
+                kinds[kind] = kinds.get(kind, 0) + 1
+            state.out_map[r] = cell
+            state.cells[i] = (r, *cell)
+        return why
+
+    monkeypatch.setattr(tv, "_rewrite_fault", agree)
+    squares = [random_square(n, seed=split_seed(56, 10 * n + trial))
+               for n in range(4, 13) for trial in range(3)]
+    squares += [_reversed_cyclic(n) for n in (16, 24, 32, 40)]
+    for sq in squares:
+        for k in (2, 3):
+            assert build_short_cycle_free_transversal(sq, k) == (
+                build_short_cycle_free_transversal(sq, k, check=True))
+    assert set(kinds) == {True, "column", "cell", "symbol", "cycle"}
+    assert min(kinds.values()) > 20
+
+
+def _chain_rows(state, head):
+    """The chain rows an augmentation into head rewrites, deepest last."""
+    chain = []
+    while head not in state.a_first:
+        chain.append(state.a_parent[head])
+        head = state.b_parent[chain[-1]][0]
+    return chain
+
+
+def _onto_a_used_column(state, edge, color):
+    # the deepest chain row lands on a column a kept row holds, which a
+    # stale a_first passes off as a path beginning
+    chain = _chain_rows(state, edge[1])
+    if not chain:
+        return None
+    b = chain[-1]
+    x = min(c for r, (c, _) in state.out_map.items() if r not in chain)
+    state.b_parent[b] = (x, state.square.entry(b, x))
+    state.a_first = state.a_first | {x}
+    return edge, color
+
+
+def _reusing_a_symbol(state, edge, color):
+    # an augmenting arc between a path end and a path beginning whose
+    # symbol some cell already holds
+    for v in sorted(state.b_first):
+        for u in sorted(state.a_first):
+            s = state.square.entry(v, u)
+            if s in state.used_syms:
+                return (v, u), s
+    return None
+
+
+def _closing_a_cycle_of(length):
+    def inject(state, edge, color):
+        # an augmenting arc back from the end of a path of length - 1
+        # arcs to its beginning, in an unused symbol
+        for u in sorted(state.a_first):
+            path = [u]
+            while path[-1] in state.out_map:
+                path.append(state.out_map[path[-1]][0])
+            s = state.square.entry(path[-1], u)
+            if len(path) == length and s not in state.used_syms:
+                return (path[-1], u), s
+        return None
+    return inject
+
+
+@pytest.mark.parametrize("inject, sq, k, start, why", [
+    (_onto_a_used_column, _reversed_cyclic(16), 2, None, "column"),
+    (_reusing_a_symbol, _reversed_cyclic(16), 2, None, "symbol"),
+    # greedy leaves the path 4 -> 9 here, and entry(9, 4) is unused
+    (_closing_a_cycle_of(2), random_square(9, seed=9), 2, None, "cycle of length 2"),
+    # the path 1 -> 2 -> 3 in symbols 2 and 4, closed by 3 -> 1 in 3
+    (_closing_a_cycle_of(3), cyclic_square(9), 3, [(1, 2, 2), (2, 3, 4)], "cycle of length 3"),
+])
+def test_local_check_catches_injected_faults(monkeypatch, inject, sq, k, start, why):
+    if start is not None:
+        monkeypatch.setattr(tv, "_greedy_init", lambda square, k: start)
+    real = tv.apply_augmentation
+    faulty = []
+
+    def augment(state, edge, color):
+        if not faulty:
+            injected = inject(state, edge, color)
+            if injected is not None:
+                faulty.append(state)
+                edge, color = injected
+        real(state, edge, color)
+
+    monkeypatch.setattr(tv, "apply_augmentation", augment)
+    with pytest.raises(InternalInvariantBroken, match=f"augmented transversal invalid: {why}"):
+        build_short_cycle_free_transversal(sq, k, check=False)
+    assert not validate_transversal(sq, faulty[0].cells, forbid_cycles_up_to=k)[0]
+
+
+def test_unchecked_build_validates_only_its_result(monkeypatch):
+    calls = []
+    full = tv.validate_transversal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(tv, "validate_transversal", counted)
+    stats = {}
+    build_short_cycle_free_transversal(_reversed_cyclic(40), 3, stats=stats)
+    assert stats["augmentations"] > 5
+    assert len(calls) == 1
 
 
 def test_builders_output_is_pinned():
