@@ -34,7 +34,7 @@ from .errors import (
     SelfLoop,
 )
 from .delta import find_rainbow_matching_delta
-from .graphs import format_graph, min_degree, parse_graph, validate_rainbow_matching
+from .graphs import _content_lines, format_graph, min_degree, parse_graph, validate_rainbow_matching
 from .latin import (
     cycles_of,
     parse_latin,
@@ -286,10 +286,7 @@ def _cmd_transversal(args) -> int:
 def _parse_certificate(text: str) -> tuple[list, list]:
     edges = []
     cells = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in _content_lines(text):
         fields = line.split()
         if fields[0] not in ("edge", "cell") or len(fields) != 4:
             raise BadShape(f"unrecognized certificate line: {line!r}")
@@ -308,10 +305,7 @@ def _cmd_verify(args) -> int:
     edges, cells = _parse_certificate(_read_text(args.certificate))
     if edges and cells:
         raise BadShape("certificate mixes edge and cell lines")
-    first = next(
-        (l.strip() for l in instance.splitlines() if l.strip() and not l.strip().startswith("#")),
-        "",
-    )
+    _, first = next(_content_lines(instance), (0, ""))
     if first.startswith("graph"):
         if cells:
             raise BadShape("certificate holds cell lines but the instance is a graph")
@@ -414,11 +408,10 @@ def _cmd_sweep(args) -> int:
                 margins.append(row["achieved"] - row["bound"])
     except KeyboardInterrupt:
         print("interrupted; partial results flushed", file=sys.stderr)
+        return 130
+    finally:
         if out is not sys.stdout:
             out.close()
-        return 130
-    if out is not sys.stdout:
-        out.close()
     if margins:
         print(
             f"rows: {len(margins)} margin min: {min(margins)}"

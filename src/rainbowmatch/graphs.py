@@ -147,6 +147,15 @@ def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:
     return True, None
 
 
+def _content_lines(text: str):
+    """Yield (line number, stripped line) for each line of text that is
+    neither blank nor a '#' comment."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, line
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse the colored-graph text format.
 
@@ -159,10 +168,7 @@ def parse_graph(text: str) -> ColoredGraph:
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
     lines: list[int] = []  # the line number of each edge
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _content_lines(text):
         parts = line.split()
         if header is None:
             if len(parts) != 3 or parts[0] != "graph":

@@ -12,10 +12,9 @@ with r == c is a 1-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import BadShape, NotLatin
-from .graphs import ColoredGraph, build_graph
+from .graphs import ColoredGraph, _content_lines, build_graph
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,7 @@ def parse_latin(text: str) -> LatinSquare:
     """
     n: int | None = None
     rows: list[list[int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _content_lines(text):
         parts = line.split()
         if n is None:
             if len(parts) != 1:
@@ -141,41 +137,33 @@ def to_bipartite_factorization(square: LatinSquare) -> ColoredGraph:
 def cycles_of(square: LatinSquare, transversal) -> CycleDecomposition:
     """Split a partial transversal into successor cycles and open paths.
 
-    A cell (r, c, s) points at the cell whose row is c. Rows and columns
-    are distinct within a transversal, so every cell has in- and
-    out-degree at most one and the structure is a disjoint union of
-    simple paths and simple cycles; a cell with r == c is a 1-cycle.
-    Cycles are listed from their smallest row, paths from their start
-    row, each group in ascending order of that row.
+    A cell (r, c, s) points at the cell whose row is c; a cell with
+    r == c is a 1-cycle. Paths are walked from the rows no cell points
+    at, in ascending order, then cycles from their smallest row. Each
+    walk stops at a row already walked, so it ends on any cell list, and
+    the paths and cycles together hold each row's last listed cell
+    exactly once. The split means something only when rows and columns
+    are distinct: then the structure is a disjoint union of simple paths
+    and simple cycles.
     """
     by_row: dict[int, Cell] = {cell[0]: cell for cell in transversal}
-    pointed_at = {cell[1] for cell in by_row.values() if cell[1] in by_row}
+    pointed_at = {cell[1] for cell in by_row.values()}
+    ordered = sorted(by_row)
+    starts = [r for r in ordered if r not in pointed_at]
     visited: set[int] = set()
+    cycles: list[tuple[Cell, ...]] = []
     paths: list[tuple[Cell, ...]] = []
-    for r in sorted(by_row):
-        if r in pointed_at:
-            continue
+    for r in starts + ordered:
         walk: list[Cell] = []
         cur = r
-        while cur in by_row:
+        while cur in by_row and cur not in visited:
             cell = by_row[cur]
             walk.append(cell)
             visited.add(cur)
             cur = cell[1]
-        paths.append(tuple(walk))
-    cycles: list[tuple[Cell, ...]] = []
-    for r in sorted(by_row):
-        if r in visited:
-            continue
-        # first unvisited row of its cycle is the smallest, so it leads
-        walk = []
-        cur = r
-        while cur not in visited:
-            cell = by_row[cur]
-            walk.append(cell)
-            visited.add(cur)
-            cur = cell[1]
-        cycles.append(tuple(walk))
+        if walk:
+            # every row left after the path starts is pointed at
+            (cycles if r in pointed_at else paths).append(tuple(walk))
     return CycleDecomposition(tuple(cycles), tuple(paths))
 
 
@@ -188,29 +176,6 @@ def _closes_short_cycle(col_by_row: dict, r: int, c: int, k: float) -> bool:
         cur = col_by_row[cur]
         length += 1
     return cur == r and length <= k
-
-
-def _successors(square: LatinSquare, cells: list) -> dict | None:
-    """The cells' row -> column map, when every cell lies in the square
-    and holds its entry and rows, columns and symbols are all distinct;
-    else None. Whole-list passes only. An empty list, or a cell that is
-    not three integers, also gives None: it goes to the cell-by-cell
-    loop, which words the first violation."""
-    grid = square.rows
-    try:
-        rows = list(map(itemgetter(0), cells))
-        cols = list(map(itemgetter(1), cells))
-        succ = dict(zip(rows, cols))
-        # a row or column above the order makes the entry lookup raise
-        # IndexError; one below 1 would wrap around, so it is ruled out
-        fit = (
-            len(succ) == len(set(cols)) == len(set(map(itemgetter(2), cells))) == len(cells)
-            and min(rows) >= 1 and min(cols) >= 1
-            and all(grid[r - 1][c - 1] == s for r, c, s in cells)
-        )
-    except (LookupError, TypeError, ValueError):
-        return None
-    return succ if fit else None
 
 
 def validate_transversal(
@@ -227,44 +192,30 @@ def validate_transversal(
         cells = list(transversal)
     except TypeError:
         return False, f"transversal {transversal!r} is not iterable"
-    succ = _successors(square, cells)
-    if succ is None:
-        n = square.order
-        rows_seen: set[int] = set()
-        cols_seen: set[int] = set()
-        syms_seen: set[int] = set()
-        for cell in cells:
-            try:
-                r, c, s = cell
-                if not (1 <= r <= n and 1 <= c <= n):
-                    return False, f"cell ({r},{c}) outside the square"
-                if square.entry(r, c) != s:
-                    return False, f"cell ({r},{c}) holds {square.entry(r, c)}, not {s}"
-            except (TypeError, ValueError):
-                return False, f"cell {cell!r} is not three integers"
-            if r in rows_seen:
-                return False, f"row {r} used twice"
-            if c in cols_seen:
-                return False, f"column {c} used twice"
-            if s in syms_seen:
-                return False, f"symbol {s} used twice"
-            rows_seen.add(r)
-            cols_seen.add(c)
-            syms_seen.add(s)
-        succ = {r: c for r, c, _ in cells}
+    n = square.order
+    rows_seen: set[int] = set()
+    cols_seen: set[int] = set()
+    syms_seen: set[int] = set()
+    for cell in cells:
+        try:
+            r, c, s = cell
+            if not (1 <= r <= n and 1 <= c <= n):
+                return False, f"cell ({r},{c}) outside the square"
+            if square.entry(r, c) != s:
+                return False, f"cell ({r},{c}) holds {square.entry(r, c)}, not {s}"
+        except (TypeError, ValueError):
+            return False, f"cell {cell!r} is not three integers"
+        if r in rows_seen:
+            return False, f"row {r} used twice"
+        if c in cols_seen:
+            return False, f"column {c} used twice"
+        if s in syms_seen:
+            return False, f"symbol {s} used twice"
+        rows_seen.add(r)
+        cols_seen.add(c)
+        syms_seen.add(s)
     if forbid_cycles_up_to:
-        # columns are distinct, so no walk enters a cycle from outside it:
-        # the walk from a cycle's smallest row is the first to touch it
-        seen: set[int] = set()
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            seen.add(start)
-            cur, length = succ[start], 1
-            while cur in succ and cur not in seen:
-                seen.add(cur)
-                cur = succ[cur]
-                length += 1
-            if cur == start and length <= forbid_cycles_up_to:
-                return False, f"cycle of length {length} through row {start}"
+        for cycle in cycles_of(square, cells).cycles:
+            if len(cycle) <= forbid_cycles_up_to:
+                return False, f"cycle of length {len(cycle)} through row {cycle[0][0]}"
     return True, None

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch import (
+    InternalInvariantBroken,
     build_short_cycle_free_transversal,
     find_rainbow_matching_delta,
     format_graph,
@@ -362,6 +363,20 @@ def test_sweep_huge_size_range_is_lazy(monkeypatch, capsys):
     header, *rows = out.splitlines()
     assert header.startswith("instance,")
     assert [row.split(",")[0] for row in rows] == ["delta-0-0", "delta-1-0"]
+
+
+def test_sweep_closes_out_when_a_row_raises(monkeypatch, tmp_path, capsys):
+    # an unclosed --out file warns when it is collected, and warnings are errors
+    def broken_row(*args):
+        raise InternalInvariantBroken("row failed")
+
+    monkeypatch.setattr(cli, "_sweep_row", broken_row)
+    out_file = tmp_path / "s.csv"
+    code, out, err = run(capsys, "sweep", "--suite", "delta", "--sizes", "3",
+                         "--trials", "1", "--out", str(out_file))
+    assert code == 3
+    assert "row failed" in err
+    assert out_file.read_text().startswith("instance,")
 
 
 def test_sweep_non_positive_trials_exit_code(tmp_path, capsys):

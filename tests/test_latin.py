@@ -1,6 +1,7 @@
 """Latin squares, transversal validation, cycle structure, the bipartite view."""
 
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,23 @@ def test_cycles_of_counts_loops():
     assert dec.paths == (((2, 3, 4),),)
 
 
+def test_cycles_of_ends_when_a_path_runs_into_a_cycle():
+    # column 2 is used twice, so the path from row 1 runs into the cycle
+    # 2 -> 3 -> 2; a walk that does not stop at a walked row never ends
+    def timed_out(signum, frame):
+        raise TimeoutError("cycles_of did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        dec = cycles_of(cyclic_square(3), [(1, 2, 2), (2, 3, 1), (3, 2, 1)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert dec.paths == (((1, 2, 2), (2, 3, 1), (3, 2, 1)),)
+    assert dec.cycles == ()
+
+
 def test_bipartite_factorization_shape():
     sq = cyclic_square(4)
     g = to_bipartite_factorization(sq)
@@ -181,6 +199,27 @@ def _reference_validate(square, transversal, forbid_cycles_up_to=0):
             if len(cyc) <= forbid_cycles_up_to:
                 return False, f"cycle of length {len(cyc)} through row {cyc[0][0]}"
     return True, None
+
+
+def _reference_cycles(cells):
+    """(cycles, paths) of cells with distinct rows and columns, each
+    row's successors followed for at most len(cells) steps."""
+    by_row = {cell[0]: cell for cell in cells}
+    pointed_at = {c for _, c, _ in cells}
+    cycles, paths = [], []
+    for r in sorted(by_row):
+        walk = [by_row[r]]
+        for _ in range(len(cells)):
+            nxt = walk[-1][1]
+            if nxt == r or nxt not in by_row:
+                break
+            walk.append(by_row[nxt])
+        if walk[-1][1] == r:
+            if r == min(row for row, _, _ in walk):
+                cycles.append(tuple(walk))
+        elif r not in pointed_at:
+            paths.append(tuple(walk))
+    return tuple(cycles), tuple(paths)
 
 
 CYCLE_CUTOFFS = (0, 1, 2, 3, math.inf)
@@ -263,6 +302,17 @@ def test_validate_transversal_matches_the_reference_loop(case):
                 == _reference_validate(sq, cells, cutoff))
         assert (validate_transversal(sq, iter(cells), forbid_cycles_up_to=cutoff)
                 == _reference_validate(sq, cells, cutoff))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_cell_lists())
+def test_cycles_of_holds_each_row_once(case):
+    sq, cells = case
+    dec = cycles_of(sq, cells)
+    listed = [cell for group in dec.paths + dec.cycles for cell in group]
+    assert sorted(listed) == sorted({cell[0]: cell for cell in cells}.values())
+    if len({r for r, _, _ in cells}) == len({c for _, c, _ in cells}) == len(cells):
+        assert (dec.cycles, dec.paths) == _reference_cycles(cells)
 
 
 def test_validate_transversal_reports_the_first_violation():
