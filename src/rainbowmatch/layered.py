@@ -23,12 +23,22 @@ pooled edge to a fresh free vertex. The exchange nets exactly one
 extra edge, and rounds repeat until the bound is met and no further
 structure is found.
 
+A round costs about what its exchange changes. Each level finds its
+active edges in one pass over the free vertices' edges, which are few
+next to the matched ones. After an exchange the matching is extended
+greedily again, walking only the edges at the vertices and in the
+colors the exchange freed: the matching was maximal before, so no
+other edge can fit. check=True also compares each such refill with
+the full greedy walk.
+
 All threshold comparisons run in exact integer arithmetic on cubes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .arith import int_kth_root
 from .errors import InternalInvariantBroken, PreconditionViolated
@@ -82,8 +92,13 @@ class LayerState:
     quiet_side: dict = field(default_factory=dict)  # y vertex -> ClassifiedEdge
 
 
+_COLOR = itemgetter(2)
+
+
 def _greedy_order(g: ColoredGraph) -> list:
-    return sorted(g.edges, key=lambda e: (e[2], e[0], e[1]))
+    """g's edges in (color, u, v) order: a stable sort by color of edges
+    that ColoredGraph already keeps sorted by (u, v)."""
+    return sorted(g.edges, key=_COLOR)
 
 
 def _extend_maximal(order: list, matching: list) -> list:
@@ -100,30 +115,50 @@ def _extend_maximal(order: list, matching: list) -> list:
     return m
 
 
-def _active_edges(g: ColoredGraph, vertex: int, free_set: set, blocked_colors: set) -> list:
-    """(color, r) pairs for edges from vertex to free vertices in colors
-    outside blocked_colors, sorted by color then vertex."""
-    found = [
-        (c, r)
-        for r, c in g.neighbors(vertex).items()
-        if r in free_set and c not in blocked_colors
-    ]
-    found.sort()
-    return found
+def _refill_candidates(g: ColoredGraph, order: list, matching: list, gone: set) -> list:
+    """The edges that may fit matching, in _greedy_order. Before the
+    exchange that deleted the edges of gone, the matching was maximal
+    against order, so only edges at a vertex or in a color of gone that
+    matching leaves free can fit now."""
+    used_v = {x for e in matching for x in (e[0], e[1])}
+    used_c = {e[2] for e in matching}
+    fits = set()
+    for u, v, c in gone:
+        for x in (u, v):
+            if x not in used_v:
+                fits.update(
+                    _normalize(x, w, c2)
+                    for w, c2 in g.neighbors(x).items()
+                    if w not in used_v and c2 not in used_c
+                )
+        if c not in used_c:
+            lo = bisect_left(order, c, key=_COLOR)
+            hi = bisect_right(order, c, lo, key=_COLOR)
+            fits.update(e for e in order[lo:hi] if e[0] not in used_v and e[1] not in used_v)
+    return sorted(fits, key=itemgetter(2, 0, 1))
 
 
 def _classify_level(state: LayerState, current: list) -> tuple[list, list, list]:
     """Split one level. Returns (survivors, classified records, two-sided
-    violations found while designating)."""
+    violations found while designating).
+
+    One pass over the free vertices' edges gives each endpoint of current
+    its active edges: (color, free vertex) pairs in colors outside
+    current's, sorted."""
     g = state.graph
-    free_set = set(state.free)
     blocked = {e[2] for e in current}
+    active: dict = {x: [] for e in current for x in (e[0], e[1])}
+    for r in state.free:
+        for w, c in g.neighbors(r).items():
+            if c not in blocked and w in active:
+                active[w].append((c, r))
+    for found in active.values():
+        found.sort()
     survivors: list = []
     classified: list = []
     two_sided: list = []
     for e in sorted(current):
-        ex = _active_edges(g, e[0], free_set, blocked)
-        ey = _active_edges(g, e[1], free_set, blocked)
+        ex, ey = active[e[0]], active[e[1]]
         degsum = len(ex) + len(ey)
         if degsum**3 < 64 * state.delta:
             survivors.append(e)
@@ -314,8 +349,8 @@ def find_rainbow_matching_layered(
     as sorted (u, v, color) edges.
 
     Needs vertex_count >= 2*min_degree. check=True verifies the layer
-    claims on every round; trace (a callable taking one dict) receives
-    per-round statistics.
+    claims on every round and each refill against the full greedy walk;
+    trace (a callable taking one dict) receives per-round statistics.
     """
     delta = min_degree(g)
     if g.vertex_count < 2 * delta:
@@ -345,7 +380,13 @@ def find_rainbow_matching_layered(
             )
         if result is None:
             break
-        matching = _extend_maximal(order, result)
+        gone = set(matching).difference(result)
+        refilled = _extend_maximal(_refill_candidates(g, order, result, gone), result)
+        if check and refilled != _extend_maximal(order, result):
+            raise InternalInvariantBroken(
+                f"round {rounds}: refill differs from the full greedy walk"
+            )
+        matching = refilled
     bound = guaranteed_size(delta)
     if len(matching) < bound:
         raise InternalInvariantBroken(

@@ -1,21 +1,32 @@
 """Layered-exchange rainbow matchings on graphs with modest vertex counts."""
 
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch import (
+    InternalInvariantBroken,
     PreconditionViolated,
     build_graph,
+    build_square,
     find_rainbow_matching_layered,
     guaranteed_size,
     k4_factorization_pair,
     min_degree,
+    random_proper_graph,
     random_square,
     split_seed,
     to_bipartite_factorization,
     validate_rainbow_matching,
 )
 from rainbowmatch import layered
+from rainbowmatch.graphs import _normalize
 from rainbowmatch.layered import (
+    ClassifiedEdge,
+    _classify_level,
     _extend_maximal,
     _fresh_state,
     _greedy_order,
@@ -224,3 +235,203 @@ def test_extend_maximal_is_greedy_by_color():
     # color 1 first (smallest edge wins the color), color 2 is then
     # blocked at vertex 2, color 3 still fits
     assert base == [(1, 2, 1), (5, 6, 3)]
+
+
+# Reference copies of the classification and the refill as they were
+# before each level read its active edges from the free vertices' side
+# and each round refilled only what its exchange freed: every matched
+# endpoint walks its own neighbours, and every refill walks all edges.
+
+def _reference_active_edges(g, vertex, free_set, blocked_colors):
+    found = [
+        (c, r)
+        for r, c in g.neighbors(vertex).items()
+        if r in free_set and c not in blocked_colors
+    ]
+    found.sort()
+    return found
+
+
+def _reference_classify_level(state, current):
+    g = state.graph
+    free_set = set(state.free)
+    blocked = {e[2] for e in current}
+    survivors, classified, two_sided = [], [], []
+    for e in sorted(current):
+        ex = _reference_active_edges(g, e[0], free_set, blocked)
+        ey = _reference_active_edges(g, e[1], free_set, blocked)
+        degsum = len(ex) + len(ey)
+        if degsum**3 < 64 * state.delta:
+            survivors.append(e)
+            continue
+        if ex and ey:
+            pair = next(
+                ((a, b) for a in ex for b in ey if a[0] != b[0] and a[1] != b[1]),
+                None,
+            )
+            x, pool = (e[0], ex) if len(ex) >= len(ey) else (e[1], ey)
+        else:
+            pair = None
+            x, pool = (e[0], ex) if ex else (e[1], ey)
+        y = e[1] if x == e[0] else e[0]
+        record = ClassifiedEdge(edge=e, x=x, y=y, pool=pool)
+        classified.append(record)
+        if pair is not None:
+            (c1, r1), (c2, r2) = pair
+            added = (_normalize(e[0], r1, c1), _normalize(e[1], r2, c2))
+            two_sided.append(("TwoSided", record, added))
+    return survivors, classified, two_sided
+
+
+def _reference_greedy_order(g):
+    return sorted(g.edges, key=lambda e: (e[2], e[0], e[1]))
+
+
+def _both_classifications(state, current):
+    got = _classify_level(state, current)
+    want = _reference_classify_level(state, current)
+    assert got == want
+    return want
+
+
+def _assert_matches_reference(g):
+    """Solve g with check=True and again with the reference classification
+    and full-walk refill; the matchings and every trace dict must agree,
+    and so must the two classifications of every level."""
+    rows, reference_rows = [], []
+    m = find_rainbow_matching_layered(g, check=True, trace=rows.append)
+    with mock.patch.multiple(
+        layered,
+        _classify_level=_both_classifications,
+        _greedy_order=_reference_greedy_order,
+        _refill_candidates=lambda g, order, matching, gone: order,
+    ):
+        reference = find_rainbow_matching_layered(g, trace=reference_rows.append)
+    assert m == reference
+    assert rows == reference_rows
+    return rows
+
+
+def _shuffled_cyclic(n, seed):
+    """Bipartite graph of the addition table of Z_n with seeded shuffled columns."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return to_bipartite_factorization(
+        build_square([[(r + perm[c]) % n + 1 for c in range(n)] for r in range(n)])
+    )
+
+
+# A hit from 5 on the quiet side of 1-2 deletes 1-2 and 3-4 and reuses
+# color 2 but not color 1, so the refill must take 4-14 in color 1.
+_FREED_COLOR_EDGES = [
+    (1, 2, 1), (3, 4, 2), (2, 5, 2), (4, 14, 1),
+    (3, 6, 3), (3, 7, 4), (3, 8, 5), (3, 9, 6),
+    (1, 10, 8), (1, 11, 9), (1, 12, 10), (1, 13, 11),
+]
+
+
+@pytest.mark.parametrize("n, seed", [(96, 1), (131, 2), (160, 3), (192, 4)])
+def test_matches_reference_on_shuffled_cyclic_squares(n, seed):
+    rows = _assert_matches_reference(_shuffled_cyclic(n, seed))
+    assert any(row.get("violation") for row in rows), "expected at least one exchange"
+
+
+@pytest.mark.parametrize("n", [8, 13, 21, 30, 40])
+def test_matches_reference_on_random_squares(n):
+    _assert_matches_reference(to_bipartite_factorization(random_square(n, seed=split_seed(23, n))))
+
+
+@pytest.mark.parametrize("d", [1, 4, 10, 25])
+@pytest.mark.parametrize("spread", [0, 3])
+def test_matches_reference_on_random_proper_graphs(d, spread):
+    for seed in range(2):
+        _assert_matches_reference(random_proper_graph(2 * d + spread, d, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_matches_reference_on_small_proper_graphs(d, spread, seed):
+    _assert_matches_reference(random_proper_graph(2 * d + spread, d, seed))
+
+
+def test_matches_reference_on_a_freed_color():
+    rows = _assert_matches_reference(build_graph(14, _FREED_COLOR_EDGES))
+    assert rows[0]["violation"] == "HitsY"
+    assert rows[1]["size"] == rows[0]["size"] + 2  # the exchange, then 4-14
+
+
+def test_edges_given_unsorted_keep_the_greedy_order():
+    # ColoredGraph sorts its edges by (u, v), so sorting them stably by
+    # color alone gives the (color, u, v) order the refill relies on
+    for sorted_graph in (build_graph(14, _FREED_COLOR_EDGES), _shuffled_cyclic(48, 5)):
+        given_edges = [(v, u, c) for u, v, c in sorted_graph.edges]
+        random.Random(5).shuffle(given_edges)
+        g = build_graph(sorted_graph.vertex_count, given_edges)
+        assert _greedy_order(g) == _reference_greedy_order(g)
+        _assert_matches_reference(g)
+
+
+def _inject_refill_fault(monkeypatch, drop):
+    """Patch _refill_candidates to leave out the candidates drop(edge,
+    matching, gone) names. Returns a list that gains, per refill, whether
+    the fault changed it."""
+    real = layered._refill_candidates
+    changed = []
+
+    def faulty(g, order, matching, gone):
+        found = real(g, order, matching, gone)
+        kept = [e for e in found if not drop(e, matching, gone)]
+        changed.append(_extend_maximal(kept, matching) != _extend_maximal(found, matching))
+        return kept
+
+    monkeypatch.setattr(layered, "_refill_candidates", faulty)
+    return changed
+
+
+def _first_freed_color(edge, matching, gone):
+    used = {e[2] for e in matching}
+    return edge[2] == min(e[2] for e in gone if e[2] not in used)
+
+
+def _first_freed_vertex(edge, matching, gone):
+    used = {x for e in matching for x in e[:2]}
+    return min(x for e in gone for x in e[:2] if x not in used) in edge[:2]
+
+
+@pytest.mark.parametrize(
+    "g, drop",
+    [
+        (build_graph(14, _FREED_COLOR_EDGES), _first_freed_color),
+        (_shuffled_cyclic(62, 1), _first_freed_vertex),
+    ],
+    ids=["freed-color", "freed-vertex"],
+)
+def test_check_catches_a_refill_fault_in_its_round(monkeypatch, g, drop):
+    changed = _inject_refill_fault(monkeypatch, drop)
+    with pytest.raises(InternalInvariantBroken, match="refill differs") as caught:
+        find_rainbow_matching_layered(g, check=True)
+    assert changed[-1] and not any(changed[:-1])
+    assert str(caught.value).startswith(f"round {len(changed)}:")
+    changed.clear()
+    find_rainbow_matching_layered(g)  # unchecked, the fault passes unseen
+    assert any(changed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_refill_equals_the_full_walk_after_any_exchange(d, spread, seed):
+    # from a matching maximal against the greedy order, delete a random
+    # subset and add random edges that fit: the refill over the freed
+    # vertices and colors must take exactly what the full walk takes
+    g = random_proper_graph(2 * d + spread, d, seed)
+    rng = random.Random(seed)
+    order = _greedy_order(g)
+    shuffled = list(g.edges)
+    rng.shuffle(shuffled)
+    before = _extend_maximal(order, _extend_maximal(shuffled, [])[: rng.randrange(d + 1)])
+    gone = set(rng.sample(before, rng.randrange(len(before) + 1)))
+    kept = [e for e in before if e not in gone]
+    rng.shuffle(shuffled)
+    result = _extend_maximal(shuffled, kept)[: len(kept) + rng.randrange(len(gone) + 1)]
+    refilled = _extend_maximal(layered._refill_candidates(g, order, result, gone), result)
+    assert refilled == _extend_maximal(order, result)
