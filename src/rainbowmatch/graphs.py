@@ -7,6 +7,7 @@ certifies its output against the unchanged instance.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -20,11 +21,12 @@ def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
     """Check each edge in list order (BadShape if not three ints, bools
     and integral floats included; self-loop, vertex range, negative color,
     repeated pair, color repeated at an end) and index them by vertex.
-    Errors carry the edge's ``position``."""
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+    Errors carry the edge's ``position``. Only vertices with an edge get
+    an entry, so a huge vertex count costs nothing by itself."""
+    adj: defaultdict = defaultdict(dict)
     # color -> neighbor at each vertex, for the properness check only;
     # dicts keep the build's peak memory below that of sets
-    palette: dict[int, dict[int, int]] = {v: {} for v in range(1, n + 1)}
+    palette: defaultdict = defaultdict(dict)
     try:
         for i, (u, v, c) in enumerate(edges):
             if type(u) is not int or type(v) is not int or type(c) is not int:
@@ -35,23 +37,27 @@ def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
                 raise BadShape(f"edge {u}-{v} outside vertex range 1..{n}")
             if c < 0:
                 raise BadShape(f"edge {u}-{v} has negative color {c}")
-            if v in adj[u]:
+            at_u, at_v, colors_u, colors_v = adj[u], adj[v], palette[u], palette[v]
+            if v in at_u:
                 raise DuplicateEdge(f"edge {u}-{v} appears more than once")
-            if c in palette[u]:
+            if c in colors_u:
                 raise ImproperColoring(f"color {c} repeated at vertex {u}")
-            if c in palette[v]:
+            if c in colors_v:
                 raise ImproperColoring(f"color {c} repeated at vertex {v}")
-            adj[u][v] = c
-            adj[v][u] = c
-            palette[u][c] = v
-            palette[v][c] = u
+            at_u[v] = c
+            at_v[u] = c
+            colors_u[c] = v
+            colors_v[c] = u
     except (RainbowError, TypeError, ValueError) as exc:
         if not isinstance(exc, RainbowError):
             # an edge that is not three fields
             exc = BadShape(f"edge {edges[i]!r} is not three integers")
         exc.position = i
         raise exc from None
-    return adj
+    return dict(adj)
+
+
+_NO_NEIGHBORS: MappingProxyType = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,8 @@ class ColoredGraph:
     ``position`` is the first failing edge's index in the order given.
 
     neighbors(v) is v's read-only {neighbor: color} map, iterating in
-    ascending neighbor order; solvers read colors from it directly."""
+    ascending neighbor order; solvers read colors from it directly. Only
+    the vertices with an edge are indexed; the others answer as empty."""
 
     vertex_count: int
     edges: tuple[Edge, ...]
@@ -91,13 +98,31 @@ class ColoredGraph:
         object.__setattr__(self, "_adj", adj)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> MappingProxyType:
-        return MappingProxyType(self._adj[v])
+        try:
+            return MappingProxyType(self._adj[v])
+        except KeyError:
+            if self._edgeless(v):
+                return _NO_NEIGHBORS
+            raise
 
     def color_of(self, u: int, v: int) -> int | None:
-        return self._adj[u].get(v)
+        try:
+            return self._adj[u].get(v)
+        except KeyError:
+            if self._edgeless(u):
+                return None
+            raise
+
+    def _edgeless(self, v) -> bool:
+        """Is v, which the index lacks, equal to a vertex 1..vertex_count?
+        Such a vertex has no edge."""
+        try:
+            return v == int(v) and 1 <= v <= self.vertex_count
+        except (TypeError, ValueError, OverflowError):
+            return False
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
@@ -113,9 +138,10 @@ def build_graph(vertex_count: int, edge_list) -> ColoredGraph:
 
 
 def min_degree(g: ColoredGraph) -> int:
-    if g.vertex_count == 0:
+    """0 without a walk over the vertices when one has no edge."""
+    if len(g._adj) < g.vertex_count:
         return 0
-    return min(g.degree(v) for v in g.vertices())
+    return min(map(len, g._adj.values()), default=0)
 
 
 def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:

@@ -23,13 +23,21 @@ pooled edge to a fresh free vertex. The exchange nets exactly one
 extra edge, and rounds repeat until the bound is met and no further
 structure is found.
 
-A round costs about what its exchange changes. Each level finds its
-active edges in one pass over the free vertices' edges, which are few
-next to the matched ones. After an exchange the matching is extended
-greedily again, walking only the edges at the vertices and in the
-colors the exchange freed: the matching was maximal before, so no
-other edge can fit. check=True also compares each such refill with
-the full greedy walk.
+A level costs about what it unblocks. Each free vertex gets a
+color -> neighbor map the first time it is free, kept for the solve.
+Each round lists its free-free edges once. Level 1 looks up, from
+every free vertex, only the colors missing from M, and level j+1 only
+the colors classified at level j, so each matched vertex's list of
+active edges grows by exactly what the level unblocks. That lookup
+waits until the level's free-free and two-sided candidates have all
+failed, since only the quiet-side hits and the next level read it. A
+survivor needs only its lists' lengths; only a classified edge's
+lists are sorted. After an exchange the matching is extended greedily
+again, walking only the edges at the vertices and in the colors the
+exchange freed: the matching was maximal before, so no other edge can
+fit. check=True also compares the active-edge lists with a fresh walk
+of the free vertices' edges at every level, and each refill with the
+full greedy walk.
 
 All threshold comparisons run in exact integer arithmetic on cubes.
 """
@@ -88,6 +96,12 @@ class LayerState:
     matching: list
     delta: int
     free: list
+    palette: set = field(repr=False)  # every color of graph
+    by_color: dict = field(repr=False)  # ever-free vertex -> {color: neighbor}
+    free_free: list  # (v, w, color) with v < w both free, in (v, w) order
+    found: dict  # matched vertex -> [(color, free vertex)] in the looked colors
+    looked: set  # the colors whose edges found holds
+    pending: list  # active colors not looked up yet
     origins: dict = field(default_factory=dict)  # color -> ClassifiedEdge
     quiet_side: dict = field(default_factory=dict)  # y vertex -> ClassifiedEdge
 
@@ -138,31 +152,39 @@ def _refill_candidates(g: ColoredGraph, order: list, matching: list, gone: set) 
     return sorted(fits, key=itemgetter(2, 0, 1))
 
 
+def _unblock(state: LayerState) -> None:
+    """Look up the pending colors from every free vertex and file each
+    edge that reaches a matched vertex under that vertex in found."""
+    colors, state.pending = state.pending, []
+    state.looked.update(colors)
+    found = state.found
+    for r in state.free:
+        to = state.by_color[r]
+        for c in colors:
+            at = found.get(to.get(c))
+            if at is not None:
+                at.append((c, r))
+
+
 def _classify_level(state: LayerState, current: list) -> tuple[list, list, list]:
     """Split one level. Returns (survivors, classified records, two-sided
     violations found while designating).
 
-    One pass over the free vertices' edges gives each endpoint of current
-    its active edges: (color, free vertex) pairs in colors outside
-    current's, sorted."""
-    g = state.graph
-    blocked = {e[2] for e in current}
-    active: dict = {x: [] for e in current for x in (e[0], e[1])}
-    for r in state.free:
-        for w, c in g.neighbors(r).items():
-            if c not in blocked and w in active:
-                active[w].append((c, r))
-    for found in active.values():
-        found.sort()
+    state.found gives each endpoint of current its active edges:
+    (color, free vertex) pairs in the colors outside current's, which
+    _unblock has looked up. A survivor reads only their counts; a
+    classified edge sorts both lists, for its pool and its pair."""
+    found = state.found
     survivors: list = []
     classified: list = []
     two_sided: list = []
     for e in sorted(current):
-        ex, ey = active[e[0]], active[e[1]]
+        ex, ey = found[e[0]], found[e[1]]
         degsum = len(ex) + len(ey)
         if degsum**3 < 64 * state.delta:
             survivors.append(e)
             continue
+        ex, ey = sorted(ex), sorted(ey)
         if ex and ey:
             pair = next(
                 (
@@ -188,26 +210,42 @@ def _classify_level(state: LayerState, current: list) -> tuple[list, list, list]
     return survivors, classified, two_sided
 
 
-def _scan_candidates(state: LayerState, survivors: list, two_sided: list) -> list:
-    """Violations visible after this level, cheapest family first.
+def _scan_candidates(state: LayerState, survivors: list, two_sided: list):
+    """Yield the violations visible after this level, cheapest family
+    first: FreeFree in (v, w) order, then two_sided, then HitsY in
+    (free vertex, quiet vertex) order, all in colors outside survivors'.
 
-    One walk over the free vertices' edges; quiet_side keys are matched
-    vertices, so an edge is a FreeFree or a HitsY candidate, never both."""
-    g = state.graph
-    free_set = set(state.free)
+    A HitsY may use a color classified at this level, so the pending
+    colors are looked up only once every earlier candidate has failed."""
     next_colors = {e[2] for e in survivors}
-    free_free: list = []
-    hits_y: list = []
-    for v in state.free:
-        for w, c in g.neighbors(v).items():
-            if c in next_colors:
-                continue
-            if w in free_set:
-                if w > v:
-                    free_free.append(("FreeFree", None, ((v, w, c),)))
-            elif w in state.quiet_side:
-                hits_y.append(("HitsY", state.quiet_side[w], (_normalize(v, w, c),)))
-    return free_free + two_sided + hits_y
+    for v, w, c in state.free_free:
+        if c not in next_colors:
+            yield ("FreeFree", None, ((v, w, c),))
+    yield from two_sided
+    _unblock(state)
+    quiet = state.quiet_side
+    for r, y, c in sorted((r, y, c) for y in quiet for c, r in state.found[y]):
+        yield ("HitsY", quiet[y], (_normalize(r, y, c),))
+
+
+def _check_found(state: LayerState, level: int, current: list) -> None:
+    """check=True: the free-free edges and the active-edge lists against
+    a fresh walk of the free vertices' edges."""
+    blocked = {e[2] for e in current}
+    want: dict = {x: [] for e in state.matching for x in (e[0], e[1])}
+    free_free = []
+    for r in state.free:
+        for w, c in state.graph.neighbors(r).items():
+            if w not in want:
+                if w > r:
+                    free_free.append((r, w, c))
+            elif c not in blocked:
+                want[w].append((c, r))
+    got = {w: sorted(found) for w, found in state.found.items()}
+    if free_free != state.free_free or got != {w: sorted(found) for w, found in want.items()}:
+        raise InternalInvariantBroken(
+            f"level {level}: the active-edge lists differ from a fresh walk"
+        )
 
 
 def _attempt_exchange(state: LayerState, violation: tuple) -> list | None:
@@ -315,31 +353,120 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, tuple |
     rows: list = []
     current = list(state.matching)
     for level in range(1, _level_count(delta) + 1):
+        _unblock(state)
+        if check:
+            _check_found(state, level, current)
         survivors, classified, two_sided = _classify_level(state, current)
         for record in classified:
             state.origins[record.edge[2]] = record
             state.quiet_side[record.y] = record
+            state.pending.append(record.edge[2])
         rows.append((level, len(current), len(classified)))
-        candidates = _scan_candidates(state, survivors, two_sided)
-        if candidates:
-            for candidate in candidates:
-                result = _attempt_exchange(state, candidate)
-                if result is not None:
-                    return result, candidate, rows
-            if _in_regime(len(state.matching), delta):
-                raise InternalInvariantBroken(
-                    f"level {level}: no detected exchange could be realized"
-                )
+        tried = False
+        for candidate in _scan_candidates(state, survivors, two_sided):
+            tried = True
+            result = _attempt_exchange(state, candidate)
+            if result is not None:
+                return result, candidate, rows
+        if tried and _in_regime(len(state.matching), delta):
+            raise InternalInvariantBroken(
+                f"level {level}: no detected exchange could be realized"
+            )
         if check:
             _check_level(state, level, classified, survivors)
         current = survivors
     return None, None, rows
 
 
+def _free_up(g: ColoredGraph, by_color: dict, free_free: list, vertices: set, free: set) -> None:
+    """Give each of vertices, newly free, its color -> neighbor map unless
+    an earlier round did, and add its edges to the rest of free to
+    free_free, which ends sorted."""
+    for v in vertices:
+        nb = g.neighbors(v)
+        if v not in by_color:
+            by_color[v] = dict(zip(nb.values(), nb))
+        free_free.extend(
+            _normalize(v, w, nb[w]) for w in nb.keys() & free if w > v or w not in vertices
+        )
+    free_free.sort()
+
+
 def _fresh_state(g: ColoredGraph, matching: list, delta: int) -> LayerState:
+    """The state of a first round on matching, with the colors missing
+    from it pending."""
     covered = {x for e in matching for x in (e[0], e[1])}
+    # no level runs at delta 0, so a huge edgeless graph lists no vertex
+    free = [v for v in g.vertices() if v not in covered] if delta else []
+    palette = {e[2] for e in g.edges}
+    free_set = set(free)
+    by_color: dict = {}
+    free_free: list = []
+    _free_up(g, by_color, free_free, free_set, free_set)
+    return LayerState(
+        graph=g,
+        matching=list(matching),
+        delta=delta,
+        free=free,
+        palette=palette,
+        by_color=by_color,
+        free_free=free_free,
+        found={x: [] for x in covered},
+        looked=set(),
+        pending=list(palette.difference(e[2] for e in matching)),
+    )
+
+
+def _next_state(prior: LayerState, matching: list) -> LayerState:
+    """The state of the round after prior, on matching: prior's free-free
+    edges and level-1 active-edge lists, patched only at the vertices and
+    colors whose status changed. prior's lists are reused in place."""
+    g = prior.graph
+    covered = {x for e in matching for x in (e[0], e[1])}
+    found = prior.found
+    freed = found.keys() - covered
+    taken = covered - found.keys()
+    missing = prior.palette.difference(e[2] for e in matching)
+    kept = prior.looked & missing
+    # drop the lists of the freed vertices, the edges from the newly
+    # covered ones, and the edges in colors that are no longer missing
+    for w in freed:
+        del found[w]
+    stale = prior.looked - missing
+    for r in prior.free:
+        to = prior.by_color[r]
+        for c in prior.looked if r in taken else stale:
+            at = found.get(to.get(c))
+            if at is not None:
+                at.remove((c, r))
     free = [v for v in g.vertices() if v not in covered]
-    return LayerState(graph=g, matching=list(matching), delta=delta, free=free)
+    free_set = set(free)
+    by_color = prior.by_color
+    # add the edges in the kept colors at a newly covered or freed vertex;
+    # _unblock adds the newly missing colors
+    for w in taken:
+        to = by_color[w]
+        found[w] = [(c, r) for c in kept if (r := to.get(c)) in free_set and r not in freed]
+    free_free = [e for e in prior.free_free if e[0] not in taken and e[1] not in taken]
+    _free_up(g, by_color, free_free, freed, free_set)
+    for r in freed:
+        to = by_color[r]
+        for c in kept:
+            at = found.get(to.get(c))
+            if at is not None:
+                at.append((c, r))
+    return LayerState(
+        graph=g,
+        matching=list(matching),
+        delta=prior.delta,
+        free=free,
+        palette=prior.palette,
+        by_color=by_color,
+        free_free=free_free,
+        found=found,
+        looked=kept,
+        pending=list(missing - kept),
+    )
 
 
 def find_rainbow_matching_layered(
@@ -362,9 +489,10 @@ def find_rainbow_matching_layered(
     matching = _extend_maximal(order, [])
     start = len(matching)
     rounds = 0
+    state = None
     while True:
         rounds += 1
-        state = _fresh_state(g, matching, delta)
+        state = _fresh_state(g, matching, delta) if state is None else _next_state(state, matching)
         result, violation, rows = _run_layers(state, check=check)
         if trace is not None:
             trace(

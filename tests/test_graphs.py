@@ -1,6 +1,7 @@
 """Colored graph container, validation, and the text format."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,25 @@ def test_min_degree():
     assert min_degree(build_graph(4, C4_EDGES)) == 2
     assert min_degree(build_graph(3, [(1, 2, 1)])) == 0
     assert min_degree(build_graph(1, [])) == 0
+
+
+def test_a_huge_vertex_count_allocates_only_per_vertex_with_an_edge():
+    tracemalloc.start()
+    try:
+        g = parse_graph("graph 200000 1\n7 199999 3\n")
+        assert min_degree(g) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (g.degree(7), g.degree(8), g.degree(200000)) == (1, 0, 0)
+    assert dict(g.neighbors(199999)) == {7: 3} and dict(g.neighbors(1)) == {}
+    assert (g.color_of(199999, 7), g.color_of(1, 7), g.color_of(1.0, 2)) == (3, None, None)
+    for outside in (0, 200001, 1.5, "1"):
+        with pytest.raises(KeyError):
+            g.neighbors(outside)
+        with pytest.raises(KeyError):
+            g.color_of(outside, 7)
 
 
 def test_validate_accepts_rainbow_matching():

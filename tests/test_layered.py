@@ -1,6 +1,8 @@
 """Layered-exchange rainbow matchings on graphs with modest vertex counts."""
 
 import random
+import tracemalloc
+from collections.abc import KeysView, Mapping
 from unittest import mock
 
 import pytest
@@ -16,6 +18,7 @@ from rainbowmatch import (
     guaranteed_size,
     k4_factorization_pair,
     min_degree,
+    parse_graph,
     random_proper_graph,
     random_square,
     split_seed,
@@ -23,7 +26,7 @@ from rainbowmatch import (
     validate_rainbow_matching,
 )
 from rainbowmatch import layered
-from rainbowmatch.graphs import _normalize
+from rainbowmatch.graphs import ColoredGraph, _normalize
 from rainbowmatch.layered import (
     ClassifiedEdge,
     _classify_level,
@@ -31,6 +34,7 @@ from rainbowmatch.layered import (
     _fresh_state,
     _greedy_order,
     _run_layers,
+    _scan_candidates,
 )
 
 
@@ -237,10 +241,12 @@ def test_extend_maximal_is_greedy_by_color():
     assert base == [(1, 2, 1), (5, 6, 3)]
 
 
-# Reference copies of the classification and the refill as they were
-# before each level read its active edges from the free vertices' side
-# and each round refilled only what its exchange freed: every matched
-# endpoint walks its own neighbours, and every refill walks all edges.
+# Reference copies of the classification, the scan and the refill as
+# they were before each level read its active edges from the free
+# vertices' side, looked up only the colors it unblocked, and each round
+# refilled only what its exchange freed: every matched endpoint walks its
+# own neighbours, the scan walks every free vertex's neighbours and
+# lists every candidate, and every refill walks all edges.
 
 def _reference_active_edges(g, vertex, free_set, blocked_colors):
     found = [
@@ -283,6 +289,23 @@ def _reference_classify_level(state, current):
     return survivors, classified, two_sided
 
 
+def _reference_scan_candidates(state, survivors, two_sided):
+    g = state.graph
+    free_set = set(state.free)
+    next_colors = {e[2] for e in survivors}
+    free_free, hits_y = [], []
+    for v in state.free:
+        for w, c in g.neighbors(v).items():
+            if c in next_colors:
+                continue
+            if w in free_set:
+                if w > v:
+                    free_free.append(("FreeFree", None, ((v, w, c),)))
+            elif w in state.quiet_side:
+                hits_y.append(("HitsY", state.quiet_side[w], (_normalize(v, w, c),)))
+    return free_free + two_sided + hits_y
+
+
 def _reference_greedy_order(g):
     return sorted(g.edges, key=lambda e: (e[2], e[0], e[1]))
 
@@ -294,15 +317,23 @@ def _both_classifications(state, current):
     return want
 
 
+def _both_scans(state, survivors, two_sided):
+    want = _reference_scan_candidates(state, survivors, two_sided)
+    assert list(_scan_candidates(state, survivors, two_sided)) == want
+    return want
+
+
 def _assert_matches_reference(g):
-    """Solve g with check=True and again with the reference classification
-    and full-walk refill; the matchings and every trace dict must agree,
-    and so must the two classifications of every level."""
+    """Solve g with check=True and again with the reference classification,
+    scan and full-walk refill; the matchings and every trace dict must
+    agree, and so must the two classifications and the two candidate
+    lists of every level."""
     rows, reference_rows = [], []
     m = find_rainbow_matching_layered(g, check=True, trace=rows.append)
     with mock.patch.multiple(
         layered,
         _classify_level=_both_classifications,
+        _scan_candidates=_both_scans,
         _greedy_order=_reference_greedy_order,
         _refill_candidates=lambda g, order, matching, gone: order,
     ):
@@ -435,3 +466,118 @@ def test_refill_equals_the_full_walk_after_any_exchange(d, spread, seed):
     result = _extend_maximal(shuffled, kept)[: len(kept) + rng.randrange(len(gone) + 1)]
     refilled = _extend_maximal(layered._refill_candidates(g, order, result, gone), result)
     assert refilled == _extend_maximal(order, result)
+
+
+# Level 1 classifies 1-2, whose active edges at 1 and 2 pair up in no
+# two-sided exchange, and 6-7. The free edge 3-4 in color 1 and the hits
+# 2-3 and 2-4 each leave 1-2 no repair in its pool {3, 4}; the hit 2-5
+# then realizes, in color 5, which only level 1's classification of 6-7
+# unblocked.
+_LAZY_HIT_EDGES = [
+    (1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 3, 3), (2, 4, 2), (3, 4, 1), (2, 5, 5),
+    (6, 7, 5), (6, 8, 6), (6, 9, 7), (6, 10, 8), (6, 11, 9),
+]
+
+
+def test_hit_in_a_color_its_level_unblocked_after_failed_candidates(monkeypatch):
+    g = build_graph(11, _LAZY_HIT_EDGES)
+    greedy = _extend_maximal(_greedy_order(g), [])
+    assert sorted(greedy) == [(1, 2, 1), (6, 7, 5)]
+    tried, augmented = _attempts(monkeypatch, g, greedy)
+    assert [(kind, added, result is not None) for (kind, _, added), result in tried] == [
+        ("FreeFree", ((3, 4, 1),), False),
+        ("HitsY", ((2, 3, 3),), False),
+        ("HitsY", ((2, 4, 2),), False),
+        ("HitsY", ((2, 5, 5),), True),
+    ]
+    assert augmented == [(1, 3, 2), (2, 5, 5), (6, 8, 6)]
+    monkeypatch.undo()
+    rows = _assert_matches_reference(g)
+    assert rows[0]["violation"] == "HitsY"
+
+
+def _drop_a_classified_color(monkeypatch):
+    """Patch _unblock to leave out, once, the first classified color it is
+    given that leads from a free vertex to a matched one, so that an
+    active-edge list goes stale. Returns the list of dropped colors."""
+    real = layered._unblock
+    dropped = []
+
+    def faulty(state):
+        for c in state.pending if state.origins and not dropped else ():
+            if any(state.by_color[r].get(c) in state.found for r in state.free):
+                dropped.append(c)
+                state.pending.remove(c)
+                break
+        real(state)
+
+    monkeypatch.setattr(layered, "_unblock", faulty)
+    return dropped
+
+
+def test_check_catches_a_stale_active_edge_list_in_its_level(monkeypatch):
+    g = build_graph(11, _LAZY_HIT_EDGES)
+    correct = find_rainbow_matching_layered(g)
+    dropped = _drop_a_classified_color(monkeypatch)
+    # level 1 drops color 5, the hit 2-5 goes unseen, and level 2 reads the list
+    with pytest.raises(InternalInvariantBroken, match="^level 2: the active-edge lists differ"):
+        find_rainbow_matching_layered(g, check=True)
+    assert dropped == [5]
+    dropped.clear()
+    unchecked = find_rainbow_matching_layered(g)  # unchecked, the fault passes unseen
+    assert dropped == [5] and len(unchecked) < len(correct)
+
+
+class _CountedNeighbors(Mapping):
+    """A neighbour map that counts the entries read through it: one per
+    lookup, and the whole map per walk."""
+
+    def __init__(self, inner, reads):
+        self._inner, self._reads = inner, reads
+
+    def __getitem__(self, w):
+        self._reads[0] += 1
+        return self._inner[w]
+
+    def __iter__(self):
+        self._reads[0] += len(self._inner)
+        return iter(self._inner)
+
+    def __len__(self):
+        return len(self._inner)
+
+    def keys(self):
+        return KeysView(self)  # an intersection looks up each element of the other side
+
+    def items(self):
+        self._reads[0] += len(self._inner)
+        return self._inner.items()
+
+    def values(self):
+        self._reads[0] += len(self._inner)
+        return self._inner.values()
+
+
+def test_a_solve_reads_about_what_its_levels_unblock(monkeypatch):
+    # one walk over every free vertex's neighbours per level would read
+    # about 17,000 entries a level here, 485,568 in all
+    g = _shuffled_cyclic(192, 4)
+    want = find_rainbow_matching_layered(g)
+    reads = [0]
+    neighbors = ColoredGraph.neighbors
+    monkeypatch.setattr(
+        ColoredGraph, "neighbors", lambda self, v: _CountedNeighbors(neighbors(self, v), reads)
+    )
+    assert find_rainbow_matching_layered(g) == want
+    assert 0 < reads[0] <= 60_000
+
+
+def test_an_edgeless_graph_with_a_huge_vertex_count_lists_no_vertex():
+    g = parse_graph("graph 200000 0\n")
+    tracemalloc.start()
+    try:
+        assert find_rainbow_matching_layered(g) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
