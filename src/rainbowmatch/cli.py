@@ -114,12 +114,12 @@ def _cmd_gen(args) -> int:
 # An adapter takes (instance, cycle cutoff k, check flag, events), calls
 # its solver through this module's global name, so that a wrapper patched
 # onto the name sees the call, and appends the solver's own report to
-# events: delta log lines, layered trace rows or the stats dict. It
-# returns (result, k used, stated bound, augmentations).
+# events: the matching solvers' trace dicts or the transversal stats
+# dict. It returns (result, k used, stated bound, augmentations).
 
 
 def _run_delta(g, k, check, events):
-    m = find_rainbow_matching_delta(g, check=check, log=events.append)
+    m = find_rainbow_matching_delta(g, check=check, trace=events.append)
     return m, "", min_degree(g), len(m)
 
 
@@ -206,20 +206,24 @@ def _solve_valid(algo: str, instance, k, check: bool) -> _Solved:
 # ---------------------------------------------------------------- solve
 
 
+def _log_line(event: dict) -> str:
+    """The text of the '# log:' line for one delta trace event."""
+    head = f"level {event['level']}: k={event['k']}"
+    if event["outcome"] == "FullTwins":
+        return f"{head} completed from full twin set"
+    v, w = event["probe"]
+    return f"{head} covered={event['covered']} probe {v}-{w} -> {event['outcome']}"
+
+
 def _cmd_solve(args) -> int:
-    if args.trace and args.algo != "layered":
-        raise InfeasibleParameters(
-            f"--trace writes layered rounds only; --algo {args.algo} has none"
-        )
     g = parse_graph(_read_text(args.input))
     delta = min_degree(g)
     solved = _solve_valid(args.algo, g, None, args.check)
     edges, bound = solved.found, solved.bound
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for row in solved.events:
-                fh.write(json.dumps(row) + "\n")
-    log_lines = solved.events if args.algo == "delta" else []
+            fh.writelines(json.dumps(event) + "\n" for event in solved.events)
+    log_lines = [_log_line(event) for event in solved.events] if args.algo == "delta" else []
     payload = {
         "algo": args.algo,
         "vertices": g.vertex_count,
@@ -452,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="graph file, or - for stdin")
     solve.add_argument("--format", choices=["text", "json"], default="text")
     solve.add_argument("--check", action="store_true", help="verify solver invariants while running")
-    solve.add_argument("--trace", default=None, help="write per-round JSON lines (layered only)")
+    solve.add_argument("--trace", default=None, help="write the solver's trace events as JSON lines")
     solve.add_argument("--out", default=None)
     solve.set_defaults(func=_cmd_solve)
 

@@ -17,6 +17,10 @@ a size-d rainbow matching directly, or lets the structure grow: the
 pair count k rises (trading a color collision for a twin pair) or a
 chain covers one more core edge. Both quantities are bounded, so each
 level finishes in at most d*d probes.
+
+A trace callable receives each probe as a dict (see
+find_rainbow_matching_delta). The solver formats no text; the command
+line renders its log lines from these events.
 """
 
 from __future__ import annotations
@@ -374,7 +378,7 @@ def _audit(config: GoodConfiguration) -> None:
             fail("free-vertex cursor skipped a vertex outside the structure")
 
 
-def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, log) -> tuple:
+def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> tuple:
     """Grow a rainbow matching of size d-1 to size d."""
     config = GoodConfiguration(
         graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), chains=[], cover={}
@@ -384,15 +388,20 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, log) -> tu
     for _ in range(16 * d * d * d):
         if config.pair_count == d - 1:
             result = _finish_full_twins(config)
-            if log is not None:
-                log(f"level {d}: k={config.pair_count} completed from full twin set")
+            if trace is not None:
+                trace({"level": d, "k": config.pair_count, "outcome": "FullTwins"})
             return result
         v, w = extend_by_free_edge(config, _first_free(config))
         outcome = resolve_case(config, (v, w))
-        if log is not None:
-            log(
-                f"level {d}: k={config.pair_count} covered={len(config.cover)}"
-                f" probe {v}-{w} -> {type(outcome).__name__}"
+        if trace is not None:
+            trace(
+                {
+                    "level": d,
+                    "k": config.pair_count,
+                    "covered": len(config.cover),
+                    "probe": [v, w],
+                    "outcome": type(outcome).__name__,
+                }
             )
         if isinstance(outcome, Matched):
             edges = outcome.matching
@@ -406,12 +415,15 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, log) -> tu
     raise InternalInvariantBroken(f"level {d} exceeded its probe budget")
 
 
-def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, log=None) -> tuple:
+def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=None) -> tuple:
     """Rainbow matching of size exactly min_degree(g), as sorted (u, v, color) edges.
 
     Needs vertex_count >= 4*min_degree - 3; raises PreconditionViolated
-    otherwise. check=True re-audits every intermediate structure; log
-    (a callable taking one string) receives the probe replay.
+    otherwise. check=True re-audits every intermediate structure. trace
+    (a callable taking one dict) receives one event per probe, with the
+    keys level, k, covered, probe ([v, w]) and outcome (Matched,
+    RepeatIncreased or ChainsExtended), and one {level, k, outcome:
+    FullTwins} event for a level completed from the full twin set.
     """
     delta = min_degree(g)
     if g.vertex_count < 4 * delta - 3:
@@ -421,7 +433,7 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, log=Non
         )
     matching: tuple = ()
     for d in range(1, delta + 1):
-        matching = _advance_level(g, d, matching, check, log)
+        matching = _advance_level(g, d, matching, check, trace)
     ok, why = validate_rainbow_matching(g, matching)
     if not ok or len(matching) != delta:
         raise InternalInvariantBroken(f"final matching invalid: {why}")

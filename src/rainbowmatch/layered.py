@@ -92,16 +92,18 @@ class ClassifiedEdge:
 
 @dataclass
 class LayerState:
+    """One round's data; the defaults give the prior of the first round."""
+
     graph: ColoredGraph = field(repr=False)
-    matching: list
     delta: int
-    free: list
     palette: set = field(repr=False)  # every color of graph
-    by_color: dict = field(repr=False)  # ever-free vertex -> {color: neighbor}
-    free_free: list  # (v, w, color) with v < w both free, in (v, w) order
-    found: dict  # matched vertex -> [(color, free vertex)] in the looked colors
-    looked: set  # the colors whose edges found holds
-    pending: list  # active colors not looked up yet
+    matching: list = field(default_factory=list)
+    free: list = field(default_factory=list)
+    by_color: dict = field(default_factory=dict, repr=False)  # ever-free v -> {color: neighbor}
+    free_free: list = field(default_factory=list)  # (v, w, color), v < w both free, sorted
+    found: dict = field(default_factory=dict)  # matched v -> [(color, free r)] in looked colors
+    looked: set = field(default_factory=set)  # the colors whose edges found holds
+    pending: list = field(default_factory=list)  # active colors not looked up yet
     origins: dict = field(default_factory=dict)  # color -> ClassifiedEdge
     quiet_side: dict = field(default_factory=dict)  # y vertex -> ClassifiedEdge
 
@@ -378,83 +380,54 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, tuple |
     return None, None, rows
 
 
-def _free_up(g: ColoredGraph, by_color: dict, free_free: list, vertices: set, free: set) -> None:
-    """Give each of vertices, newly free, its color -> neighbor map unless
-    an earlier round did, and add its edges to the rest of free to
-    free_free, which ends sorted."""
-    for v in vertices:
-        nb = g.neighbors(v)
-        if v not in by_color:
-            by_color[v] = dict(zip(nb.values(), nb))
-        free_free.extend(
-            _normalize(v, w, nb[w]) for w in nb.keys() & free if w > v or w not in vertices
-        )
-    free_free.sort()
-
-
-def _fresh_state(g: ColoredGraph, matching: list, delta: int) -> LayerState:
-    """The state of a first round on matching, with the colors missing
-    from it pending."""
-    covered = {x for e in matching for x in (e[0], e[1])}
-    # no level runs at delta 0, so a huge edgeless graph lists no vertex
-    free = [v for v in g.vertices() if v not in covered] if delta else []
-    palette = {e[2] for e in g.edges}
-    free_set = set(free)
-    by_color: dict = {}
-    free_free: list = []
-    _free_up(g, by_color, free_free, free_set, free_set)
-    return LayerState(
-        graph=g,
-        matching=list(matching),
-        delta=delta,
-        free=free,
-        palette=palette,
-        by_color=by_color,
-        free_free=free_free,
-        found={x: [] for x in covered},
-        looked=set(),
-        pending=list(palette.difference(e[2] for e in matching)),
-    )
-
-
 def _next_state(prior: LayerState, matching: list) -> LayerState:
     """The state of the round after prior, on matching: prior's free-free
     edges and level-1 active-edge lists, patched only at the vertices and
-    colors whose status changed. prior's lists are reused in place."""
+    colors whose status changed. prior's lists are reused in place. The
+    first round follows a default LayerState: no vertex free, none with a
+    list or a color map, and no color looked up."""
     g = prior.graph
     covered = {x for e in matching for x in (e[0], e[1])}
+    # no level runs at delta 0, so a huge edgeless graph lists no vertex
+    free = [v for v in g.vertices() if v not in covered] if prior.delta else []
+    free_set = set(free)
+    freed = free_set.difference(prior.free)
     found = prior.found
-    freed = found.keys() - covered
-    taken = covered - found.keys()
     missing = prior.palette.difference(e[2] for e in matching)
     kept = prior.looked & missing
     # drop the lists of the freed vertices, the edges from the newly
     # covered ones, and the edges in colors that are no longer missing
-    for w in freed:
+    for w in found.keys() - covered:
         del found[w]
+    taken = covered - found.keys()
     stale = prior.looked - missing
+    by_color = prior.by_color
     for r in prior.free:
-        to = prior.by_color[r]
+        to = by_color[r]
         for c in prior.looked if r in taken else stale:
             at = found.get(to.get(c))
             if at is not None:
                 at.remove((c, r))
-    free = [v for v in g.vertices() if v not in covered]
-    free_set = set(free)
-    by_color = prior.by_color
     # add the edges in the kept colors at a newly covered or freed vertex;
-    # _unblock adds the newly missing colors
+    # _unblock adds the newly missing colors. A freed vertex gets its
+    # color -> neighbor map unless an earlier round gave it one.
     for w in taken:
-        to = by_color[w]
+        to = by_color.get(w, {})
         found[w] = [(c, r) for c in kept if (r := to.get(c)) in free_set and r not in freed]
     free_free = [e for e in prior.free_free if e[0] not in taken and e[1] not in taken]
-    _free_up(g, by_color, free_free, freed, free_set)
     for r in freed:
+        nb = g.neighbors(r)
+        if r not in by_color:
+            by_color[r] = dict(zip(nb.values(), nb))
+        free_free.extend(
+            _normalize(r, w, nb[w]) for w in nb.keys() & free_set if w > r or w not in freed
+        )
         to = by_color[r]
         for c in kept:
             at = found.get(to.get(c))
             if at is not None:
                 at.append((c, r))
+    free_free.sort()
     return LayerState(
         graph=g,
         matching=list(matching),
@@ -489,10 +462,10 @@ def find_rainbow_matching_layered(
     matching = _extend_maximal(order, [])
     start = len(matching)
     rounds = 0
-    state = None
+    state = LayerState(graph=g, delta=delta, palette={e[2] for e in g.edges})
     while True:
         rounds += 1
-        state = _fresh_state(g, matching, delta) if state is None else _next_state(state, matching)
+        state = _next_state(state, matching)
         result, violation, rows = _run_layers(state, check=check)
         if trace is not None:
             trace(

@@ -442,15 +442,30 @@ def test_verify_negative_k_exit_code(tmp_path, capsys):
     assert code == 3 and out.startswith("invalid: cycle of length 1")
 
 
-def test_solve_trace_needs_layered(tmp_path, capsys):
-    # refused before the input is read: the input file does not exist
+def test_solve_trace_works_for_every_algo(tmp_path, capsys):
+    inst = tmp_path / "g.txt"
     trace = tmp_path / "trace.jsonl"
-    for algo in ("delta", "oracle"):
+    run(capsys, "gen", "--kind", "graph", "--n", "9", "--target", "3",
+        "--seed", "1", "--out", str(inst))
+    # delta: one event per '# log:' line, and each event renders as its line
+    code, out, _ = run(capsys, "solve", "--algo", "delta", "--input", str(inst),
+                       "--trace", str(trace))
+    assert code == 0
+    logs = [line[len("# log: "):] for line in out.splitlines() if line.startswith("# log: ")]
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert logs and [cli._log_line(event) for event in events] == logs
+    # the oracle emits no events
+    code, _, _ = run(capsys, "solve", "--algo", "oracle", "--input", str(inst),
+                     "--trace", str(trace))
+    assert code == 0
+    assert trace.read_text() == ""
+    # a missing input fails before the trace file is opened
+    trace.unlink()
+    for algo in ("delta", "layered", "oracle"):
         code, out, err = run(capsys, "solve", "--algo", algo, "--input",
                              str(tmp_path / "missing.txt"), "--trace", str(trace))
-        assert code == 2
-        assert f"--algo {algo}" in err
-        assert out == ""
+        assert code == 1
+        assert out == "" and "error:" in err
         assert not trace.exists()
 
 

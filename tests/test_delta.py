@@ -77,13 +77,21 @@ def test_output_is_deterministic():
     assert type(result) is tuple and list(result) == sorted(result)
 
 
-def test_log_reports_every_level():
+def test_trace_reports_every_level():
     g = random_proper_graph(13, 4, seed=2)
-    lines = []
-    find_rainbow_matching_delta(g, log=lines.append)
-    joined = "\n".join(lines)
-    for level in range(1, 5):
-        assert f"level {level}" in joined
+    events = []
+    traced = find_rainbow_matching_delta(g, trace=events.append)
+    assert sorted({event["level"] for event in events}) == [1, 2, 3, 4]
+    for event in events:
+        if event["outcome"] == "FullTwins":
+            assert set(event) == {"level", "k", "outcome"}
+        else:
+            assert set(event) == {"level", "k", "covered", "probe", "outcome"}
+            assert event["outcome"] in ("Matched", "RepeatIncreased", "ChainsExtended")
+    # every level ends in a matching, from a probe or from the full twin set
+    last = {event["level"]: event["outcome"] for event in events}
+    assert set(last.values()) <= {"Matched", "FullTwins"}
+    assert traced == find_rainbow_matching_delta(g) == find_rainbow_matching_delta(g, check=True)
 
 
 def test_chain_rotate_cascades_to_the_fresh_color():

@@ -29,10 +29,11 @@ from rainbowmatch import layered
 from rainbowmatch.graphs import ColoredGraph, _normalize
 from rainbowmatch.layered import (
     ClassifiedEdge,
+    LayerState,
     _classify_level,
     _extend_maximal,
-    _fresh_state,
     _greedy_order,
+    _next_state,
     _run_layers,
     _scan_candidates,
 )
@@ -101,7 +102,8 @@ def test_trace_records_rounds_and_sizes():
 def _layer_once(g, matching):
     """One round of layering on a given matching: the violation
     realized and the augmented matching."""
-    state = _fresh_state(g, sorted(matching), min_degree(g))
+    first = LayerState(graph=g, delta=min_degree(g), palette={e[2] for e in g.edges})
+    state = _next_state(first, sorted(matching))
     augmented, violation, _ = _run_layers(state, check=False)
     return violation, augmented
 
