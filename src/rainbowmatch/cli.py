@@ -115,15 +115,18 @@ def _cmd_gen(args) -> int:
 # its solver through this module's global name, so that a wrapper patched
 # onto the name sees the call, and appends the solver's own report to
 # events: the matching solvers' trace dicts or the transversal stats
-# dict. It returns (result, k used, stated bound, augmentations).
+# dict. It returns (result, k used, stated bound, augmentations). With
+# events None the caller reads no report: the delta solver then gets no
+# trace, and the adapters that read their own report keep it locally.
 
 
 def _run_delta(g, k, check, events):
-    m = find_rainbow_matching_delta(g, check=check, trace=events.append)
+    m = find_rainbow_matching_delta(g, check=check, trace=None if events is None else events.append)
     return m, "", min_degree(g), len(m)
 
 
 def _run_layered(g, k, check, events):
+    events = [] if events is None else events
     m = find_rainbow_matching_layered(g, check=check, trace=events.append)
     return m, "", guaranteed_size(min_degree(g)), events[-1]["final"] - events[-1]["initial"]
 
@@ -135,14 +138,16 @@ def _run_oracle(g, k, check, events):
 
 def _run_shortcycle(sq, k, check, events):
     stats: dict = {}
-    events.append(stats)
+    if events is not None:
+        events.append(stats)
     t = build_short_cycle_free_transversal(sq, k, check=check, stats=stats)
     return t, k, theorem_bound(sq.order, k), stats["augmentations"]
 
 
 def _run_cyclefree(sq, k, check, events):
     stats: dict = {}
-    events.append(stats)
+    if events is not None:
+        events.append(stats)
     t = cycle_free_transversal(sq, check=check, stats=stats)
     return t, default_cycle_bound(sq.order), corollary_bound(sq.order), stats["augmentations"]
 
@@ -180,14 +185,15 @@ class _Solved(NamedTuple):
     k: object
     bound: int
     augmentations: int
-    events: list
+    events: list | None  # None when the caller asked for no report
     why: str | None  # None when the certificate revalidated
 
 
-def _solve(algo: str, instance, k, check: bool) -> _Solved:
-    """Run one solver of the table and revalidate its sorted certificate."""
+def _solve(algo: str, instance, k, check: bool, report: bool = True) -> _Solved:
+    """Run one solver of the table and revalidate its sorted certificate;
+    report=False collects no events."""
     solver = _SOLVERS[algo]
-    events: list = []
+    events = [] if report else None
     found, k_used, bound, augmentations = solver.run(instance, k, check, events)
     if solver.cutoff is None:
         _, why = validate_rainbow_matching(instance, found)
@@ -363,7 +369,7 @@ def parse_sizes(spec: str) -> list:
 
 def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool) -> dict:
     """Run one instance; returns the CSV row fields."""
-    solved = _solve(suite, _SOLVERS[suite].make(size, seed), k, check)
+    solved = _solve(suite, _SOLVERS[suite].make(size, seed), k, check, report=False)
     return {
         "instance": f"{suite}-{size}-{trial}",
         "size": size,

@@ -25,9 +25,23 @@ colors it did not keep), so the next round starts where a fresh start
 from the bigger transversal would, without an O(order) rebuild. Each
 augmentation checks only the rows it rewrote against the carried used
 columns and symbols, and for cycles of length ≤ k through them; the
-whole result is validated once, at the end. check=True also validates
-the whole transversal and compares the carried state with a fresh one
-every round.
+whole result is validated once, at the end.
+
+The state also carries each front vertex's reach set (the tails of
+its forbidden arcs) and the forbidden-arc count of every symbol over
+the front. A walk of k-1 arcs reads only the arcs out of the vertices
+it reaches within k-2, all of them in its reach set, so a layer walks
+only its new successors and the front vertices whose set holds a row
+the last layer minted an arc at. The counts at the round's start are
+kept as a copy, and so is each path beginning's set when a layer first
+walks it again; an augmentation puts those back, drops the successors
+and the chain's end column, and walks again only the path beginnings
+whose set holds a rewritten row.
+
+check=True also validates the whole transversal and compares the
+carried state with a fresh one after every augmentation, and the
+carried reach sets and counts with a fresh walk of the front at every
+layer.
 """
 
 from __future__ import annotations
@@ -73,22 +87,20 @@ def default_cycle_bound(n: int) -> int:
 
 def _greedy_init(square: LatinSquare, k: int) -> list:
     """One cell per symbol, smallest usable row, no cycle of length ≤ k."""
-    n = square.order
+    col_of = square._col_of
+    free = list(range(1, square.order + 1))  # rows without a cell, ascending
     col_by_row: dict = {}
     used_cols: set = set()
     cells = []
-    for s in range(1, n + 1):
-        for r in range(1, n + 1):
-            if r in col_by_row:
-                continue
-            c = square.col_of(r, s)
-            if c in used_cols or c == r:
-                continue
-            if _closes_short_cycle(col_by_row, r, c, k):
+    for s in range(1, square.order + 1):
+        for i, r in enumerate(free):
+            c = col_of[r][s]
+            if c in used_cols or c == r or _closes_short_cycle(col_by_row, r, c, k):
                 continue
             col_by_row[r] = c
             used_cols.add(c)
             cells.append((r, c, s))
+            del free[i]
             break
     return sorted(cells)
 
@@ -110,6 +122,11 @@ class TransversalSearchState:
     arcs_out: dict = field(default_factory=dict)  # v -> [(head, color, from_initial)]
     remaining: list = field(default_factory=list)  # unspent symbols, ascending
     spent: list = field(default_factory=list)  # this round's layer colors, in order
+    reach: dict = field(default_factory=dict)  # front vertex u -> tails of its forbidden arcs
+    count: list = field(default_factory=list)  # symbol -> forbidden arcs into the front
+    round_count: list = field(default_factory=list)  # count as the round started
+    round_reach: dict = field(default_factory=dict)  # path beginning -> reach as the round started
+    stale: set = field(default_factory=set)  # front vertices whose reach needs a walk
 
 
 def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchState:
@@ -122,6 +139,8 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
         arcs_out.setdefault(r, []).append((c, s, True))
     a_first = frozenset(c for c in range(1, n + 1) if c not in used_cols)
     b_first = frozenset(r for r in range(1, n + 1) if r not in out_map)
+    reach = {u: _forbidden_tails(arcs_out, u, k) for u in a_first}
+    count = _tally(square, reach)
     return TransversalSearchState(
         square=square,
         k=k,
@@ -135,6 +154,9 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
         b_set=set(b_first),
         arcs_out=arcs_out,
         remaining=[s for s in range(1, n + 1) if s not in used_syms],
+        reach=reach,
+        count=count,
+        round_count=list(count),
     )
 
 
@@ -174,29 +196,75 @@ def _collect_reach(arcs_out: dict, u: int, limit: int, narrow: bool) -> set:
     return found
 
 
-def _least_forbidden(state: TransversalSearchState, reach: dict, loops: bool) -> tuple:
-    """(color, count) for the unspent symbol with the fewest forbidden
-    arcs into the A-front, ties to the smallest. Arc v -> u is forbidden
-    when v is in reach[u], or v == u with loops; its color is
-    entry(v, u), so one pass over the reach sets counts every color."""
-    rows = state.square.rows
-    count = [0] * (state.square.order + 1)
-    for u, heads in reach.items():
+def _forbidden_tails(arcs_out: dict, u: int, k: int) -> set:
+    """u and the heads of rainbow paths out of u with ≤ k-1 arcs: the
+    tails v whose arc v -> u could close a cycle of length ≤ k."""
+    tails = _collect_reach(arcs_out, u, k - 1, narrow=False)
+    tails.add(u)
+    return tails
+
+
+def _tally(square: LatinSquare, reach: dict) -> list:
+    """count[s] = the arcs v -> u in symbol s with v in reach[u]; the
+    color of that arc is entry(v, u), so one pass counts every symbol."""
+    rows = square.rows
+    count = [0] * (square.order + 1)
+    for u, tails in reach.items():
         col = u - 1
-        if loops:
-            count[rows[col][col]] += 1
-        for v in heads:
+        for v in tails:
             count[rows[v - 1][col]] += 1
+    return count
+
+
+def _least_forbidden(state: TransversalSearchState, reach: dict) -> tuple:
+    """(color, count) for the unspent symbol with the fewest arcs v -> u
+    into the A-front with v in reach[u], ties to the smallest."""
+    count = _tally(state.square, reach)
     color = min(state.remaining, key=count.__getitem__)
     return color, count[color]
 
 
+def _readers(state: TransversalSearchState, rows) -> list:
+    """The front vertices whose walk may read the arcs out of one of
+    rows. A walk of k-1 arcs reads the arcs of the vertices it reaches
+    within k-2, all in its reach set; at k = 2 only its own."""
+    if state.k == 2:
+        return [w for w in rows if w in state.reach]
+    return [w for w, tails in state.reach.items() if not tails.isdisjoint(rows)]
+
+
+def _rewalk(state: TransversalSearchState, u: int) -> set | None:
+    """Walk u's forbidden tails again, move u's counts from its old set
+    to the new one, and return the old set (None for a new vertex)."""
+    tails = _forbidden_tails(state.arcs_out, u, state.k)
+    old = state.reach.get(u)
+    rows, count, col = state.square.rows, state.count, u - 1
+    gained = tails
+    if old is not None:
+        for v in old - tails:
+            count[rows[v - 1][col]] -= 1
+        gained = tails - old
+    for v in gained:
+        count[rows[v - 1][col]] += 1
+    state.reach[u] = tails
+    return old
+
+
 def choose_color(state: TransversalSearchState) -> tuple:
-    """(color, reach): the unspent symbol with the fewest forbidden arcs,
-    ties to smallest, and the A-front's reach sets it counted them from,
-    u -> heads of rainbow paths out of u with ≤ k-1 arcs."""
-    reach = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=False) for u in state.a_set}
-    return _least_forbidden(state, reach, loops=True)[0], reach
+    """(color, reach): the unspent symbol with the fewest forbidden arcs
+    into the A-front, ties to smallest, and the front's carried reach
+    sets, u -> tails v whose arc v -> u is forbidden.
+
+    Only the stale front vertices are walked again: the successors the
+    last layer added and the vertices whose walk read a row it minted
+    an arc at. A path beginning's first new walk in a round keeps its
+    old set in round_reach, for apply_augmentation to put back."""
+    for u in state.stale:
+        old = _rewalk(state, u)
+        if u in state.a_first:
+            state.round_reach.setdefault(u, old)
+    state.stale = set()
+    return min(state.remaining, key=state.count.__getitem__), state.reach
 
 
 def expand_layer(state: TransversalSearchState, color: int, reach: dict):
@@ -204,17 +272,22 @@ def expand_layer(state: TransversalSearchState, color: int, reach: dict):
 
     A non-forbidden arc whose tail is an original path end augments and
     is returned as (tail, head); otherwise fresh tails become B vertices,
-    their successors join the A-front, and None is returned."""
+    their successors join the A-front, and None is returned. The minted
+    arcs make stale the front vertices whose walk read their tails, and
+    the new successors have no walk yet."""
+    row_of = state.square._row_of
     minted = []
     for u in sorted(state.a_set):
-        v = state.square.row_of(u, color)
-        if v == u or v in reach[u]:
+        v = row_of[u][color]
+        if v in reach[u]:
             continue
         if v in state.b_first:
             return v, u
         if v in state.b_set:
             continue
         minted.append((v, u))
+    if minted:
+        state.stale.update(_readers(state, {v for v, _ in minted}))
     for v, u in minted:
         state.b_set.add(v)
         state.b_parent[v] = (u, color)
@@ -222,6 +295,7 @@ def expand_layer(state: TransversalSearchState, color: int, reach: dict):
         successor = state.out_map[v][0]
         state.a_parent[successor] = v
         state.a_set.add(successor)
+        state.stale.add(successor)
     return None
 
 
@@ -274,8 +348,12 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     chain's end column leaves the path beginnings and the augmenting
     tail the path ends, every minted B vertex is back to its one
     transversal arc, the round's layer colors not used on the chain
-    are unspent again and the chain's old symbols join them. All this
-    costs O(k * hops + front + unspent symbols), not O(order)."""
+    are unspent again and the chain's old symbols join them. The reach
+    sets and counts go back to the round's start, lose the chain's end
+    column, and are walked again only for the path beginnings whose set
+    holds a rewritten row. All this costs O(k * hops + front + unspent
+    symbols + order) plus those walks, with the O(order) part one list
+    copy of the counts."""
     v, target = edge  # (tail v in B1, head in the A-front)
     out_map = state.out_map
     moved: dict = {}  # chain row, then the augmenting tail -> its new (col, symbol)
@@ -318,6 +396,20 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     state.arcs_out[v] = [(target, color, True)]
     state.a_set = set(state.a_first)
     state.b_set = set(state.b_first)
+    # the round's start sets and counts, without the successors and u,
+    # then new walks where a rewritten row was read
+    reach = state.reach
+    for w in state.a_parent:
+        del reach[w]
+    reach.update(state.round_reach)
+    state.count = count = state.round_count
+    rows = state.square.rows
+    for x in reach.pop(u):
+        count[rows[x - 1][u - 1]] -= 1
+    for w in _readers(state, moved):
+        _rewalk(state, w)
+    state.round_count = list(count)
+    state.round_reach = {}
     state.a_parent = {}
     state.b_parent = {}
     state.spent = []
@@ -334,11 +426,27 @@ def _audit_carried_state(state: TransversalSearchState) -> None:
             )
 
 
+def _audit_front(state: TransversalSearchState, layer: int) -> None:
+    """The reach sets and counts choose_color carried must equal a fresh
+    walk of the whole A-front."""
+    fresh = {u: _forbidden_tails(state.arcs_out, u, state.k) for u in state.a_set}
+    for u in sorted(fresh.keys() | state.reach.keys()):
+        if state.reach.get(u) != fresh.get(u):
+            raise InternalInvariantBroken(
+                f"layer {layer}: carried reach of vertex {u} differs from a fresh walk of the front"
+            )
+    for s, (carried, walked) in enumerate(zip(state.count, _tally(state.square, fresh))):
+        if carried != walked:
+            raise InternalInvariantBroken(
+                f"layer {layer}: carried count of symbol {s} is {carried}, a fresh walk gives {walked}"
+            )
+
+
 def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) -> None:
     """Pigeonhole law: some unspent symbol has few narrowly-forbidden
     arcs (counting only paths of 2..k-1 arcs ending in an initial arc)."""
     narrow = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=True) for u in state.a_set}
-    best = _least_forbidden(state, narrow, loops=False)[1]
+    best = _least_forbidden(state, narrow)[1]
     total = best * len(state.remaining)
     # layer >= 2 and n > t, so once k-1 reaches total's bit length the law holds
     if state.k - 1 < total.bit_length() and total > state.k * layer ** (state.k - 1) * (n - t):
@@ -361,8 +469,6 @@ def _check_growth_law(state: TransversalSearchState, layer: int, n: int, t: int,
 def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
     """One augmentation attempt. Returns True once the state holds a
     transversal one cell bigger, False when the symbols run out first."""
-    if check:
-        _audit_carried_state(state)
     n = state.square.order
     t = len(state.cells)
     if t >= n:
@@ -372,6 +478,7 @@ def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
             return False
         color, reach = choose_color(state)
         if check:
+            _audit_front(state, layer)
             _check_color_law(state, layer, n, t)
         state.remaining.remove(color)
         state.spent.append(color)
@@ -383,6 +490,7 @@ def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
                 ok, why = validate_transversal(state.square, state.cells, forbid_cycles_up_to=state.k)
                 if not ok:
                     raise InternalInvariantBroken(f"augmented transversal invalid: {why}")
+                _audit_carried_state(state)
             return True
         if check:
             _check_growth_law(state, layer, n, t, len(state.b_set) - before)
@@ -396,9 +504,11 @@ def build_short_cycle_free_transversal(
     theorem_bound(order, k) cells, as sorted (row, col, symbol) cells.
 
     check=True additionally verifies the layer counting laws on every
-    expansion round and compares the carried search state with a fresh
-    one. stats (a dict) receives initial, the greedy start's size, and
-    augmentations, the expansion rounds that grew it.
+    expansion round, compares the carried reach sets and counts with a
+    fresh walk of the front at every layer, and compares the carried
+    search state with a fresh one after every augmentation. stats (a
+    dict) receives initial, the greedy start's size, and augmentations,
+    the expansion rounds that grew it.
     """
     if k < 2:
         raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")

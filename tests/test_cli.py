@@ -412,6 +412,24 @@ def test_sweep_delta_small_sizes_on_every_spread(capsys):
         assert rows[3:] == [f"delta-1-{t},1,,1,1,true,1" for t in range(3)]
 
 
+def test_a_delta_sweep_row_asks_for_no_trace(monkeypatch, capsys):
+    # a sweep row reads no probe event, so the solver collects none;
+    # solve still passes a sink, for its '# log:' lines and --trace file
+    traces = []
+
+    def recorded(g, **kwargs):
+        traces.append(kwargs["trace"])
+        return find_rainbow_matching_delta(g, **kwargs)
+
+    monkeypatch.setattr(cli, "find_rainbow_matching_delta", recorded)
+    code, out, _ = run(capsys, "sweep", "--suite", "delta", "--sizes", "3,5",
+                       "--trials", "2", "--check")
+    assert code == 0 and len(out.splitlines()) == 5
+    assert traces == [None] * 4
+    solved = cli._solve("delta", random_proper_graph(9, 3, 1), None, False)
+    assert traces[-1] is not None and solved.events
+
+
 def test_cycle_free_and_k_are_exclusive(tmp_path, capsys):
     inst = tmp_path / "sq.txt"
     cert = tmp_path / "t.txt"

@@ -26,6 +26,7 @@ from rainbowmatch import (
 )
 from rainbowmatch import transversal as tv
 from rainbowmatch.arith import int_kth_root
+from rainbowmatch.latin import _closes_short_cycle
 
 
 def forbidden_edges(state, color):
@@ -88,6 +89,45 @@ def test_greedy_init_is_short_cycle_free():
         # one cell per symbol at most
         symbols = [s for _, _, s in cells]
         assert len(symbols) == len(set(symbols))
+
+
+def _row_scan_greedy(square, k):
+    """_greedy_init as the scan of every row for every symbol it once
+    was, kept as a reference for the scan of the free rows."""
+    n = square.order
+    col_by_row = {}
+    used_cols = set()
+    cells = []
+    for s in range(1, n + 1):
+        for r in range(1, n + 1):
+            if r in col_by_row:
+                continue
+            c = square.col_of(r, s)
+            if c in used_cols or c == r:
+                continue
+            if _closes_short_cycle(col_by_row, r, c, k):
+                continue
+            col_by_row[r] = c
+            used_cols.add(c)
+            cells.append((r, c, s))
+            break
+    return sorted(cells)
+
+
+def _isotope(square, rng):
+    """square with its rows, columns and symbols each permuted by rng."""
+    n = square.order
+    rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+    return build_square([[syms[square.rows[r][c] - 1] + 1 for c in cols] for r in rows])
+
+
+def test_greedy_init_matches_the_row_scan():
+    squares = [random_square(n, seed=split_seed(19, n)) for n in range(1, 25)]
+    squares += [_isotope(cyclic_square(n), random.Random(n)) for n in range(1, 61)]
+    squares += [_reversed_cyclic(n) for n in (40, 60)]
+    for sq in squares:
+        for k in (2, 3, 5):
+            assert tv._greedy_init(sq, k) == _row_scan_greedy(sq, k), (sq.order, k)
 
 
 def test_rejects_cycle_bound_below_two():
@@ -302,6 +342,92 @@ def test_check_catches_a_stale_carried_state(monkeypatch, corrupt, field_name):
     _stale_after_first_augmentation(monkeypatch, corrupt)
     with pytest.raises(InternalInvariantBroken, match=f"stale: {field_name} differs"):
         build_short_cycle_free_transversal(sq, 2, check=True)
+
+
+def _log_calls(monkeypatch, name, log, fault=None):
+    """Log each call of tv.<name> in log. fault(state, call) runs the
+    real function through call() and returns True once it has left a
+    stale state behind; that call logs "fault" too, and later calls
+    run the real function alone."""
+    real = getattr(tv, name)
+
+    def wrapped(state, *args):
+        log.append(name)
+        if fault is None or "fault" in log:
+            return real(state, *args)
+        result = []
+        if fault(state, lambda: result.append(real(state, *args))):
+            log.append("fault")
+        return result[0]
+
+    monkeypatch.setattr(tv, name, wrapped)
+
+
+def _bump_a_count(state, call):
+    # a stale count entry: the chosen symbol's count one too high
+    call()
+    state.count[min(state.remaining, key=state.count.__getitem__)] += 1
+    return True
+
+
+def _keep_stale_walks(state, call):
+    # minted arcs that invalidate no walk: only the new successors get one
+    walked = set(state.reach)
+    call()
+    dropped = state.stale & walked
+    state.stale -= walked
+    return any(state.reach[u] != tv._forbidden_tails(state.arcs_out, u, state.k)
+               for u in dropped)
+
+
+def _skip_the_rewritten_walks(state, call):
+    # an augmentation that walks no front vertex whose walk read a rewritten row
+    real_readers = tv._readers
+    tv._readers = lambda state, rows: []
+    try:
+        call()
+    finally:
+        tv._readers = real_readers
+    return any(tails != tv._forbidden_tails(state.arcs_out, u, state.k)
+               for u, tails in state.reach.items())
+
+
+@pytest.mark.parametrize("name, fault, after, why", [
+    ("choose_color", _bump_a_count, [], r"layer \d+: carried count of symbol \d+ is"),
+    ("expand_layer", _keep_stale_walks, ["choose_color"],
+     r"layer \d+: carried reach of vertex \d+ differs from a fresh walk"),
+    ("apply_augmentation", _skip_the_rewritten_walks, [],
+     "carried search state is stale: reach differs from a fresh start"),
+])
+def test_check_catches_a_stale_carried_walk(monkeypatch, name, fault, after, why):
+    sq = _reversed_cyclic(40)
+    assert build_short_cycle_free_transversal(sq, 3, check=True)  # clean state passes
+    log = []
+    for other in {"choose_color", "apply_augmentation"} - {name}:
+        _log_calls(monkeypatch, other, log)
+    _log_calls(monkeypatch, name, log, fault)
+    with pytest.raises(InternalInvariantBroken, match=why):
+        build_short_cycle_free_transversal(sq, 3, check=True)
+    # caught in the round of the fault, by the first check after it
+    assert log[log.index("fault") + 1:] == after
+
+
+def test_carried_walks_halve_the_walks_of_a_build(monkeypatch):
+    # counts, not times: an unchecked order-200 build walked 2,971 front
+    # vertices at k = 2 and 3,130 at k = 3 when every layer walked the
+    # whole front
+    real = tv._collect_reach
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tv, "_collect_reach", counted)
+    for k, before in ((2, 2971), (3, 3130)):
+        calls.clear()
+        build_short_cycle_free_transversal(_reversed_cyclic(200), k)
+        assert 0 < len(calls) <= before // 2, (k, len(calls))
 
 
 def _recursive_reach(arcs_out, u, limit, narrow):
