@@ -7,6 +7,8 @@ import random
 from bisect import bisect_left, insort
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch import (
     InternalInvariantBroken,
@@ -666,6 +668,120 @@ def _growing_exchange(sq, cells):
             if validate_transversal(sq, rest + list(added), forbid_cycles_up_to=math.inf)[0]:
                 return dropped, added
     return None
+
+
+def _reference_free_cells(square, rows, cols, syms):
+    """Cells of the square in the given rows and columns holding one of
+    the given symbols."""
+    found = []
+    for r in rows:
+        for s in syms:
+            c = square.col_of(r, s)
+            if c in cols:
+                found.append((r, c, s))
+    return found
+
+
+def _reference_find_exchange(square, cells):
+    """_find_exchange as the scan it once was, kept as a reference for
+    the indexed search: every dropped cell looks up its candidate cells
+    again, one col_of call per row and symbol it tries."""
+    n = square.order
+    used_rows = {r for r, _, _ in cells}
+    used_cols = {c for _, c, _ in cells}
+    used_syms = {s for _, _, s in cells}
+    free_rows = [r for r in range(1, n + 1) if r not in used_rows]
+    free_cols = {c for c in range(1, n + 1) if c not in used_cols}
+    free_syms = [s for s in range(1, n + 1) if s not in used_syms]
+    if not free_rows:
+        return None
+    where = {v: (v, 0) for v in range(1, n + 1)}  # vertex -> (its path's start, position)
+    for path in cycles_of(square, cells).paths:
+        for pos, (_, c, _) in enumerate(path, start=1):
+            where[c] = (path[0][0], pos)
+    free = sorted(_reference_free_cells(square, free_rows, free_cols, free_syms))
+    for cell in free:
+        if where[cell[0]][0] != cell[1]:
+            return None, [cell]
+    for dropped in sorted(cells):
+        r0, c0, s0 = dropped
+        split_path, split_pos = where[r0]
+
+        def start_of(v):
+            path, pos = where[v]
+            return c0 if path == split_path and pos > split_pos else path
+
+        syms = free_syms + [s0]
+        freed = (_reference_free_cells(square, [r0], free_cols | {c0}, syms)
+                 + _reference_free_cells(square, free_rows, {c0}, syms)
+                 + _reference_free_cells(square, free_rows, free_cols, [s0]))
+        pool = sorted(
+            cell for cell in free + freed
+            if cell != dropped and start_of(cell[0]) != cell[1]
+        )
+        for i, (a1, b1, s1) in enumerate(pool):
+            for a2, b2, s2 in pool[i + 1:]:
+                if a1 == a2 or b1 == b2 or s1 == s2:
+                    continue
+                if start_of(a1) == b2 and start_of(a2) == b1:
+                    continue
+                return dropped, [(a1, b1, s1), (a2, b2, s2)]
+    return None
+
+
+def _shuffled_cyclic(n, seed):
+    """The cyclic square of order n with its columns permuted by seed."""
+    cols = random.Random(seed).sample(range(n), n)
+    return build_square([[(r + c) % n + 1 for c in cols] for r in range(n)])
+
+
+def test_find_exchange_matches_the_reference_at_every_step(monkeypatch):
+    real = tv._find_exchange
+    kinds = {"add": 0, "trade": 0, "none": 0}
+
+    def compared(square, cells):
+        move = real(square, cells)
+        assert move == _reference_find_exchange(square, cells), (square.order, len(cells))
+        kinds["none" if move is None else "add" if move[0] is None else "trade"] += 1
+        return move
+
+    monkeypatch.setattr(tv, "_find_exchange", compared)
+    squares = [cyclic_square(n) for n in range(1, 61)]
+    squares += [random_square(n, seed=split_seed(23, n)) for n in range(1, 25)]
+    squares += [_reversed_cyclic(n) for n in (40, 60)]
+    squares += [_shuffled_cyclic(n, seed) for seed, n in enumerate((200, 250, 300, 350, 400))]
+    for sq in squares:
+        cycle_free_transversal(sq)
+    # every pass ends on a move-less search; both kinds of move occur
+    assert kinds["none"] == len(squares)
+    assert kinds["add"] > 5 and kinds["trade"] > 20, kinds
+
+
+@st.composite
+def acyclic_cell_sets(draw):
+    """A small random square and a cycle-free partial transversal of it,
+    taken greedily from a drawn list of cells."""
+    n = draw(st.integers(1, 8))
+    sq = random_square(n, seed=draw(st.integers(0, 2**32)))
+    picks = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    col_by_row, cols, syms = {}, set(), set()
+    for r, c in picks:
+        s = sq.entry(r, c)
+        if r in col_by_row or c in cols or s in syms:
+            continue
+        if _closes_short_cycle(col_by_row, r, c, math.inf):
+            continue
+        col_by_row[r] = c
+        cols.add(c)
+        syms.add(s)
+    return sq, [(r, c, sq.entry(r, c)) for r, c in col_by_row.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(acyclic_cell_sets())
+def test_find_exchange_matches_the_reference_on_acyclic_cell_sets(case):
+    sq, cells = case
+    assert tv._find_exchange(sq, cells) == _reference_find_exchange(sq, cells)
 
 
 def test_cycle_free_output_admits_no_growing_exchange():
