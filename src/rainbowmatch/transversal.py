@@ -32,16 +32,24 @@ its forbidden arcs) and the forbidden-arc count of every symbol over
 the front. A walk of k-1 arcs reads only the arcs out of the vertices
 it reaches within k-2, all of them in its reach set, so a layer walks
 only its new successors and the front vertices whose set holds a row
-the last layer minted an arc at. The counts at the round's start are
-kept as a copy, and so is each path beginning's set when a layer first
-walks it again; an augmentation puts those back, drops the successors
-and the chain's end column, and walks again only the path beginnings
-whose set holds a rewritten row.
+the last layer minted an arc at. At k = 2 a walk is one arc long, and
+the layer adds each minted head to its tail's set and count itself.
+Walks of one or two arcs (k = 2 and 3) are read off without a search.
+The counts at the round's start are kept as a copy, and so is each
+path beginning's set when a layer first changes it; an augmentation
+puts those back, drops the successors and the chain's end column, and
+walks again only the path beginnings whose set holds a rewritten row.
 
 check=True also validates the whole transversal and compares the
 carried state with a fresh one after every augmentation, and the
 carried reach sets and counts with a fresh walk of the front at every
 layer.
+
+The cycle-free variant drops one cell of each long cycle the builder
+leaves and then adds cells by 0-for-1 and 1-for-2 exchanges. Each
+search indexes the free cells once, so a dropped cell reads the cells
+it frees in O(1). The moves are revalidated one by one only under
+check=True; the whole result always is.
 """
 
 from __future__ import annotations
@@ -164,11 +172,24 @@ def _collect_reach(arcs_out: dict, u: int, limit: int, narrow: bool) -> set:
     """Heads of rainbow vertex-simple paths out of u with ≤ limit arcs.
 
     narrow=True keeps only heads at distance ≥ 2 whose final arc
-    belongs to the initial transversal. Depth-first with one iterator
-    per arc of the current path, so no path length meets the recursion
-    limit."""
+    belongs to the initial transversal. A wide walk of one or two arcs,
+    all the builder takes at k = 2 and 3, is read off directly: the
+    heads of u's arcs other than u, then the heads of their arcs in
+    another color other than u (a loop back to the middle vertex adds
+    nothing new). Longer walks go depth-first with one iterator per arc
+    of the current path, so no path length meets the recursion limit."""
     found: set = set()
     if limit <= 0:
+        return found
+    if limit <= 2 and not narrow:
+        for head, color, _ in arcs_out.get(u, ()):
+            if head == u:
+                continue
+            found.add(head)
+            if limit == 2:
+                for far, far_color, _ in arcs_out.get(head, ()):
+                    if far_color != color and far != u:
+                        found.add(far)
         return found
     on_path = {u}
     used_colors: set = set()
@@ -227,7 +248,8 @@ def _least_forbidden(state: TransversalSearchState, reach: dict) -> tuple:
 def _readers(state: TransversalSearchState, rows) -> list:
     """The front vertices whose walk may read the arcs out of one of
     rows. A walk of k-1 arcs reads the arcs of the vertices it reaches
-    within k-2, all in its reach set; at k = 2 only its own."""
+    within k-2, all in its reach set; at k = 2 only its own (only
+    apply_augmentation asks at k = 2)."""
     if state.k == 2:
         return [w for w in rows if w in state.reach]
     return [w for w, tails in state.reach.items() if not tails.isdisjoint(rows)]
@@ -272,9 +294,12 @@ def expand_layer(state: TransversalSearchState, color: int, reach: dict):
 
     A non-forbidden arc whose tail is an original path end augments and
     is returned as (tail, head); otherwise fresh tails become B vertices,
-    their successors join the A-front, and None is returned. The minted
-    arcs make stale the front vertices whose walk read their tails, and
-    the new successors have no walk yet."""
+    their successors join the A-front, and None is returned. The new
+    successors have no walk yet. At k = 2 a walk is one arc long, so a
+    minted arc v -> u only adds u to v's set, when v is on the front,
+    and one to the count of entry(u, v); a path beginning's set is
+    copied into round_reach first. At k ≥ 3 the minted arcs make stale
+    the front vertices whose walk read their tails."""
     row_of = state.square._row_of
     minted = []
     for u in sorted(state.a_set):
@@ -286,7 +311,19 @@ def expand_layer(state: TransversalSearchState, color: int, reach: dict):
         if v in state.b_set:
             continue
         minted.append((v, u))
-    if minted:
+    if state.k == 2:
+        # v had only its transversal arc, into a column off the front,
+        # so u is not in its set yet
+        rows, count = state.square.rows, state.count
+        for v, u in minted:
+            tails = state.reach.get(v)
+            if tails is None:
+                continue
+            if v in state.a_first and v not in state.round_reach:
+                state.round_reach[v] = set(tails)
+            tails.add(u)
+            count[rows[u - 1][v - 1]] += 1
+    elif minted:
         state.stale.update(_readers(state, {v for v, _ in minted}))
     for v, u in minted:
         state.b_set.add(v)
@@ -545,17 +582,6 @@ def _path_starts(square: LatinSquare, cells: list) -> dict:
     return where
 
 
-def _free_cells(square: LatinSquare, rows, cols, syms) -> list:
-    """Cells of the square in the given rows and columns holding one of the given symbols."""
-    found = []
-    for r in rows:
-        for s in syms:
-            c = square.col_of(r, s)
-            if c in cols:
-                found.append((r, c, s))
-    return found
-
-
 def _find_exchange(square: LatinSquare, cells: list):
     """First move that grows an acyclic transversal by one cell.
 
@@ -564,38 +590,66 @@ def _find_exchange(square: LatinSquare, cells: list):
     moves, by ascending dropped cell and then ascending pair. An arc
     a -> b joins the path ending at a to the path starting at b, so it
     closes a cycle exactly when a's path starts at b; two new arcs also
-    close one when each lands on the start of the other's path."""
+    close one when each lands on the start of the other's path.
+
+    One index, built in O(f^2) for f free rows, serves every dropped
+    cell. Once no 0-for-1 move is left, each base free cell (free row,
+    column and symbol) lands on the start of its row's path, so a drop
+    frees only the one of its own path. The other cells a drop frees
+    take its row, column or symbol and are free in the other two; they
+    are listed by the used row, column or symbol they take. A drop with
+    fewer than two candidates tries no pair."""
     n = square.order
     used_rows = {r for r, _, _ in cells}
     used_cols = {c for _, c, _ in cells}
     used_syms = {s for _, _, s in cells}
     free_rows = [r for r in range(1, n + 1) if r not in used_rows]
-    free_cols = {c for c in range(1, n + 1) if c not in used_cols}
-    free_syms = [s for s in range(1, n + 1) if s not in used_syms]
     if not free_rows:
         return None
+    free_cols = [c for c in range(1, n + 1) if c not in used_cols]
+    free_syms = [s for s in range(1, n + 1) if s not in used_syms]
     where = _path_starts(square, cells)
-    free = sorted(_free_cells(square, free_rows, free_cols, free_syms))
-    for cell in free:
+    base: list = []
+    by_row: dict = {}  # used row -> its cells in a free column and symbol
+    for c in free_cols:
+        row_of_c = square._row_of[c]
+        for s in free_syms:
+            r = row_of_c[s]
+            if r in used_rows:
+                by_row.setdefault(r, []).append((r, c, s))
+            else:
+                base.append((r, c, s))
+    base.sort()
+    for cell in base:
         if where[cell[0]][0] != cell[1]:
             return None, [cell]
-    # every free cell closes a cycle now, unless a drop splits its path
+    base_of_path = {cell[1]: cell for cell in base}  # path start -> the cell back to it
+    by_col: dict = {}  # used column -> its cells in a free row and symbol
+    by_sym: dict = {}  # used symbol -> its cells in a free row and column
+    for r in free_rows:
+        col_of_r, row = square._col_of[r], square.rows[r - 1]
+        for s in free_syms:
+            c = col_of_r[s]
+            if c in used_cols:
+                by_col.setdefault(c, []).append((r, c, s))
+        for c in free_cols:
+            s = row[c - 1]
+            if s in used_syms:
+                by_sym.setdefault(s, []).append((r, c, s))
     for dropped in sorted(cells):
         r0, c0, s0 = dropped
         split_path, split_pos = where[r0]
+        pool = by_row.get(r0, []) + by_col.get(c0, []) + by_sym.get(s0, [])
+        if split_path in base_of_path:
+            pool.append(base_of_path[split_path])
+        if len(pool) < 2:
+            continue
 
         def start_of(v: int) -> int:
             path, pos = where[v]
             return c0 if path == split_path and pos > split_pos else path
 
-        syms = free_syms + [s0]
-        freed = (_free_cells(square, [r0], free_cols | {c0}, syms)
-                 + _free_cells(square, free_rows, {c0}, syms)
-                 + _free_cells(square, free_rows, free_cols, [s0]))
-        pool = sorted(
-            cell for cell in free + freed
-            if cell != dropped and start_of(cell[0]) != cell[1]
-        )
+        pool = sorted(cell for cell in pool if start_of(cell[0]) != cell[1])
         for i, (a1, b1, s1) in enumerate(pool):
             for a2, b2, s2 in pool[i + 1:]:
                 if a1 == a2 or b1 == b2 or s1 == s2:
@@ -606,21 +660,22 @@ def _find_exchange(square: LatinSquare, cells: list):
     return None
 
 
-def _exchange_pass(square: LatinSquare, cells: list) -> list:
+def _exchange_pass(square: LatinSquare, cells: list, check: bool) -> list:
     """Apply 0-for-1 and 1-for-2 moves until none applies.
 
-    Each move adds one cell, so there are at most order many; each
-    result is revalidated with every cycle forbidden before it is kept."""
+    Each move adds one cell, so there are at most order many. check=True
+    revalidates each result with every cycle forbidden before it is
+    kept; otherwise only the caller's final validation sees them."""
     while True:
         move = _find_exchange(square, cells)
         if move is None:
             return cells
         dropped, added = move
-        grown = sorted([c for c in cells if c != dropped] + added)
-        ok, why = validate_transversal(square, grown, forbid_cycles_up_to=math.inf)
-        if not ok:
-            raise InternalInvariantBroken(f"exchange move {move} invalid: {why}")
-        cells = grown
+        cells = sorted([c for c in cells if c != dropped] + added)
+        if check:
+            ok, why = validate_transversal(square, cells, forbid_cycles_up_to=math.inf)
+            if not ok:
+                raise InternalInvariantBroken(f"exchange move {move} invalid: {why}")
 
 
 def cycle_free_transversal(
@@ -629,15 +684,17 @@ def cycle_free_transversal(
     """Partial transversal with no cycles at all, which no 0-for-1 or
     1-for-2 exchange can enlarge, as sorted (row, col, symbol) cells.
 
-    Builds a short-cycle-free transversal at the standard cutoff, drops
-    the smallest-row cell of each surviving (long) cycle, then adds a
-    free cell, or trades one cell for two, while such a move keeps the
-    result cycle-free. stats (a dict) receives the builder's counts plus
-    cycles_removed."""
+    Builds a short-cycle-free transversal at the standard cutoff (2 at
+    every order but 3 below about 2.5*10^13), drops the smallest-row
+    cell of each surviving (long) cycle, then adds a free cell, or
+    trades one cell for two, while such a move keeps the result
+    cycle-free. The result is validated with every cycle forbidden;
+    check=True also revalidates each exchange move. stats (a dict)
+    receives the builder's counts plus cycles_removed."""
     k = default_cycle_bound(square.order)
     cells = build_short_cycle_free_transversal(square, k, check=check, stats=stats)
     cycles = cycles_of(square, cells).cycles  # each leads with its smallest row
-    result = _exchange_pass(square, sorted(set(cells) - {cycle[0] for cycle in cycles}))
+    result = _exchange_pass(square, sorted(set(cells) - {cycle[0] for cycle in cycles}), check)
     ok, why = validate_transversal(square, result, forbid_cycles_up_to=math.inf)
     if not ok:
         raise InternalInvariantBroken(f"cycle-free transversal invalid: {why}")

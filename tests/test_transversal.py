@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from bisect import bisect_left, insort
 
 import pytest
@@ -414,6 +415,57 @@ def test_check_catches_a_stale_carried_walk(monkeypatch, name, fault, after, why
     assert log[log.index("fault") + 1:] == after
 
 
+def _skip_the_direct_add(state, call):
+    # a minted head left out of its tail's carried set; the count moves
+    before = {u: set(tails) for u, tails in state.reach.items()}
+    call()
+    grown = [u for u in before if state.reach[u] != before[u]]
+    for u in grown:
+        state.reach[u].intersection_update(before[u])
+    return bool(grown)
+
+
+def _skip_the_count_bump(state, call):
+    # a minted head joins its tail's carried set; the count stays
+    before = list(state.count)
+    call()
+    bumped = state.count != before
+    state.count[:] = before
+    return bumped
+
+
+def _skip_the_round_reach_copy(state, call):
+    # a path beginning's set grows in place with no copy to put back
+    kept = set(state.round_reach)
+    call()
+    copied = state.round_reach.keys() - kept
+    for u in copied:
+        del state.round_reach[u]
+    return bool(copied)
+
+
+@pytest.mark.parametrize("fault, caught, why", [
+    (_skip_the_direct_add, "choose_color",
+     r"layer \d+: carried reach of vertex \d+ differs from a fresh walk"),
+    (_skip_the_count_bump, "choose_color", r"layer \d+: carried count of symbol \d+ is"),
+    (_skip_the_round_reach_copy, "(choose_color expand_layer )*apply_augmentation",
+     "carried search state is stale: reach differs from a fresh start"),
+], ids=["add", "count", "round_reach"])
+def test_check_catches_a_stale_direct_update_at_k2(monkeypatch, fault, caught, why):
+    # at k = 2 expand_layer updates the carried sets and counts itself
+    sq = _reversed_cyclic(40)
+    assert build_short_cycle_free_transversal(sq, 2, check=True)  # clean state passes
+    log = []
+    _log_calls(monkeypatch, "choose_color", log)
+    _log_calls(monkeypatch, "apply_augmentation", log)
+    _log_calls(monkeypatch, "expand_layer", log, fault)
+    with pytest.raises(InternalInvariantBroken, match=why):
+        build_short_cycle_free_transversal(sq, 2, check=True)
+    # caught by the first check after the fault: the next layer's front
+    # audit, or the audit after that round's augmentation
+    assert re.fullmatch(caught, " ".join(log[log.index("fault") + 1:]))
+
+
 def test_carried_walks_halve_the_walks_of_a_build(monkeypatch):
     # counts, not times: an unchecked order-200 build walked 2,971 front
     # vertices at k = 2 and 3,130 at k = 3 when every layer walked the
@@ -476,6 +528,36 @@ def test_collect_reach_matches_the_recursive_walk():
                     assert got == _recursive_reach(arcs_out, u, limit, narrow)
                     checked += bool(got)
     assert checked > 1000
+
+
+def test_the_recursive_walk_comparison_reads_short_walks_directly(monkeypatch):
+    # the comparison above reaches the direct reading of one- and
+    # two-arc walks, and each of its exclusions decides some head there:
+    # a loop at u, an arc back to u and a second arc in the first arc's
+    # color (a loop at the middle vertex leads to a head found already)
+    real = tv._collect_reach
+    decided = {"loop": 0, "back": 0, "color": 0}
+
+    def watched(arcs_out, u, limit, narrow):
+        found = real(arcs_out, u, limit, narrow)
+        if narrow or not 1 <= limit <= 2:
+            return found
+        arcs = arcs_out.get(u, ())
+        decided["loop"] += any(head == u for head, _, _ in arcs)
+        for head, color, _ in arcs:
+            if limit == 1 or head == u:
+                continue
+            for far, far_color, _ in arcs_out.get(head, ()):
+                if far not in found:
+                    rule = ("back" if far == u else "color" if far_color == color
+                            else None)
+                    assert rule is not None, (u, limit, far)
+                    decided[rule] += 1
+        return found
+
+    monkeypatch.setattr(tv, "_collect_reach", watched)
+    test_collect_reach_matches_the_recursive_walk()
+    assert min(decided.values()) > 20, decided
 
 
 def test_collect_reach_walks_paths_past_the_recursion_limit():
@@ -782,6 +864,71 @@ def acyclic_cell_sets(draw):
 def test_find_exchange_matches_the_reference_on_acyclic_cell_sets(case):
     sq, cells = case
     assert tv._find_exchange(sq, cells) == _reference_find_exchange(sq, cells)
+
+
+def test_unchecked_cycle_free_validates_the_build_and_the_result_only(monkeypatch):
+    calls = []
+    full = tv.validate_transversal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["forbid_cycles_up_to"])
+        return full(*args, **kwargs)
+
+    moves = []
+    find = tv._find_exchange
+
+    def recorded(square, cells):
+        moves.append(find(square, cells))
+        return moves[-1]
+
+    monkeypatch.setattr(tv, "validate_transversal", counted)
+    monkeypatch.setattr(tv, "_find_exchange", recorded)
+    sq = _shuffled_cyclic(200, 0)
+    k = default_cycle_bound(sq.order)
+    cycle_free_transversal(sq)
+    assert len(moves) > 5 and moves[-1] is None
+    assert calls == [k, math.inf]  # the builder's result, then the final one
+    calls.clear()
+    moves.clear()
+    stats = {}
+    cycle_free_transversal(sq, check=True, stats=stats)
+    # under check=True: every augmentation, the builder's result, every move, the final one
+    assert calls == [k] * (stats["augmentations"] + 1) + [math.inf] * len(moves)
+
+
+def _closing_free_cell(square, cells):
+    """A 0-for-1 move whose cell is free in cells but closes a cycle."""
+    n = square.order
+    col_by_row = {r: c for r, c, _ in cells}
+    cols = set(col_by_row.values())
+    syms = {s for _, _, s in cells}
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            s = square.entry(r, c)
+            if r in col_by_row or c in cols or s in syms:
+                continue
+            if _closes_short_cycle(col_by_row, r, c, math.inf):
+                return None, [(r, c, s)]
+    return None
+
+
+@pytest.mark.parametrize("check, why", [
+    (False, "cycle-free transversal invalid: cycle of length"),
+    (True, r"exchange move \(None, \[\(\d+, \d+, \d+\)\]\) invalid: cycle of length"),
+], ids=["unchecked", "checked"])
+def test_an_exchange_move_that_closes_a_cycle_is_caught(monkeypatch, check, why):
+    moves = []
+
+    def closing(square, cells):
+        # the first search returns a move closing a cycle, later ones none
+        moves.append(None if moves else _closing_free_cell(square, cells))
+        assert moves[0] is not None
+        return moves[-1]
+
+    monkeypatch.setattr(tv, "_find_exchange", closing)
+    with pytest.raises(InternalInvariantBroken, match=why):
+        cycle_free_transversal(_shuffled_cyclic(200, 0), check=check)
+    assert len(moves) == 1 + (not check)
 
 
 def test_cycle_free_output_admits_no_growing_exchange():
