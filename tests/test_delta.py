@@ -1,6 +1,9 @@
 """Rainbow matchings of size equal to the minimum degree."""
 
 import hashlib
+import json
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -17,11 +20,13 @@ from rainbowmatch import (
     to_bipartite_factorization,
     validate_rainbow_matching,
 )
+from rainbowmatch import delta
 from rainbowmatch.delta import (
     Chain,
     ChainsExtended,
     GoodConfiguration,
     _audit,
+    _Index,
     _restructure,
     chain_rotate,
     resolve_case,
@@ -172,4 +177,80 @@ def test_matching_outputs_are_pinned():
         digest.update(repr(tuple(m)).encode())
     assert digest.hexdigest() == (
         "cad72d77c52fc9d74221d83cf93de7a155045e19ce6f974de5f60e5dcf3bb924"
+    )
+
+
+def _reference_build_index(config):
+    """The index built by one plain loop per structure part, kept to
+    check the faster build against."""
+    roles: dict[int, tuple] = {}
+    for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
+        roles[a[0]] = roles[a[1]] = ("twin", i, 0)
+        roles[b[0]] = roles[b[1]] = ("twin", i, 1)
+    for i, e in enumerate(config.core):
+        roles[e[0]] = roles[e[1]] = ("core", i)
+    for ci, chain in enumerate(config.chains):
+        for p, e in enumerate(chain.edges):
+            anchor = chain.anchors[p]
+            free_end = e[1] if e[0] == anchor else e[0]
+            roles[anchor] = ("anchor", ci, p)
+            roles[free_end] = ("chain", ci, p)
+    twin_colors = {e[2] for e in config.twins_a}
+    return _Index(
+        roles=roles,
+        core_by_color={e[2]: i for i, e in enumerate(config.core)},
+        twin_colors=twin_colors,
+        banned=twin_colors
+        | {e[2] for i, e in enumerate(config.core) if i not in config.cover},
+        anchors={a for chain in config.chains for a in chain.anchors},
+    )
+
+
+def test_index_build_matches_the_kept_reference(monkeypatch):
+    # check=True audits every configuration a solve reaches: each level's
+    # start and the structure after each probe
+    audit = delta._audit
+    reached = Counter()
+
+    def compare(config):
+        built, kept = delta._build_index(config), _reference_build_index(config)
+        for f in fields(_Index):
+            assert getattr(built, f.name) == getattr(kept, f.name), f.name
+        reached["twins"] += bool(config.twins_a)
+        reached["chains"] += bool(config.chains)
+        reached["cover"] += bool(config.cover)
+        audit(config)
+
+    monkeypatch.setattr(delta, "_audit", compare)
+    for d in range(1, 41):
+        for j in range(2):
+            seed = split_seed(515, 10 * d + j)
+            g = random_proper_graph(max(d + 1, 4 * d - 3 + seed % 14), d, seed)
+            find_rainbow_matching_delta(g, check=True)
+    assert set(reached) == {"twins", "chains", "cover"} and min(reached.values()) > 0
+
+
+def test_trace_events_are_pinned_with_one_call_per_probe(monkeypatch):
+    # the benchmark counts probes and outcomes by wrapping these two
+    # module functions, so each probe must still pass through both
+    calls = Counter()
+    for name in ("extend_by_free_edge", "resolve_case"):
+        def counted(*args, _real=getattr(delta, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(delta, name, counted)
+    digest = hashlib.sha256()
+    probes = 0
+    for d in (30, 45, 60, 75, 90):
+        seed = split_seed(606, d)
+        g = random_proper_graph(4 * d - 3 + seed % 14, d, seed)
+        events = []
+        find_rainbow_matching_delta(g, trace=events.append)
+        probes += sum("probe" in event for event in events)
+        digest.update(json.dumps(events).encode())
+    assert probes > 0
+    assert calls == {"extend_by_free_edge": probes, "resolve_case": probes}
+    assert digest.hexdigest() == (
+        "d31778ab8b2761af529c0b771a315f4b779e68814c86cf7c6859045409a5be99"
     )
