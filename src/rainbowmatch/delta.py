@@ -18,6 +18,12 @@ pair count k rises (trading a color collision for a twin pair) or a
 chain covers one more core edge. Both quantities are bounded, so each
 level finishes in at most d*d probes.
 
+Each level's result is checked locally: it has d edges, distinct colors
+and distinct endpoints, and each edge outside the level before's result
+is in the graph. By induction on the levels that is the full
+validation, which runs once on the final matching, and at every level
+as well under check=True.
+
 A trace callable receives each probe as a dict (see
 find_rainbow_matching_delta). The solver formats no text; the command
 line renders its log lines from these events.
@@ -26,9 +32,11 @@ line renders its log lines from these events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import InternalInvariantBroken, PreconditionViolated
 from .graphs import (
+    _NO_NEIGHBORS,
     ColoredGraph,
     Edge,
     _normalize,
@@ -95,26 +103,35 @@ class ChainsExtended:
     config: GoodConfiguration
 
 
+_CORE_ROLES: list = []  # ("core", i) at index i, shared by every build
+
+
 def _build_index(config: GoodConfiguration) -> _Index:
     roles: dict[int, tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
-    for i, e in enumerate(config.core):
-        roles[e[0]] = roles[e[1]] = ("core", i)
+    core = config.core
+    while len(_CORE_ROLES) < len(core):
+        _CORE_ROLES.append(("core", len(_CORE_ROLES)))
+    roles.update(zip(map(itemgetter(0), core), _CORE_ROLES))
+    roles.update(zip(map(itemgetter(1), core), _CORE_ROLES))
     for ci, chain in enumerate(config.chains):
         for p, e in enumerate(chain.edges):
             anchor = chain.anchors[p]
             free_end = e[1] if e[0] == anchor else e[0]
             roles[anchor] = ("anchor", ci, p)
             roles[free_end] = ("chain", ci, p)
-    twin_colors = {e[2] for e in config.twins_a}
+    colors = list(map(itemgetter(2), core))
+    twin_colors = set(map(itemgetter(2), config.twins_a))
+    uncovered = set(colors)
+    if config.cover:
+        uncovered.difference_update(colors[i] for i in config.cover)
     return _Index(
         roles=roles,
-        core_by_color={e[2]: i for i, e in enumerate(config.core)},
+        core_by_color=dict(zip(colors, range(len(core)))),
         twin_colors=twin_colors,
-        banned=twin_colors
-        | {e[2] for i, e in enumerate(config.core) if i not in config.cover},
+        banned=twin_colors | uncovered,
         anchors={a for chain in config.chains for a in chain.anchors},
     )
 
@@ -144,10 +161,9 @@ def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     anchor vertices: d-1 constraints against degree >= d, so an edge
     always remains. Smallest admissible neighbor wins.
     """
-    g = config.graph
-    index = _index_of(config)
+    index = config._index or _index_of(config)
     banned, anchors = index.banned, index.anchors
-    for w, c in g.neighbors(v).items():
+    for w, c in config.graph._adj.get(v, _NO_NEIGHBORS).items():
         if c in banned or w in anchors:
             continue
         return v, w
@@ -232,14 +248,33 @@ def _rotated_core(config: GoodConfiguration, core_idx: int) -> list:
 def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     """Apply one probe edge; finish, add a twin pair, or grow chains."""
     v, w = edge
-    g = config.graph
-    c = g.color_of(v, w)
-    vw = _normalize(v, w, c)
-    index = _index_of(config)
+    c = config.graph._adj.get(v, _NO_NEIGHBORS).get(w)
+    vw = (v, w, c) if v <= w else (w, v, c)
+    index = config._index or _index_of(config)
     core_by_color = index.core_by_color
     fresh = c not in index.twin_colors and c not in core_by_color
-
     role = index.roles.get(w)
+
+    if role is not None and role[0] == "core" and role[1] not in config.cover:
+        # uncovered core edge: start or continue a chain (most probes)
+        core_idx = role[1]
+        if fresh:
+            ci = len(config.chains)
+            config.chains.append(Chain(edges=[], anchors=[], cores=[]))
+        else:
+            ci, _ = _covering(config, core_by_color[c])
+        chain = config.chains[ci]
+        p = len(chain.edges)
+        chain.edges.append(vw)
+        chain.anchors.append(w)
+        chain.cores.append(core_idx)
+        config.cover[core_idx] = (ci, p)
+        index.roles[w] = ("anchor", ci, p)
+        index.roles[v] = ("chain", ci, p)
+        index.anchors.add(w)
+        index.banned.discard(config.core[core_idx][2])
+        return ChainsExtended(config)
+
     if role is None:
         # w outside the structure
         if fresh:
@@ -262,30 +297,12 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         return RepeatIncreased(_restructure(config, candidate))
 
     if kind == "core":
-        core_idx = role[1]
-        if core_idx in config.cover:
-            candidate = config.twins_a + _rotated_core(config, core_idx) + [vw]
-            colors = [e[2] for e in candidate]
-            if len(set(colors)) == len(colors):
-                return Matched(tuple(sorted(candidate)))
-            return RepeatIncreased(_restructure(config, candidate))
-        # uncovered core edge: start or continue a chain
-        if fresh:
-            ci = len(config.chains)
-            config.chains.append(Chain(edges=[], anchors=[], cores=[]))
-        else:
-            ci, _ = _covering(config, core_by_color[c])
-        chain = config.chains[ci]
-        p = len(chain.edges)
-        chain.edges.append(vw)
-        chain.anchors.append(w)
-        chain.cores.append(core_idx)
-        config.cover[core_idx] = (ci, p)
-        index.roles[w] = ("anchor", ci, p)
-        index.roles[v] = ("chain", ci, p)
-        index.anchors.add(w)
-        index.banned.discard(config.core[core_idx][2])
-        return ChainsExtended(config)
+        # covered core edge
+        candidate = config.twins_a + _rotated_core(config, role[1]) + [vw]
+        colors = [e[2] for e in candidate]
+        if len(set(colors)) == len(colors):
+            return Matched(tuple(sorted(candidate)))
+        return RepeatIncreased(_restructure(config, candidate))
 
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
 
@@ -378,20 +395,70 @@ def _audit(config: GoodConfiguration) -> None:
             fail("free-vertex cursor skipped a vertex outside the structure")
 
 
+def _level_fault(g: ColoredGraph, d: int, prev: tuple, edges) -> str | None:
+    """Why a level's result is not a rainbow matching of size d, or None.
+
+    Looks up in the graph only the edges outside prev, the level
+    before's result, which passed the same check: by induction on the
+    levels this is the whole of validate_rainbow_matching plus the size.
+    """
+    size = len(edges)
+    if size != d:
+        return f"{size} edges, expected {d}"
+    if len(set(map(itemgetter(2), edges))) != size:
+        return "a color is repeated"
+    if len(set(map(itemgetter(0), edges)).union(map(itemgetter(1), edges))) != 2 * size:
+        return "a vertex is covered twice"
+    old = set(prev)
+    for u, v, c in edges:
+        if (u, v, c) not in old and g._adj.get(u, _NO_NEIGHBORS).get(v) != c:
+            return f"edge {u}-{v} with color {c} is not in the graph"
+    return None
+
+
+def _checked_level(g: ColoredGraph, d: int, prev: tuple, edges, check: bool):
+    """The level's result, once it passed the local check (the full
+    validation under check=True)."""
+    if check:
+        ok, why = validate_rainbow_matching(g, edges)
+        if ok and len(edges) != d:
+            ok, why = False, f"{len(edges)} edges, expected {d}"
+    else:
+        why = _level_fault(g, d, prev, edges)
+        ok = why is None
+    if not ok:
+        raise InternalInvariantBroken(f"level {d} produced a bad matching: {why}")
+    return edges
+
+
 def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> tuple:
-    """Grow a rainbow matching of size d-1 to size d."""
+    """Grow a rainbow matching of size d-1 to size d.
+
+    Most probes extend a chain, which keeps the configuration and its
+    index, so the loop holds the index and advances the free-vertex
+    cursor itself, reading both again only after a RepeatIncreased.
+    """
     config = GoodConfiguration(
         graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), chains=[], cover={}
     )
     if check:
         _audit(config)
+    n = g.vertex_count
+    index = _index_of(config)
+    roles = index.roles
+    v = index.cursor
     for _ in range(16 * d * d * d):
-        if config.pair_count == d - 1:
+        if len(config.twins_a) == d - 1:
             result = _finish_full_twins(config)
             if trace is not None:
                 trace({"level": d, "k": config.pair_count, "outcome": "FullTwins"})
-            return result
-        v, w = extend_by_free_edge(config, _first_free(config))
+            return _checked_level(g, d, prev, result, check)
+        while v in roles:
+            v += 1
+        if v > n:
+            raise InternalInvariantBroken("no vertex left outside the structure")
+        index.cursor = v
+        v, w = extend_by_free_edge(config, v)
         outcome = resolve_case(config, (v, w))
         if trace is not None:
             trace(
@@ -403,13 +470,15 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> 
                     "outcome": type(outcome).__name__,
                 }
             )
-        if isinstance(outcome, Matched):
-            edges = outcome.matching
-            ok, why = validate_rainbow_matching(g, edges)
-            if not ok or len(edges) != d:
-                raise InternalInvariantBroken(f"level {d} produced a bad matching: {why}")
-            return edges
-        config = outcome.config
+        if type(outcome) is ChainsExtended and outcome.config is config:
+            pass
+        elif type(outcome) is Matched:
+            return _checked_level(g, d, prev, outcome.matching, check)
+        else:
+            config = outcome.config
+            index = _index_of(config)
+            roles = index.roles
+            v = index.cursor
         if check:
             _audit(config)
     raise InternalInvariantBroken(f"level {d} exceeded its probe budget")

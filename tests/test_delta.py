@@ -25,6 +25,7 @@ from rainbowmatch.delta import (
     Chain,
     ChainsExtended,
     GoodConfiguration,
+    Matched,
     _audit,
     _Index,
     _restructure,
@@ -254,3 +255,61 @@ def test_trace_events_are_pinned_with_one_call_per_probe(monkeypatch):
     assert digest.hexdigest() == (
         "d31778ab8b2761af529c0b771a315f4b779e68814c86cf7c6859045409a5be99"
     )
+
+
+def _corrupted(fault, g, matching):
+    """matching with one fault that the level check alone must catch."""
+    *rest, last = matching
+    if fault == "size":
+        return tuple(rest)
+    if fault == "edge":
+        unused = 1 + max(c for _, _, c in g.edges)
+        return tuple(sorted(rest + [(last[0], last[1], unused)]))
+    # swap the last edge for a graph edge that repeats a color of the
+    # rest or shares a vertex with it, but not both
+    rest_vertices = {x for e in rest for x in e[:2]}
+    rest_colors = {e[2] for e in rest}
+    for e in g.edges:
+        shares = e[0] in rest_vertices or e[1] in rest_vertices
+        repeats = e[2] in rest_colors
+        if (shares, repeats) == (fault == "vertex", fault == "color"):
+            return tuple(sorted(rest + [e]))
+    raise AssertionError(f"no edge gives a {fault} fault")
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("fault", ["color", "vertex", "edge", "size"])
+def test_level_check_rejects_a_corrupt_matching(monkeypatch, fault, check):
+    # resolve_case returns a corrupt Matched at one level; plain solves
+    # check the level locally, check=True validates it in full
+    level = 6
+    g = random_proper_graph(40, 8, seed=split_seed(31, 8))
+    real = delta.resolve_case
+    injected = []
+
+    def corrupting(config, edge):
+        outcome = real(config, edge)
+        if config.target == level and isinstance(outcome, Matched):
+            injected.append(fault)
+            return Matched(_corrupted(fault, g, outcome.matching))
+        return outcome
+
+    monkeypatch.setattr(delta, "resolve_case", corrupting)
+    with pytest.raises(InternalInvariantBroken, match=f"^level {level} produced a bad matching: "):
+        find_rainbow_matching_delta(g, check=check)
+    assert injected == [fault]
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_full_validation_runs_at_the_end_and_at_every_level_under_check(monkeypatch, check):
+    g = random_proper_graph(40, 8, seed=split_seed(31, 8))
+    sizes = []
+    real = delta.validate_rainbow_matching
+
+    def counted(graph, m):
+        sizes.append(len(m))
+        return real(graph, m)
+
+    monkeypatch.setattr(delta, "validate_rainbow_matching", counted)
+    find_rainbow_matching_delta(g, check=check)
+    assert sizes == (list(range(1, 9)) if check else []) + [8]
