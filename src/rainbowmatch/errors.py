@@ -41,6 +41,12 @@ class BudgetExceeded(RainbowError):
     """An exact search hit its node or size budget."""
 
 
+def require_type(value, kind: type) -> None:
+    """BadShape naming the expected type, unless value is a kind."""
+    if not isinstance(value, kind):
+        raise BadShape(f"expected a {kind.__name__}, got {type(value).__name__}")
+
+
 class InternalInvariantBroken(RainbowError):
     """A step the construction guarantees to succeed failed anyway.
 

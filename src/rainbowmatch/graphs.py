@@ -11,7 +11,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import BadShape, DuplicateEdge, ImproperColoring, RainbowError, SelfLoop
+from .errors import (
+    BadShape,
+    DuplicateEdge,
+    ImproperColoring,
+    RainbowError,
+    SelfLoop,
+    require_type,
+)
 
 # an edge is (u, v, color) with u < v after normalization
 Edge = tuple[int, int, int]
@@ -139,6 +146,7 @@ def build_graph(vertex_count: int, edge_list) -> ColoredGraph:
 
 def min_degree(g: ColoredGraph) -> int:
     """0 without a walk over the vertices when one has no edge."""
+    require_type(g, ColoredGraph)
     if len(g._adj) < g.vertex_count:
         return 0
     return min(map(len, g._adj.values()), default=0)
@@ -149,6 +157,7 @@ def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:
 
     Returns (True, None) or (False, first violation).
     """
+    require_type(g, ColoredGraph)
     try:
         edges = iter(m)
     except TypeError:
@@ -224,6 +233,7 @@ def parse_graph(text: str) -> ColoredGraph:
 
 
 def format_graph(g: ColoredGraph) -> str:
+    require_type(g, ColoredGraph)
     lines = [f"graph {g.vertex_count} {len(g.edges)}"]
     lines.extend(f"{u} {v} {c}" for u, v, c in g.edges)
     return "\n".join(lines) + "\n"

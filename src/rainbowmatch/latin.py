@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadShape, NotLatin
+from .errors import BadShape, NotLatin, require_type
 from .graphs import ColoredGraph, _content_lines, build_graph
 
 
@@ -119,6 +119,7 @@ def parse_latin(text: str) -> LatinSquare:
 
 
 def serialize_latin(square: LatinSquare) -> str:
+    require_type(square, LatinSquare)
     lines = [str(square.order)]
     lines.extend(" ".join(str(s) for s in row) for row in square.rows)
     return "\n".join(lines) + "\n"
@@ -128,6 +129,7 @@ def to_bipartite_factorization(square: LatinSquare) -> ColoredGraph:
     """Complete bipartite view: rows 1..n, columns n+1..2n, edge (r, n+c)
     colored by the symbol in cell (r, c). Symbols are a proper coloring
     because each appears once per row and once per column."""
+    require_type(square, LatinSquare)
     n = square.order
     edges = [(r, n + c, s) for r, row in enumerate(square.rows, start=1)
              for c, s in enumerate(row, start=1)]
@@ -188,6 +190,7 @@ def validate_transversal(
     The first violation is reported: cells in list order (range, entry,
     then row, column and symbol reuse), then the cycles in ascending
     order of their smallest row."""
+    require_type(square, LatinSquare)
     try:
         cells = list(transversal)
     except TypeError:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, require_type
 from .graphs import ColoredGraph
 from .latin import LatinSquare, _closes_short_cycle
 
@@ -27,6 +27,7 @@ def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = No
     Edges are visited in lexicographic order; the bound prunes on the
     number of distinct colors remaining in the suffix.
     """
+    require_type(g, ColoredGraph)
     budget = budget or OracleBudget()
     edges = sorted(g.edges)
     if len(edges) > budget.max_edges:
@@ -75,6 +76,7 @@ def max_cyclefree_transversal_exact(
     k = 0 puts no constraint on cycles; k = math.inf forbids them all.
     Row-by-row take/skip search with column and symbol occupancy sets.
     """
+    require_type(square, LatinSquare)
     budget = budget or OracleBudget()
     n = square.order
     if n > budget.max_order:

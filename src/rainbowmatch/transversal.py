@@ -59,7 +59,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
 
 from .arith import int_kth_root
-from .errors import InternalInvariantBroken, PreconditionViolated
+from .errors import InternalInvariantBroken, PreconditionViolated, require_type
 from .latin import (
     LatinSquare,
     _closes_short_cycle,
@@ -547,6 +547,7 @@ def build_short_cycle_free_transversal(
     dict) receives initial, the greedy start's size, and augmentations,
     the expansion rounds that grew it.
     """
+    require_type(square, LatinSquare)
     if k < 2:
         raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")
     n = square.order
@@ -691,6 +692,7 @@ def cycle_free_transversal(
     cycle-free. The result is validated with every cycle forbidden;
     check=True also revalidates each exchange move. stats (a dict)
     receives the builder's counts plus cycles_removed."""
+    require_type(square, LatinSquare)
     k = default_cycle_bound(square.order)
     cells = build_short_cycle_free_transversal(square, k, check=check, stats=stats)
     cycles = cycles_of(square, cells).cycles  # each leads with its smallest row

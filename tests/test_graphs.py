@@ -13,11 +13,20 @@ from rainbowmatch import (
     ImproperColoring,
     SelfLoop,
     build_graph,
+    build_short_cycle_free_transversal,
+    cycle_free_transversal,
     cyclic_square,
+    find_rainbow_matching_delta,
+    find_rainbow_matching_layered,
     format_graph,
+    max_cyclefree_transversal_exact,
+    max_rainbow_matching_exact,
+    max_transversal_exact,
     min_degree,
     parse_graph,
     random_proper_graph,
+    serialize_latin,
+    to_bipartite_factorization,
     validate_rainbow_matching,
     validate_transversal,
 )
@@ -240,3 +249,27 @@ def test_parse_reports_first_offending_line(text, error, line):
         parse_graph(text)
     assert type(info.value) is error
     assert str(info.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: find_rainbow_matching_delta(None), "ColoredGraph"),
+        (lambda: find_rainbow_matching_layered([]), "ColoredGraph"),
+        (lambda: max_rainbow_matching_exact(None), "ColoredGraph"),
+        (lambda: min_degree(None), "ColoredGraph"),
+        (lambda: format_graph("graph 2 0"), "ColoredGraph"),
+        (lambda: validate_rainbow_matching(None, []), "ColoredGraph"),
+        (lambda: build_short_cycle_free_transversal(None, 2), "LatinSquare"),
+        (lambda: cycle_free_transversal("x"), "LatinSquare"),
+        (lambda: max_transversal_exact(None), "LatinSquare"),
+        (lambda: max_cyclefree_transversal_exact([[1]], 3), "LatinSquare"),
+        (lambda: serialize_latin(None), "LatinSquare"),
+        (lambda: to_bipartite_factorization(None), "LatinSquare"),
+        (lambda: validate_transversal(build_graph(2, []), []), "LatinSquare"),
+    ],
+)
+def test_wrong_instance_type_raises_bad_shape(call, expected):
+    # these raised AttributeError from deep inside the call
+    with pytest.raises(BadShape, match=f"^expected a {expected}, got "):
+        call()
