@@ -417,16 +417,12 @@ def _level_fault(g: ColoredGraph, d: int, prev: tuple, edges) -> str | None:
 
 
 def _checked_level(g: ColoredGraph, d: int, prev: tuple, edges, check: bool):
-    """The level's result, once it passed the local check (the full
-    validation under check=True)."""
-    if check:
-        ok, why = validate_rainbow_matching(g, edges)
-        if ok and len(edges) != d:
-            ok, why = False, f"{len(edges)} edges, expected {d}"
-    else:
-        why = _level_fault(g, d, prev, edges)
-        ok = why is None
-    if not ok:
+    """The level's result, once it passed the local check and, under
+    check=True, the full validation."""
+    why = _level_fault(g, d, prev, edges)
+    if why is None and check:
+        why = validate_rainbow_matching(g, edges)[1]
+    if why is not None:
         raise InternalInvariantBroken(f"level {d} produced a bad matching: {why}")
     return edges
 

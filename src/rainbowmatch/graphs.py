@@ -11,14 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import (
-    BadShape,
-    DuplicateEdge,
-    ImproperColoring,
-    RainbowError,
-    SelfLoop,
-    require_type,
-)
+from .errors import BadShape, DuplicateEdge, ImproperColoring, RainbowError, SelfLoop, require_type
 
 # an edge is (u, v, color) with u < v after normalization
 Edge = tuple[int, int, int]
