@@ -32,6 +32,7 @@ line renders its log lines from these events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import InternalInvariantBroken, PreconditionViolated
@@ -103,7 +104,15 @@ class ChainsExtended:
     config: GoodConfiguration
 
 
-_CORE_ROLES: list = []  # ("core", i) at index i, shared by every build
+_CORE_ROLES: tuple = ()  # ("core", i) at index i; replaced whole, never mutated
+
+
+def _core_roles(size: int) -> tuple:
+    """At least size core roles, reused by every index build."""
+    global _CORE_ROLES
+    if len(_CORE_ROLES) < size:
+        _CORE_ROLES = tuple(zip(repeat("core"), range(2 * size)))
+    return _CORE_ROLES
 
 
 def _build_index(config: GoodConfiguration) -> _Index:
@@ -112,10 +121,9 @@ def _build_index(config: GoodConfiguration) -> _Index:
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
     core = config.core
-    while len(_CORE_ROLES) < len(core):
-        _CORE_ROLES.append(("core", len(_CORE_ROLES)))
-    roles.update(zip(map(itemgetter(0), core), _CORE_ROLES))
-    roles.update(zip(map(itemgetter(1), core), _CORE_ROLES))
+    core_roles = _core_roles(len(core))
+    roles.update(zip(map(itemgetter(0), core), core_roles))
+    roles.update(zip(map(itemgetter(1), core), core_roles))
     for ci, chain in enumerate(config.chains):
         for p, e in enumerate(chain.edges):
             anchor = chain.anchors[p]
@@ -409,9 +417,8 @@ def _level_fault(g: ColoredGraph, d: int, prev: tuple, edges) -> str | None:
         return "a color is repeated"
     if len(set(map(itemgetter(0), edges)).union(map(itemgetter(1), edges))) != 2 * size:
         return "a vertex is covered twice"
-    old = set(prev)
-    for u, v, c in edges:
-        if (u, v, c) not in old and g._adj.get(u, _NO_NEIGHBORS).get(v) != c:
+    for u, v, c in set(edges).difference(prev):
+        if g._adj.get(u, _NO_NEIGHBORS).get(v) != c:
             return f"edge {u}-{v} with color {c} is not in the graph"
     return None
 
@@ -484,9 +491,10 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=N
     """Rainbow matching of size exactly min_degree(g), as sorted (u, v, color) edges.
 
     Needs vertex_count >= 4*min_degree - 3; raises PreconditionViolated
-    otherwise. check=True re-audits every intermediate structure. trace
-    (a callable taking one dict) receives one event per probe, with the
-    keys level, k, covered, probe ([v, w]) and outcome (Matched,
+    otherwise. check=True re-audits every intermediate structure and
+    validates each level's result in full. trace (a callable taking one
+    dict) receives one event per probe, with the keys level, k,
+    covered, probe ([v, w]) and outcome (Matched,
     RepeatIncreased or ChainsExtended), and one {level, k, outcome:
     FullTwins} event for a level completed from the full twin set.
     """
