@@ -150,18 +150,6 @@ def _index_of(config: GoodConfiguration) -> _Index:
     return config._index
 
 
-def _first_free(config: GoodConfiguration) -> int:
-    """Smallest vertex outside the structure."""
-    index = _index_of(config)
-    v = index.cursor
-    while v in index.roles:
-        v += 1
-    index.cursor = v
-    if v > config.graph.vertex_count:
-        raise InternalInvariantBroken("no vertex left outside the structure")
-    return v
-
-
 def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     """Choose the probe edge at free vertex v.
 
@@ -315,12 +303,11 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
 
 
-def _finish_full_twins(config: GoodConfiguration) -> tuple:
-    """All d-1 colors are duplicated; any vertex outside the structure
-    has an edge avoiding the d-1 twin colors, and whichever endpoint it
-    hits, one twin per pair survives."""
+def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
+    """All d-1 colors are duplicated; v, like any vertex outside the
+    structure, has an edge avoiding the d-1 twin colors, and whichever
+    endpoint it hits, one twin per pair survives."""
     g = config.graph
-    v = _first_free(config)
     twin_colors = _index_of(config).twin_colors
     for w, c in g.neighbors(v).items():
         if c not in twin_colors:
@@ -451,16 +438,16 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> 
     roles = index.roles
     v = index.cursor
     for _ in range(16 * d * d * d):
-        if len(config.twins_a) == d - 1:
-            result = _finish_full_twins(config)
-            if trace is not None:
-                trace({"level": d, "k": config.pair_count, "outcome": "FullTwins"})
-            return _checked_level(g, d, prev, result, check)
         while v in roles:
             v += 1
         if v > n:
             raise InternalInvariantBroken("no vertex left outside the structure")
         index.cursor = v
+        if len(config.twins_a) == d - 1:
+            result = _finish_full_twins(config, v)
+            if trace is not None:
+                trace({"level": d, "k": config.pair_count, "outcome": "FullTwins"})
+            return _checked_level(g, d, prev, result, check)
         v, w = extend_by_free_edge(config, v)
         outcome = resolve_case(config, (v, w))
         if trace is not None:
