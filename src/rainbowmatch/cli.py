@@ -5,7 +5,7 @@ reads instance files, prints certificates or CSV reports, communicates
 failure through exit codes:
 
   0  success
-  1  I/O or parse failure
+  1  I/O, parse or memory failure
   2  precondition or parameter failure
   3  internal invariant or certificate revalidation failure
 """
@@ -514,6 +514,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _IO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,7 +67,6 @@ class _Index:
 
     roles: dict  # vertex -> role; anchors shadow core entries
     core_by_color: dict
-    twin_colors: set
     banned: set
     anchors: set
     cursor: int = 1
@@ -131,15 +130,13 @@ def _build_index(config: GoodConfiguration) -> _Index:
             roles[anchor] = ("anchor", ci, p)
             roles[free_end] = ("chain", ci, p)
     colors = list(map(itemgetter(2), core))
-    twin_colors = set(map(itemgetter(2), config.twins_a))
     uncovered = set(colors)
     if config.cover:
         uncovered.difference_update(colors[i] for i in config.cover)
     return _Index(
         roles=roles,
         core_by_color=dict(zip(colors, range(len(core)))),
-        twin_colors=twin_colors,
-        banned=twin_colors | uncovered,
+        banned=set(map(itemgetter(2), config.twins_a)) | uncovered,
         anchors={a for chain in config.chains for a in chain.anchors},
     )
 
@@ -248,7 +245,8 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     vw = (v, w, c) if v <= w else (w, v, c)
     index = config._index or _index_of(config)
     core_by_color = index.core_by_color
-    fresh = c not in index.twin_colors and c not in core_by_color
+    # banned is the twin colors and some core colors
+    fresh = c not in index.banned and c not in core_by_color
     role = index.roles.get(w)
 
     if role is not None and role[0] == "core" and role[1] not in config.cover:
@@ -307,9 +305,8 @@ def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
     """All d-1 colors are duplicated; v, like any vertex outside the
     structure, has an edge avoiding the d-1 twin colors, and whichever
     endpoint it hits, one twin per pair survives."""
-    g = config.graph
-    twin_colors = _index_of(config).twin_colors
-    for w, c in g.neighbors(v).items():
+    twin_colors = _index_of(config).banned  # the core is empty
+    for w, c in config.graph.neighbors(v).items():
         if c not in twin_colors:
             vw = _normalize(v, w, c)
             return tuple(sorted(_avoiding_pairs(config, w) + [vw]))
@@ -383,7 +380,7 @@ def _audit(config: GoodConfiguration) -> None:
     cached = config._index
     if cached is not None:
         fresh = _build_index(config)
-        for name in ("roles", "core_by_color", "twin_colors", "banned", "anchors"):
+        for name in ("roles", "core_by_color", "banned", "anchors"):
             if getattr(cached, name) != getattr(fresh, name):
                 fail(f"cached {name} out of sync with the structure")
         if any(u not in fresh.roles for u in range(1, cached.cursor)):

@@ -24,16 +24,24 @@ class LatinSquare:
     _row_of: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        for r, row in enumerate(self.rows, start=1):
+        try:  # tuple() of a tuple is that tuple, so tuple rows are not copied
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:
+            raise BadShape(f"rows must be an iterable of iterable rows, got {type(self.rows).__name__}") from None
+        object.__setattr__(self, "rows", rows)
+        n = len(rows)
+        for r, row in enumerate(rows, start=1):
             if len(row) != n:
                 raise BadShape(f"row {r} has {len(row)} entries, expected {n}")
+            if not set(map(type, row)) <= {int}:  # a bool, float or str fails
+                bad = next(s for s in row if type(s) is not int)
+                raise BadShape(f"row {r} holds {bad!r}, expected an int")
         # col_of[r][s] = column of symbol s in row r; row_of[c][s] likewise
         col_of = [[0] * (n + 1) for _ in range(n + 1)]
         row_of = [[0] * (n + 1) for _ in range(n + 1)]
         for r in range(1, n + 1):
             for c in range(1, n + 1):
-                s = self.rows[r - 1][c - 1]
+                s = rows[r - 1][c - 1]
                 if not (1 <= s <= n):
                     raise NotLatin(f"cell ({r},{c}) holds {s}, outside 1..{n}")
                 if col_of[r][s]:
@@ -74,7 +82,7 @@ class CycleDecomposition:
 
 
 def build_square(rows) -> LatinSquare:
-    return LatinSquare(tuple(tuple(int(s) for s in row) for row in rows))
+    return LatinSquare(rows)
 
 
 def parse_latin(text: str) -> LatinSquare:

@@ -9,16 +9,19 @@ produces a transversal whose cycles all have length > k.
 Construction: a greedy pass takes one cell per symbol, skipping any
 that closes a cycle of length ≤ k. Then an expansion search tries to
 grow the result. A1 holds the path-beginning vertices (unused
-columns), B1 the path ends (unused rows). Each layer spends one fresh
-symbol: its arcs into the current A-front either land on a B1 vertex
-(an augmentation: rerouting along recorded parents yields a bigger
-transversal) or mint new B vertices whose successors extend the
-A-front. Arcs that would let some selection close a short cycle are
-forbidden; the spent symbol is chosen to minimize that loss. When the
-symbols run out without an augmentation, counting shows the result
-already holds at least n - 6*n^((k-1)/k) cells.
+columns), B1 the path ends (rows without a cell). Each layer spends
+one fresh symbol: its arcs into the current A-front either land on a
+B1 vertex (an augmentation: rerouting along recorded parents yields a
+bigger transversal) or mint new B vertices whose successors extend
+the A-front. Arcs that would let some selection close a short cycle
+are forbidden; the spent symbol is chosen to minimize that loss. When
+the symbols run out without an augmentation, counting shows the
+result already holds at least n - 6*n^((k-1)/k) cells.
 
-One search state is carried from round to round. An augmentation
+One search state is carried from round to round. It holds each fact
+once: B1 is the rows missing from the row -> (column, symbol) map,
+the minted B vertices are the keys of their parent records, and the
+A-front is the keys of the reach sets below. An augmentation
 rewrites only the rows on its chain and resets what the round added
 (the minted B vertices and their arcs, the parent records, the layer
 colors it did not keep), so the next round starts where a fresh start
@@ -55,7 +58,6 @@ check=True; the whole result always is.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
 
 from .arith import int_kth_root
@@ -117,16 +119,12 @@ def _greedy_init(square: LatinSquare, k: int) -> list:
 class TransversalSearchState:
     square: LatinSquare = field(repr=False)
     k: int
-    cells: list
-    out_map: dict  # row -> (col, symbol) of the current transversal
+    out_map: dict  # row -> (col, symbol) of the current transversal; rows absent are path ends
     used_cols: set  # columns of the current transversal
     used_syms: set  # symbols of the current transversal
     a_first: frozenset  # unused columns: path beginnings
-    b_first: frozenset  # unused rows: path ends
-    a_set: set
-    b_set: set
     a_parent: dict = field(default_factory=dict)  # shifted head -> the B vertex behind it
-    b_parent: dict = field(default_factory=dict)  # B vertex -> (head it shot at, color)
+    b_parent: dict = field(default_factory=dict)  # minted B vertex -> (head it shot at, color)
     arcs_out: dict = field(default_factory=dict)  # v -> [(head, color, from_initial)]
     remaining: list = field(default_factory=list)  # unspent symbols, ascending
     spent: list = field(default_factory=list)  # this round's layer colors, in order
@@ -146,26 +144,26 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
     for r, c, s in cells:
         arcs_out.setdefault(r, []).append((c, s, True))
     a_first = frozenset(c for c in range(1, n + 1) if c not in used_cols)
-    b_first = frozenset(r for r in range(1, n + 1) if r not in out_map)
     reach = {u: _forbidden_tails(arcs_out, u, k) for u in a_first}
     count = _tally(square, reach)
     return TransversalSearchState(
         square=square,
         k=k,
-        cells=list(cells),
         out_map=out_map,
         used_cols=used_cols,
         used_syms=used_syms,
         a_first=a_first,
-        b_first=b_first,
-        a_set=set(a_first),
-        b_set=set(b_first),
         arcs_out=arcs_out,
         remaining=[s for s in range(1, n + 1) if s not in used_syms],
         reach=reach,
         count=count,
         round_count=list(count),
     )
+
+
+def _cells(state: TransversalSearchState) -> list:
+    """The current transversal as sorted (row, col, symbol) cells."""
+    return sorted((r, c, s) for r, (c, s) in state.out_map.items())
 
 
 def _collect_reach(arcs_out: dict, u: int, limit: int, narrow: bool) -> set:
@@ -272,10 +270,10 @@ def _rewalk(state: TransversalSearchState, u: int) -> set | None:
     return old
 
 
-def choose_color(state: TransversalSearchState) -> tuple:
-    """(color, reach): the unspent symbol with the fewest forbidden arcs
-    into the A-front, ties to smallest, and the front's carried reach
-    sets, u -> tails v whose arc v -> u is forbidden.
+def choose_color(state: TransversalSearchState) -> int:
+    """The unspent symbol with the fewest forbidden arcs into the
+    A-front, ties to smallest. Afterwards the keys of state.reach are
+    the front.
 
     Only the stale front vertices are walked again: the successors the
     last layer added and the vertices whose walk read a row it minted
@@ -286,29 +284,30 @@ def choose_color(state: TransversalSearchState) -> tuple:
         if u in state.a_first:
             state.round_reach.setdefault(u, old)
     state.stale = set()
-    return min(state.remaining, key=state.count.__getitem__), state.reach
+    return min(state.remaining, key=state.count.__getitem__)
 
 
-def expand_layer(state: TransversalSearchState, color: int, reach: dict):
-    """Shoot the layer's color into the A-front.
+def expand_layer(state: TransversalSearchState, color: int):
+    """Shoot the layer's color into the A-front, the keys of state.reach.
 
-    A non-forbidden arc whose tail is an original path end augments and
-    is returned as (tail, head); otherwise fresh tails become B vertices,
-    their successors join the A-front, and None is returned. The new
-    successors have no walk yet. At k = 2 a walk is one arc long, so a
+    A non-forbidden arc whose tail is a path end (a row missing from
+    out_map) augments and is returned as (tail, head); otherwise fresh
+    tails become B vertices, their successors join the A-front, and
+    None is returned. The new successors have no walk, and so no key
+    in state.reach, until choose_color walks them. At k = 2 a walk is one arc long, so a
     minted arc v -> u only adds u to v's set, when v is on the front,
     and one to the count of entry(u, v); a path beginning's set is
     copied into round_reach first. At k ≥ 3 the minted arcs make stale
     the front vertices whose walk read their tails."""
-    row_of = state.square._row_of
+    row_of, out_map, reach = state.square._row_of, state.out_map, state.reach
     minted = []
-    for u in sorted(state.a_set):
+    for u in sorted(reach):
         v = row_of[u][color]
         if v in reach[u]:
             continue
-        if v in state.b_first:
+        if v not in out_map:
             return v, u
-        if v in state.b_set:
+        if v in state.b_parent:
             continue
         minted.append((v, u))
     if state.k == 2:
@@ -316,7 +315,7 @@ def expand_layer(state: TransversalSearchState, color: int, reach: dict):
         # so u is not in its set yet
         rows, count = state.square.rows, state.count
         for v, u in minted:
-            tails = state.reach.get(v)
+            tails = reach.get(v)
             if tails is None:
                 continue
             if v in state.a_first and v not in state.round_reach:
@@ -326,12 +325,10 @@ def expand_layer(state: TransversalSearchState, color: int, reach: dict):
     elif minted:
         state.stale.update(_readers(state, {v for v, _ in minted}))
     for v, u in minted:
-        state.b_set.add(v)
         state.b_parent[v] = (u, color)
         state.arcs_out.setdefault(v, []).append((u, color, False))
-        successor = state.out_map[v][0]
+        successor = out_map[v][0]
         state.a_parent[successor] = v
-        state.a_set.add(successor)
         state.stale.add(successor)
     return None
 
@@ -379,18 +376,18 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     its incoming transversal arc over to the layer arc that minted the
     B vertex behind it; the chain bottoms out at an unused column,
     where the augmenting arc finally lands. Only the chain's rows are
-    rewritten, in place in the sorted cell list, and only they and the
-    augmenting arc are checked (_rewrite_fault). The state then
-    describes the bigger transversal as a fresh start would: the
-    chain's end column leaves the path beginnings and the augmenting
-    tail the path ends, every minted B vertex is back to its one
-    transversal arc, the round's layer colors not used on the chain
-    are unspent again and the chain's old symbols join them. The reach
-    sets and counts go back to the round's start, lose the chain's end
-    column, and are walked again only for the path beginnings whose set
-    holds a rewritten row. All this costs O(k * hops + front + unspent
-    symbols + order) plus those walks, with the O(order) part one list
-    copy of the counts."""
+    rewritten in out_map, and only they and the augmenting arc are
+    checked (_rewrite_fault). The state then describes the bigger
+    transversal as a fresh start would: the chain's end column leaves
+    the path beginnings and the augmenting tail gets a row in out_map,
+    every minted B vertex is back to its one transversal arc, the
+    round's layer colors not used on the chain are unspent again and
+    the chain's old symbols join them. The reach sets and counts go
+    back to the round's start, lose the chain's end column and the
+    successors, and are walked again only for the path beginnings whose
+    set holds a rewritten row. All this costs O(k * hops + path
+    beginnings + minted vertices + unspent symbols + order) plus those
+    walks, with the O(order) part one list copy of the counts."""
     v, target = edge  # (tail v in B1, head in the A-front)
     out_map = state.out_map
     moved: dict = {}  # chain row, then the augmenting tail -> its new (col, symbol)
@@ -407,14 +404,9 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
             raise InternalInvariantBroken("parent chain longer than the square's order")
     if v in out_map:
         raise InternalInvariantBroken(f"augmenting tail {v} already has an arc")
-    cells = state.cells
-    old = {}
-    for b, (c, s) in moved.items():
-        old[b] = out_map[b]
-        out_map[b] = (c, s)
-        cells[bisect_left(cells, (b,))] = (b, c, s)
+    old = {b: out_map[b] for b in moved}
+    out_map.update(moved)
     out_map[v] = moved[v] = (target, color)
-    insort(cells, (v, target, color))
     why = _rewrite_fault(state, moved, old)
     if why is not None:
         raise InternalInvariantBroken(f"augmented transversal invalid: {why}")
@@ -426,13 +418,9 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     state.used_syms.update(used)
     state.remaining = sorted(state.remaining + freed + [s for s in state.spent if s not in used])
     state.a_first = state.a_first - {u}
-    state.b_first = state.b_first - {v}
     for b in state.b_parent:
-        c, s = out_map[b]
-        state.arcs_out[b] = [(c, s, True)]
+        state.arcs_out[b] = [(*out_map[b], True)]
     state.arcs_out[v] = [(target, color, True)]
-    state.a_set = set(state.a_first)
-    state.b_set = set(state.b_first)
     # the round's start sets and counts, without the successors and u,
     # then new walks where a rewritten row was read
     reach = state.reach
@@ -455,7 +443,7 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
 def _audit_carried_state(state: TransversalSearchState) -> None:
     """The state carried into a round must equal a fresh start from its
     cells, field by field."""
-    fresh = _start_state(state.square, state.k, sorted(state.cells))
+    fresh = _start_state(state.square, state.k, _cells(state))
     for f in fields(TransversalSearchState):
         if getattr(state, f.name) != getattr(fresh, f.name):
             raise InternalInvariantBroken(
@@ -466,7 +454,8 @@ def _audit_carried_state(state: TransversalSearchState) -> None:
 def _audit_front(state: TransversalSearchState, layer: int) -> None:
     """The reach sets and counts choose_color carried must equal a fresh
     walk of the whole A-front."""
-    fresh = {u: _forbidden_tails(state.arcs_out, u, state.k) for u in state.a_set}
+    front = state.a_first | state.a_parent.keys()  # independent of reach's keys
+    fresh = {u: _forbidden_tails(state.arcs_out, u, state.k) for u in front}
     for u in sorted(fresh.keys() | state.reach.keys()):
         if state.reach.get(u) != fresh.get(u):
             raise InternalInvariantBroken(
@@ -482,7 +471,7 @@ def _audit_front(state: TransversalSearchState, layer: int) -> None:
 def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) -> None:
     """Pigeonhole law: some unspent symbol has few narrowly-forbidden
     arcs (counting only paths of 2..k-1 arcs ending in an initial arc)."""
-    narrow = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=True) for u in state.a_set}
+    narrow = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=True) for u in state.reach}
     best = _least_forbidden(state, narrow)[1]
     total = best * len(state.remaining)
     # layer >= 2 and n > t, so once k-1 reaches total's bit length the law holds
@@ -507,30 +496,30 @@ def _expansion_round(state: TransversalSearchState, check: bool) -> bool:
     """One augmentation attempt. Returns True once the state holds a
     transversal one cell bigger, False when the symbols run out first."""
     n = state.square.order
-    t = len(state.cells)
+    t = len(state.out_map)
     if t >= n:
         return False
     for layer in range(2, n * n + n + 2):
         if not state.remaining:
             return False
-        color, reach = choose_color(state)
+        color = choose_color(state)
         if check:
             _audit_front(state, layer)
             _check_color_law(state, layer, n, t)
         state.remaining.remove(color)
         state.spent.append(color)
-        before = len(state.b_set)
-        edge = expand_layer(state, color, reach)
+        before = len(state.b_parent)
+        edge = expand_layer(state, color)
         if edge is not None:
             apply_augmentation(state, edge, color)
             if check:
-                ok, why = validate_transversal(state.square, state.cells, forbid_cycles_up_to=state.k)
+                ok, why = validate_transversal(state.square, _cells(state), forbid_cycles_up_to=state.k)
                 if not ok:
                     raise InternalInvariantBroken(f"augmented transversal invalid: {why}")
                 _audit_carried_state(state)
             return True
         if check:
-            _check_growth_law(state, layer, n, t, len(state.b_set) - before)
+            _check_growth_law(state, layer, n, t, len(state.b_parent) - before)
     raise InternalInvariantBroken(f"expansion exceeded {n * n + n} layers")
 
 
@@ -552,11 +541,11 @@ def build_short_cycle_free_transversal(
         raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")
     n = square.order
     state = _start_state(square, k, _greedy_init(square, k))
-    initial = len(state.cells)
+    initial = len(state.out_map)
     augmentations = 0
     while _expansion_round(state, check):
         augmentations += 1
-    cells = state.cells
+    cells = _cells(state)
     bound = theorem_bound(n, k)
     if len(cells) < bound:
         raise InternalInvariantBroken(
@@ -567,7 +556,7 @@ def build_short_cycle_free_transversal(
         raise InternalInvariantBroken(f"final transversal invalid: {why}")
     if stats is not None:
         stats.update(initial=initial, augmentations=augmentations)
-    return tuple(sorted(cells))
+    return tuple(cells)
 
 
 def _path_starts(square: LatinSquare, cells: list) -> dict:

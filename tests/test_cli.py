@@ -379,6 +379,33 @@ def test_sweep_closes_out_when_a_row_raises(monkeypatch, tmp_path, capsys):
     assert out_file.read_text().startswith("instance,")
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_gen_out_of_memory_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli.generators, "cyclic_square", _out_of_memory)
+    code, out, err = run(capsys, "gen", "--kind", "cyclic", "--n", "99999999999")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+def test_sweep_out_of_memory_after_the_header(monkeypatch, tmp_path, capsys):
+    opened = []
+
+    def recorded_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+    monkeypatch.setattr(cli.generators, "random_proper_graph", _out_of_memory)
+    out_file = tmp_path / "s.csv"
+    code, out, err = run(capsys, "sweep", "--suite", "delta", "--sizes", "3",
+                         "--trials", "1", "--out", str(out_file))
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    assert [fh.closed for fh in opened] == [True]
+    assert out_file.read_text() == "instance,size,k,bound,achieved,valid,augmentations\n"
+
+
 def test_sweep_non_positive_trials_exit_code(tmp_path, capsys):
     out_file = tmp_path / "t.csv"
     for trials in ("0", "-1"):

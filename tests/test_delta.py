@@ -200,7 +200,6 @@ def _reference_build_index(config):
     return _Index(
         roles=roles,
         core_by_color={e[2]: i for i, e in enumerate(config.core)},
-        twin_colors=twin_colors,
         banned=twin_colors
         | {e[2] for i, e in enumerate(config.core) if i not in config.cover},
         anchors={a for chain in config.chains for a in chain.anchors},

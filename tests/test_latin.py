@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rainbowmatch import (
     BadShape,
+    LatinSquare,
     NotLatin,
     build_square,
     cycles_of,
@@ -50,6 +51,25 @@ def test_build_square_rejects_ragged_input():
 def test_build_square_rejects_out_of_range_symbol():
     with pytest.raises(NotLatin):
         build_square(((1, 3), (3, 1)))
+
+
+@pytest.mark.parametrize("make, rows, why", [
+    (build_square, [[1.5, 2], [2, 1]], "holds 1.5"),  # int() made this ((1, 2), (2, 1))
+    (build_square, [["1", "2"], ["2", "1"]], "holds '1'"),
+    (build_square, [["a"]], "holds 'a'"),  # int() raised ValueError
+    (LatinSquare, ((1.0,),), "holds 1.0"),  # raised TypeError
+    (LatinSquare, None, "got NoneType"),
+    (LatinSquare, 5, "got int"),
+    (LatinSquare, ((True,),), "holds True"),  # was accepted
+], ids=["float", "str-digit", "str", "integral-float", "none", "int", "bool"])
+def test_square_entries_must_be_ints(make, rows, why):
+    with pytest.raises(BadShape, match=why):
+        make(rows)
+
+
+def test_square_rows_become_tuples():
+    assert build_square([[1, 2], [2, 1]]).rows == ((1, 2), (2, 1))
+    assert LatinSquare([[1]]) == LatinSquare(((1,),))
 
 
 def test_serialize_parse_round_trip():

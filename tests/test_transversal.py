@@ -5,7 +5,7 @@ import itertools
 import math
 import random
 import re
-from bisect import bisect_left, insort
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +32,17 @@ from rainbowmatch.arith import int_kth_root
 from rainbowmatch.latin import _closes_short_cycle
 
 
+def _front(state):
+    """The A-front: the path beginnings and the successors minted so far."""
+    return state.a_first | state.a_parent.keys()
+
+
 def forbidden_edges(state, color):
     """The forbidden color-colored arcs into the current A-front: arc
     v -> u could close a cycle of length ≤ k when it is a loop or some
     rainbow path u ~> v of ≤ k-1 arcs already exists."""
     out = set()
-    for u in state.a_set:
+    for u in _front(state):
         v = state.square.row_of(u, color)
         if v == u or v in tv._collect_reach(state.arcs_out, u, state.k - 1, narrow=False):
             out.add((v, u))
@@ -187,20 +192,20 @@ def test_expansion_layer_protocol():
     assert sorted(cells) == [(1, 4, 1), (3, 2, 2)]
     state = tv._start_state(sq, 2, cells)
     assert sorted(state.a_first) == [1, 3]
-    assert sorted(state.b_first) == [2, 4]
+    assert [r for r in range(1, 5) if r not in state.out_map] == [2, 4]
     assert sorted(state.remaining) == [3, 4]
-    assert tv.choose_color(state)[0] == 3
+    assert tv.choose_color(state) == 3
     assert forbidden_edges(state, 4) == {(2, 3), (4, 1)}
 
     grew = []
     for color in (3, 4):
-        before = len(state.b_set)
-        _, reach = tv.choose_color(state)
+        before = len(state.b_parent)
+        tv.choose_color(state)
         state.remaining.remove(color)
-        assert tv.expand_layer(state, color, reach) is None
-        grew.append(len(state.b_set) - before)
+        assert tv.expand_layer(state, color) is None
+        grew.append(len(state.b_parent) - before)
     assert grew == [2, 0]
-    assert sorted(state.a_set) == [1, 2, 3, 4]
+    assert sorted(_front(state)) == [1, 2, 3, 4]
     assert state.remaining == []
 
 
@@ -241,15 +246,15 @@ def _search_states(sq, k):
     one state from round to round and advances it once the caller is
     done with it."""
     state = tv._start_state(sq, k, tv._greedy_init(sq, k))
-    while len(state.cells) < sq.order:
+    while len(state.out_map) < sq.order:
         for layer in itertools.count(2):
             if not state.remaining:
                 return
             yield state, layer
-            color, reach = tv.choose_color(state)
+            color = tv.choose_color(state)
             state.remaining.remove(color)
             state.spent.append(color)
-            edge = tv.expand_layer(state, color, reach)
+            edge = tv.expand_layer(state, color)
             if edge is not None:
                 tv.apply_augmentation(state, edge, color)
                 break
@@ -280,14 +285,16 @@ def test_color_counts_match_the_per_arc_definition(monkeypatch):
                 # smallest unspent color with the fewest forbidden arcs
                 wide = min(state.remaining,
                            key=lambda c: (len(forbidden_edges(state, c)), c))
-                assert tv.choose_color(state)[0] == wide
+                assert tv.choose_color(state) == wide
+                front = _front(state)
+                assert state.reach.keys() == front
                 heads = {u: tv._collect_reach(state.arcs_out, u, k - 1, narrow=True)
-                         for u in state.a_set}
-                narrow = {c: sum(sq.row_of(u, c) in heads[u] for u in state.a_set)
+                         for u in front}
+                narrow = {c: sum(sq.row_of(u, c) in heads[u] for u in front)
                           for c in state.remaining}
                 best = min(state.remaining, key=lambda c: (narrow[c], c))
                 results.clear()
-                tv._check_color_law(state, layer, sq.order, len(state.cells))
+                tv._check_color_law(state, layer, sq.order, len(state.out_map))
                 assert results == [(best, narrow[best])]
                 seen += 1
     assert seen > 150
@@ -301,7 +308,8 @@ def _stale_after_first_augmentation(monkeypatch, corrupt):
     done = []
 
     def augment(state, edge, color):
-        before = {"a_first": state.a_first, "b_parent": dict(state.b_parent)}
+        before = {"a_first": state.a_first, "b_parent": dict(state.b_parent),
+                  "a_parent": dict(state.a_parent), "reach": dict(state.reach)}
         real(state, edge, color)
         if before["b_parent"] and not done:
             corrupt(state, before)
@@ -311,7 +319,7 @@ def _stale_after_first_augmentation(monkeypatch, corrupt):
 
 
 def _put_back_a_spent_symbol(state, before):
-    insort(state.remaining, state.cells[0][2])
+    insort(state.remaining, tv._cells(state)[0][2])
 
 
 def _keep_a_minted_arc(state, before):
@@ -325,11 +333,18 @@ def _keep_a_used_column(state, before):
 
 
 def _drop_a_used_column(state, before):
-    state.used_cols.discard(state.cells[0][1])
+    state.used_cols.discard(tv._cells(state)[0][1])
 
 
 def _drop_a_used_symbol(state, before):
-    state.used_syms.discard(state.cells[0][2])
+    state.used_syms.discard(tv._cells(state)[0][2])
+
+
+def _keep_a_successor_walk(state, before):
+    # the successors leave the front, whose members are the reach keys
+    successor = min(before["a_parent"])
+    assert successor not in state.reach
+    state.reach[successor] = before["reach"][successor]
 
 
 @pytest.mark.parametrize("corrupt, field_name", [
@@ -338,6 +353,7 @@ def _drop_a_used_symbol(state, before):
     (_keep_a_used_column, "a_first"),
     (_drop_a_used_column, "used_cols"),
     (_drop_a_used_symbol, "used_syms"),
+    (_keep_a_successor_walk, "reach"),
 ])
 def test_check_catches_a_stale_carried_state(monkeypatch, corrupt, field_name):
     sq = _reversed_cyclic(16)
@@ -578,22 +594,19 @@ def test_local_check_agrees_with_full_validation(monkeypatch):
         sq = state.square
         why = local(state, rewritten, old)
         assert why is None
-        assert validate_transversal(sq, state.cells, forbid_cycles_up_to=state.k)[0]
+        assert validate_transversal(sq, tv._cells(state), forbid_cycles_up_to=state.k)[0]
         kinds[True] += 1
         for r, cell in rewritten.items():
-            i = bisect_left(state.cells, (r,))
             changes = [(c, sq.entry(r, c)) for c in range(1, sq.order + 1)]
             changes += [(cell[0], s) for s in range(1, sq.order + 1)]
             for change in changes:
                 state.out_map[r] = change
-                state.cells[i] = (r, *change)
-                ok, _ = validate_transversal(sq, state.cells, forbid_cycles_up_to=state.k)
+                ok, _ = validate_transversal(sq, tv._cells(state), forbid_cycles_up_to=state.k)
                 fault = local(state, {**rewritten, r: change}, old)
                 assert (fault is None) == ok, (r, change, fault)
                 kind = True if ok else fault.split()[0]
                 kinds[kind] = kinds.get(kind, 0) + 1
             state.out_map[r] = cell
-            state.cells[i] = (r, *cell)
         return why
 
     monkeypatch.setattr(tv, "_rewrite_fault", agree)
@@ -633,7 +646,7 @@ def _onto_a_used_column(state, edge, color):
 def _reusing_a_symbol(state, edge, color):
     # an augmenting arc between a path end and a path beginning whose
     # symbol some cell already holds
-    for v in sorted(state.b_first):
+    for v in [r for r in range(1, state.square.order + 1) if r not in state.out_map]:
         for u in sorted(state.a_first):
             s = state.square.entry(v, u)
             if s in state.used_syms:
@@ -681,7 +694,7 @@ def test_local_check_catches_injected_faults(monkeypatch, inject, sq, k, start, 
     monkeypatch.setattr(tv, "apply_augmentation", augment)
     with pytest.raises(InternalInvariantBroken, match=f"augmented transversal invalid: {why}"):
         build_short_cycle_free_transversal(sq, k, check=False)
-    assert not validate_transversal(sq, faulty[0].cells, forbid_cycles_up_to=k)[0]
+    assert not validate_transversal(sq, tv._cells(faulty[0]), forbid_cycles_up_to=k)[0]
 
 
 def test_unchecked_build_validates_only_its_result(monkeypatch):
