@@ -64,15 +64,14 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write text, ending in one newline, to stdout or to the file path."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
 
 
 def _emit(args, payload: dict, header: list, word: str, items: tuple) -> None:

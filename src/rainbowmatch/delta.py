@@ -32,7 +32,6 @@ line renders its log lines from these events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import itemgetter
 
 from .errors import InternalInvariantBroken, PreconditionViolated
@@ -59,17 +58,16 @@ class Chain:
 class _Index:
     """Lookups derived from a configuration, kept in step with it.
 
-    banned holds the colors a probe edge may not use: the twin colors
-    and the colors of uncovered core edges. cursor is a lower bound on
-    the first vertex outside the structure; the structure only grows
-    within one configuration, so the cursor never moves back.
+    A vertex's role is its core edge's index, an int, or a tuple:
+    ("twin", i, side), ("anchor", ci, p) or ("chain", ci, p). banned
+    holds the colors a probe edge may not use: the twin colors and the
+    colors of uncovered core edges.
     """
 
     roles: dict  # vertex -> role; anchors shadow core entries
     core_by_color: dict
     banned: set
     anchors: set
-    cursor: int = 1
 
 
 @dataclass
@@ -81,7 +79,10 @@ class GoodConfiguration:
     core: list
     chains: list
     cover: dict  # core index -> (chain index, position)
-    _index: _Index | None = field(default=None, init=False, repr=False, compare=False)
+    _index: _Index = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._index = _build_index(self)
 
     @property
     def pair_count(self) -> int:
@@ -100,29 +101,17 @@ class RepeatIncreased:
 
 @dataclass
 class ChainsExtended:
-    config: GoodConfiguration
-
-
-_CORE_ROLES: tuple = ()  # ("core", i) at index i; replaced whole, never mutated
-
-
-def _core_roles(size: int) -> tuple:
-    """At least size core roles, reused by every index build."""
-    global _CORE_ROLES
-    if len(_CORE_ROLES) < size:
-        _CORE_ROLES = tuple(zip(repeat("core"), range(2 * size)))
-    return _CORE_ROLES
+    """The probe grew a chain of the configuration in place."""
 
 
 def _build_index(config: GoodConfiguration) -> _Index:
-    roles: dict[int, tuple] = {}
+    roles: dict[int, int | tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
     core = config.core
-    core_roles = _core_roles(len(core))
-    roles.update(zip(map(itemgetter(0), core), core_roles))
-    roles.update(zip(map(itemgetter(1), core), core_roles))
+    roles.update(zip(map(itemgetter(0), core), range(len(core))))
+    roles.update(zip(map(itemgetter(1), core), range(len(core))))
     for ci, chain in enumerate(config.chains):
         for p, e in enumerate(chain.edges):
             anchor = chain.anchors[p]
@@ -141,12 +130,6 @@ def _build_index(config: GoodConfiguration) -> _Index:
     )
 
 
-def _index_of(config: GoodConfiguration) -> _Index:
-    if config._index is None:
-        config._index = _build_index(config)
-    return config._index
-
-
 def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     """Choose the probe edge at free vertex v.
 
@@ -154,8 +137,7 @@ def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     anchor vertices: d-1 constraints against degree >= d, so an edge
     always remains. Smallest admissible neighbor wins.
     """
-    index = config._index or _index_of(config)
-    banned, anchors = index.banned, index.anchors
+    banned, anchors = config._index.banned, config._index.anchors
     for w, c in config.graph._adj.get(v, _NO_NEIGHBORS).items():
         if c in banned or w in anchors:
             continue
@@ -243,15 +225,15 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     v, w = edge
     c = config.graph._adj.get(v, _NO_NEIGHBORS).get(w)
     vw = (v, w, c) if v <= w else (w, v, c)
-    index = config._index or _index_of(config)
+    index = config._index
     core_by_color = index.core_by_color
     # banned is the twin colors and some core colors
     fresh = c not in index.banned and c not in core_by_color
     role = index.roles.get(w)
 
-    if role is not None and role[0] == "core" and role[1] not in config.cover:
+    if type(role) is int and role not in config.cover:
         # uncovered core edge: start or continue a chain (most probes)
-        core_idx = role[1]
+        core_idx = role
         if fresh:
             ci = len(config.chains)
             config.chains.append(Chain(edges=[], anchors=[], cores=[]))
@@ -267,7 +249,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         index.roles[v] = ("chain", ci, p)
         index.anchors.add(w)
         index.banned.discard(config.core[core_idx][2])
-        return ChainsExtended(config)
+        return ChainsExtended()
 
     if role is None:
         # w outside the structure
@@ -275,6 +257,14 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
             return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
         rotated = _rotated_core(config, core_by_color[c])
         return Matched(tuple(sorted(config.twins_a + rotated + [vw])))
+
+    if type(role) is int:
+        # covered core edge
+        candidate = config.twins_a + _rotated_core(config, role) + [vw]
+        colors = [e[2] for e in candidate]
+        if len(set(colors)) == len(colors):
+            return Matched(tuple(sorted(candidate)))
+        return RepeatIncreased(_restructure(config, candidate))
 
     kind = role[0]
     if kind == "twin":
@@ -290,14 +280,6 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         candidate = config.twins_a + config.core + [vw]
         return RepeatIncreased(_restructure(config, candidate))
 
-    if kind == "core":
-        # covered core edge
-        candidate = config.twins_a + _rotated_core(config, role[1]) + [vw]
-        colors = [e[2] for e in candidate]
-        if len(set(colors)) == len(colors):
-            return Matched(tuple(sorted(candidate)))
-        return RepeatIncreased(_restructure(config, candidate))
-
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
 
 
@@ -305,7 +287,7 @@ def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
     """All d-1 colors are duplicated; v, like any vertex outside the
     structure, has an edge avoiding the d-1 twin colors, and whichever
     endpoint it hits, one twin per pair survives."""
-    twin_colors = _index_of(config).banned  # the core is empty
+    twin_colors = config._index.banned  # the core is empty
     for w, c in config.graph.neighbors(v).items():
         if c not in twin_colors:
             vw = _normalize(v, w, c)
@@ -313,7 +295,9 @@ def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
     raise InternalInvariantBroken(f"no fresh-colored edge at vertex {v}")
 
 
-def _audit(config: GoodConfiguration) -> None:
+def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
+    """Check the whole configuration and its index; every vertex below
+    cursor, the loop's free-vertex position, must be in the structure."""
     g = config.graph
     d = config.target
     k = config.pair_count
@@ -377,14 +361,12 @@ def _audit(config: GoodConfiguration) -> None:
         fail("cover map size mismatch")
     if len(seen | chain_vertices) > 4 * (d - 1):
         fail("structure grew past its vertex budget")
-    cached = config._index
-    if cached is not None:
-        fresh = _build_index(config)
-        for name in ("roles", "core_by_color", "banned", "anchors"):
-            if getattr(cached, name) != getattr(fresh, name):
-                fail(f"cached {name} out of sync with the structure")
-        if any(u not in fresh.roles for u in range(1, cached.cursor)):
-            fail("free-vertex cursor skipped a vertex outside the structure")
+    fresh = _build_index(config)
+    for name in ("roles", "core_by_color", "banned", "anchors"):
+        if getattr(config._index, name) != getattr(fresh, name):
+            fail(f"cached {name} out of sync with the structure")
+    if any(u not in fresh.roles for u in range(1, cursor)):
+        fail("free-vertex cursor skipped a vertex outside the structure")
 
 
 def _level_fault(g: ColoredGraph, d: int, prev: tuple, edges) -> str | None:
@@ -422,8 +404,8 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> 
     """Grow a rainbow matching of size d-1 to size d.
 
     Most probes extend a chain, which keeps the configuration and its
-    index, so the loop holds the index and advances the free-vertex
-    cursor itself, reading both again only after a RepeatIncreased.
+    roles, so the free-vertex cursor v only moves forward. A
+    RepeatIncreased builds a new configuration, and v starts again at 1.
     """
     config = GoodConfiguration(
         graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), chains=[], cover={}
@@ -431,15 +413,13 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> 
     if check:
         _audit(config)
     n = g.vertex_count
-    index = _index_of(config)
-    roles = index.roles
-    v = index.cursor
+    roles = config._index.roles
+    v = 1
     for _ in range(16 * d * d * d):
         while v in roles:
             v += 1
         if v > n:
             raise InternalInvariantBroken("no vertex left outside the structure")
-        index.cursor = v
         if len(config.twins_a) == d - 1:
             result = _finish_full_twins(config, v)
             if trace is not None:
@@ -457,17 +437,14 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> 
                     "outcome": type(outcome).__name__,
                 }
             )
-        if type(outcome) is ChainsExtended and outcome.config is config:
-            pass
+        if type(outcome) is RepeatIncreased:
+            config = outcome.config
+            roles = config._index.roles
+            v = 1
         elif type(outcome) is Matched:
             return _checked_level(g, d, prev, outcome.matching, check)
-        else:
-            config = outcome.config
-            index = _index_of(config)
-            roles = index.roles
-            v = index.cursor
         if check:
-            _audit(config)
+            _audit(config, v)
     raise InternalInvariantBroken(f"level {d} exceeded its probe budget")
 
 

@@ -141,6 +141,69 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert out.startswith("invalid:")
 
 
+def _delta_with_one_edge_swapped(bad_calls):
+    """The delta solver, except that on the calls numbered in bad_calls
+    its first edge takes a color that the graph does not have."""
+    calls = itertools.count()
+
+    def solver(g, **kwargs):
+        m = find_rainbow_matching_delta(g, **kwargs)
+        if next(calls) not in bad_calls:
+            return m
+        (u, v, _), *rest = m
+        return ((u, v, 1 + max(c for _, _, c in g.edges)), *rest)
+
+    return solver
+
+
+def test_solve_exits_3_when_the_certificate_fails_revalidation(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "g.txt"
+    run(capsys, "gen", "--kind", "graph", "--n", "13", "--target", "4",
+        "--seed", "7", "--out", str(inst))
+    monkeypatch.setattr(cli, "find_rainbow_matching_delta", _delta_with_one_edge_swapped({0}))
+    code, out, err = run(capsys, "solve", "--algo", "delta", "--input", str(inst))
+    assert (code, out) == (3, "")
+    assert "certificate failed revalidation" in err
+
+
+def test_sweep_writes_every_row_and_exits_3_on_a_bad_certificate(capsys, monkeypatch):
+    argv = ("sweep", "--suite", "delta", "--sizes", "2..4", "--trials", "1", "--seed", "5")
+    code, clean, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "find_rainbow_matching_delta", _delta_with_one_edge_swapped({1}))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    header, *rows = clean.splitlines()
+    rows[1] = rows[1].replace(",true,", ",false,")
+    assert out.splitlines() == [header, *rows]
+    assert "1 certificates failed revalidation" in err
+
+
+def test_verify_rejects_a_certificate_mixing_edges_and_cells(tmp_path, capsys):
+    inst = tmp_path / "g.txt"
+    cert = tmp_path / "mixed.txt"
+    inst.write_text("graph 4 2\n1 2 1\n3 4 2\n")
+    cert.write_text("edge 1 2 1\ncell 1 1 1\n")
+    code, out, err = run(capsys, "verify", "--input", str(inst), "--certificate", str(cert))
+    assert (code, out) == (1, "")
+    assert "mixes edge and cell lines" in err
+
+
+def test_json_out_file_ends_in_one_newline(tmp_path, capsys):
+    inst = tmp_path / "g.txt"
+    cert = tmp_path / "m.json"
+    run(capsys, "gen", "--kind", "graph", "--n", "9", "--target", "3",
+        "--seed", "1", "--out", str(inst))
+    argv = ("solve", "--algo", "delta", "--input", str(inst), "--format", "json")
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--out", str(cert))
+    assert (code, out) == (0, "")
+    text = cert.read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    assert text == printed
+
+
 def test_transversal_text_and_json(tmp_path, capsys):
     inst = tmp_path / "sq.txt"
     run(capsys, "gen", "--kind", "square", "--n", "9", "--seed", "2", "--out", str(inst))

@@ -164,6 +164,18 @@ def test_audit_rejects_a_stale_index():
         _audit(config)
 
 
+def test_audit_rejects_a_cursor_past_a_free_vertex():
+    # vertices 1-4 carry the core, so the first vertex outside it is 5
+    g = build_graph(6, [(1, 2, 1), (3, 4, 2), (1, 5, 3)])
+    config = GoodConfiguration(
+        graph=g, target=3, twins_a=[], twins_b=[],
+        core=[(1, 2, 1), (3, 4, 2)], chains=[], cover={},
+    )
+    _audit(config, 5)
+    with pytest.raises(InternalInvariantBroken, match="free-vertex cursor skipped"):
+        _audit(config, 6)
+
+
 def test_matching_outputs_are_pinned():
     # tie-breaking in either solver changes this digest
     digest = hashlib.sha256()
@@ -184,12 +196,12 @@ def test_matching_outputs_are_pinned():
 def _reference_build_index(config):
     """The index built by one plain loop per structure part, kept to
     check the faster build against."""
-    roles: dict[int, tuple] = {}
+    roles: dict = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
     for i, e in enumerate(config.core):
-        roles[e[0]] = roles[e[1]] = ("core", i)
+        roles[e[0]] = roles[e[1]] = i
     for ci, chain in enumerate(config.chains):
         for p, e in enumerate(chain.edges):
             anchor = chain.anchors[p]
@@ -212,14 +224,14 @@ def test_index_build_matches_the_kept_reference(monkeypatch):
     audit = delta._audit
     reached = Counter()
 
-    def compare(config):
+    def compare(config, *cursor):
         built, kept = delta._build_index(config), _reference_build_index(config)
         for f in fields(_Index):
             assert getattr(built, f.name) == getattr(kept, f.name), f.name
         reached["twins"] += bool(config.twins_a)
         reached["chains"] += bool(config.chains)
         reached["cover"] += bool(config.cover)
-        audit(config)
+        audit(config, *cursor)
 
     monkeypatch.setattr(delta, "_audit", compare)
     for d in range(1, 41):

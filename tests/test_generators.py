@@ -81,6 +81,18 @@ def test_random_proper_graph_rejects_impossible_parameters():
         random_proper_graph(6, -1, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclic_square(-1), "order must be non-negative"),
+    (lambda: random_square(-1, 0), "order must be non-negative"),
+    (lambda: random_proper_graph(1, 0, seed=0), "need at least 2 vertices, got 1"),
+    (lambda: random_proper_graph(6, -1, seed=0), "degree -1 impossible on 6 vertices"),
+], ids=["cyclic", "random-square", "graph-vertices", "graph-degree"])
+def test_generator_parameter_messages(call, message):
+    with pytest.raises(InfeasibleParameters) as info:
+        call()
+    assert type(info.value) is InfeasibleParameters and str(info.value) == message
+
+
 def test_k4_factorization_pair_shape():
     g = k4_factorization_pair()
     assert g.vertex_count == 8

@@ -224,6 +224,19 @@ def test_parse_rejects_non_integer_fields():
         parse_graph("graph 2 1\n1 two 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("graph 2 x\n", "line 1: header counts must be integers"),
+    ("graph -1 0\n", "line 1: header counts must be non-negative"),
+    ("graph 2 -1\n", "line 1: header counts must be non-negative"),
+    ("", "empty input: missing 'graph V E' header"),
+    ("# only a comment\n\n", "empty input: missing 'graph V E' header"),
+], ids=["non-integer-count", "negative-vertices", "negative-edges", "empty", "comment-only"])
+def test_parse_header_messages(text, message):
+    with pytest.raises(BadShape) as info:
+        parse_graph(text)
+    assert type(info.value) is BadShape and str(info.value) == message
+
+
 # (text, exception class, 1-based line of the first offending edge); the
 # wording after the "line N: " prefix is free to change
 MALFORMED_GRAPHS = [

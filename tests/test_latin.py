@@ -95,6 +95,18 @@ def test_parse_rejects_row_of_wrong_width():
         parse_latin("3\n1 2\n2 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("-1\n", "line 1: order must be non-negative"),
+    ("2\n1 2\n2 1\n1 2\n", "line 4: more than 2 rows"),
+    ("3\n1 2 3\n2 3 1\n", "expected 3 rows, found 2"),
+    ("", "empty input: missing order line"),
+], ids=["negative-order", "extra-row", "missing-rows", "empty"])
+def test_parse_latin_shape_messages(text, message):
+    with pytest.raises(BadShape) as info:
+        parse_latin(text)
+    assert type(info.value) is BadShape and str(info.value) == message
+
+
 def test_validate_transversal_accepts_partial():
     sq = build_square(WITNESS_ROWS)
     ok, why = validate_transversal(sq, [(1, 2, 2), (2, 3, 4)])

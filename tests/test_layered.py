@@ -79,6 +79,27 @@ def test_factorized_squares_meet_the_bound():
             assert len(m) >= guaranteed_size(n)
 
 
+def _half_transversal_square(n):
+    """Z_n (n = 2 mod 4) renumbered so that the greedy start is the
+    maximal partial transversal {(2i, 2i, 4i mod n)} of size n/2: its
+    rows and symbols come first, in its order, and the free odd rows and
+    columns meet only its even symbols."""
+    symbols = [4 * i % n for i in range(n // 2)] + list(range(1, n, 2))
+    rank = {s: k + 1 for k, s in enumerate(symbols)}
+    rows = list(range(0, n, 2)) + list(range(1, n, 2))
+    return build_square([[rank[(r + c) % n] for c in range(n)] for r in rows])
+
+
+@pytest.mark.parametrize("n", [66, 98])
+def test_lifts_a_greedy_start_below_the_guarantee(n):
+    g = to_bipartite_factorization(_half_transversal_square(n))
+    events = []
+    m = find_rainbow_matching_layered(g, check=True, trace=events.append)
+    assert events[0]["size"] == n // 2 < guaranteed_size(n)
+    assert len(m) >= guaranteed_size(n)
+    assert m == find_rainbow_matching_layered(g)
+
+
 def test_output_is_deterministic():
     g = to_bipartite_factorization(random_square(9, seed=17))
     result = find_rainbow_matching_layered(g)
