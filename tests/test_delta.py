@@ -196,7 +196,7 @@ def test_matching_outputs_are_pinned():
 def _reference_build_index(config):
     """The index built by one plain loop per structure part, kept to
     check the faster build against."""
-    roles: dict = {}
+    roles: dict[int, int | tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
