@@ -726,6 +726,21 @@ def test_builders_output_is_pinned():
         "a943d1701e5d6007af4ceac3cd91d1050b02caf0d1baae5f82f6d4e94e7599b4")
 
 
+def test_depth_first_walk_builds_are_pinned():
+    # k ≥ 4 walks go depth-first, which the digest above never reaches;
+    # the shuffled squares run 13-33 augmentations per build
+    squares = [_shuffled_cyclic(n, n) for n in (60, 101, 150)]
+    squares += [random_square(n, seed=n) for n in range(2, 13)]
+    digest = hashlib.sha256()
+    for sq in squares:
+        for k in (4, 5, 6):
+            for check in (False, True):
+                result = build_short_cycle_free_transversal(sq, k, check=check)
+                digest.update(repr(result).encode())
+    assert digest.hexdigest() == (
+        "6f49f8ed9ad57232b030446e6aa2f2980804abc0485ae6521b41e443e2904878")
+
+
 def test_cycle_free_output_has_no_cycles_at_all():
     for n in (1, 2, 5, 8, 13, 20):
         sq = random_square(n, seed=split_seed(77, n))
