@@ -52,10 +52,17 @@ def _shuffled(getrandbits, items) -> list:
     return out
 
 
-def cyclic_square(n: int) -> LatinSquare:
-    """Addition table of Z_n, symbols 1..n."""
+def _require_order(n) -> None:
+    """InfeasibleParameters unless n is a non-negative int."""
+    if type(n) is not int:
+        raise InfeasibleParameters(f"order must be an int, got {type(n).__name__}")
     if n < 0:
         raise InfeasibleParameters("order must be non-negative")
+
+
+def cyclic_square(n: int) -> LatinSquare:
+    """Addition table of Z_n, symbols 1..n."""
+    _require_order(n)
     return build_square(
         [[(r + c) % n + 1 for c in range(n)] for r in range(n)]
     )
@@ -85,8 +92,7 @@ def random_square(n: int, seed: int) -> LatinSquare:
     Runs n**3 Jacobson-Matthews moves from the cyclic square, then keeps
     moving until the state is proper again.
     """
-    if n < 0:
-        raise InfeasibleParameters("order must be non-negative")
+    _require_order(n)
     if n <= 1:
         return cyclic_square(n)
     getrandbits = random.Random(seed).getrandbits
@@ -191,6 +197,9 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
     _below written out inline. The colored edges go to ColoredGraph
     already sorted, and it checks each one as usual.
     """
+    if type(n) is not int or type(target) is not int:
+        raise InfeasibleParameters(
+            f"vertex count and degree must be ints, got {type(n).__name__} and {type(target).__name__}")
     if n < 2:
         raise InfeasibleParameters(f"need at least 2 vertices, got {n}")
     if target < 0 or target >= n:

@@ -21,14 +21,15 @@ result already holds at least n - 6*n^((k-1)/k) cells.
 One search state is carried from round to round. It holds each fact
 once: B1 is the rows missing from the row -> (column, symbol) map,
 the minted B vertices are the keys of their parent records, and the
-A-front is the keys of the reach sets below. An augmentation
-rewrites only the rows on its chain and resets what the round added
-(the minted B vertices and their arcs, the parent records, the layer
-colors it did not keep), so the next round starts where a fresh start
-from the bigger transversal would, without an O(order) rebuild. Each
-augmentation checks only the rows it rewrote against the carried used
-columns and symbols, and for cycles of length ≤ k through them; the
-whole result is validated once, at the end.
+A-front is the keys of the reach sets below. A vertex's arcs are its
+cell and, once minted, the layer arc in its parent record. An
+augmentation rewrites only the rows on its chain and resets what the
+round added (the parent records, and with them the minted layer arcs,
+and the layer colors it did not keep), so the next round starts where
+a fresh start from the bigger transversal would, without an O(order)
+rebuild. Each augmentation checks only the rows it rewrote against
+the carried used columns and symbols, and for cycles of length ≤ k
+through them; the whole result is validated once, at the end.
 
 The state also carries each front vertex's reach set (the tails of
 its forbidden arcs) and the forbidden-arc count of every symbol over
@@ -70,11 +71,25 @@ from .latin import (
 )
 
 
+def _require_cycle_bound(k) -> None:
+    """PreconditionViolated unless k is an int of at least 2."""
+    if type(k) is not int:
+        raise PreconditionViolated(f"cycle bound must be an int, got {type(k).__name__}")
+    if k < 2:
+        raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")
+
+
 def theorem_bound(n: int, k: int) -> int:
     """max(0, ceil(n - 6*n^((k-1)/k))) in exact integer arithmetic.
 
-    Once 2^k > n, 6^k > n puts 6*n^((k-1)/k) above n, so a huge k
-    gives 0 without the huge powers."""
+    n must be a non-negative int and k an int of at least 2. Once
+    2^k > n, 6^k > n puts 6*n^((k-1)/k) above n, so a huge k gives 0
+    without the huge powers."""
+    if type(n) is not int:
+        raise PreconditionViolated(f"order must be an int, got {type(n).__name__}")
+    if n < 0:
+        raise PreconditionViolated(f"order must be non-negative, got {n}")
+    _require_cycle_bound(k)
     if k >= n.bit_length():
         return 0
     return max(0, n - int_kth_root(6**k * n ** (k - 1), k))
@@ -125,7 +140,6 @@ class TransversalSearchState:
     a_first: frozenset  # unused columns: path beginnings
     a_parent: dict = field(default_factory=dict)  # shifted head -> the B vertex behind it
     b_parent: dict = field(default_factory=dict)  # minted B vertex -> (head it shot at, color)
-    arcs_out: dict = field(default_factory=dict)  # v -> [(head, color, from_initial)]
     remaining: list = field(default_factory=list)  # unspent symbols, ascending
     spent: list = field(default_factory=list)  # this round's layer colors, in order
     reach: dict = field(default_factory=dict)  # front vertex u -> tails of its forbidden arcs
@@ -140,11 +154,8 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
     out_map = {r: (c, s) for r, c, s in cells}
     used_cols = {c for _, c, _ in cells}
     used_syms = {s for _, _, s in cells}
-    arcs_out: dict = {}
-    for r, c, s in cells:
-        arcs_out.setdefault(r, []).append((c, s, True))
     a_first = frozenset(c for c in range(1, n + 1) if c not in used_cols)
-    reach = {u: _forbidden_tails(arcs_out, u, k) for u in a_first}
+    reach = {u: _forbidden_tails(out_map, {}, u, k) for u in a_first}
     count = _tally(square, reach)
     return TransversalSearchState(
         square=square,
@@ -153,7 +164,6 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
         used_cols=used_cols,
         used_syms=used_syms,
         a_first=a_first,
-        arcs_out=arcs_out,
         remaining=[s for s in range(1, n + 1) if s not in used_syms],
         reach=reach,
         count=count,
@@ -166,59 +176,66 @@ def _cells(state: TransversalSearchState) -> list:
     return sorted((r, c, s) for r, (c, s) in state.out_map.items())
 
 
-def _collect_reach(arcs_out: dict, u: int, limit: int, narrow: bool) -> set:
+def _collect_reach(out_map: dict, b_parent: dict, u: int, limit: int, narrow: bool) -> set:
     """Heads of rainbow vertex-simple paths out of u with ≤ limit arcs.
 
-    narrow=True keeps only heads at distance ≥ 2 whose final arc
-    belongs to the initial transversal. A wide walk of one or two arcs,
-    all the builder takes at k = 2 and 3, is read off directly: the
-    heads of u's arcs other than u, then the heads of their arcs in
-    another color other than u (a loop back to the middle vertex adds
-    nothing new). Longer walks go depth-first with one iterator per arc
-    of the current path, so no path length meets the recursion limit."""
+    A vertex v has at most two arcs, each a (head, color) pair: its
+    cell out_map[v] and the layer arc b_parent[v] that minted it.
+    narrow=True keeps only heads at distance ≥ 2 whose final arc is a
+    cell. A wide walk of one or two arcs, all the builder takes at
+    k = 2 and 3, is read off directly: the heads of u's arcs other than
+    u, then the heads of their arcs in another color other than u (a
+    loop back to the middle vertex adds nothing new). Longer walks go
+    depth-first with one iterator per vertex of the current path, so no
+    path length meets the recursion limit."""
     found: set = set()
     if limit <= 0:
         return found
+    arc_maps = (out_map, b_parent)
     if limit <= 2 and not narrow:
-        for head, color, _ in arcs_out.get(u, ()):
-            if head == u:
+        for arcs in arc_maps:
+            arc = arcs.get(u)
+            if arc is None or arc[0] == u:
                 continue
+            head, color = arc
             found.add(head)
             if limit == 2:
-                for far, far_color, _ in arcs_out.get(head, ()):
-                    if far_color != color and far != u:
-                        found.add(far)
+                for far_arcs in arc_maps:
+                    far = far_arcs.get(head)
+                    if far is not None and far[1] != color and far[0] != u:
+                        found.add(far[0])
         return found
     on_path = {u}
     used_colors: set = set()
-    path: list = []  # (head, color) of each arc on the current path
-    stack = [iter(arcs_out.get(u, ()))]
+    stack = [(u, 0, iter(arc_maps))]  # (vertex, color of the arc into it, maps left to read)
     while stack:
-        for head, color, initial in stack[-1]:
+        tail, _, maps = stack[-1]
+        for arcs in maps:
+            arc = arcs.get(tail)
+            if arc is None:
+                continue
+            head, color = arc
             if head in on_path or color in used_colors:
                 continue
             depth = len(stack)  # arcs from u to head
-            if not narrow or (initial and depth >= 2):
+            if not narrow or (arcs is out_map and depth >= 2):
                 found.add(head)
             if depth < limit:
                 on_path.add(head)
                 used_colors.add(color)
-                path.append((head, color))
-                stack.append(iter(arcs_out.get(head, ())))
+                stack.append((head, color, iter(arc_maps)))
                 break
         else:
-            stack.pop()
-            if path:
-                head, color = path.pop()
-                on_path.discard(head)
-                used_colors.discard(color)
+            _, color, _ = stack.pop()  # popping u ends the walk
+            on_path.discard(tail)
+            used_colors.discard(color)
     return found
 
 
-def _forbidden_tails(arcs_out: dict, u: int, k: int) -> set:
+def _forbidden_tails(out_map: dict, b_parent: dict, u: int, k: int) -> set:
     """u and the heads of rainbow paths out of u with ≤ k-1 arcs: the
     tails v whose arc v -> u could close a cycle of length ≤ k."""
-    tails = _collect_reach(arcs_out, u, k - 1, narrow=False)
+    tails = _collect_reach(out_map, b_parent, u, k - 1, narrow=False)
     tails.add(u)
     return tails
 
@@ -256,7 +273,7 @@ def _readers(state: TransversalSearchState, rows) -> list:
 def _rewalk(state: TransversalSearchState, u: int) -> set | None:
     """Walk u's forbidden tails again, move u's counts from its old set
     to the new one, and return the old set (None for a new vertex)."""
-    tails = _forbidden_tails(state.arcs_out, u, state.k)
+    tails = _forbidden_tails(state.out_map, state.b_parent, u, state.k)
     old = state.reach.get(u)
     rows, count, col = state.square.rows, state.count, u - 1
     gained = tails
@@ -326,7 +343,6 @@ def expand_layer(state: TransversalSearchState, color: int):
         state.stale.update(_readers(state, {v for v, _ in minted}))
     for v, u in minted:
         state.b_parent[v] = (u, color)
-        state.arcs_out.setdefault(v, []).append((u, color, False))
         successor = out_map[v][0]
         state.a_parent[successor] = v
         state.stale.add(successor)
@@ -380,14 +396,15 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     checked (_rewrite_fault). The state then describes the bigger
     transversal as a fresh start would: the chain's end column leaves
     the path beginnings and the augmenting tail gets a row in out_map,
-    every minted B vertex is back to its one transversal arc, the
-    round's layer colors not used on the chain are unspent again and
-    the chain's old symbols join them. The reach sets and counts go
-    back to the round's start, lose the chain's end column and the
-    successors, and are walked again only for the path beginnings whose
-    set holds a rewritten row. All this costs O(k * hops + path
-    beginnings + minted vertices + unspent symbols + order) plus those
-    walks, with the O(order) part one list copy of the counts."""
+    the parent records go, so every minted B vertex is back to its cell
+    alone, the round's layer colors not used on the chain are unspent
+    again and the chain's old symbols join them. The reach sets and
+    counts go back to the round's start, lose the chain's end column
+    and the successors, and are walked again only for the path
+    beginnings whose set holds a rewritten row. All this costs
+    O(k * hops + path beginnings + successors + unspent symbols + order)
+    plus those walks, with the O(order) part one list copy of the
+    counts."""
     v, target = edge  # (tail v in B1, head in the A-front)
     out_map = state.out_map
     moved: dict = {}  # chain row, then the augmenting tail -> its new (col, symbol)
@@ -418,16 +435,16 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     state.used_syms.update(used)
     state.remaining = sorted(state.remaining + freed + [s for s in state.spent if s not in used])
     state.a_first = state.a_first - {u}
-    for b in state.b_parent:
-        state.arcs_out[b] = [(*out_map[b], True)]
-    state.arcs_out[v] = [(target, color, True)]
     # the round's start sets and counts, without the successors and u,
-    # then new walks where a rewritten row was read
+    # then new walks, which must not read a layer arc, where a
+    # rewritten row was read
     reach = state.reach
     for w in state.a_parent:
         del reach[w]
     reach.update(state.round_reach)
     state.count = count = state.round_count
+    state.a_parent = {}
+    state.b_parent = {}
     rows = state.square.rows
     for x in reach.pop(u):
         count[rows[x - 1][u - 1]] -= 1
@@ -435,8 +452,6 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
         _rewalk(state, w)
     state.round_count = list(count)
     state.round_reach = {}
-    state.a_parent = {}
-    state.b_parent = {}
     state.spent = []
 
 
@@ -455,7 +470,7 @@ def _audit_front(state: TransversalSearchState, layer: int) -> None:
     """The reach sets and counts choose_color carried must equal a fresh
     walk of the whole A-front."""
     front = state.a_first | state.a_parent.keys()  # independent of reach's keys
-    fresh = {u: _forbidden_tails(state.arcs_out, u, state.k) for u in front}
+    fresh = {u: _forbidden_tails(state.out_map, state.b_parent, u, state.k) for u in front}
     for u in sorted(fresh.keys() | state.reach.keys()):
         if state.reach.get(u) != fresh.get(u):
             raise InternalInvariantBroken(
@@ -470,8 +485,9 @@ def _audit_front(state: TransversalSearchState, layer: int) -> None:
 
 def _check_color_law(state: TransversalSearchState, layer: int, n: int, t: int) -> None:
     """Pigeonhole law: some unspent symbol has few narrowly-forbidden
-    arcs (counting only paths of 2..k-1 arcs ending in an initial arc)."""
-    narrow = {u: _collect_reach(state.arcs_out, u, state.k - 1, narrow=True) for u in state.reach}
+    arcs (counting only paths of 2..k-1 arcs ending in a cell)."""
+    narrow = {u: _collect_reach(state.out_map, state.b_parent, u, state.k - 1, narrow=True)
+              for u in state.reach}
     best = _least_forbidden(state, narrow)[1]
     total = best * len(state.remaining)
     # layer >= 2 and n > t, so once k-1 reaches total's bit length the law holds
@@ -537,16 +553,14 @@ def build_short_cycle_free_transversal(
     the expansion rounds that grew it.
     """
     require_type(square, LatinSquare)
-    if k < 2:
-        raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")
     n = square.order
+    bound = theorem_bound(n, k)  # the one check of k
     state = _start_state(square, k, _greedy_init(square, k))
     initial = len(state.out_map)
     augmentations = 0
     while _expansion_round(state, check):
         augmentations += 1
     cells = _cells(state)
-    bound = theorem_bound(n, k)
     if len(cells) < bound:
         raise InternalInvariantBroken(
             f"finished with {len(cells)} cells, guarantee is {bound}"

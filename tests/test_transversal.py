@@ -44,7 +44,8 @@ def forbidden_edges(state, color):
     out = set()
     for u in _front(state):
         v = state.square.row_of(u, color)
-        if v == u or v in tv._collect_reach(state.arcs_out, u, state.k - 1, narrow=False):
+        if v == u or v in tv._collect_reach(state.out_map, state.b_parent, u, state.k - 1,
+                                           narrow=False):
             out.add((v, u))
     return out
 
@@ -141,6 +142,32 @@ def test_greedy_init_matches_the_row_scan():
 def test_rejects_cycle_bound_below_two():
     with pytest.raises(PreconditionViolated):
         build_short_cycle_free_transversal(cyclic_square(4), 1)
+
+
+@pytest.mark.parametrize("k, why", [
+    (2.5, "an int, got float"),
+    (math.nan, "an int, got float"),
+    (2.0, "an int, got float"),
+    (math.inf, "an int, got float"),
+    ("3", "an int, got str"),
+    (None, "an int, got NoneType"),
+    (True, "an int, got bool"),
+    (1, "at least 2, got 1"),
+])
+def test_a_bad_cycle_bound_is_a_precondition_violation(k, why):
+    with pytest.raises(PreconditionViolated, match=f"^cycle bound must be {why}$"):
+        build_short_cycle_free_transversal(cyclic_square(7), k)
+
+
+@pytest.mark.parametrize("n, k, why", [
+    (10, 0, "cycle bound must be at least 2, got 0"),
+    (10, 2.0, "cycle bound must be an int, got float"),
+    (-5, 2, "order must be non-negative, got -5"),
+    (10.0, 2, "order must be an int, got float"),
+])
+def test_theorem_bound_rejects_bad_arguments(n, k, why):
+    with pytest.raises(PreconditionViolated, match=f"^{why}$"):
+        theorem_bound(n, k)
 
 
 def test_small_orders_and_edge_cases():
@@ -288,7 +315,7 @@ def test_color_counts_match_the_per_arc_definition(monkeypatch):
                 assert tv.choose_color(state) == wide
                 front = _front(state)
                 assert state.reach.keys() == front
-                heads = {u: tv._collect_reach(state.arcs_out, u, k - 1, narrow=True)
+                heads = {u: tv._collect_reach(state.out_map, state.b_parent, u, k - 1, narrow=True)
                          for u in front}
                 narrow = {c: sum(sq.row_of(u, c) in heads[u] for u in front)
                           for c in state.remaining}
@@ -323,8 +350,8 @@ def _put_back_a_spent_symbol(state, before):
 
 
 def _keep_a_minted_arc(state, before):
-    b, (head, color) = next(iter(before["b_parent"].items()))
-    state.arcs_out[b].append((head, color, False))
+    b, arc = next(iter(before["b_parent"].items()))
+    state.b_parent[b] = arc
 
 
 def _keep_a_used_column(state, before):
@@ -349,7 +376,7 @@ def _keep_a_successor_walk(state, before):
 
 @pytest.mark.parametrize("corrupt, field_name", [
     (_put_back_a_spent_symbol, "remaining"),
-    (_keep_a_minted_arc, "arcs_out"),
+    (_keep_a_minted_arc, "b_parent"),
     (_keep_a_used_column, "a_first"),
     (_drop_a_used_column, "used_cols"),
     (_drop_a_used_symbol, "used_syms"),
@@ -395,7 +422,7 @@ def _keep_stale_walks(state, call):
     call()
     dropped = state.stale & walked
     state.stale -= walked
-    return any(state.reach[u] != tv._forbidden_tails(state.arcs_out, u, state.k)
+    return any(state.reach[u] != tv._forbidden_tails(state.out_map, state.b_parent, u, state.k)
                for u in dropped)
 
 
@@ -407,7 +434,7 @@ def _skip_the_rewritten_walks(state, call):
         call()
     finally:
         tv._readers = real_readers
-    return any(tails != tv._forbidden_tails(state.arcs_out, u, state.k)
+    return any(tails != tv._forbidden_tails(state.out_map, state.b_parent, u, state.k)
                for u, tails in state.reach.items())
 
 
@@ -490,7 +517,7 @@ def test_carried_walks_halve_the_walks_of_a_build(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[2])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tv, "_collect_reach", counted)
@@ -500,7 +527,12 @@ def test_carried_walks_halve_the_walks_of_a_build(monkeypatch):
         assert 0 < len(calls) <= before // 2, (k, len(calls))
 
 
-def _recursive_reach(arcs_out, u, limit, narrow):
+def _arcs_of(out_map, b_parent, v):
+    """v's arcs as (head, color, is its cell): its cell, then its layer arc."""
+    return [(*arcs[v], arcs is out_map) for arcs in (out_map, b_parent) if v in arcs]
+
+
+def _recursive_reach(out_map, b_parent, u, limit, narrow):
     """_collect_reach as the recursive walk it once was, kept as a
     reference for the iterative one."""
     found = set()
@@ -510,12 +542,12 @@ def _recursive_reach(arcs_out, u, limit, narrow):
     used_colors = set()
 
     def walk(vertex, depth):
-        for head, color, initial in arcs_out.get(vertex, ()):
+        for head, color, cell in _arcs_of(out_map, b_parent, vertex):
             if head in on_path or color in used_colors:
                 continue
             if not narrow:
                 found.add(head)
-            elif depth + 1 >= 2 and initial:
+            elif depth + 1 >= 2 and cell:
                 found.add(head)
             if depth + 1 < limit:
                 on_path.add(head)
@@ -533,15 +565,16 @@ def test_collect_reach_matches_the_recursive_walk():
     for seed in range(60):
         rng = random.Random(seed)
         n = rng.randint(1, 10)
-        # few colors, so rainbow paths get cut; loops and repeats allowed
-        arcs_out = {v: [(rng.randint(1, n), rng.randint(1, 4), rng.random() < 0.5)
-                        for _ in range(rng.randint(0, 3))]
-                    for v in range(1, n + 1) if rng.random() < 0.9}
+        # at most a cell and a layer arc per vertex, as in a build; few
+        # colors, so rainbow paths get cut; loops and repeats allowed
+        out_map, b_parent = ({v: (rng.randint(1, n), rng.randint(1, 4))
+                              for v in range(1, n + 1) if rng.random() < share}
+                             for share in (0.9, 0.5))
         for u in range(1, n + 1):
             for limit in range(7):
                 for narrow in (False, True):
-                    got = tv._collect_reach(arcs_out, u, limit, narrow)
-                    assert got == _recursive_reach(arcs_out, u, limit, narrow)
+                    got = tv._collect_reach(out_map, b_parent, u, limit, narrow)
+                    assert got == _recursive_reach(out_map, b_parent, u, limit, narrow)
                     checked += bool(got)
     assert checked > 1000
 
@@ -554,16 +587,16 @@ def test_the_recursive_walk_comparison_reads_short_walks_directly(monkeypatch):
     real = tv._collect_reach
     decided = {"loop": 0, "back": 0, "color": 0}
 
-    def watched(arcs_out, u, limit, narrow):
-        found = real(arcs_out, u, limit, narrow)
+    def watched(out_map, b_parent, u, limit, narrow):
+        found = real(out_map, b_parent, u, limit, narrow)
         if narrow or not 1 <= limit <= 2:
             return found
-        arcs = arcs_out.get(u, ())
+        arcs = _arcs_of(out_map, b_parent, u)
         decided["loop"] += any(head == u for head, _, _ in arcs)
         for head, color, _ in arcs:
             if limit == 1 or head == u:
                 continue
-            for far, far_color, _ in arcs_out.get(head, ()):
+            for far, far_color, _ in _arcs_of(out_map, b_parent, head):
                 if far not in found:
                     rule = ("back" if far == u else "color" if far_color == color
                             else None)
@@ -577,10 +610,10 @@ def test_the_recursive_walk_comparison_reads_short_walks_directly(monkeypatch):
 
 
 def test_collect_reach_walks_paths_past_the_recursion_limit():
-    # one 3,000-arc path 0 -> 1 -> ... -> 3000 in distinct colors
-    arcs_out = {v: [(v + 1, v, True)] for v in range(3000)}
-    assert tv._collect_reach(arcs_out, 0, 2999, narrow=False) == set(range(1, 3000))
-    assert tv._collect_reach(arcs_out, 0, 2999, narrow=True) == set(range(2, 3000))
+    # one 3,000-cell path 0 -> 1 -> ... -> 3000 in distinct colors
+    out_map = {v: (v + 1, v) for v in range(3000)}
+    assert tv._collect_reach(out_map, {}, 0, 2999, narrow=False) == set(range(1, 3000))
+    assert tv._collect_reach(out_map, {}, 0, 2999, narrow=True) == set(range(2, 3000))
 
 
 def test_local_check_agrees_with_full_validation(monkeypatch):
