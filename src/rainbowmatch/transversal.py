@@ -20,16 +20,15 @@ result already holds at least n - 6*n^((k-1)/k) cells.
 
 One search state is carried from round to round. It holds each fact
 once: B1 is the rows missing from the row -> (column, symbol) map,
-the minted B vertices are the keys of their parent records, and the
-A-front is the keys of the reach sets below. A vertex's arcs are its
-cell and, once minted, the layer arc in its parent record. An
-augmentation rewrites only the rows on its chain and resets what the
-round added (the parent records, and with them the minted layer arcs,
-and the layer colors it did not keep), so the next round starts where
-a fresh start from the bigger transversal would, without an O(order)
-rebuild. Each augmentation checks only the rows it rewrote against
-the carried used columns and symbols, and for cycles of length ≤ k
-through them; the whole result is validated once, at the end.
+the minted B vertices are the keys of their parent records, which
+hold their layer arcs, and the A-front is the keys of the reach sets
+below. An augmentation rewrites only the rows on its chain and resets
+what the round added (the parent records, the layer colors it did
+not keep), so the next round starts where a fresh start from the
+bigger transversal would, without an O(order) rebuild. Each
+augmentation checks only the rows it rewrote against the carried used
+columns and symbols, and for cycles of length ≤ k through them; the
+whole result is validated once, at the end.
 
 The state also carries each front vertex's reach set (the tails of
 its forbidden arcs) and the forbidden-arc count of every symbol over
@@ -179,15 +178,14 @@ def _cells(state: TransversalSearchState) -> list:
 def _collect_reach(out_map: dict, b_parent: dict, u: int, limit: int, narrow: bool) -> set:
     """Heads of rainbow vertex-simple paths out of u with ≤ limit arcs.
 
-    A vertex v has at most two arcs, each a (head, color) pair: its
-    cell out_map[v] and the layer arc b_parent[v] that minted it.
-    narrow=True keeps only heads at distance ≥ 2 whose final arc is a
-    cell. A wide walk of one or two arcs, all the builder takes at
-    k = 2 and 3, is read off directly: the heads of u's arcs other than
-    u, then the heads of their arcs in another color other than u (a
-    loop back to the middle vertex adds nothing new). Longer walks go
-    depth-first with one iterator per vertex of the current path, so no
-    path length meets the recursion limit."""
+    A vertex v's arcs are (head, color) pairs: its cell out_map[v], then
+    the layer arc b_parent[v] that minted it. narrow=True keeps only
+    heads at distance ≥ 2 whose final arc is a cell. A wide walk of one
+    or two arcs, all the builder takes at k = 2 and 3, is read off
+    directly: the heads of u's arcs other than u, then the heads of
+    their arcs in another color other than u (a loop back to the middle
+    vertex adds nothing new). Longer walks go depth-first on an explicit
+    stack, so no path length meets the recursion limit."""
     found: set = set()
     if limit <= 0:
         return found
@@ -396,15 +394,14 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     checked (_rewrite_fault). The state then describes the bigger
     transversal as a fresh start would: the chain's end column leaves
     the path beginnings and the augmenting tail gets a row in out_map,
-    the parent records go, so every minted B vertex is back to its cell
-    alone, the round's layer colors not used on the chain are unspent
-    again and the chain's old symbols join them. The reach sets and
-    counts go back to the round's start, lose the chain's end column
-    and the successors, and are walked again only for the path
-    beginnings whose set holds a rewritten row. All this costs
-    O(k * hops + path beginnings + successors + unspent symbols + order)
-    plus those walks, with the O(order) part one list copy of the
-    counts."""
+    the parent records, and with them the layer arcs, are dropped, the
+    round's layer colors not used on the chain are unspent again and
+    the chain's old symbols join them. The reach sets and counts go
+    back to the round's start, lose the chain's end column and the
+    successors, and are walked again only for the path beginnings whose
+    set holds a rewritten row. All this costs O(k * hops + path
+    beginnings + successors + unspent symbols + order) plus those
+    walks, with the O(order) part one list copy of the counts."""
     v, target = edge  # (tail v in B1, head in the A-front)
     out_map = state.out_map
     moved: dict = {}  # chain row, then the augmenting tail -> its new (col, symbol)
@@ -436,8 +433,7 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     state.remaining = sorted(state.remaining + freed + [s for s in state.spent if s not in used])
     state.a_first = state.a_first - {u}
     # the round's start sets and counts, without the successors and u,
-    # then new walks, which must not read a layer arc, where a
-    # rewritten row was read
+    # then, with no layer arc left, new walks where a rewritten row was read
     reach = state.reach
     for w in state.a_parent:
         del reach[w]
