@@ -70,25 +70,17 @@ from .latin import (
 )
 
 
-def _require_cycle_bound(k) -> None:
-    """PreconditionViolated unless k is an int of at least 2."""
-    if type(k) is not int:
-        raise PreconditionViolated(f"cycle bound must be an int, got {type(k).__name__}")
-    if k < 2:
-        raise PreconditionViolated(f"cycle bound must be at least 2, got {k}")
-
-
 def theorem_bound(n: int, k: int) -> int:
-    """max(0, ceil(n - 6*n^((k-1)/k))) in exact integer arithmetic.
+    """max(0, ceil(n - 6*n^((k-1)/k))) in exact integer arithmetic, for
+    an int n ≥ 0 and an int k ≥ 2 (PreconditionViolated otherwise).
 
-    n must be a non-negative int and k an int of at least 2. Once
-    2^k > n, 6^k > n puts 6*n^((k-1)/k) above n, so a huge k gives 0
-    without the huge powers."""
-    if type(n) is not int:
-        raise PreconditionViolated(f"order must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise PreconditionViolated(f"order must be non-negative, got {n}")
-    _require_cycle_bound(k)
+    Once 2^k > n, 6^k > n puts 6*n^((k-1)/k) above n, so a huge k
+    gives 0 without the huge powers."""
+    for name, value, least in (("order", n, 0), ("cycle bound", k, 2)):
+        if type(value) is not int:
+            raise PreconditionViolated(f"{name} must be an int, got {type(value).__name__}")
+        if value < least:
+            raise PreconditionViolated(f"{name} must be at least {least}, got {value}")
     if k >= n.bit_length():
         return 0
     return max(0, n - int_kth_root(6**k * n ** (k - 1), k))
