@@ -198,8 +198,8 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
     already sorted, and it checks each one as usual.
     """
     if type(n) is not int or type(target) is not int:
-        raise InfeasibleParameters(
-            f"vertex count and degree must be ints, got {type(n).__name__} and {type(target).__name__}")
+        raise InfeasibleParameters(f"vertex count and degree must be ints, got "
+                                   f"{type(n).__name__} and {type(target).__name__}")
     if n < 2:
         raise InfeasibleParameters(f"need at least 2 vertices, got {n}")
     if target < 0 or target >= n:

@@ -88,7 +88,8 @@ def test_random_proper_graph_rejects_impossible_parameters():
     (lambda: random_proper_graph(6, -1, seed=0), "degree -1 impossible on 6 vertices"),
     (lambda: cyclic_square(2.5), "order must be an int, got float"),
     (lambda: random_square(3.5, 1), "order must be an int, got float"),
-    (lambda: random_proper_graph(5.0, 2, 1), "vertex count and degree must be ints, got float and int"),
+    (lambda: random_proper_graph(5.0, 2, 1),
+     "vertex count and degree must be ints, got float and int"),
 ], ids=["cyclic", "random-square", "graph-vertices", "graph-degree",
         "cyclic-float", "random-square-float", "graph-float"])
 def test_generator_parameter_messages(call, message):

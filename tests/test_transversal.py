@@ -759,8 +759,8 @@ def test_builders_output_is_pinned():
 
 
 def test_depth_first_walk_builds_are_pinned():
-    # k ≥ 4 walks go depth-first, which the digest above never reaches;
-    # the shuffled squares run 13-33 augmentations per build
+    # the wide walks of k ≥ 4 go depth-first, and the digest above takes
+    # none of them; the shuffled squares run 13–32 augmentations a build
     squares = [_shuffled_cyclic(n, n) for n in (60, 101, 150)]
     squares += [random_square(n, seed=n) for n in range(2, 13)]
     digest = hashlib.sha256()
