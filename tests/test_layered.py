@@ -1,5 +1,7 @@
 """Layered-exchange rainbow matchings on graphs with modest vertex counts."""
 
+import hashlib
+import json
 import random
 import tracemalloc
 from collections.abc import KeysView, Mapping
@@ -604,3 +606,30 @@ def test_an_edgeless_graph_with_a_huge_vertex_count_lists_no_vertex():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _pinned_layered_instances():
+    for n, seed in ((96, 1), (131, 2), (160, 3), (192, 4)):
+        yield _shuffled_cyclic(n, seed)
+    for d in (1, 4, 10, 25, 60):
+        for spread in (0, 3, 7):
+            yield random_proper_graph(2 * d + spread, d, split_seed(24, 10 * d + spread))
+    yield build_graph(14, _FREED_COLOR_EDGES)
+    given_edges = [(v, u, c) for u, v, c in _shuffled_cyclic(48, 5).edges]
+    random.Random(5).shuffle(given_edges)
+    yield build_graph(96, given_edges)
+    yield ColoredGraph(10**12, [])
+
+
+def test_layered_outputs_and_traces_are_pinned():
+    # covers the greedy start, every refill and the trace events on the
+    # instance families the reference comparison uses, plain and checked
+    digest = hashlib.sha256()
+    for g in _pinned_layered_instances():
+        for check in (False, True):
+            events = []
+            m = find_rainbow_matching_layered(g, check=check, trace=events.append)
+            digest.update(json.dumps([m, events]).encode())
+    assert digest.hexdigest() == (
+        "f2b33dab6fa0d68486dac93e4cea32f6c52c3bc69ca97ee2f2390568771c36e7"
+    )
