@@ -23,34 +23,39 @@ pooled edge to a fresh free vertex. The exchange nets exactly one
 extra edge, and rounds repeat until the bound is met and no further
 structure is found.
 
-A level costs about what it unblocks. Each free vertex gets a
-color -> neighbor map the first time it is free, kept for the solve.
-Each round lists its free-free edges once. Level 1 looks up, from
-every free vertex, only the colors missing from M, and level j+1 only
-the colors classified at level j, so each matched vertex's list of
-active edges grows by exactly what the level unblocks. That lookup
-waits until the level's free-free and two-sided candidates have all
-failed, since only the quiet-side hits and the next level read it. A
-survivor needs only its lists' lengths; only a classified edge's
-lists are sorted. After an exchange the matching is extended greedily
-again, walking only the edges at the vertices and in the colors the
+M is the greedy walk over the edges in (color, u, v) order, read
+without sorting the edges: for each color in ascending order it takes
+the edge (u, w) with the smallest free u whose neighbor w in that color
+is free, scanning only the vertices with a larger neighbor. A vertex
+gets a color -> neighbor map the first time the start scans it or it is
+free, kept for the solve.
+
+A level costs about what it unblocks. Each round lists its free-free
+edges once. Level 1 looks up, from every free vertex, only the colors
+missing from M, and level j+1 only the colors classified at level j, so
+each matched vertex's list of active edges grows by exactly what the
+level unblocks. That lookup waits until the level's free-free and
+two-sided candidates have all failed, since only the quiet-side hits
+and the next level read it. A survivor needs only its lists' lengths;
+only a classified edge's lists are sorted. After an exchange the matching is extended greedily
+again, reading only the edges at the vertices and in the colors the
 exchange freed: the matching was maximal before, so no other edge can
 fit. check=True also compares the active-edge lists with a fresh walk
-of the free vertices' edges at every level, and each refill with the
-full greedy walk.
+of the free vertices' edges at every level, and the start and each
+refill with the full greedy walk.
 
 All threshold comparisons run in exact integer arithmetic on cubes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .arith import int_kth_root
 from .errors import InternalInvariantBroken, PreconditionViolated
 from .graphs import (
+    _NO_NEIGHBORS,
     ColoredGraph,
     Edge,
     _normalize,
@@ -99,7 +104,7 @@ class LayerState:
     palette: set = field(repr=False)  # every color of graph
     matching: list = field(default_factory=list)
     free: list = field(default_factory=list)
-    by_color: dict = field(default_factory=dict, repr=False)  # ever-free v -> {color: neighbor}
+    by_color: dict = field(default_factory=dict, repr=False)  # scanned or ever-free v -> {color: neighbor}
     free_free: list = field(default_factory=list)  # (v, w, color), v < w both free, sorted
     found: dict = field(default_factory=dict)  # matched v -> [(color, free r)] in looked colors
     looked: set = field(default_factory=set)  # the colors whose edges found holds
@@ -131,11 +136,50 @@ def _extend_maximal(order: list, matching: list) -> list:
     return m
 
 
-def _refill_candidates(g: ColoredGraph, order: list, matching: list, gone: set) -> list:
+def _colors_at(g: ColoredGraph, v: int) -> dict:
+    """v's color -> neighbor map."""
+    nb = g._adj.get(v, _NO_NEIGHBORS)
+    return dict(zip(nb.values(), nb))
+
+
+def _greedy_start(g: ColoredGraph, palette: set, by_color: dict) -> list:
+    """_extend_maximal(_greedy_order(g), []), read from color maps.
+
+    A color's walk takes its smallest (u, v) with both ends free and
+    skips the rest. A proper coloring gives u at most one edge in the
+    color, and a hit (u, w) has w > u, or w would have hit first; so the
+    scan visits, in ascending order, only the free vertices with a
+    larger neighbor (a neighbor map iterates in ascending order). Fills
+    by_color with the map of every vertex it scans."""
+    adj = g._adj
+    scan = sorted(u for u, nb in adj.items() if next(reversed(nb)) > u)
+    matched: set = set()
+    matching = []
+    for c in sorted(palette):
+        for i, u in enumerate(scan):
+            to = by_color.get(u)
+            if to is None:
+                to = by_color[u] = _colors_at(g, u)
+            w = to.get(c)
+            if w is not None and w not in matched:
+                matching.append((u, w, c))
+                matched.update((u, w))
+                del scan[i]
+                if next(reversed(adj[w])) > w:
+                    scan.remove(w)
+                break
+        if not scan:
+            break
+    return matching
+
+
+def _refill_candidates(g: ColoredGraph, by_color: dict, matching: list, gone: set) -> list:
     """The edges that may fit matching, in _greedy_order. Before the
-    exchange that deleted the edges of gone, the matching was maximal
-    against order, so only edges at a vertex or in a color of gone that
-    matching leaves free can fit now."""
+    exchange that deleted the edges of gone, the matching was maximal,
+    so only edges at a vertex or in a color of gone that matching leaves
+    free can fit now. A freed color's edges between two vertices that
+    were free before the exchange are read from their color maps; every
+    other edge that may fit is at a vertex the exchange freed."""
     used_v = {x for e in matching for x in (e[0], e[1])}
     used_c = {e[2] for e in matching}
     fits = set()
@@ -148,9 +192,11 @@ def _refill_candidates(g: ColoredGraph, order: list, matching: list, gone: set) 
                     if w not in used_v and c2 not in used_c
                 )
         if c not in used_c:
-            lo = bisect_left(order, c, key=_COLOR)
-            hi = bisect_right(order, c, lo, key=_COLOR)
-            fits.update(e for e in order[lo:hi] if e[0] not in used_v and e[1] not in used_v)
+            fits.update(
+                _normalize(x, w, c)
+                for x, to in by_color.items()
+                if x not in used_v and (w := to.get(c)) is not None and w not in used_v
+            )
     return sorted(fits, key=itemgetter(2, 0, 1))
 
 
@@ -418,7 +464,7 @@ def _next_state(prior: LayerState, matching: list) -> LayerState:
     for r in freed:
         nb = g.neighbors(r)
         if r not in by_color:
-            by_color[r] = dict(zip(nb.values(), nb))
+            by_color[r] = _colors_at(g, r)
         free_free.extend(
             _normalize(r, w, nb[w]) for w in nb.keys() & free_set if w > r or w not in freed
         )
@@ -458,11 +504,16 @@ def find_rainbow_matching_layered(
             f"need at least {2 * delta} vertices for minimum degree {delta},"
             f" got {g.vertex_count}"
         )
-    order = _greedy_order(g)
-    matching = _extend_maximal(order, [])
+    palette = set(map(_COLOR, g.edges))
+    by_color: dict = {}
+    matching = _greedy_start(g, palette, by_color)
+    if check:
+        order = _greedy_order(g)
+        if matching != _extend_maximal(order, []):
+            raise InternalInvariantBroken("greedy start differs from the full greedy walk")
     start = len(matching)
     rounds = 0
-    state = LayerState(graph=g, delta=delta, palette={e[2] for e in g.edges})
+    state = LayerState(graph=g, delta=delta, palette=palette, by_color=by_color)
     while True:
         rounds += 1
         state = _next_state(state, matching)
@@ -482,7 +533,7 @@ def find_rainbow_matching_layered(
         if result is None:
             break
         gone = set(matching).difference(result)
-        refilled = _extend_maximal(_refill_candidates(g, order, result, gone), result)
+        refilled = _extend_maximal(_refill_candidates(g, state.by_color, result, gone), result)
         if check and refilled != _extend_maximal(order, result):
             raise InternalInvariantBroken(
                 f"round {rounds}: refill differs from the full greedy walk"

@@ -33,6 +33,7 @@ from rainbowmatch.layered import (
     ClassifiedEdge,
     LayerState,
     _classify_level,
+    _colors_at,
     _extend_maximal,
     _greedy_order,
     _next_state,
@@ -350,17 +351,17 @@ def _both_scans(state, survivors, two_sided):
 
 def _assert_matches_reference(g):
     """Solve g with check=True and again with the reference classification,
-    scan and full-walk refill; the matchings and every trace dict must
-    agree, and so must the two classifications and the two candidate
-    lists of every level."""
+    scan, greedy start and full-walk refill; the matchings and every trace
+    dict must agree, and so must the two classifications and the two
+    candidate lists of every level."""
     rows, reference_rows = [], []
     m = find_rainbow_matching_layered(g, check=True, trace=rows.append)
     with mock.patch.multiple(
         layered,
         _classify_level=_both_classifications,
         _scan_candidates=_both_scans,
-        _greedy_order=_reference_greedy_order,
-        _refill_candidates=lambda g, order, matching, gone: order,
+        _greedy_start=lambda g, palette, by_color: _extend_maximal(_reference_greedy_order(g), []),
+        _refill_candidates=lambda g, by_color, matching, gone: _reference_greedy_order(g),
     ):
         reference = find_rainbow_matching_layered(g, trace=reference_rows.append)
     assert m == reference
@@ -434,8 +435,8 @@ def _inject_refill_fault(monkeypatch, drop):
     real = layered._refill_candidates
     changed = []
 
-    def faulty(g, order, matching, gone):
-        found = real(g, order, matching, gone)
+    def faulty(g, by_color, matching, gone):
+        found = real(g, by_color, matching, gone)
         kept = [e for e in found if not drop(e, matching, gone)]
         changed.append(_extend_maximal(kept, matching) != _extend_maximal(found, matching))
         return kept
@@ -479,18 +480,53 @@ def test_refill_equals_the_full_walk_after_any_exchange(d, spread, seed):
     # from a matching maximal against the greedy order, delete a random
     # subset and add random edges that fit: the refill over the freed
     # vertices and colors must take exactly what the full walk takes
+    # the solver holds a color map for every vertex free before the
+    # exchange, and for some others that the greedy start scanned
     g = random_proper_graph(2 * d + spread, d, seed)
     rng = random.Random(seed)
     order = _greedy_order(g)
     shuffled = list(g.edges)
     rng.shuffle(shuffled)
     before = _extend_maximal(order, _extend_maximal(shuffled, [])[: rng.randrange(d + 1)])
+    covered = {x for e in before for x in e[:2]}
+    by_color = {
+        v: _colors_at(g, v) for v in g.vertices() if v not in covered or rng.random() < 0.5
+    }
     gone = set(rng.sample(before, rng.randrange(len(before) + 1)))
     kept = [e for e in before if e not in gone]
     rng.shuffle(shuffled)
     result = _extend_maximal(shuffled, kept)[: len(kept) + rng.randrange(len(gone) + 1)]
-    refilled = _extend_maximal(layered._refill_candidates(g, order, result, gone), result)
+    refilled = _extend_maximal(layered._refill_candidates(g, by_color, result, gone), result)
     assert refilled == _extend_maximal(order, result)
+
+
+def _with_isolated_vertices(g, extra, rng):
+    """g on extra more vertices, its own renumbered at random."""
+    labels = rng.sample(range(1, g.vertex_count + extra + 1), g.vertex_count)
+    edges = [(labels[u - 1], labels[v - 1], c) for u, v, c in g.edges]
+    return build_graph(g.vertex_count + extra, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 8), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_greedy_start_equals_the_full_walk(d, spread, extra, seed):
+    g = random_proper_graph(2 * d + spread, d, seed)
+    if extra:
+        g = _with_isolated_vertices(g, extra, random.Random(seed))
+    by_color = {}
+    start = layered._greedy_start(g, {e[2] for e in g.edges}, by_color)
+    assert start == _extend_maximal(_greedy_order(g), [])
+    assert all(to == _colors_at(g, v) for v, to in by_color.items())
+
+
+def test_check_catches_a_greedy_start_missing_an_edge(monkeypatch):
+    g = _shuffled_cyclic(62, 1)
+    real = layered._greedy_start
+    monkeypatch.setattr(layered, "_greedy_start", lambda *args: real(*args)[:-1])
+    with pytest.raises(InternalInvariantBroken, match="^greedy start differs from the full greedy walk$"):
+        find_rainbow_matching_layered(g, check=True)
+    m = find_rainbow_matching_layered(g)  # unchecked, the fault passes unseen
+    assert validate_rainbow_matching(g, m)[0] and len(m) >= guaranteed_size(min_degree(g))
 
 
 # Level 1 classifies 1-2, whose active edges at 1 and 2 pair up in no
