@@ -104,6 +104,10 @@ class ChainsExtended:
     """The probe grew a chain of the configuration in place."""
 
 
+# the outcome has no fields, so every chain extension returns this one
+_CHAINS_EXTENDED = ChainsExtended()
+
+
 def _build_index(config: GoodConfiguration) -> _Index:
     roles: dict[int, int | tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
@@ -119,13 +123,14 @@ def _build_index(config: GoodConfiguration) -> _Index:
             roles[anchor] = ("anchor", ci, p)
             roles[free_end] = ("chain", ci, p)
     colors = list(map(itemgetter(2), core))
-    uncovered = set(colors)
+    banned = set(colors)
     if config.cover:
-        uncovered.difference_update(colors[i] for i in config.cover)
+        banned.difference_update(colors[i] for i in config.cover)
+    banned.update(map(itemgetter(2), config.twins_a))
     return _Index(
         roles=roles,
         core_by_color=dict(zip(colors, range(len(core)))),
-        banned=set(map(itemgetter(2), config.twins_a)) | uncovered,
+        banned=banned,
         anchors={a for chain in config.chains for a in chain.anchors},
     )
 
@@ -176,23 +181,22 @@ def chain_rotate(config: GoodConfiguration, chain_index: int, position: int):
             )
 
 
-def _restructure(config: GoodConfiguration, candidate: list) -> GoodConfiguration:
-    """Turn a candidate with exactly one duplicated color into a new
-    configuration with one more twin pair and no chains."""
-    by_color: dict[int, list] = {}
-    for e in candidate:
-        by_color.setdefault(e[2], []).append(e)
-    dups = [edges for edges in by_color.values() if len(edges) > 1]
-    if len(dups) != 1 or len(dups[0]) != 2:
+def _restructure(config: GoodConfiguration, candidate: list, colors: list) -> GoodConfiguration:
+    """Turn a candidate, twins_a then core edges then the probe edge, with
+    colors its edges' colors, into a new configuration with one more twin
+    pair and no chains. The probe edge's color, which is not banned, must
+    be the one repeat, and its other edge a core edge."""
+    k = len(config.twins_a)
+    i = colors.index(colors[-1])
+    if len(set(colors)) != len(colors) - 1 or not k <= i < len(colors) - 1:
         raise InternalInvariantBroken("candidate does not have exactly one duplicated color")
-    first, second = sorted(dups[0])
-    old = set(config.twins_a) | {first, second}
+    first, second = sorted((candidate[i], candidate[-1]))
     return GoodConfiguration(
         graph=config.graph,
         target=config.target,
         twins_a=config.twins_a + [first],
         twins_b=config.twins_b + [second],
-        core=[e for e in candidate if e not in old],
+        core=candidate[k:i] + candidate[i + 1 : -1],
         chains=[],
         cover={},
     )
@@ -249,7 +253,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         index.roles[v] = ("chain", ci, p)
         index.anchors.add(w)
         index.banned.discard(config.core[core_idx][2])
-        return ChainsExtended()
+        return _CHAINS_EXTENDED
 
     if role is None:
         # w outside the structure
@@ -261,10 +265,10 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     if type(role) is int:
         # covered core edge
         candidate = config.twins_a + _rotated_core(config, role) + [vw]
-        colors = [e[2] for e in candidate]
+        colors = list(map(itemgetter(2), candidate))
         if len(set(colors)) == len(colors):
             return Matched(tuple(sorted(candidate)))
-        return RepeatIncreased(_restructure(config, candidate))
+        return RepeatIncreased(_restructure(config, candidate, colors))
 
     kind = role[0]
     if kind == "twin":
@@ -278,7 +282,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         if fresh:
             return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
         candidate = config.twins_a + config.core + [vw]
-        return RepeatIncreased(_restructure(config, candidate))
+        return RepeatIncreased(_restructure(config, candidate, list(map(itemgetter(2), candidate))))
 
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
 

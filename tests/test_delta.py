@@ -121,8 +121,8 @@ def test_restructure_promotes_the_duplicated_color():
     config = GoodConfiguration(
         graph=g, target=3, twins_a=[], twins_b=[], core=[], chains=[], cover={}
     )
-    candidate = [(1, 2, 1), (5, 6, 1), (7, 8, 3)]
-    out = _restructure(config, candidate)
+    candidate = [(1, 2, 1), (7, 8, 3), (5, 6, 1)]  # core edges, then the probe edge
+    out = _restructure(config, candidate, [1, 3, 1])
     assert out.twins_a == [(1, 2, 1)]
     assert out.twins_b == [(5, 6, 1)]
     assert out.core == [(7, 8, 3)]
@@ -135,7 +135,26 @@ def test_restructure_rejects_candidates_without_one_duplicate():
         graph=g, target=2, twins_a=[], twins_b=[], core=[], chains=[], cover={}
     )
     with pytest.raises(InternalInvariantBroken):
-        _restructure(config, [(1, 2, 1), (3, 4, 2)])
+        _restructure(config, [(1, 2, 1), (3, 4, 2)], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "twins, candidate",
+    [
+        ([], [(1, 2, 1), (3, 4, 1), (5, 6, 2)]),
+        ([], [(1, 2, 1), (3, 4, 2), (5, 6, 1), (7, 8, 2)]),
+        ([((1, 2, 1), (3, 4, 1))], [(1, 2, 1), (5, 6, 2), (7, 8, 1)]),
+    ],
+    ids=["repeat-missing-the-probe", "two-repeats", "repeat-of-a-twin-color"],
+)
+def test_restructure_rejects_a_repeat_other_than_probe_and_core(twins, candidate):
+    # the candidate is twins_a, then core edges, then the probe edge
+    config = GoodConfiguration(
+        graph=build_graph(8, []), target=len(candidate), twins_a=[a for a, _ in twins],
+        twins_b=[b for _, b in twins], core=[], chains=[], cover={},
+    )
+    with pytest.raises(InternalInvariantBroken, match="^candidate does not have exactly one duplicated color$"):
+        _restructure(config, candidate, [e[2] for e in candidate])
 
 
 def test_cached_index_passes_every_audit():
