@@ -47,6 +47,15 @@ def require_type(value, kind: type) -> None:
         raise BadShape(f"expected a {kind.__name__}, got {type(value).__name__}")
 
 
+def require_int(name: str, value, least: int) -> None:
+    """PreconditionViolated unless value is an int (a bool is not) of at
+    least least."""
+    if type(value) is not int:
+        raise PreconditionViolated(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise PreconditionViolated(f"{name} must be at least {least}, got {value}")
+
+
 class InternalInvariantBroken(RainbowError):
     """A step the construction guarantees to succeed failed anyway.
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .arith import int_kth_root
-from .errors import InternalInvariantBroken, PreconditionViolated
+from .errors import InternalInvariantBroken, PreconditionViolated, require_int
 from .graphs import (
     _NO_NEIGHBORS,
     ColoredGraph,
@@ -65,7 +65,9 @@ from .graphs import (
 
 
 def guaranteed_size(delta: int) -> int:
-    """max(0, ceil(delta - 2*delta^(2/3))) without floating point."""
+    """max(0, ceil(delta - 2*delta^(2/3))) without floating point, for an
+    int delta ≥ 0 (PreconditionViolated otherwise)."""
+    require_int("minimum degree", delta, 0)
     return max(0, delta - int_kth_root(8 * delta * delta, 3))
 
 

@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .arith import int_kth_root
-from .errors import InternalInvariantBroken, PreconditionViolated, require_type
+from .errors import InternalInvariantBroken, require_int, require_type
 from .latin import (
     LatinSquare,
     _closes_short_cycle,
@@ -76,18 +76,17 @@ def theorem_bound(n: int, k: int) -> int:
 
     Once 2^k > n, 6^k > n puts 6*n^((k-1)/k) above n, so a huge k
     gives 0 without the huge powers."""
-    for name, value, least in (("order", n, 0), ("cycle bound", k, 2)):
-        if type(value) is not int:
-            raise PreconditionViolated(f"{name} must be an int, got {type(value).__name__}")
-        if value < least:
-            raise PreconditionViolated(f"{name} must be at least {least}, got {value}")
+    require_int("order", n, 0)
+    require_int("cycle bound", k, 2)
     if k >= n.bit_length():
         return 0
     return max(0, n - int_kth_root(6**k * n ** (k - 1), k))
 
 
 def corollary_bound(n: int) -> int:
-    """max(0, ceil((1 - 4*lnln(n)/ln(n)) * n)); 0 below n = 3."""
+    """max(0, ceil((1 - 4*lnln(n)/ln(n)) * n)); 0 below n = 3. An order
+    that is not an int ≥ 0 is a PreconditionViolated."""
+    require_int("order", n, 0)
     if n <= 2:
         return 0
     ratio = 1.0 - 4.0 * math.log(math.log(n)) / math.log(n)
@@ -95,7 +94,9 @@ def corollary_bound(n: int) -> int:
 
 
 def default_cycle_bound(n: int) -> int:
-    """The cycle-length cutoff used by cycle_free_transversal."""
+    """The cycle-length cutoff used by cycle_free_transversal, for an
+    int order n ≥ 0 (PreconditionViolated otherwise)."""
+    require_int("order", n, 0)
     if n <= 2:
         return 2
     return max(2, int(math.log(n) / (3.0 * math.log(math.log(n)))))

@@ -21,6 +21,7 @@ from rainbowmatch import (
     cycles_of,
     cyclic_square,
     default_cycle_bound,
+    guaranteed_size,
     random_square,
     split_seed,
     theorem_bound,
@@ -167,6 +168,22 @@ def test_a_bad_cycle_bound_is_a_precondition_violation(k, why):
 def test_theorem_bound_rejects_bad_arguments(n, k, why):
     with pytest.raises(PreconditionViolated, match=f"^{why}$"):
         theorem_bound(n, k)
+
+
+@pytest.mark.parametrize("bound, n, why", [
+    (guaranteed_size, 2.5, "minimum degree must be an int, got float"),
+    (guaranteed_size, -1, "minimum degree must be at least 0, got -1"),
+    (guaranteed_size, True, "minimum degree must be an int, got bool"),
+    (corollary_bound, 2.5, "order must be an int, got float"),
+    (corollary_bound, -3, "order must be at least 0, got -3"),
+    (corollary_bound, "9", "order must be an int, got str"),
+    (default_cycle_bound, -3, "order must be at least 0, got -3"),
+    (default_cycle_bound, None, "order must be an int, got NoneType"),
+    (default_cycle_bound, 9.0, "order must be an int, got float"),
+])
+def test_bound_helpers_reject_bad_orders(bound, n, why):
+    with pytest.raises(PreconditionViolated, match=f"^{why}$"):
+        bound(n)
 
 
 def test_small_orders_and_edge_cases():
