@@ -282,7 +282,8 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         if fresh:
             return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
         candidate = config.twins_a + config.core + [vw]
-        return RepeatIncreased(_restructure(config, candidate, list(map(itemgetter(2), candidate))))
+        colors = list(map(itemgetter(2), candidate))
+        return RepeatIncreased(_restructure(config, candidate, colors))
 
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
 

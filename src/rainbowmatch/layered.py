@@ -23,12 +23,10 @@ pooled edge to a fresh free vertex. The exchange nets exactly one
 extra edge, and rounds repeat until the bound is met and no further
 structure is found.
 
-M is the greedy walk over the edges in (color, u, v) order, read
-without sorting the edges: for each color in ascending order it takes
-the edge (u, w) with the smallest free u whose neighbor w in that color
-is free, scanning only the vertices with a larger neighbor. A vertex
-gets a color -> neighbor map the first time the start scans it or it is
-free, kept for the solve.
+M is the greedy walk over the edges in (color, u, v) order, read from
+color -> neighbor maps without sorting the edges (see _greedy_start). A
+vertex gets its map the first time the start scans it or it is free,
+and keeps it for the solve.
 
 A level costs about what it unblocks. Each round lists its free-free
 edges once. Level 1 looks up, from every free vertex, only the colors
@@ -55,7 +53,6 @@ from operator import itemgetter
 from .arith import int_kth_root
 from .errors import InternalInvariantBroken, PreconditionViolated, require_int
 from .graphs import (
-    _NO_NEIGHBORS,
     ColoredGraph,
     Edge,
     _normalize,
@@ -138,9 +135,8 @@ def _extend_maximal(order: list, matching: list) -> list:
     return m
 
 
-def _colors_at(g: ColoredGraph, v: int) -> dict:
-    """v's color -> neighbor map."""
-    nb = g._adj.get(v, _NO_NEIGHBORS)
+def _colors_at(nb) -> dict:
+    """The color -> neighbor map of a vertex with neighbor map nb."""
     return dict(zip(nb.values(), nb))
 
 
@@ -161,7 +157,7 @@ def _greedy_start(g: ColoredGraph, palette: set, by_color: dict) -> list:
         for i, u in enumerate(scan):
             to = by_color.get(u)
             if to is None:
-                to = by_color[u] = _colors_at(g, u)
+                to = by_color[u] = _colors_at(adj[u])
             w = to.get(c)
             if w is not None and w not in matched:
                 matching.append((u, w, c))
@@ -466,7 +462,7 @@ def _next_state(prior: LayerState, matching: list) -> LayerState:
     for r in freed:
         nb = g.neighbors(r)
         if r not in by_color:
-            by_color[r] = _colors_at(g, r)
+            by_color[r] = _colors_at(nb)
         free_free.extend(
             _normalize(r, w, nb[w]) for w in nb.keys() & free_set if w > r or w not in freed
         )

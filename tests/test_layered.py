@@ -490,7 +490,7 @@ def test_refill_equals_the_full_walk_after_any_exchange(d, spread, seed):
     before = _extend_maximal(order, _extend_maximal(shuffled, [])[: rng.randrange(d + 1)])
     covered = {x for e in before for x in e[:2]}
     by_color = {
-        v: _colors_at(g, v) for v in g.vertices() if v not in covered or rng.random() < 0.5
+        v: _colors_at(g.neighbors(v)) for v in g.vertices() if v not in covered or rng.random() < 0.5
     }
     gone = set(rng.sample(before, rng.randrange(len(before) + 1)))
     kept = [e for e in before if e not in gone]
@@ -516,7 +516,7 @@ def test_greedy_start_equals_the_full_walk(d, spread, extra, seed):
     by_color = {}
     start = layered._greedy_start(g, {e[2] for e in g.edges}, by_color)
     assert start == _extend_maximal(_greedy_order(g), [])
-    assert all(to == _colors_at(g, v) for v, to in by_color.items())
+    assert all(to == _colors_at(g.neighbors(v)) for v, to in by_color.items())
 
 
 def test_check_catches_a_greedy_start_missing_an_edge(monkeypatch):
