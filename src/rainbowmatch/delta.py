@@ -15,14 +15,19 @@ it maintains a working structure of
 Every probe edge from a vertex outside the structure either completes
 a size-d rainbow matching directly, or lets the structure grow: the
 pair count k rises (trading a color collision for a twin pair) or a
-chain covers one more core edge. Both quantities are bounded, so each
-level finishes in at most d*d probes.
+chain covers one more core edge. With k pairs at most d-1-k probes
+extend a chain before one raises k or ends the level, so a level takes
+at most d(d+1)/2 probes, inside the loop's budget of d*d.
 
-Each level's result is checked locally: it has d edges, distinct colors
-and distinct endpoints, and each edge outside the level before's result
-is in the graph. By induction on the levels that is the full
-validation, which runs once on the final matching, and at every level
-as well under check=True.
+Core vertices and chains name a core edge by its color, so the core
+part of the index, each vertex's color and each color's edge, carries
+from one level's result to the next level's start. At a level's end
+the solver diffs the new result against the old: removed edges leave
+the index, and each added edge must bring an unused color and unused
+endpoints and be in the graph. With the size and a check that no edge
+is listed twice, that is by induction the full validation, which runs
+once on the final matching, and at every level as well under
+check=True.
 
 A trace callable receives each probe as a dict (see
 find_rainbow_matching_delta). The solver formats no text; the command
@@ -47,7 +52,8 @@ from .graphs import (
 
 @dataclass
 class Chain:
-    """Edges hang off core edges; edges[p] touches core[cores[p]] at anchors[p]."""
+    """Edges hang off core edges; edges[p] touches the core edge of color
+    cores[p] at anchors[p]."""
 
     edges: list
     anchors: list
@@ -58,14 +64,14 @@ class Chain:
 class _Index:
     """Lookups derived from a configuration, kept in step with it.
 
-    A vertex's role is its core edge's index, an int, or a tuple:
+    A vertex's role is its core edge's color, an int, or a tuple:
     ("twin", i, side), ("anchor", ci, p) or ("chain", ci, p). banned
     holds the colors a probe edge may not use: the twin colors and the
     colors of uncovered core edges.
     """
 
     roles: dict  # vertex -> role; anchors shadow core entries
-    core_by_color: dict
+    core_by_color: dict  # core color -> core edge
     banned: set
     anchors: set
 
@@ -78,11 +84,13 @@ class GoodConfiguration:
     twins_b: list
     core: list
     chains: list
-    cover: dict  # core index -> (chain index, position)
-    _index: _Index = field(init=False, repr=False, compare=False)
+    cover: dict  # core color -> (chain index, position)
+    # built from the structure unless the caller passes one in step with it
+    _index: _Index | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._index = _build_index(self)
+        if self._index is None:
+            self._index = _build_index(self)
 
     @property
     def pair_count(self) -> int:
@@ -108,28 +116,38 @@ class ChainsExtended:
 _CHAINS_EXTENDED = ChainsExtended()
 
 
+@dataclass
+class _Carried:
+    """The core part of a level's index, carried from the level before's
+    result, which is the new level's core: each vertex's color, each
+    color's edge, and the edge set."""
+
+    roles: dict
+    core_by_color: dict
+    edges: set
+
+
 def _build_index(config: GoodConfiguration) -> _Index:
     roles: dict[int, int | tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
     core = config.core
-    roles.update(zip(map(itemgetter(0), core), range(len(core))))
-    roles.update(zip(map(itemgetter(1), core), range(len(core))))
+    colors = list(map(itemgetter(2), core))
+    roles.update(zip(map(itemgetter(0), core), colors))
+    roles.update(zip(map(itemgetter(1), core), colors))
     for ci, chain in enumerate(config.chains):
         for p, e in enumerate(chain.edges):
             anchor = chain.anchors[p]
             free_end = e[1] if e[0] == anchor else e[0]
             roles[anchor] = ("anchor", ci, p)
             roles[free_end] = ("chain", ci, p)
-    colors = list(map(itemgetter(2), core))
     banned = set(colors)
-    if config.cover:
-        banned.difference_update(colors[i] for i in config.cover)
+    banned.difference_update(config.cover)
     banned.update(map(itemgetter(2), config.twins_a))
     return _Index(
         roles=roles,
-        core_by_color=dict(zip(colors, range(len(core)))),
+        core_by_color=dict(zip(colors, core)),
         banned=banned,
         anchors={a for chain in config.chains for a in chain.anchors},
     )
@@ -161,24 +179,22 @@ def chain_rotate(config: GoodConfiguration, chain_index: int, position: int):
     color for one fresh color.
     """
     chain = config.chains[chain_index]
+    core_by_color = config._index.core_by_color
     removed: list[Edge] = []
     added: list[Edge] = []
     p = position
     while True:
-        removed.append(config.core[chain.cores[p]])
+        removed.append(core_by_color[chain.cores[p]])
         edge = chain.edges[p]
         added.append(edge)
         if p == 0:
             return removed, added
-        color = edge[2]
-        for q in range(p):
-            if config.core[chain.cores[q]][2] == color:
-                p = q
-                break
-        else:
+        try:
+            p = chain.cores.index(edge[2], 0, p)
+        except ValueError:
             raise InternalInvariantBroken(
                 "chain edge color missing from earlier covered core edges"
-            )
+            ) from None
 
 
 def _restructure(config: GoodConfiguration, candidate: list, colors: list) -> GoodConfiguration:
@@ -210,16 +226,16 @@ def _avoiding_pairs(config: GoodConfiguration, w: int) -> list:
     ]
 
 
-def _covering(config: GoodConfiguration, core_idx: int) -> tuple[int, int]:
-    spot = config.cover.get(core_idx)
+def _covering(config: GoodConfiguration, color: int) -> tuple[int, int]:
+    spot = config.cover.get(color)
     if spot is None:
         raise InternalInvariantBroken("probe color belongs to an uncovered core edge")
     return spot
 
 
-def _rotated_core(config: GoodConfiguration, core_idx: int) -> list:
-    """The core after rotating in the chain that covers core_idx."""
-    removed, added = chain_rotate(config, *_covering(config, core_idx))
+def _rotated_core(config: GoodConfiguration, color: int) -> list:
+    """The core after rotating in the chain that covers the core color."""
+    removed, added = chain_rotate(config, *_covering(config, color))
     gone = set(removed)
     return [e for e in config.core if e not in gone] + added
 
@@ -230,36 +246,35 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     c = config.graph._adj.get(v, _NO_NEIGHBORS).get(w)
     vw = (v, w, c) if v <= w else (w, v, c)
     index = config._index
-    core_by_color = index.core_by_color
     # banned is the twin colors and some core colors
-    fresh = c not in index.banned and c not in core_by_color
+    fresh = c not in index.banned and c not in index.core_by_color
     role = index.roles.get(w)
 
     if type(role) is int and role not in config.cover:
-        # uncovered core edge: start or continue a chain (most probes)
-        core_idx = role
+        # uncovered core edge, named by its color: start or continue a
+        # chain (most probes)
         if fresh:
             ci = len(config.chains)
             config.chains.append(Chain(edges=[], anchors=[], cores=[]))
         else:
-            ci, _ = _covering(config, core_by_color[c])
+            ci, _ = _covering(config, c)
         chain = config.chains[ci]
         p = len(chain.edges)
         chain.edges.append(vw)
         chain.anchors.append(w)
-        chain.cores.append(core_idx)
-        config.cover[core_idx] = (ci, p)
+        chain.cores.append(role)
+        config.cover[role] = (ci, p)
         index.roles[w] = ("anchor", ci, p)
         index.roles[v] = ("chain", ci, p)
         index.anchors.add(w)
-        index.banned.discard(config.core[core_idx][2])
+        index.banned.discard(role)
         return _CHAINS_EXTENDED
 
     if role is None:
         # w outside the structure
         if fresh:
             return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
-        rotated = _rotated_core(config, core_by_color[c])
+        rotated = _rotated_core(config, c)
         return Matched(tuple(sorted(config.twins_a + rotated + [vw])))
 
     if type(role) is int:
@@ -275,7 +290,7 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         if fresh:
             keep = config.twins_b if role[2] == 0 else config.twins_a
             return Matched(tuple(sorted(keep + config.core + [vw])))
-        rotated = _rotated_core(config, core_by_color[c])
+        rotated = _rotated_core(config, c)
         return Matched(tuple(sorted(_avoiding_pairs(config, w) + rotated + [vw])))
 
     if kind == "chain":
@@ -325,10 +340,10 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
     twin_colors = [e[2] for e in config.twins_a]
     if len(set(twin_colors)) != k:
         fail("twin colors repeat")
-    core_colors = [e[2] for e in config.core]
-    if len(set(core_colors)) != len(core_colors):
+    core_edges = {e[2]: e for e in config.core}
+    if len(core_edges) != len(config.core):
         fail("core colors repeat")
-    if set(core_colors) & set(twin_colors):
+    if core_edges.keys() & set(twin_colors):
         fail("core reuses a twin color")
     seen: set[int] = set()
     for e in config.twins_a + config.twins_b + config.core:
@@ -343,11 +358,13 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
         if not (len(chain.edges) == len(chain.anchors) == len(chain.cores)):
             fail("chain field lengths differ")
         first = chain.edges[0][2]
-        if first in twin_colors or first in core_colors:
+        if first in twin_colors or first in core_edges:
             fail("chain first edge color is not fresh")
         for p, e in enumerate(chain.edges):
             anchor = chain.anchors[p]
-            core_edge = config.core[chain.cores[p]]
+            core_edge = core_edges.get(chain.cores[p])
+            if core_edge is None:
+                fail("chain covers a color outside the core")
             if anchor not in (e[0], e[1]) or anchor not in (core_edge[0], core_edge[1]):
                 fail("anchor not shared by chain edge and core edge")
             if config.cover.get(chain.cores[p]) != (ci, p):
@@ -358,10 +375,8 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
             if free_end in chain_vertices or anchor in chain_vertices:
                 fail("chains overlap")
             chain_vertices.update((free_end, anchor))
-            if p > 0:
-                earlier = {config.core[chain.cores[q]][2] for q in range(p)}
-                if e[2] not in earlier:
-                    fail("chain edge color not among earlier covered core colors")
+            if p > 0 and e[2] not in chain.cores[:p]:
+                fail("chain edge color not among earlier covered core colors")
     if len(config.cover) != sum(len(chain.edges) for chain in config.chains):
         fail("cover map size mismatch")
     if len(seen | chain_vertices) > 4 * (d - 1):
@@ -374,30 +389,43 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
         fail("free-vertex cursor skipped a vertex outside the structure")
 
 
-def _level_fault(g: ColoredGraph, d: int, prev: tuple, edges) -> str | None:
-    """Why a level's result is not a rainbow matching of size d, or None.
+def _carry_level(g: ColoredGraph, d: int, carried: _Carried, edges) -> str | None:
+    """Why a level's result is not a rainbow matching of size d, or None
+    once carried indexes it in place of the level before's result.
 
-    Looks up in the graph only the edges outside prev, the level
-    before's result, which passed the same check: by induction on the
-    levels this is the whole of validate_rainbow_matching plus the size.
+    The level before's result passed the same check, so only the edges
+    the level added need a look: by induction on the levels this is the
+    whole of validate_rainbow_matching plus the size. An edge listed
+    twice would vanish in the set difference, so it is caught first.
+    On a fault, carried is left half updated.
     """
     size = len(edges)
     if size != d:
         return f"{size} edges, expected {d}"
-    if len(set(map(itemgetter(2), edges))) != size:
-        return "a color is repeated"
-    if len(set(map(itemgetter(0), edges)).union(map(itemgetter(1), edges))) != 2 * size:
-        return "a vertex is covered twice"
-    for u, v, c in set(edges).difference(prev):
+    new = set(edges)
+    if len(new) != size:
+        return "a color is repeated"  # by an edge listed twice
+    roles, core_by_color = carried.roles, carried.core_by_color
+    for u, v, c in carried.edges - new:
+        del roles[u], roles[v], core_by_color[c]
+    for e in new - carried.edges:
+        u, v, c = e
+        if c in core_by_color:
+            return "a color is repeated"
+        if u == v or u in roles or v in roles:
+            return "a vertex is covered twice"
         if g._adj.get(u, _NO_NEIGHBORS).get(v) != c:
             return f"edge {u}-{v} with color {c} is not in the graph"
+        roles[u] = roles[v] = c
+        core_by_color[c] = e
+    carried.edges = new
     return None
 
 
-def _checked_level(g: ColoredGraph, d: int, prev: tuple, edges, check: bool):
-    """The level's result, once it passed the local check and, under
-    check=True, the full validation."""
-    why = _level_fault(g, d, prev, edges)
+def _checked_level(g: ColoredGraph, d: int, carried: _Carried, edges, check: bool):
+    """The level's result, once it passed the local check, which carries
+    it into carried, and, under check=True, the full validation."""
+    why = _carry_level(g, d, carried, edges)
     if why is None and check:
         why = validate_rainbow_matching(g, edges)[1]
     if why is not None:
@@ -405,22 +433,33 @@ def _checked_level(g: ColoredGraph, d: int, prev: tuple, edges, check: bool):
     return edges
 
 
-def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> tuple:
-    """Grow a rainbow matching of size d-1 to size d.
+def _advance_level(
+    g: ColoredGraph, d: int, prev: tuple, carried: _Carried, check: bool, trace
+) -> tuple:
+    """Grow prev, a rainbow matching of size d-1 that carried indexes, to
+    size d, and carry the result into carried.
 
-    Most probes extend a chain, which keeps the configuration and its
-    roles, so the free-vertex cursor v only moves forward. A
-    RepeatIncreased builds a new configuration, and v starts again at 1.
+    The level starts from copies of the carried index. Most probes
+    extend a chain, which keeps the configuration and its roles, so the
+    free-vertex cursor v only moves forward. A RepeatIncreased builds a
+    new configuration, and v starts again at 1.
     """
+    index = _Index(
+        roles=dict(carried.roles),
+        core_by_color=dict(carried.core_by_color),
+        banned=set(carried.core_by_color),
+        anchors=set(),
+    )
     config = GoodConfiguration(
-        graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), chains=[], cover={}
+        graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), chains=[], cover={},
+        _index=index,
     )
     if check:
         _audit(config)
     n = g.vertex_count
     roles = config._index.roles
     v = 1
-    for _ in range(16 * d * d * d):
+    for _ in range(d * d):
         while v in roles:
             v += 1
         if v > n:
@@ -429,7 +468,7 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> 
             result = _finish_full_twins(config, v)
             if trace is not None:
                 trace({"level": d, "k": config.pair_count, "outcome": "FullTwins"})
-            return _checked_level(g, d, prev, result, check)
+            return _checked_level(g, d, carried, result, check)
         v, w = extend_by_free_edge(config, v)
         outcome = resolve_case(config, (v, w))
         if trace is not None:
@@ -447,7 +486,7 @@ def _advance_level(g: ColoredGraph, d: int, prev: tuple, check: bool, trace) -> 
             roles = config._index.roles
             v = 1
         elif type(outcome) is Matched:
-            return _checked_level(g, d, prev, outcome.matching, check)
+            return _checked_level(g, d, carried, outcome.matching, check)
         if check:
             _audit(config, v)
     raise InternalInvariantBroken(f"level {d} exceeded its probe budget")
@@ -471,8 +510,9 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=N
             f" got {g.vertex_count}"
         )
     matching: tuple = ()
+    carried = _Carried(roles={}, core_by_color={}, edges=set())
     for d in range(1, delta + 1):
-        matching = _advance_level(g, d, matching, check, trace)
+        matching = _advance_level(g, d, matching, carried, check, trace)
     ok, why = validate_rainbow_matching(g, matching)
     if not ok or len(matching) != delta:
         raise InternalInvariantBroken(f"final matching invalid: {why}")

@@ -20,6 +20,11 @@ from .latin import LatinSquare, build_square
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# The most vertices plus edges random_proper_graph may build. Each edge
+# lowers the shortfall of a vertex still below the target degree, so a
+# graph on n vertices has at most n*target edges; at this ceiling a
+# build takes about 10 s and 2 GB (Python 3.11, x86-64).
+GRAPH_WORK_LIMIT = 5_000_000
 
 
 def split_seed(master: int, index: int) -> int:
@@ -196,6 +201,10 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
     busy[u] | busy[v]. Every shuffle is _shuffled, whose draws are
     _below written out inline. The colored edges go to ColoredGraph
     already sorted, and it checks each one as usual.
+
+    Raises InfeasibleParameters before allocating anything when
+    n*(target+1), the most vertices plus edges the graph can have,
+    exceeds GRAPH_WORK_LIMIT.
     """
     if type(n) is not int or type(target) is not int:
         raise InfeasibleParameters(f"vertex count and degree must be ints, got "
@@ -204,6 +213,11 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
         raise InfeasibleParameters(f"need at least 2 vertices, got {n}")
     if target < 0 or target >= n:
         raise InfeasibleParameters(f"degree {target} impossible on {n} vertices")
+    if n * (target + 1) > GRAPH_WORK_LIMIT:
+        raise InfeasibleParameters(
+            f"{n} vertices of degree {target} may need {n * (target + 1)} vertices plus"
+            f" edges, over the limit of {GRAPH_WORK_LIMIT}"
+        )
     getrandbits = random.Random(seed).getrandbits
     adj = [set() for _ in range(n + 1)]
     # need[v] = target - degree; a vertex is short while need[v] > 0

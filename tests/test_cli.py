@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -450,6 +451,27 @@ def test_gen_out_of_memory_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli.generators, "cyclic_square", _out_of_memory)
     code, out, err = run(capsys, "gen", "--kind", "cyclic", "--n", "99999999999")
     assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["gen", "--kind", "graph", "--n", "100000000000", "--target", "2", "--seed", "1"], ""),
+    (["sweep", "--suite", "delta", "--sizes", "1000000000000..1000000000001",
+      "--trials", "1", "--seed", "1"], "instance,size,k,bound,achieved,valid,augmentations\n"),
+])
+def test_a_graph_over_the_work_ceiling_is_refused_before_allocating(capsys, argv, out):
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code = main(argv)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, out)
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "over the limit of" in captured.err and "Traceback" not in captured.err
+    assert elapsed < 1 and peak < 2**20
 
 
 def test_sweep_out_of_memory_after_the_header(monkeypatch, tmp_path, capsys):

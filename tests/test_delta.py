@@ -4,6 +4,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import fields
+from operator import itemgetter
 
 import pytest
 
@@ -21,6 +22,7 @@ from rainbowmatch import (
     validate_rainbow_matching,
 )
 from rainbowmatch import delta
+from rainbowmatch.graphs import _NO_NEIGHBORS
 from rainbowmatch.delta import (
     Chain,
     ChainsExtended,
@@ -108,8 +110,9 @@ def test_chain_rotate_cascades_to_the_fresh_color():
         twins_a=[],
         twins_b=[],
         core=[(1, 2, 5), (3, 4, 6)],
-        chains=[Chain(edges=[(2, 9, 7), (4, 10, 5)], anchors=[2, 4], cores=[0, 1])],
-        cover={0: (0, 0), 1: (0, 1)},
+        # the chain covers the core edges of colors 5 and 6
+        chains=[Chain(edges=[(2, 9, 7), (4, 10, 5)], anchors=[2, 4], cores=[5, 6])],
+        cover={5: (0, 0), 6: (0, 1)},
     )
     removed, added = chain_rotate(config, 0, 1)
     assert removed == [(3, 4, 6), (1, 2, 5)]
@@ -219,8 +222,8 @@ def _reference_build_index(config):
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
-    for i, e in enumerate(config.core):
-        roles[e[0]] = roles[e[1]] = i
+    for e in config.core:
+        roles[e[0]] = roles[e[1]] = e[2]
     for ci, chain in enumerate(config.chains):
         for p, e in enumerate(chain.edges):
             anchor = chain.anchors[p]
@@ -230,9 +233,8 @@ def _reference_build_index(config):
     twin_colors = {e[2] for e in config.twins_a}
     return _Index(
         roles=roles,
-        core_by_color={e[2]: i for i, e in enumerate(config.core)},
-        banned=twin_colors
-        | {e[2] for i, e in enumerate(config.core) if i not in config.cover},
+        core_by_color={e[2]: e for e in config.core},
+        banned=twin_colors | {e[2] for e in config.core if e[2] not in config.cover},
         anchors={a for chain in config.chains for a in chain.anchors},
     )
 
@@ -287,14 +289,47 @@ def test_trace_events_are_pinned_with_one_call_per_probe(monkeypatch):
     )
 
 
-def _corrupted(fault, g, matching):
-    """matching with one fault that the level check alone must catch."""
+def _level_fault(g, d, prev, edges):
+    """Why a level's result is not a rainbow matching of size d, or None.
+
+    The level check that built three d-sized sets per level, kept to
+    check the carried one against: it looks up in the graph only the
+    edges outside prev, the level before's result.
+    """
+    size = len(edges)
+    if size != d:
+        return f"{size} edges, expected {d}"
+    if len(set(map(itemgetter(2), edges))) != size:
+        return "a color is repeated"
+    if len(set(map(itemgetter(0), edges)).union(map(itemgetter(1), edges))) != 2 * size:
+        return "a vertex is covered twice"
+    for u, v, c in set(edges).difference(prev):
+        if g._adj.get(u, _NO_NEIGHBORS).get(v) != c:
+            return f"edge {u}-{v} with color {c} is not in the graph"
+    return None
+
+
+_FAULTS = ["color", "vertex", "edge", "size", "duplicate"]
+
+
+def _corrupted(fault, g, matching, prev):
+    """matching with one fault that the level check alone must catch, or
+    None if the matching and prev, the level before's result, allow no
+    such fault."""
     *rest, last = matching
     if fault == "size":
         return tuple(rest)
     if fault == "edge":
         unused = 1 + max(c for _, _, c in g.edges)
         return tuple(sorted(rest + [(last[0], last[1], unused)]))
+    if fault == "duplicate":
+        # an edge kept from prev listed twice, in place of another edge
+        kept = next((e for e in matching if e in prev), None)
+        if kept is None or len(matching) < 2:
+            return None
+        others = list(matching)
+        others.remove(next(e for e in matching if e != kept))
+        return tuple(sorted(others + [kept]))
     # swap the last edge for a graph edge that repeats a color of the
     # rest or shares a vertex with it, but not both
     rest_vertices = {x for e in rest for x in e[:2]}
@@ -304,24 +339,30 @@ def _corrupted(fault, g, matching):
         repeats = e[2] in rest_colors
         if (shares, repeats) == (fault == "vertex", fault == "color"):
             return tuple(sorted(rest + [e]))
-    raise AssertionError(f"no edge gives a {fault} fault")
+    return None
 
 
 @pytest.mark.parametrize("check", [False, True])
-@pytest.mark.parametrize("fault", ["color", "vertex", "edge", "size"])
+@pytest.mark.parametrize("fault", _FAULTS)
 def test_level_check_rejects_a_corrupt_matching(monkeypatch, fault, check):
     # resolve_case returns a corrupt Matched at one level; plain solves
     # check the level locally, check=True validates it in full
     level = 6
     g = random_proper_graph(40, 8, seed=split_seed(31, 8))
     real = delta.resolve_case
+    starts = {}
     injected = []
 
     def corrupting(config, edge):
+        # a level's first probe sees its start configuration, whose core
+        # is the level before's result
+        starts.setdefault(config.target, tuple(config.core))
         outcome = real(config, edge)
         if config.target == level and isinstance(outcome, Matched):
+            corrupt = _corrupted(fault, g, outcome.matching, starts[level])
+            assert corrupt is not None
             injected.append(fault)
-            return Matched(_corrupted(fault, g, outcome.matching))
+            return Matched(corrupt)
         return outcome
 
     monkeypatch.setattr(delta, "resolve_case", corrupting)
@@ -343,3 +384,70 @@ def test_full_validation_runs_at_the_end_and_at_every_level_under_check(monkeypa
     monkeypatch.setattr(delta, "validate_rainbow_matching", counted)
     find_rainbow_matching_delta(g, check=check)
     assert sizes == (list(range(1, 9)) if check else []) + [8]
+
+
+def test_carried_level_check_agrees_with_the_kept_reference(monkeypatch):
+    # at every level: the true result, and each fault the result allows
+    real = delta._carry_level
+    caught = Counter()
+
+    def compare(g, d, carried, edges):
+        prev = set(carried.edges)
+        for fault in [None] + _FAULTS:
+            result = edges if fault is None else _corrupted(fault, g, edges, prev)
+            if result is None:
+                continue
+            scratch = delta._Carried(dict(carried.roles), dict(carried.core_by_color), set(prev))
+            verdict = real(g, d, scratch, result)
+            assert verdict == _level_fault(g, d, prev, result), (d, fault)
+            assert (verdict is None) == (fault is None), (d, fault)
+            caught[fault] += 1
+            if fault is None:
+                assert scratch.roles == {x: e[2] for e in edges for x in e[:2]}
+                assert scratch.core_by_color == {e[2]: e for e in edges}
+                assert scratch.edges == set(edges)
+        return real(g, d, carried, edges)
+
+    monkeypatch.setattr(delta, "_carry_level", compare)
+    for d in range(1, 41):
+        seed = split_seed(515, 10 * d)
+        g = random_proper_graph(max(d + 1, 4 * d - 3 + seed % 14), d, seed)
+        find_rainbow_matching_delta(g)
+    assert caught[None] == sum(range(1, 41))
+    assert set(caught) == {None, *_FAULTS}
+
+
+def test_levels_stay_within_the_proved_probe_count():
+    # with k twin pairs at most d-1-k probes extend a chain before one
+    # raises k or finishes the level, and k = d-1 finishes at once, so
+    # a level takes at most d(d+1)/2 loop iterations, one event each;
+    # level 1 always takes its one, and a level 2 here takes all three
+    tight = Counter()
+    for d in range(1, 61):
+        seed = split_seed(515, 10 * d)
+        g = random_proper_graph(max(d + 1, 4 * d - 3 + seed % 14), d, seed)
+        events = []
+        find_rainbow_matching_delta(g, trace=events.append)
+        for level, count in Counter(event["level"] for event in events).items():
+            assert count <= level * (level + 1) // 2, (d, level, count)
+            tight[level] += count == level * (level + 1) // 2
+    assert tight[1] == 60 and tight[2] > 0
+
+
+def test_a_stalled_level_exceeds_its_probe_budget(monkeypatch):
+    # every probe at the level claims a chain extension but grows nothing
+    level = 5
+    g = random_proper_graph(40, 8, seed=split_seed(31, 8))
+    real = delta.resolve_case
+    calls = Counter()
+
+    def stalled(config, edge):
+        if config.target < level:
+            return real(config, edge)
+        calls[config.target] += 1
+        return ChainsExtended()
+
+    monkeypatch.setattr(delta, "resolve_case", stalled)
+    with pytest.raises(InternalInvariantBroken, match=f"^level {level} exceeded its probe budget$"):
+        find_rainbow_matching_delta(g)
+    assert list(calls) == [level] and 0 < calls[level] <= level * level

@@ -90,8 +90,11 @@ def test_random_proper_graph_rejects_impossible_parameters():
     (lambda: random_square(3.5, 1), "order must be an int, got float"),
     (lambda: random_proper_graph(5.0, 2, 1),
      "vertex count and degree must be ints, got float and int"),
+    (lambda: random_proper_graph(1_666_667, 2, 1),
+     "1666667 vertices of degree 2 may need 5000001 vertices plus edges,"
+     " over the limit of 5000000"),
 ], ids=["cyclic", "random-square", "graph-vertices", "graph-degree",
-        "cyclic-float", "random-square-float", "graph-float"])
+        "cyclic-float", "random-square-float", "graph-float", "graph-work"])
 def test_generator_parameter_messages(call, message):
     with pytest.raises(InfeasibleParameters) as info:
         call()
