@@ -44,6 +44,7 @@ from .graphs import (
     _NO_NEIGHBORS,
     ColoredGraph,
     Edge,
+    _MatchingIndex,
     _normalize,
     min_degree,
     validate_rainbow_matching,
@@ -114,17 +115,6 @@ class ChainsExtended:
 
 # the outcome has no fields, so every chain extension returns this one
 _CHAINS_EXTENDED = ChainsExtended()
-
-
-@dataclass
-class _Carried:
-    """The core part of a level's index, carried from the level before's
-    result, which is the new level's core: each vertex's color, each
-    color's edge, and the edge set."""
-
-    roles: dict
-    core_by_color: dict
-    edges: set
 
 
 def _build_index(config: GoodConfiguration) -> _Index:
@@ -389,43 +379,10 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
         fail("free-vertex cursor skipped a vertex outside the structure")
 
 
-def _carry_level(g: ColoredGraph, d: int, carried: _Carried, edges) -> str | None:
-    """Why a level's result is not a rainbow matching of size d, or None
-    once carried indexes it in place of the level before's result.
-
-    The level before's result passed the same check, so only the edges
-    the level added need a look: by induction on the levels this is the
-    whole of validate_rainbow_matching plus the size. An edge listed
-    twice would vanish in the set difference, so it is caught first.
-    On a fault, carried is left half updated.
-    """
-    size = len(edges)
-    if size != d:
-        return f"{size} edges, expected {d}"
-    new = set(edges)
-    if len(new) != size:
-        return "a color is repeated"  # by an edge listed twice
-    roles, core_by_color = carried.roles, carried.core_by_color
-    for u, v, c in carried.edges - new:
-        del roles[u], roles[v], core_by_color[c]
-    for e in new - carried.edges:
-        u, v, c = e
-        if c in core_by_color:
-            return "a color is repeated"
-        if u == v or u in roles or v in roles:
-            return "a vertex is covered twice"
-        if g._adj.get(u, _NO_NEIGHBORS).get(v) != c:
-            return f"edge {u}-{v} with color {c} is not in the graph"
-        roles[u] = roles[v] = c
-        core_by_color[c] = e
-    carried.edges = new
-    return None
-
-
-def _checked_level(g: ColoredGraph, d: int, carried: _Carried, edges, check: bool):
+def _checked_level(g: ColoredGraph, d: int, carried: _MatchingIndex, edges, check: bool):
     """The level's result, once it passed the local check, which carries
     it into carried, and, under check=True, the full validation."""
-    why = _carry_level(g, d, carried, edges)
+    why = carried.replace(edges, d)
     if why is None and check:
         why = validate_rainbow_matching(g, edges)[1]
     if why is not None:
@@ -434,7 +391,7 @@ def _checked_level(g: ColoredGraph, d: int, carried: _Carried, edges, check: boo
 
 
 def _advance_level(
-    g: ColoredGraph, d: int, prev: tuple, carried: _Carried, check: bool, trace
+    g: ColoredGraph, d: int, prev: tuple, carried: _MatchingIndex, check: bool, trace
 ) -> tuple:
     """Grow prev, a rainbow matching of size d-1 that carried indexes, to
     size d, and carry the result into carried.
@@ -445,9 +402,9 @@ def _advance_level(
     new configuration, and v starts again at 1.
     """
     index = _Index(
-        roles=dict(carried.roles),
-        core_by_color=dict(carried.core_by_color),
-        banned=set(carried.core_by_color),
+        roles=dict(carried.color_at),
+        core_by_color=dict(carried.edge_of),
+        banned=set(carried.edge_of),
         anchors=set(),
     )
     config = GoodConfiguration(
@@ -510,7 +467,7 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=N
             f" got {g.vertex_count}"
         )
     matching: tuple = ()
-    carried = _Carried(roles={}, core_by_color={}, edges=set())
+    carried = _MatchingIndex(g)
     for d in range(1, delta + 1):
         matching = _advance_level(g, d, matching, carried, check, trace)
     ok, why = validate_rainbow_matching(g, matching)

@@ -25,6 +25,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # graph on n vertices has at most n*target edges; at this ceiling a
 # build takes about 10 s and 2 GB (Python 3.11, x86-64).
 GRAPH_WORK_LIMIT = 5_000_000
+# The most cells cyclic_square may build, n*n at order n; at this
+# ceiling (order 2000) a build takes about 1 s and 400 MB.
+SQUARE_CELL_LIMIT = 4_000_000
+# The most Jacobson-Matthews steps random_square may walk, n**3 at order
+# n; at this ceiling (order 271) a walk takes about 15 s at 0.7 us a step
+# (Python 3.11, x86-64, as above).
+SQUARE_STEP_LIMIT = 20_000_000
 
 
 def split_seed(master: int, index: int) -> int:
@@ -66,8 +73,13 @@ def _require_order(n) -> None:
 
 
 def cyclic_square(n: int) -> LatinSquare:
-    """Addition table of Z_n, symbols 1..n."""
+    """Addition table of Z_n, symbols 1..n. Raises InfeasibleParameters
+    before allocating anything when n*n exceeds SQUARE_CELL_LIMIT."""
     _require_order(n)
+    if n * n > SQUARE_CELL_LIMIT:
+        raise InfeasibleParameters(
+            f"order {n} has {n * n} cells, over the limit of {SQUARE_CELL_LIMIT}"
+        )
     return build_square(
         [[(r + c) % n + 1 for c in range(n)] for r in range(n)]
     )
@@ -95,9 +107,14 @@ def random_square(n: int, seed: int) -> LatinSquare:
     """Uniformly-flavored random Latin square of order n.
 
     Runs n**3 Jacobson-Matthews moves from the cyclic square, then keeps
-    moving until the state is proper again.
+    moving until the state is proper again. Raises InfeasibleParameters
+    before allocating anything when n**3 exceeds SQUARE_STEP_LIMIT.
     """
     _require_order(n)
+    if n**3 > SQUARE_STEP_LIMIT:
+        raise InfeasibleParameters(
+            f"order {n} needs {n**3} walk steps, over the limit of {SQUARE_STEP_LIMIT}"
+        )
     if n <= 1:
         return cyclic_square(n)
     getrandbits = random.Random(seed).getrandbits

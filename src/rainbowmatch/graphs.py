@@ -175,6 +175,80 @@ def validate_rainbow_matching(g: ColoredGraph, m) -> tuple[bool, str | None]:
     return True, None
 
 
+class _MatchingIndex:
+    """A rainbow matching of graph, indexed for changes that touch few of
+    its edges: each covered vertex's color (color_at), each color's edge
+    (edge_of) and the edge set (edges).
+
+    fault reads only the edges a change removes and adds, and writes
+    nothing; apply makes the change. From the empty matching, changes
+    that pass fault keep the index a rainbow matching of graph, so by
+    induction fault does the work of validate_rainbow_matching on the
+    changed matching, the size apart."""
+
+    __slots__ = ("graph", "color_at", "edge_of", "edges")
+
+    def __init__(self, graph: ColoredGraph) -> None:
+        self.graph = graph
+        self.color_at: dict = {}
+        self.edge_of: dict = {}
+        self.edges: set = set()
+
+    def fault(self, removed: set, added) -> str | None:
+        """Why taking removed, a set of the matching's edges, out of the
+        matching and putting the edges of added in would not leave a
+        rainbow matching of graph, or None. An edge listed twice in
+        added, or an added edge that the matching keeps, repeats its
+        color."""
+        color_at, edge_of = self.color_at, self.edge_of
+        adj = self.graph._adj
+        colors: set = set()
+        ends: set = set()
+        for u, v, c in added:
+            if c in colors or (c in edge_of and edge_of[c] not in removed):
+                return "a color is repeated"
+            if (
+                u == v
+                or u in ends
+                or v in ends
+                or (u in color_at and edge_of[color_at[u]] not in removed)
+                or (v in color_at and edge_of[color_at[v]] not in removed)
+            ):
+                return "a vertex is covered twice"
+            if adj.get(u, _NO_NEIGHBORS).get(v) != c:
+                return f"edge {u}-{v} with color {c} is not in the graph"
+            colors.add(c)
+            ends.add(u)
+            ends.add(v)
+        return None
+
+    def apply(self, removed, added) -> None:
+        """Take the edges of removed out and put those of added in."""
+        color_at, edge_of = self.color_at, self.edge_of
+        for u, v, c in removed:
+            del color_at[u], color_at[v], edge_of[c]
+        self.edges.difference_update(removed)
+        for e in added:
+            color_at[e[0]] = color_at[e[1]] = e[2]
+            edge_of[e[2]] = e
+        self.edges.update(added)
+
+    def replace(self, edges, size: int) -> str | None:
+        """Why edges is not a rainbow matching of graph with size edges,
+        or None once the index holds it in place of its matching. Only
+        the edges in which the two differ are read."""
+        if len(edges) != size:
+            return f"{len(edges)} edges, expected {size}"
+        new = set(edges)
+        if len(new) != size:
+            return "a color is repeated"  # by an edge listed twice
+        removed, added = self.edges - new, new - self.edges
+        why = self.fault(removed, added)
+        if why is None:
+            self.apply(removed, added)
+        return why
+
+
 def _content_lines(text: str):
     """Yield (line number, stripped line) for each line of text that is
     neither blank nor a '#' comment."""

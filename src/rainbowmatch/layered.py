@@ -24,9 +24,10 @@ extra edge, and rounds repeat until the bound is met and no further
 structure is found.
 
 M is the greedy walk over the edges in (color, u, v) order, read from
-color -> neighbor maps without sorting the edges (see _greedy_start). A
-vertex gets its map the first time the start scans it or it is free,
-and keeps it for the solve.
+color -> neighbor maps without sorting the edges (see _greedy_start).
+The start maps every vertex with a larger neighbor, and reads the
+colors of the graph off those maps; any other vertex gets its map the
+first time it is free. Each map is kept for the solve.
 
 A level costs about what it unblocks. Each round lists its free-free
 edges once. Level 1 looks up, from every free vertex, only the colors
@@ -34,11 +35,25 @@ missing from M, and level j+1 only the colors classified at level j, so
 each matched vertex's list of active edges grows by exactly what the
 level unblocks. That lookup waits until the level's free-free and
 two-sided candidates have all failed, since only the quiet-side hits
-and the next level read it. A survivor needs only its lists' lengths;
-only a classified edge's lists are sorted. After an exchange the matching is extended greedily
-again, reading only the edges at the vertices and in the colors the
-exchange freed: the matching was maximal before, so no other edge can
-fit. check=True also compares the active-edge lists with a fresh walk
+and the next level read it. Designation is lazy. Within a round a list
+only grows at its end, so a classified edge records its carrying side
+and that side's list length, and its pool, that prefix sorted, is made
+the first time an exchange reads it. The two-sided pair is looked for
+only when the scan reaches that family, before the level's lookup has
+grown any list. A survivor needs only its lists' lengths.
+
+M is held in one index of each vertex's color and each color's edge
+(graphs._MatchingIndex). An exchange is checked against it by its diff:
+each added edge needs a free color, free endpoints and a place in the
+graph, and the size must grow by one, which by induction is the full
+validation. The realized exchange is applied to the index, and so is
+the greedy refill after it, which reads only the edges at the vertices
+and in the colors the exchange freed: the matching was maximal before,
+so no other edge can fit. The next round patches its free vertices,
+missing colors, free-free edges and active-edge lists from the same
+diff. check=True also validates every realized exchange in full,
+compares the index, the free vertices and the missing colors with a
+fresh build once per round and the active-edge lists with a fresh walk
 of the free vertices' edges at every level, and the start and each
 refill with the full greedy walk.
 
@@ -55,6 +70,7 @@ from .errors import InternalInvariantBroken, PreconditionViolated, require_int
 from .graphs import (
     ColoredGraph,
     Edge,
+    _MatchingIndex,
     _normalize,
     min_degree,
     validate_rainbow_matching,
@@ -79,14 +95,23 @@ def _in_regime(size: int, delta: int) -> bool:
     return gap > 0 and gap**3 > 8 * delta * delta
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class ClassifiedEdge:
     """A matched edge whose color went active, with its designated side."""
 
     edge: Edge
     x: int  # endpoint carrying the active edges to free vertices
     y: int
-    pool: list  # (color, free vertex) options at x, sorted
+    found: list = field(repr=False)  # x's active-edge list, which the round only appends to
+    size: int  # its length at classification
+    _pool: list | None = field(default=None, repr=False)
+
+    @property
+    def pool(self) -> list:
+        """The (color, free vertex) options at x at classification, sorted."""
+        if self._pool is None:
+            self._pool = sorted(self.found[: self.size])
+        return self._pool
 
 
 # A violation is (kind, origin, added): kind is "FreeFree", "TwoSided" or
@@ -100,10 +125,10 @@ class LayerState:
 
     graph: ColoredGraph = field(repr=False)
     delta: int
-    palette: set = field(repr=False)  # every color of graph
-    matching: list = field(default_factory=list)
-    free: list = field(default_factory=list)
-    by_color: dict = field(default_factory=dict, repr=False)  # scanned or ever-free v -> {color: neighbor}
+    index: _MatchingIndex = field(repr=False)  # the round's matching
+    missing: set = field(repr=False)  # the colors of graph that the matching lacks
+    free: list = field(default_factory=list)  # ascending
+    by_color: dict = field(default_factory=dict, repr=False)  # scan or ever-free v -> {color: neighbor}
     free_free: list = field(default_factory=list)  # (v, w, color), v < w both free, sorted
     found: dict = field(default_factory=dict)  # matched v -> [(color, free r)] in looked colors
     looked: set = field(default_factory=set)  # the colors whose edges found holds
@@ -121,18 +146,16 @@ def _greedy_order(g: ColoredGraph) -> list:
     return sorted(g.edges, key=_COLOR)
 
 
-def _extend_maximal(order: list, matching: list) -> list:
-    """Add every edge of order, a _greedy_order list, that fits directly."""
-    m = list(matching)
-    used_v = {x for e in m for x in (e[0], e[1])}
-    used_c = {e[2] for e in m}
-    for u, v, c in order:
-        if u in used_v or v in used_v or c in used_c:
-            continue
-        m.append((u, v, c))
-        used_v.update((u, v))
-        used_c.add(c)
-    return m
+def _fit(index: _MatchingIndex, order) -> list:
+    """Add to index, in order, each edge of order that fits its matching
+    directly, and return those edges."""
+    color_at, edge_of = index.color_at, index.edge_of
+    fitted = []
+    for e in order:
+        if e[0] not in color_at and e[1] not in color_at and e[2] not in edge_of:
+            index.apply((), (e,))
+            fitted.append(e)
+    return fitted
 
 
 def _colors_at(nb) -> dict:
@@ -140,46 +163,48 @@ def _colors_at(nb) -> dict:
     return dict(zip(nb.values(), nb))
 
 
-def _greedy_start(g: ColoredGraph, palette: set, by_color: dict) -> list:
-    """_extend_maximal(_greedy_order(g), []), read from color maps.
+def _greedy_start(g: ColoredGraph, by_color: dict) -> tuple[list, set]:
+    """(_fit(_MatchingIndex(g), _greedy_order(g)), the set of g's colors),
+    read from color maps.
 
-    A color's walk takes its smallest (u, v) with both ends free and
-    skips the rest. A proper coloring gives u at most one edge in the
-    color, and a hit (u, w) has w > u, or w would have hit first; so the
-    scan visits, in ascending order, only the free vertices with a
-    larger neighbor (a neighbor map iterates in ascending order). Fills
-    by_color with the map of every vertex it scans."""
+    The scan vertices, those with a larger neighbor (a neighbor map
+    iterates in ascending order), include every edge's smaller end, so
+    their color maps, which go into by_color, hold every color. A
+    color's walk takes its smallest (u, v) with both ends free and skips
+    the rest. A proper coloring gives u at most one edge in the color,
+    and a hit (u, w) has w > u, or w would have hit first; so the walk
+    visits, in ascending order, only the free scan vertices."""
     adj = g._adj
     scan = sorted(u for u, nb in adj.items() if next(reversed(nb)) > u)
+    for u in scan:
+        by_color[u] = _colors_at(adj[u])
+    palette = set().union(*by_color.values())
     matched: set = set()
     matching = []
     for c in sorted(palette):
         for i, u in enumerate(scan):
-            to = by_color.get(u)
-            if to is None:
-                to = by_color[u] = _colors_at(adj[u])
-            w = to.get(c)
+            w = by_color[u].get(c)
             if w is not None and w not in matched:
                 matching.append((u, w, c))
                 matched.update((u, w))
                 del scan[i]
-                if next(reversed(adj[w])) > w:
+                if w in by_color:  # a scan vertex too
                     scan.remove(w)
                 break
         if not scan:
             break
-    return matching
+    return matching, palette
 
 
-def _refill_candidates(g: ColoredGraph, by_color: dict, matching: list, gone: set) -> list:
-    """The edges that may fit matching, in _greedy_order. Before the
-    exchange that deleted the edges of gone, the matching was maximal,
-    so only edges at a vertex or in a color of gone that matching leaves
-    free can fit now. A freed color's edges between two vertices that
-    were free before the exchange are read from their color maps; every
-    other edge that may fit is at a vertex the exchange freed."""
-    used_v = {x for e in matching for x in (e[0], e[1])}
-    used_c = {e[2] for e in matching}
+def _refill_candidates(g: ColoredGraph, by_color: dict, index: _MatchingIndex, gone: set) -> list:
+    """The edges that may fit index's matching, in _greedy_order. Before
+    the exchange that deleted the edges of gone, the matching was
+    maximal, so only edges at a vertex or in a color of gone that the
+    matching leaves free can fit now. A freed color's edges between two
+    vertices that were free before the exchange are read from their
+    color maps; every other edge that may fit is at a vertex the
+    exchange freed."""
+    used_v, used_c = index.color_at, index.edge_of
     fits = set()
     for u, v, c in gone:
         for x in (u, v):
@@ -212,54 +237,58 @@ def _unblock(state: LayerState) -> None:
                 at.append((c, r))
 
 
-def _classify_level(state: LayerState, current: list) -> tuple[list, list, list]:
-    """Split one level. Returns (survivors, classified records, two-sided
-    violations found while designating).
+def _classify_level(state: LayerState, current: list) -> tuple[list, list]:
+    """Split one level, current in sorted order. Returns (survivors,
+    classified records), each in current's order.
 
     state.found gives each endpoint of current its active edges:
     (color, free vertex) pairs in the colors outside current's, which
-    _unblock has looked up. A survivor reads only their counts; a
-    classified edge sorts both lists, for its pool and its pair."""
+    _unblock has looked up. Both kinds read only the lists' lengths: the
+    busier side carries a classified edge, ties to e[0]. (A classified
+    edge has at least four active edges, since delta >= 1 where a level
+    runs.)"""
     found = state.found
+    cube = 64 * state.delta
     survivors: list = []
     classified: list = []
-    two_sided: list = []
-    for e in sorted(current):
+    for e in current:
         ex, ey = found[e[0]], found[e[1]]
-        degsum = len(ex) + len(ey)
-        if degsum**3 < 64 * state.delta:
+        nx, ny = len(ex), len(ey)
+        if (nx + ny) ** 3 < cube:
             survivors.append(e)
-            continue
-        ex, ey = sorted(ex), sorted(ey)
-        if ex and ey:
-            pair = next(
-                (
-                    (a, b)
-                    for a in ex
-                    for b in ey
-                    if a[0] != b[0] and a[1] != b[1]
-                ),
-                None,
-            )
-            # designation fallback: the busier side carries, ties to e[0]
-            x, pool = (e[0], ex) if len(ex) >= len(ey) else (e[1], ey)
+        elif nx >= ny:
+            classified.append(ClassifiedEdge(e, e[0], e[1], ex, nx))
         else:
-            pair = None
-            x, pool = (e[0], ex) if ex else (e[1], ey)
-        y = e[1] if x == e[0] else e[0]
-        record = ClassifiedEdge(edge=e, x=x, y=y, pool=pool)
-        classified.append(record)
+            classified.append(ClassifiedEdge(e, e[1], e[0], ey, ny))
+    return survivors, classified
+
+
+def _two_sided(state: LayerState, classified: list):
+    """Yield, in classified's order, each record's two-sided violation:
+    the first pair, in sorted order, of an active edge at e[0] and one at
+    e[1] that differ in color and in free vertex. It runs before the
+    level's _unblock, so the lists are as they were at classification."""
+    found = state.found
+    for record in classified:
+        e = record.edge
+        ex, ey = found[e[0]], found[e[1]]
+        if not (ex and ey):
+            continue
+        ey = sorted(ey)
+        pair = next(
+            ((a, b) for a in sorted(ex) for b in ey if a[0] != b[0] and a[1] != b[1]),
+            None,
+        )
         if pair is not None:
-            (c1, r1), (c2, r2) = pair  # from ex at e[0] and ey at e[1]
-            added = (_normalize(e[0], r1, c1), _normalize(e[1], r2, c2))
-            two_sided.append(("TwoSided", record, added))
-    return survivors, classified, two_sided
+            (c1, r1), (c2, r2) = pair
+            yield ("TwoSided", record, (_normalize(e[0], r1, c1), _normalize(e[1], r2, c2)))
 
 
-def _scan_candidates(state: LayerState, survivors: list, two_sided: list):
+def _scan_candidates(state: LayerState, survivors: list, classified: list):
     """Yield the violations visible after this level, cheapest family
-    first: FreeFree in (v, w) order, then two_sided, then HitsY in
-    (free vertex, quiet vertex) order, all in colors outside survivors'.
+    first: FreeFree in (v, w) order, then TwoSided in classified's order,
+    then HitsY in (free vertex, quiet vertex) order, all in colors
+    outside survivors'.
 
     A HitsY may use a color classified at this level, so the pending
     colors are looked up only once every earlier candidate has failed."""
@@ -267,7 +296,7 @@ def _scan_candidates(state: LayerState, survivors: list, two_sided: list):
     for v, w, c in state.free_free:
         if c not in next_colors:
             yield ("FreeFree", None, ((v, w, c),))
-    yield from two_sided
+    yield from _two_sided(state, classified)
     _unblock(state)
     quiet = state.quiet_side
     for r, y, c in sorted((r, y, c) for y in quiet for c, r in state.found[y]):
@@ -278,7 +307,7 @@ def _check_found(state: LayerState, level: int, current: list) -> None:
     """check=True: the free-free edges and the active-edge lists against
     a fresh walk of the free vertices' edges."""
     blocked = {e[2] for e in current}
-    want: dict = {x: [] for e in state.matching for x in (e[0], e[1])}
+    want: dict = {x: [] for x in state.index.color_at}
     free_free = []
     for r in state.free:
         for w, c in state.graph.neighbors(r).items():
@@ -294,8 +323,9 @@ def _check_found(state: LayerState, level: int, current: list) -> None:
         )
 
 
-def _attempt_exchange(state: LayerState, violation: tuple) -> list | None:
-    """Realize a violation as a +1 exchange, or report None.
+def _exchange_of(state: LayerState, violation: tuple) -> tuple | None:
+    """The exchange that realizes a violation: (the set of matched edges
+    it deletes, the list of edges it adds), or None when a repair fails.
 
     The origin edge goes, the added edges come in, and a HitsY also
     repairs its origin from its pool. Every addition whose color sits
@@ -304,9 +334,7 @@ def _attempt_exchange(state: LayerState, violation: tuple) -> list | None:
     colors come from strictly earlier levels, so the obligation stack
     drains.
     """
-    g = state.graph
-    m = state.matching
-    m_colors = {e[2] for e in m}
+    m_colors = state.index.edge_of
     deletions: set[Edge] = set()
     additions: list[Edge] = []
     used_v: set[int] = set()
@@ -346,18 +374,32 @@ def _attempt_exchange(state: LayerState, violation: tuple) -> list | None:
         deletions.add(record.edge)
         if not repair(record):
             return None
+    return deletions, additions
 
-    result = [e for e in m if e not in deletions] + additions
-    ok, _ = validate_rainbow_matching(g, result)
-    if not ok or len(result) != len(m) + 1:
+
+def _attempt_exchange(state: LayerState, violation: tuple, check: bool = False) -> tuple | None:
+    """The violation's exchange (see _exchange_of) if it nets one edge and
+    its diff passes state.index's check, else None. check=True also
+    validates the matching it makes in full."""
+    exchange = _exchange_of(state, violation)
+    if exchange is None:
         return None
-    return sorted(result)
+    deletions, additions = exchange
+    if len(additions) != len(deletions) + 1:
+        return None
+    if state.index.fault(deletions, additions) is not None:
+        return None
+    if check:
+        ok, why = validate_rainbow_matching(state.graph, [*state.index.edges - deletions, *additions])
+        if not ok:
+            raise InternalInvariantBroken(f"an exchange passed its diff check but is invalid: {why}")
+    return exchange
 
 
 def _check_level(state: LayerState, level: int, classified: list, survivors: list) -> None:
     """In-regime claim checks, exact integer arithmetic throughout."""
     delta = state.delta
-    if not _in_regime(len(state.matching), delta):
+    if not _in_regime(len(state.index.edges), delta):
         return
     free_count = len(state.free)
     if free_count**3 <= 64 * delta * delta:
@@ -387,34 +429,34 @@ def _check_level(state: LayerState, level: int, classified: list, survivors: lis
             )
 
 
-def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, tuple | None, list]:
+def _run_layers(state: LayerState, *, check: bool) -> tuple[tuple | None, tuple | None, list]:
     """Drive the level loop on a prepared state.
 
-    Realizes candidates as exchanges and returns (augmented matching,
-    the violation it realized, rows) as soon as one validates, or
-    (None, None, rows) when no level yields one. The rows are
-    (level, |M_j|, |M_j'|) for tracing.
+    Realizes candidates as exchanges and returns (the exchange, as
+    _attempt_exchange gives it, the violation it realized, rows) as soon
+    as one passes its check, or (None, None, rows) when no level yields
+    one. The rows are (level, |M_j|, |M_j'|) for tracing.
     """
     delta = state.delta
     rows: list = []
-    current = list(state.matching)
+    current = sorted(state.index.edges)
     for level in range(1, _level_count(delta) + 1):
         _unblock(state)
         if check:
             _check_found(state, level, current)
-        survivors, classified, two_sided = _classify_level(state, current)
+        survivors, classified = _classify_level(state, current)
         for record in classified:
             state.origins[record.edge[2]] = record
             state.quiet_side[record.y] = record
             state.pending.append(record.edge[2])
         rows.append((level, len(current), len(classified)))
         tried = False
-        for candidate in _scan_candidates(state, survivors, two_sided):
+        for candidate in _scan_candidates(state, survivors, classified):
             tried = True
-            result = _attempt_exchange(state, candidate)
-            if result is not None:
-                return result, candidate, rows
-        if tried and _in_regime(len(state.matching), delta):
+            exchange = _attempt_exchange(state, candidate, check)
+            if exchange is not None:
+                return exchange, candidate, rows
+        if tried and _in_regime(len(state.index.edges), delta):
             raise InternalInvariantBroken(
                 f"level {level}: no detected exchange could be realized"
             )
@@ -424,28 +466,30 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[list | None, tuple |
     return None, None, rows
 
 
-def _next_state(prior: LayerState, matching: list) -> LayerState:
-    """The state of the round after prior, on matching: prior's free-free
-    edges and level-1 active-edge lists, patched only at the vertices and
-    colors whose status changed. prior's lists are reused in place. The
-    first round follows a default LayerState: no vertex free, none with a
-    list or a color map, and no color looked up."""
-    g = prior.graph
-    covered = {x for e in matching for x in (e[0], e[1])}
-    # no level runs at delta 0, so a huge edgeless graph lists no vertex
-    free = [v for v in g.vertices() if v not in covered] if prior.delta else []
-    free_set = set(free)
-    freed = free_set.difference(prior.free)
-    found = prior.found
-    missing = prior.palette.difference(e[2] for e in matching)
+def _next_state(prior: LayerState, freed, gone, came) -> LayerState:
+    """The state of the round after prior, once the edges of gone have
+    left prior's matching and those of came joined it, which
+    prior.index already holds, and the vertices of freed became free.
+    Prior's free vertices, missing colors, free-free edges and level-1
+    active-edge lists are patched only at the vertices and colors whose
+    status changed; the lists are reused in place. The first round
+    follows a default LayerState: no vertex free, none with a list, and
+    no color looked up."""
+    g, found, by_color = prior.graph, prior.found, prior.by_color
+    freed = set(freed)
+    taken = {x for e in came for x in (e[0], e[1])}.difference(found)
+    free_set = set(prior.free).difference(taken)
+    free_set.update(freed)
+    missing = prior.missing.difference([e[2] for e in came])
+    used = prior.index.edge_of
+    missing.update(e[2] for e in gone if e[2] not in used)
     kept = prior.looked & missing
-    # drop the lists of the freed vertices, the edges from the newly
-    # covered ones, and the edges in colors that are no longer missing
-    for w in found.keys() - covered:
+    # drop the lists of the freed vertices (in the first round none has
+    # one), the edges from the newly covered ones, and the edges in
+    # colors that are no longer missing
+    for w in freed.intersection(found):
         del found[w]
-    taken = covered - found.keys()
     stale = prior.looked - missing
-    by_color = prior.by_color
     for r in prior.free:
         to = by_color[r]
         for c in prior.looked if r in taken else stale:
@@ -463,9 +507,11 @@ def _next_state(prior: LayerState, matching: list) -> LayerState:
         nb = g.neighbors(r)
         if r not in by_color:
             by_color[r] = _colors_at(nb)
-        free_free.extend(
-            _normalize(r, w, nb[w]) for w in nb.keys() & free_set if w > r or w not in freed
-        )
+        for w in nb.keys() & free_set:
+            if w > r:
+                free_free.append((r, w, nb[w]))
+            elif w not in freed:  # a freed w lists the edge itself
+                free_free.append((w, r, nb[w]))
         to = by_color[r]
         for c in kept:
             at = found.get(to.get(c))
@@ -474,16 +520,46 @@ def _next_state(prior: LayerState, matching: list) -> LayerState:
     free_free.sort()
     return LayerState(
         graph=g,
-        matching=list(matching),
         delta=prior.delta,
-        free=free,
-        palette=prior.palette,
+        index=prior.index,
+        missing=missing,
+        free=sorted(free_set),
         by_color=by_color,
         free_free=free_free,
         found=found,
         looked=kept,
         pending=list(missing - kept),
     )
+
+
+def _first_state(g: ColoredGraph, delta: int, palette: set, by_color: dict, matching: list) -> LayerState:
+    """The first round's state, on matching, indexed afresh: every vertex
+    it leaves uncovered is newly free, and every color of palette it
+    lacks is missing."""
+    index = _MatchingIndex(g)
+    index.apply((), matching)
+    prior = LayerState(graph=g, delta=delta, index=index, missing=palette, by_color=by_color)
+    # no level runs at delta 0, so a huge edgeless graph lists no vertex
+    freed = [v for v in g.vertices() if v not in index.color_at] if delta else []
+    return _next_state(prior, freed, (), matching)
+
+
+def _check_round(state: LayerState, rounds: int, palette: set) -> None:
+    """check=True: the carried index, free vertices and missing colors
+    against a fresh build from the matching's edges."""
+    edges = state.index.edges
+    color_at = {x: e[2] for e in edges for x in (e[0], e[1])}
+    free = [v for v in state.graph.vertices() if v not in color_at] if state.delta else []
+    if (
+        state.index.color_at != color_at
+        or state.index.edge_of != {e[2]: e for e in edges}
+        or state.free != free
+        or state.missing != palette.difference(state.index.edge_of)
+    ):
+        raise InternalInvariantBroken(
+            f"round {rounds}: the carried index, free vertices or missing colors"
+            f" differ from a fresh build"
+        )
 
 
 def find_rainbow_matching_layered(
@@ -493,7 +569,8 @@ def find_rainbow_matching_layered(
     as sorted (u, v, color) edges.
 
     Needs vertex_count >= 2*min_degree. check=True verifies the layer
-    claims on every round and each refill against the full greedy walk;
+    claims and the carried state on every round, every realized
+    exchange in full, and each refill against the full greedy walk;
     trace (a callable taking one dict) receives per-round statistics.
     """
     delta = min_degree(g)
@@ -502,25 +579,26 @@ def find_rainbow_matching_layered(
             f"need at least {2 * delta} vertices for minimum degree {delta},"
             f" got {g.vertex_count}"
         )
-    palette = set(map(_COLOR, g.edges))
     by_color: dict = {}
-    matching = _greedy_start(g, palette, by_color)
+    matching, palette = _greedy_start(g, by_color)
     if check:
         order = _greedy_order(g)
-        if matching != _extend_maximal(order, []):
+        if matching != _fit(_MatchingIndex(g), order):
             raise InternalInvariantBroken("greedy start differs from the full greedy walk")
     start = len(matching)
+    state = _first_state(g, delta, palette, by_color, matching)
+    index = state.index
     rounds = 0
-    state = LayerState(graph=g, delta=delta, palette=palette, by_color=by_color)
     while True:
         rounds += 1
-        state = _next_state(state, matching)
-        result, violation, rows = _run_layers(state, check=check)
+        if check:
+            _check_round(state, rounds, palette)
+        exchange, violation, rows = _run_layers(state, check=check)
         if trace is not None:
             trace(
                 {
                     "round": rounds,
-                    "size": len(matching),
+                    "size": len(index.edges),
                     "levels": [
                         {"level": lv, "edges": ne, "classified": nc}
                         for lv, ne, nc in rows
@@ -528,15 +606,22 @@ def find_rainbow_matching_layered(
                     "violation": violation[0] if violation else None,
                 }
             )
-        if result is None:
+        if exchange is None:
             break
-        gone = set(matching).difference(result)
-        refilled = _extend_maximal(_refill_candidates(g, state.by_color, result, gone), result)
-        if check and refilled != _extend_maximal(order, result):
+        gone, added = exchange
+        index.apply(gone, added)
+        if check:
+            fresh = _MatchingIndex(g)
+            fresh.apply((), index.edges)
+            want = _fit(fresh, order)
+        refill = _fit(index, _refill_candidates(g, by_color, index, gone))
+        if check and refill != want:
             raise InternalInvariantBroken(
                 f"round {rounds}: refill differs from the full greedy walk"
             )
-        matching = refilled
+        freed = [x for e in gone for x in (e[0], e[1]) if x not in index.color_at]
+        state = _next_state(state, freed, gone, added + refill)
+    matching = sorted(index.edges)
     bound = guaranteed_size(delta)
     if len(matching) < bound:
         raise InternalInvariantBroken(
@@ -547,4 +632,4 @@ def find_rainbow_matching_layered(
         raise InternalInvariantBroken(f"final matching invalid: {why}")
     if trace is not None:
         trace({"rounds": rounds, "initial": start, "final": len(matching)})
-    return tuple(sorted(matching))
+    return tuple(matching)

@@ -474,6 +474,28 @@ def test_a_graph_over_the_work_ceiling_is_refused_before_allocating(capsys, argv
     assert elapsed < 1 and peak < 2**20
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["gen", "--kind", "cyclic", "--n", "99999999999"], ""),
+    (["gen", "--kind", "square", "--n", "3000", "--seed", "1"], ""),
+    (["sweep", "--suite", "shortcycle", "--sizes", "3000", "--trials", "1", "--seed", "1"],
+     "instance,size,k,bound,achieved,valid,augmentations\n"),
+], ids=["gen-cyclic", "gen-square", "sweep-square"])
+def test_a_square_over_the_work_ceiling_is_refused_before_allocating(capsys, argv, out):
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code = main(argv)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, out)
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "over the limit of" in captured.err and "Traceback" not in captured.err
+    assert elapsed < 1 and peak < 2**20
+
+
 def test_sweep_out_of_memory_after_the_header(monkeypatch, tmp_path, capsys):
     opened = []
 

@@ -22,7 +22,7 @@ from rainbowmatch import (
     validate_rainbow_matching,
 )
 from rainbowmatch import delta
-from rainbowmatch.graphs import _NO_NEIGHBORS
+from rainbowmatch.graphs import _NO_NEIGHBORS, _MatchingIndex
 from rainbowmatch.delta import (
     Chain,
     ChainsExtended,
@@ -387,28 +387,31 @@ def test_full_validation_runs_at_the_end_and_at_every_level_under_check(monkeypa
 
 
 def test_carried_level_check_agrees_with_the_kept_reference(monkeypatch):
-    # at every level: the true result, and each fault the result allows
-    real = delta._carry_level
+    # at every level: the true result, and each fault the result allows;
+    # a fault leaves the index as it was
+    real = _MatchingIndex.replace
     caught = Counter()
 
-    def compare(g, d, carried, edges):
+    def compare(carried, edges, d):
+        g = carried.graph
         prev = set(carried.edges)
         for fault in [None] + _FAULTS:
             result = edges if fault is None else _corrupted(fault, g, edges, prev)
             if result is None:
                 continue
-            scratch = delta._Carried(dict(carried.roles), dict(carried.core_by_color), set(prev))
-            verdict = real(g, d, scratch, result)
+            scratch = _MatchingIndex(g)
+            scratch.apply((), prev)
+            verdict = real(scratch, result, d)
             assert verdict == _level_fault(g, d, prev, result), (d, fault)
             assert (verdict is None) == (fault is None), (d, fault)
             caught[fault] += 1
-            if fault is None:
-                assert scratch.roles == {x: e[2] for e in edges for x in e[:2]}
-                assert scratch.core_by_color == {e[2]: e for e in edges}
-                assert scratch.edges == set(edges)
-        return real(g, d, carried, edges)
+            kept = edges if fault is None else prev
+            assert scratch.color_at == {x: e[2] for e in kept for x in e[:2]}
+            assert scratch.edge_of == {e[2]: e for e in kept}
+            assert scratch.edges == set(kept)
+        return real(carried, edges, d)
 
-    monkeypatch.setattr(delta, "_carry_level", compare)
+    monkeypatch.setattr(_MatchingIndex, "replace", compare)
     for d in range(1, 41):
         seed = split_seed(515, 10 * d)
         g = random_proper_graph(max(d + 1, 4 * d - 3 + seed % 14), d, seed)

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,7 @@ from rainbowmatch import (
     split_seed,
     witness_square_4,
 )
-from rainbowmatch.generators import _below, _shuffled
+from rainbowmatch.generators import SQUARE_CELL_LIMIT, SQUARE_STEP_LIMIT, _below, _shuffled
 
 
 def test_split_seed_is_deterministic_and_spread():
@@ -93,12 +95,40 @@ def test_random_proper_graph_rejects_impossible_parameters():
     (lambda: random_proper_graph(1_666_667, 2, 1),
      "1666667 vertices of degree 2 may need 5000001 vertices plus edges,"
      " over the limit of 5000000"),
+    (lambda: cyclic_square(2001), "order 2001 has 4004001 cells, over the limit of 4000000"),
+    (lambda: random_square(272, 1),
+     "order 272 needs 20123648 walk steps, over the limit of 20000000"),
 ], ids=["cyclic", "random-square", "graph-vertices", "graph-degree",
-        "cyclic-float", "random-square-float", "graph-float", "graph-work"])
+        "cyclic-float", "random-square-float", "graph-float", "graph-work",
+        "cyclic-cells", "random-square-steps"])
 def test_generator_parameter_messages(call, message):
     with pytest.raises(InfeasibleParameters) as info:
         call()
     assert type(info.value) is InfeasibleParameters and str(info.value) == message
+
+
+def test_square_ceilings_sit_just_above_the_sizes_in_use():
+    # criterion 5 walks random_square(216), about 1.01e7 steps
+    assert SQUARE_CELL_LIMIT == 2000 * 2000
+    assert 216**3 < 271**3 <= SQUARE_STEP_LIMIT < 272**3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cyclic_square(99_999_999_999),
+    lambda: random_square(99_999_999_999, 1),
+    lambda: random_square(3000, 1),
+], ids=["cyclic-huge", "random-square-huge", "random-square-3000"])
+def test_a_square_over_its_ceiling_is_refused_before_allocating(call):
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(InfeasibleParameters, match="over the limit of"):
+            call()
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 2**20
 
 
 def test_k4_factorization_pair_shape():

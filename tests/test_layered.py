@@ -1,5 +1,6 @@
 """Layered-exchange rainbow matchings on graphs with modest vertex counts."""
 
+import copy
 import hashlib
 import json
 import random
@@ -28,18 +29,58 @@ from rainbowmatch import (
     validate_rainbow_matching,
 )
 from rainbowmatch import layered
-from rainbowmatch.graphs import ColoredGraph, _normalize
+from rainbowmatch.graphs import ColoredGraph, _MatchingIndex, _normalize
 from rainbowmatch.layered import (
-    ClassifiedEdge,
-    LayerState,
     _classify_level,
     _colors_at,
-    _extend_maximal,
+    _first_state,
+    _fit,
     _greedy_order,
-    _next_state,
     _run_layers,
     _scan_candidates,
+    _two_sided,
 )
+
+
+def _extend_maximal(order, matching):
+    """matching, then every edge of order that fits it directly: the
+    greedy walk as plain lists, kept to check _fit and the refill."""
+    m = list(matching)
+    used_v = {x for e in m for x in (e[0], e[1])}
+    used_c = {e[2] for e in m}
+    for u, v, c in order:
+        if u in used_v or v in used_v or c in used_c:
+            continue
+        m.append((u, v, c))
+        used_v.update((u, v))
+        used_c.add(c)
+    return m
+
+
+def _indexed(g, matching):
+    index = _MatchingIndex(g)
+    index.apply((), matching)
+    return index
+
+
+def _exchanged(matching, exchange):
+    """The sorted matching that an exchange, (deleted set, added list) as
+    _attempt_exchange gives it, makes of matching; None for no exchange."""
+    if exchange is None:
+        return None
+    gone, added = exchange
+    return sorted([e for e in matching if e not in gone] + list(added))
+
+
+def _record(record):
+    """A classified record as (edge, x, y, pool), read from a copy so that
+    the record's own pool stays unsorted until the solver reads it."""
+    return (record.edge, record.x, record.y, copy.copy(record).pool)
+
+
+def _candidate(violation):
+    kind, origin, added = violation
+    return (kind, None if origin is None else _record(origin), added)
 
 
 def test_guaranteed_size_values():
@@ -126,10 +167,9 @@ def test_trace_records_rounds_and_sizes():
 def _layer_once(g, matching):
     """One round of layering on a given matching: the violation
     realized and the augmented matching."""
-    first = LayerState(graph=g, delta=min_degree(g), palette={e[2] for e in g.edges})
-    state = _next_state(first, sorted(matching))
-    augmented, violation, _ = _run_layers(state, check=False)
-    return violation, augmented
+    state = _first_state(g, min_degree(g), {e[2] for e in g.edges}, {}, sorted(matching))
+    exchange, violation, _ = _run_layers(state, check=False)
+    return violation, _exchanged(matching, exchange)
 
 
 def test_detects_directly_addable_edge_as_free_free():
@@ -189,9 +229,9 @@ def _attempts(monkeypatch, g, matching):
     tried = []
     attempt = layered._attempt_exchange
 
-    def record(state, violation):
-        result = attempt(state, violation)
-        tried.append((violation, result))
+    def record(state, violation, check=False):
+        result = attempt(state, violation, check)
+        tried.append((violation, _exchanged(sorted(state.index.edges), result)))
         return result
 
     monkeypatch.setattr(layered, "_attempt_exchange", record)
@@ -261,10 +301,12 @@ def test_two_sided_exchange_when_the_second_endpoint_is_designated(monkeypatch):
 
 def test_extend_maximal_is_greedy_by_color():
     g = build_graph(6, [(5, 6, 3), (1, 2, 1), (3, 4, 1), (2, 3, 2)])
-    base = _extend_maximal(_greedy_order(g), [])
+    index = _MatchingIndex(g)
+    base = _fit(index, _greedy_order(g))
     # color 1 first (smallest edge wins the color), color 2 is then
     # blocked at vertex 2, color 3 still fits
-    assert base == [(1, 2, 1), (5, 6, 3)]
+    assert base == [(1, 2, 1), (5, 6, 3)] == _extend_maximal(_greedy_order(g), [])
+    assert index.edges == set(base) and index.edge_of == {1: (1, 2, 1), 3: (5, 6, 3)}
 
 
 # Reference copies of the classification, the scan and the refill as
@@ -285,6 +327,8 @@ def _reference_active_edges(g, vertex, free_set, blocked_colors):
 
 
 def _reference_classify_level(state, current):
+    """(survivors, classified as (edge, x, y, pool), two-sided violations
+    with their origins in the same form)."""
     g = state.graph
     free_set = set(state.free)
     blocked = {e[2] for e in current}
@@ -306,7 +350,7 @@ def _reference_classify_level(state, current):
             pair = None
             x, pool = (e[0], ex) if ex else (e[1], ey)
         y = e[1] if x == e[0] else e[0]
-        record = ClassifiedEdge(edge=e, x=x, y=y, pool=pool)
+        record = (e, x, y, pool)
         classified.append(record)
         if pair is not None:
             (c1, r1), (c2, r2) = pair
@@ -328,7 +372,7 @@ def _reference_scan_candidates(state, survivors, two_sided):
                 if w > v:
                     free_free.append(("FreeFree", None, ((v, w, c),)))
             elif w in state.quiet_side:
-                hits_y.append(("HitsY", state.quiet_side[w], (_normalize(v, w, c),)))
+                hits_y.append(("HitsY", _record(state.quiet_side[w]), (_normalize(v, w, c),)))
     return free_free + two_sided + hits_y
 
 
@@ -337,16 +381,23 @@ def _reference_greedy_order(g):
 
 
 def _both_classifications(state, current):
-    got = _classify_level(state, current)
-    want = _reference_classify_level(state, current)
-    assert got == want
-    return want
+    survivors, classified = _classify_level(state, current)
+    want_survivors, want_classified, want_two_sided = _reference_classify_level(state, current)
+    assert survivors == want_survivors
+    assert [_record(r) for r in classified] == want_classified
+    # the scan yields these later, before the level's lookup grows a list
+    assert [_candidate(v) for v in _two_sided(state, classified)] == want_two_sided
+    return survivors, classified
 
 
-def _both_scans(state, survivors, two_sided):
-    want = _reference_scan_candidates(state, survivors, two_sided)
-    assert list(_scan_candidates(state, survivors, two_sided)) == want
-    return want
+def _both_scans(state, survivors, classified):
+    current = sorted(survivors + [r.edge for r in classified])
+    want = _reference_scan_candidates(state, survivors, _reference_classify_level(state, current)[2])
+    got = list(_scan_candidates(state, survivors, classified))
+    # read once the scan's lookup has grown the lists: each pool is still
+    # the list as it was at classification
+    assert [_candidate(v) for v in got] == want
+    return got
 
 
 def _assert_matches_reference(g):
@@ -360,8 +411,10 @@ def _assert_matches_reference(g):
         layered,
         _classify_level=_both_classifications,
         _scan_candidates=_both_scans,
-        _greedy_start=lambda g, palette, by_color: _extend_maximal(_reference_greedy_order(g), []),
-        _refill_candidates=lambda g, by_color, matching, gone: _reference_greedy_order(g),
+        _greedy_start=lambda g, by_color: (
+            _extend_maximal(_reference_greedy_order(g), []), {e[2] for e in g.edges}
+        ),
+        _refill_candidates=lambda g, by_color, index, gone: _reference_greedy_order(g),
     ):
         reference = find_rainbow_matching_layered(g, trace=reference_rows.append)
     assert m == reference
@@ -435,8 +488,9 @@ def _inject_refill_fault(monkeypatch, drop):
     real = layered._refill_candidates
     changed = []
 
-    def faulty(g, by_color, matching, gone):
-        found = real(g, by_color, matching, gone)
+    def faulty(g, by_color, index, gone):
+        found = real(g, by_color, index, gone)
+        matching = sorted(index.edges)
         kept = [e for e in found if not drop(e, matching, gone)]
         changed.append(_extend_maximal(kept, matching) != _extend_maximal(found, matching))
         return kept
@@ -496,8 +550,10 @@ def test_refill_equals_the_full_walk_after_any_exchange(d, spread, seed):
     kept = [e for e in before if e not in gone]
     rng.shuffle(shuffled)
     result = _extend_maximal(shuffled, kept)[: len(kept) + rng.randrange(len(gone) + 1)]
-    refilled = _extend_maximal(layered._refill_candidates(g, by_color, result, gone), result)
+    index = _indexed(g, result)
+    refilled = result + _fit(index, layered._refill_candidates(g, by_color, index, gone))
     assert refilled == _extend_maximal(order, result)
+    assert index.edges == set(refilled)
 
 
 def _with_isolated_vertices(g, extra, rng):
@@ -514,15 +570,18 @@ def test_greedy_start_equals_the_full_walk(d, spread, extra, seed):
     if extra:
         g = _with_isolated_vertices(g, extra, random.Random(seed))
     by_color = {}
-    start = layered._greedy_start(g, {e[2] for e in g.edges}, by_color)
+    start, palette = layered._greedy_start(g, by_color)
     assert start == _extend_maximal(_greedy_order(g), [])
+    assert palette == {e[2] for e in g.edges}
     assert all(to == _colors_at(g.neighbors(v)) for v, to in by_color.items())
 
 
 def test_check_catches_a_greedy_start_missing_an_edge(monkeypatch):
     g = _shuffled_cyclic(62, 1)
     real = layered._greedy_start
-    monkeypatch.setattr(layered, "_greedy_start", lambda *args: real(*args)[:-1])
+    monkeypatch.setattr(
+        layered, "_greedy_start", lambda *args: (real(*args)[0][:-1], real(*args)[1])
+    )
     with pytest.raises(InternalInvariantBroken, match="^greedy start differs from the full greedy walk$"):
         find_rainbow_matching_layered(g, check=True)
     m = find_rainbow_matching_layered(g)  # unchecked, the fault passes unseen
@@ -607,6 +666,11 @@ class _CountedNeighbors(Mapping):
     def __len__(self):
         return len(self._inner)
 
+    def __reversed__(self):
+        for w in reversed(self._inner):
+            self._reads[0] += 1
+            yield w
+
     def keys(self):
         return KeysView(self)  # an intersection looks up each element of the other side
 
@@ -631,6 +695,19 @@ def test_a_solve_reads_about_what_its_levels_unblock(monkeypatch):
     )
     assert find_rainbow_matching_layered(g) == want
     assert 0 < reads[0] <= 60_000
+    # entries read from the graph's own maps, not through neighbors (which
+    # here reads g's maps): mostly the greedy start's color maps, each
+    # of whose 192 rows' 192 entries _colors_at reads twice (73,728 in
+    # all); a solve that validated every attempted exchange in full
+    # read 75,828, and one that checks each exchange's diff 74,295
+    direct = [0]
+    counted = copy.copy(g)
+    object.__setattr__(
+        counted, "_adj", {v: _CountedNeighbors(nb, direct) for v, nb in g._adj.items()}
+    )
+    monkeypatch.setattr(ColoredGraph, "neighbors", lambda self, v: neighbors(g, v))
+    assert find_rainbow_matching_layered(counted) == want
+    assert 73_728 < direct[0] <= 76_000
 
 
 def test_an_edgeless_graph_with_a_huge_vertex_count_lists_no_vertex():
@@ -642,6 +719,145 @@ def test_an_edgeless_graph_with_a_huge_vertex_count_lists_no_vertex():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# The kinds of fault the exchange check must catch on its own: one edge
+# short, an added edge listed twice, a kept edge added again, and an
+# added edge that repeats a color, covers a covered vertex, or is not in
+# the graph.
+_EXCHANGE_FAULTS = ["size", "twice", "kept", "color", "vertex", "edge"]
+
+
+def _corrupt_exchange(fault, g, matching, gone, added):
+    """added, the additions of an exchange that deletes gone from
+    matching, with one fault of the given kind; None if none fits."""
+    kept = [e for e in matching if e not in gone]
+    *rest, last = added
+    if fault == "size":
+        return rest
+    if fault == "twice":
+        return rest + [rest[0]] if rest else None
+    if fault == "kept":
+        return rest + [kept[0]]
+    if fault == "edge":
+        return rest + [(last[0], last[1], 1 + max(e[2] for e in g.edges))]
+    # swap the last addition for a graph edge that repeats a color of the
+    # rest of the new matching or shares a vertex with it, but not both
+    others = kept + rest
+    vertices = {x for e in others for x in e[:2]}
+    colors = {e[2] for e in others}
+    for e in g.edges:
+        shares = e[0] in vertices or e[1] in vertices
+        if (shares, e[2] in colors) == (fault == "vertex", fault == "color"):
+            return rest + [e]
+    return None
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("fault", _EXCHANGE_FAULTS)
+def test_exchange_check_rejects_a_corrupt_exchange(monkeypatch, fault, check):
+    # the first exchange the solve would realize comes back with one
+    # fault; its attempt fails, and the solve goes on to other candidates
+    g = _shuffled_cyclic(96, 1)
+    real_exchange, real_attempt = layered._exchange_of, layered._attempt_exchange
+    injected, verdicts = [], []
+
+    def corrupting(state, violation):
+        exchange = real_exchange(state, violation)
+        if exchange is None or injected:
+            return exchange
+        gone, added = exchange
+        bad = _corrupt_exchange(fault, g, sorted(state.index.edges), gone, added)
+        assert bad is not None
+        injected.append(fault)
+        return gone, bad
+
+    def attempt(state, violation, check=False):
+        before = len(injected)
+        result = real_attempt(state, violation, check)
+        if len(injected) > before:
+            verdicts.append(result)
+        return result
+
+    monkeypatch.setattr(layered, "_exchange_of", corrupting)
+    monkeypatch.setattr(layered, "_attempt_exchange", attempt)
+    m = find_rainbow_matching_layered(g, check=check)
+    assert injected == [fault] and verdicts == [None]
+    assert validate_rainbow_matching(g, m)[0] and len(m) >= guaranteed_size(96)
+
+
+def test_check_validates_a_realized_exchange_in_full(monkeypatch):
+    # with the diff check passing everything, check=True still catches a
+    # realized exchange that covers a vertex twice
+    g = _shuffled_cyclic(96, 1)
+    real_exchange = layered._exchange_of
+
+    def corrupting(state, violation):
+        exchange = real_exchange(state, violation)
+        if exchange is None:
+            return exchange
+        gone, added = exchange
+        return gone, _corrupt_exchange("vertex", g, sorted(state.index.edges), gone, added)
+
+    monkeypatch.setattr(layered, "_exchange_of", corrupting)
+    monkeypatch.setattr(_MatchingIndex, "fault", lambda self, removed, added: None)
+    with pytest.raises(
+        InternalInvariantBroken,
+        match="^an exchange passed its diff check but is invalid: vertex [0-9]+ is covered twice$",
+    ):
+        find_rainbow_matching_layered(g, check=True)
+
+
+def _stale_index(state):
+    state.index.color_at.pop(max(state.index.color_at))
+
+
+def _stale_free(state):
+    state.free.pop()
+
+
+def _stale_missing(state):
+    state.missing.add(next(iter(state.index.edge_of)))
+
+
+@pytest.mark.parametrize("stale", [_stale_index, _stale_free, _stale_missing])
+def test_check_catches_stale_carried_state_in_its_round(monkeypatch, stale):
+    # the state the second round starts from goes stale in one part
+    g = _shuffled_cyclic(96, 1)
+    real = layered._next_state
+    calls = []
+
+    def faulty(*args):
+        state = real(*args)
+        calls.append(state)
+        if len(calls) == 2:  # the first call builds the first round's state
+            stale(state)
+        return state
+
+    monkeypatch.setattr(layered, "_next_state", faulty)
+    with pytest.raises(
+        InternalInvariantBroken,
+        match="^round 2: the carried index, free vertices or missing colors differ from a fresh build$",
+    ):
+        find_rainbow_matching_layered(g, check=True)
+
+
+def test_a_pool_is_its_list_at_classification():
+    # the lookup after a level's candidates grows the carrying side's
+    # list; the record's pool still holds only what classification saw
+    g = _shuffled_cyclic(96, 1)
+    state = _first_state(g, min_degree(g), {e[2] for e in g.edges}, {},
+                         _extend_maximal(_greedy_order(g), []))
+    current = sorted(state.index.edges)
+    layered._unblock(state)
+    _, classified = _classify_level(state, current)
+    want = {r.edge: sorted(r.found) for r in classified}
+    state.pending = [r.edge[2] for r in classified]
+    layered._unblock(state)
+    grown = [r for r in classified if len(r.found) > r.size]
+    assert grown
+    for r in classified:
+        assert r.pool == want[r.edge]
 
 
 def _pinned_layered_instances():
