@@ -57,12 +57,6 @@ def _extend_maximal(order, matching):
     return m
 
 
-def _indexed(g, matching):
-    index = _MatchingIndex(g)
-    index.apply((), matching)
-    return index
-
-
 def _exchanged(matching, exchange):
     """The sorted matching that an exchange, (deleted set, added list) as
     _attempt_exchange gives it, makes of matching; None for no exchange."""
@@ -550,7 +544,8 @@ def test_refill_equals_the_full_walk_after_any_exchange(d, spread, seed):
     kept = [e for e in before if e not in gone]
     rng.shuffle(shuffled)
     result = _extend_maximal(shuffled, kept)[: len(kept) + rng.randrange(len(gone) + 1)]
-    index = _indexed(g, result)
+    index = _MatchingIndex(g)
+    index.apply((), result)
     refilled = result + _fit(index, layered._refill_candidates(g, by_color, index, gone))
     assert refilled == _extend_maximal(order, result)
     assert index.edges == set(refilled)
