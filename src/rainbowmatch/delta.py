@@ -8,9 +8,10 @@ it maintains a working structure of
     of equal length k whose i-th edges share a color,
   * a core: a rainbow matching of size d-1-k on colors disjoint from
     the twins, and
-  * chains: matchings anchored to core edges, whose first edge carries
-    a color absent everywhere and whose later edges repeat colors of
-    core edges covered earlier in the same chain.
+  * a cover map from each covered core color to the chain edge that
+    shares one endpoint, its anchor, with that core edge. A chain edge's
+    color is absent everywhere or a core color covered earlier, whose
+    chain edge the chain continues with.
 
 Every probe edge from a vertex outside the structure either completes
 a size-d rainbow matching directly, or lets the structure grow: the
@@ -19,15 +20,15 @@ chain covers one more core edge. With k pairs at most d-1-k probes
 extend a chain before one raises k or ends the level, so a level takes
 at most d(d+1)/2 probes, inside the loop's budget of d*d.
 
-Core vertices and chains name a core edge by its color, so the core
-part of the index, each vertex's color and each color's edge, carries
-from one level's result to the next level's start. At a level's end
-the solver diffs the new result against the old: removed edges leave
-the index, and each added edge must bring an unused color and unused
-endpoints and be in the graph. With the size and a check that no edge
-is listed twice, that is by induction the full validation, which runs
-once on the final matching, and at every level as well under
-check=True.
+Core vertices and the cover map name a core edge by its color, so the
+core part of the index, each vertex's color and each color's edge,
+carries from one level's result to the next level's start. At a
+level's end the solver diffs the new result against the old: removed
+edges leave the index, and each added edge must bring an unused color
+and unused endpoints and be in the graph. With the size and a check
+that no edge is listed twice, that is by induction the full
+validation, which runs once on the final matching, and at every level
+as well under check=True.
 
 A trace callable receives each probe as a dict (see
 find_rainbow_matching_delta). The solver formats no text; the command
@@ -52,23 +53,12 @@ from .graphs import (
 
 
 @dataclass
-class Chain:
-    """Edges hang off core edges; edges[p] touches the core edge of color
-    cores[p] at anchors[p]."""
-
-    edges: list
-    anchors: list
-    cores: list
-
-
-@dataclass
 class _Index:
     """Lookups derived from a configuration, kept in step with it.
 
     A vertex's role is its core edge's color, an int, or a tuple:
-    ("twin", i, side), ("anchor", ci, p) or ("chain", ci, p). banned
-    holds the colors a probe edge may not use: the twin colors and the
-    colors of uncovered core edges.
+    ("twin", i, side), _ANCHOR or _CHAIN_END. banned holds the colors a
+    probe edge may not use: the twin colors and the uncovered core ones.
     """
 
     roles: dict  # vertex -> role; anchors shadow core entries
@@ -84,8 +74,7 @@ class GoodConfiguration:
     twins_a: list
     twins_b: list
     core: list
-    chains: list
-    cover: dict  # core color -> (chain index, position)
+    cover: dict  # covered core color -> its chain edge, in the order added
     # built from the structure unless the caller passes one in step with it
     _index: _Index | None = field(default=None, repr=False, compare=False)
 
@@ -116,6 +105,10 @@ class ChainsExtended:
 # the outcome has no fields, so every chain extension returns this one
 _CHAINS_EXTENDED = ChainsExtended()
 
+# the roles of a chain edge's anchor on a core edge and of its free end
+_ANCHOR = ("anchor",)
+_CHAIN_END = ("chain",)
+
 
 def _build_index(config: GoodConfiguration) -> _Index:
     roles: dict[int, int | tuple] = {}
@@ -126,21 +119,18 @@ def _build_index(config: GoodConfiguration) -> _Index:
     colors = list(map(itemgetter(2), core))
     roles.update(zip(map(itemgetter(0), core), colors))
     roles.update(zip(map(itemgetter(1), core), colors))
-    for ci, chain in enumerate(config.chains):
-        for p, e in enumerate(chain.edges):
-            anchor = chain.anchors[p]
-            free_end = e[1] if e[0] == anchor else e[0]
-            roles[anchor] = ("anchor", ci, p)
-            roles[free_end] = ("chain", ci, p)
+    core_by_color = dict(zip(colors, core))
+    anchors = set()
+    for color, e in config.cover.items():
+        # the chain edge and its core edge share one endpoint, the anchor
+        anchor, free_end = (e[0], e[1]) if e[0] in core_by_color[color][:2] else (e[1], e[0])
+        roles[anchor] = _ANCHOR
+        roles[free_end] = _CHAIN_END
+        anchors.add(anchor)
     banned = set(colors)
     banned.difference_update(config.cover)
     banned.update(map(itemgetter(2), config.twins_a))
-    return _Index(
-        roles=roles,
-        core_by_color=dict(zip(colors, core)),
-        banned=banned,
-        anchors={a for chain in config.chains for a in chain.anchors},
-    )
+    return _Index(roles=roles, core_by_color=core_by_color, banned=banned, anchors=anchors)
 
 
 def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
@@ -158,33 +148,32 @@ def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     raise InternalInvariantBroken(f"no admissible probe edge at vertex {v}")
 
 
-def chain_rotate(config: GoodConfiguration, chain_index: int, position: int):
-    """Swap sequence freeing the core edge covered at the given position.
+def chain_rotate(config: GoodConfiguration, color: int):
+    """Swap sequence freeing the covered core edge of the given color.
 
-    Removes that core edge and adds its covering chain edge; the added
-    color duplicates an earlier covered core edge of the same chain, so
-    the swap cascades until the chain's first edge (whose color is
-    fresh) comes in. Returns (removed core edges, added chain edges):
-    applied to twins_a + core, the net effect trades the starting core
-    color for one fresh color.
+    Removes that core edge and adds the chain edge covering it; while
+    the added color is a core color, covered earlier, the swap cascades
+    to that color, until a chain edge of fresh color comes in. Returns
+    (removed core edges, added chain edges): applied to twins_a + core,
+    the net effect trades the starting core color for one fresh color.
     """
-    chain = config.chains[chain_index]
+    cover = config.cover
     core_by_color = config._index.core_by_color
     removed: list[Edge] = []
     added: list[Edge] = []
-    p = position
-    while True:
-        removed.append(core_by_color[chain.cores[p]])
-        edge = chain.edges[p]
+    # a valid rotation follows each cover record at most once
+    for _ in range(len(cover)):
+        edge = cover.get(color)
+        if edge is None:
+            break
+        removed.append(core_by_color[color])
         added.append(edge)
-        if p == 0:
+        color = edge[2]
+        if color not in core_by_color:
             return removed, added
-        try:
-            p = chain.cores.index(edge[2], 0, p)
-        except ValueError:
-            raise InternalInvariantBroken(
-                "chain edge color missing from earlier covered core edges"
-            ) from None
+    if color in cover:
+        raise InternalInvariantBroken("chain rotation loops through its cover records")
+    raise InternalInvariantBroken(f"chain rotation reached color {color}, which no chain covers")
 
 
 def _restructure(config: GoodConfiguration, candidate: list, colors: list) -> GoodConfiguration:
@@ -203,7 +192,6 @@ def _restructure(config: GoodConfiguration, candidate: list, colors: list) -> Go
         twins_a=config.twins_a + [first],
         twins_b=config.twins_b + [second],
         core=candidate[k:i] + candidate[i + 1 : -1],
-        chains=[],
         cover={},
     )
 
@@ -216,16 +204,9 @@ def _avoiding_pairs(config: GoodConfiguration, w: int) -> list:
     ]
 
 
-def _covering(config: GoodConfiguration, color: int) -> tuple[int, int]:
-    spot = config.cover.get(color)
-    if spot is None:
-        raise InternalInvariantBroken("probe color belongs to an uncovered core edge")
-    return spot
-
-
 def _rotated_core(config: GoodConfiguration, color: int) -> list:
     """The core after rotating in the chain that covers the core color."""
-    removed, added = chain_rotate(config, *_covering(config, color))
+    removed, added = chain_rotate(config, color)
     gone = set(removed)
     return [e for e in config.core if e not in gone] + added
 
@@ -241,21 +222,13 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     role = index.roles.get(w)
 
     if type(role) is int and role not in config.cover:
-        # uncovered core edge, named by its color: start or continue a
-        # chain (most probes)
-        if fresh:
-            ci = len(config.chains)
-            config.chains.append(Chain(edges=[], anchors=[], cores=[]))
-        else:
-            ci, _ = _covering(config, c)
-        chain = config.chains[ci]
-        p = len(chain.edges)
-        chain.edges.append(vw)
-        chain.anchors.append(w)
-        chain.cores.append(role)
-        config.cover[role] = (ci, p)
-        index.roles[w] = ("anchor", ci, p)
-        index.roles[v] = ("chain", ci, p)
+        # uncovered core edge, named by its color: start a chain with a
+        # fresh color or continue the one covering c (most probes)
+        if not fresh and c not in config.cover:
+            raise InternalInvariantBroken("probe color belongs to an uncovered core edge")
+        config.cover[role] = vw
+        index.roles[w] = _ANCHOR
+        index.roles[v] = _CHAIN_END
         index.anchors.add(w)
         index.banned.discard(role)
         return _CHAINS_EXTENDED
@@ -319,9 +292,7 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
         fail("twin lists differ in length")
     if len(config.core) != d - 1 - k:
         fail("core size is not target-1-k")
-    for e in config.twins_a + config.twins_b + config.core + [
-        e for chain in config.chains for e in chain.edges
-    ]:
+    for e in config.twins_a + config.twins_b + config.core + list(config.cover.values()):
         if g.color_of(e[0], e[1]) != e[2]:
             fail(f"edge {e} not in the graph")
     for a, b in zip(config.twins_a, config.twins_b):
@@ -342,33 +313,26 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
                 fail(f"vertex {x} used twice in the matchings")
             seen.add(x)
     chain_vertices: set[int] = set()
-    for ci, chain in enumerate(config.chains):
-        if not chain.edges:
-            fail("empty chain")
-        if not (len(chain.edges) == len(chain.anchors) == len(chain.cores)):
-            fail("chain field lengths differ")
-        first = chain.edges[0][2]
-        if first in twin_colors or first in core_edges:
+    covered: set[int] = set()  # the core colors covered so far, in cover order
+    for color, e in config.cover.items():
+        core_edge = core_edges.get(color)
+        if core_edge is None:
+            fail("chain covers a color outside the core")
+        shared = {e[0], e[1]} & {core_edge[0], core_edge[1]}
+        if len(shared) != 1:
+            fail("anchor not shared by chain edge and core edge")
+        (anchor,) = shared
+        free_end = e[1] if e[0] == anchor else e[0]
+        if free_end in seen:
+            fail("chain endpoint collides with the matchings")
+        if free_end in chain_vertices or anchor in chain_vertices:
+            fail("chains overlap")
+        chain_vertices.update((free_end, anchor))
+        if e[2] in core_edges and e[2] not in covered:
+            fail("chain edge color not among earlier covered core colors")
+        if e[2] in twin_colors:
             fail("chain first edge color is not fresh")
-        for p, e in enumerate(chain.edges):
-            anchor = chain.anchors[p]
-            core_edge = core_edges.get(chain.cores[p])
-            if core_edge is None:
-                fail("chain covers a color outside the core")
-            if anchor not in (e[0], e[1]) or anchor not in (core_edge[0], core_edge[1]):
-                fail("anchor not shared by chain edge and core edge")
-            if config.cover.get(chain.cores[p]) != (ci, p):
-                fail("cover map out of sync")
-            free_end = e[1] if e[0] == anchor else e[0]
-            if free_end in seen:
-                fail("chain endpoint collides with the matchings")
-            if free_end in chain_vertices or anchor in chain_vertices:
-                fail("chains overlap")
-            chain_vertices.update((free_end, anchor))
-            if p > 0 and e[2] not in chain.cores[:p]:
-                fail("chain edge color not among earlier covered core colors")
-    if len(config.cover) != sum(len(chain.edges) for chain in config.chains):
-        fail("cover map size mismatch")
+        covered.add(color)
     if len(seen | chain_vertices) > 4 * (d - 1):
         fail("structure grew past its vertex budget")
     fresh = _build_index(config)
@@ -408,7 +372,7 @@ def _advance_level(
         anchors=set(),
     )
     config = GoodConfiguration(
-        graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), chains=[], cover={},
+        graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), cover={},
         _index=index,
     )
     if check:

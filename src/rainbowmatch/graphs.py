@@ -181,10 +181,11 @@ class _MatchingIndex:
     (edge_of) and the edge set (edges).
 
     fault reads only the edges a change removes and adds, and writes
-    nothing; apply makes the change. From the empty matching, changes
-    that pass fault keep the index a rainbow matching of graph, so by
-    induction fault does the work of validate_rainbow_matching on the
-    changed matching, the size apart."""
+    nothing; apply makes the change; replace checks and makes it in one
+    pass. From the empty matching, changes that pass the check keep the
+    index a rainbow matching of graph, so by induction the check does
+    the work of validate_rainbow_matching on the changed matching, the
+    size apart."""
 
     __slots__ = ("graph", "color_at", "edge_of", "edges")
 
@@ -236,17 +237,36 @@ class _MatchingIndex:
     def replace(self, edges, size: int) -> str | None:
         """Why edges is not a rainbow matching of graph with size edges,
         or None once the index holds it in place of its matching. Only
-        the edges in which the two differ are read."""
+        the edges in which the two differ are read: the removed ones
+        leave, then each added one is checked, as fault would, and put
+        in. On a fault the index is put back as it was."""
         if len(edges) != size:
             return f"{len(edges)} edges, expected {size}"
         new = set(edges)
         if len(new) != size:
             return "a color is repeated"  # by an edge listed twice
-        removed, added = self.edges - new, new - self.edges
-        why = self.fault(removed, added)
-        if why is None:
-            self.apply(removed, added)
-        return why
+        removed = self.edges - new
+        self.apply(removed, ())
+        color_at, edge_of = self.color_at, self.edge_of
+        adj = self.graph._adj
+        put: list = []
+        for e in new - self.edges:
+            u, v, c = e
+            if c in edge_of:
+                why = "a color is repeated"
+            elif u == v or u in color_at or v in color_at:
+                why = "a vertex is covered twice"
+            elif adj.get(u, _NO_NEIGHBORS).get(v) != c:
+                why = f"edge {u}-{v} with color {c} is not in the graph"
+            else:
+                color_at[u] = color_at[v] = c
+                edge_of[c] = e
+                put.append(e)
+                continue
+            self.apply(put, removed)
+            return why
+        self.edges = new
+        return None
 
 
 def _content_lines(text: str):

@@ -1,10 +1,13 @@
 """Rainbow matchings of size equal to the minimum degree."""
 
+import ast
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import fields
-from operator import itemgetter
+from operator import itemgetter, setitem
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,6 @@ from rainbowmatch import (
 from rainbowmatch import delta
 from rainbowmatch.graphs import _NO_NEIGHBORS, _MatchingIndex
 from rainbowmatch.delta import (
-    Chain,
     ChainsExtended,
     GoodConfiguration,
     Matched,
@@ -110,11 +112,11 @@ def test_chain_rotate_cascades_to_the_fresh_color():
         twins_a=[],
         twins_b=[],
         core=[(1, 2, 5), (3, 4, 6)],
-        # the chain covers the core edges of colors 5 and 6
-        chains=[Chain(edges=[(2, 9, 7), (4, 10, 5)], anchors=[2, 4], cores=[5, 6])],
-        cover={5: (0, 0), 6: (0, 1)},
+        # one chain covers the core edges of colors 5 and 6: the edge
+        # covering 6 has color 5, whose edge has the fresh color 7
+        cover={5: (2, 9, 7), 6: (4, 10, 5)},
     )
-    removed, added = chain_rotate(config, 0, 1)
+    removed, added = chain_rotate(config, 6)
     assert removed == [(3, 4, 6), (1, 2, 5)]
     assert added == [(4, 10, 5), (2, 9, 7)]
 
@@ -122,20 +124,20 @@ def test_chain_rotate_cascades_to_the_fresh_color():
 def test_restructure_promotes_the_duplicated_color():
     g = build_graph(8, [(1, 2, 1), (3, 4, 2), (5, 6, 1), (7, 8, 3)])
     config = GoodConfiguration(
-        graph=g, target=3, twins_a=[], twins_b=[], core=[], chains=[], cover={}
+        graph=g, target=3, twins_a=[], twins_b=[], core=[], cover={}
     )
     candidate = [(1, 2, 1), (7, 8, 3), (5, 6, 1)]  # core edges, then the probe edge
     out = _restructure(config, candidate, [1, 3, 1])
     assert out.twins_a == [(1, 2, 1)]
     assert out.twins_b == [(5, 6, 1)]
     assert out.core == [(7, 8, 3)]
-    assert out.chains == [] and out.cover == {}
+    assert out.cover == {}
 
 
 def test_restructure_rejects_candidates_without_one_duplicate():
     g = build_graph(4, [(1, 2, 1), (3, 4, 2)])
     config = GoodConfiguration(
-        graph=g, target=2, twins_a=[], twins_b=[], core=[], chains=[], cover={}
+        graph=g, target=2, twins_a=[], twins_b=[], core=[], cover={}
     )
     with pytest.raises(InternalInvariantBroken):
         _restructure(config, [(1, 2, 1), (3, 4, 2)], [1, 2])
@@ -154,7 +156,7 @@ def test_restructure_rejects_a_repeat_other_than_probe_and_core(twins, candidate
     # the candidate is twins_a, then core edges, then the probe edge
     config = GoodConfiguration(
         graph=build_graph(8, []), target=len(candidate), twins_a=[a for a, _ in twins],
-        twins_b=[b for _, b in twins], core=[], chains=[], cover={},
+        twins_b=[b for _, b in twins], core=[], cover={},
     )
     with pytest.raises(InternalInvariantBroken, match="^candidate does not have exactly one duplicated color$"):
         _restructure(config, candidate, [e[2] for e in candidate])
@@ -175,7 +177,7 @@ def test_audit_rejects_a_stale_index():
     g = build_graph(6, [(1, 2, 1), (3, 4, 2), (1, 5, 3)])
     config = GoodConfiguration(
         graph=g, target=3, twins_a=[], twins_b=[],
-        core=[(1, 2, 1), (3, 4, 2)], chains=[], cover={},
+        core=[(1, 2, 1), (3, 4, 2)], cover={},
     )
     outcome = resolve_case(config, (5, 1))
     assert isinstance(outcome, ChainsExtended)
@@ -191,11 +193,143 @@ def test_audit_rejects_a_cursor_past_a_free_vertex():
     g = build_graph(6, [(1, 2, 1), (3, 4, 2), (1, 5, 3)])
     config = GoodConfiguration(
         graph=g, target=3, twins_a=[], twins_b=[],
-        core=[(1, 2, 1), (3, 4, 2)], chains=[], cover={},
+        core=[(1, 2, 1), (3, 4, 2)], cover={},
     )
     _audit(config, 5)
     with pytest.raises(InternalInvariantBroken, match="free-vertex cursor skipped"):
         _audit(config, 6)
+
+
+def _chained_config():
+    """One twin pair, a core of three edges, and one chain of two edges:
+    a fresh color-7 edge covers the core edge of color 2, and a color-2
+    edge, which continues that chain, the core edge of color 3. Vertices
+    1-12 hold the structure; the graph's other edges are fault material."""
+    g = build_graph(24, [
+        (1, 2, 1), (3, 4, 1), (5, 6, 2), (7, 8, 3), (9, 10, 4), (6, 11, 7), (8, 12, 2),
+        (13, 14, 5), (15, 16, 1), (17, 18, 1), (19, 20, 3), (5, 21, 6), (10, 22, 8),
+        (21, 24, 8), (1, 10, 9), (10, 11, 10), (10, 23, 1), (9, 13, 1), (6, 13, 11),
+    ])
+    return GoodConfiguration(
+        graph=g, target=5, twins_a=[(1, 2, 1)], twins_b=[(3, 4, 1)],
+        core=[(5, 6, 2), (7, 8, 3), (9, 10, 4)], cover={2: (6, 11, 7), 3: (8, 12, 2)},
+    )
+
+
+def _repeat_the_twin_color(config):
+    # a second color-1 pair, with one core edge fewer to keep the size
+    config.core.pop()
+    config.twins_a.append((15, 16, 1))
+    config.twins_b.append((17, 18, 1))
+
+
+def _swap_the_cover_order(config):
+    config.cover = {3: config.cover[3], 2: config.cover[2]}
+
+
+# one row per _audit message: (message, fault injection, cursor)
+_AUDIT_FAULTS = [
+    ("twin lists differ in length", lambda c: c.twins_b.append((13, 14, 5)), 13),
+    ("core size is not target-1-k", lambda c: setattr(c, "target", 6), 13),
+    ("edge (8, 12, 9) not in the graph", lambda c: setitem(c.cover, 3, (8, 12, 9)), 13),
+    ("twin pair colors differ", lambda c: setitem(c.twins_b, 0, (13, 14, 5)), 13),
+    ("twin colors repeat", _repeat_the_twin_color, 13),
+    ("core colors repeat", lambda c: setitem(c.core, 2, (19, 20, 3)), 13),
+    ("core reuses a twin color", lambda c: setitem(c.core, 2, (15, 16, 1)), 13),
+    ("vertex 5 used twice in the matchings", lambda c: setitem(c.core, 2, (5, 21, 6)), 13),
+    ("chain covers a color outside the core", lambda c: setitem(c.cover, 9, (10, 22, 8)), 13),
+    # the edge of color 8 misses the core edge 9-10 of color 4
+    ("anchor not shared by chain edge and core edge", lambda c: setitem(c.cover, 4, (21, 24, 8)), 13),
+    ("chain endpoint collides with the matchings", lambda c: setitem(c.cover, 4, (1, 10, 9)), 13),
+    ("chains overlap", lambda c: setitem(c.cover, 4, (10, 11, 10)), 13),
+    ("chain edge color not among earlier covered core colors", _swap_the_cover_order, 13),
+    ("chain first edge color is not fresh", lambda c: setitem(c.cover, 4, (10, 23, 1)), 13),
+    ("cached roles out of sync with the structure", lambda c: c._index.roles.pop(12), 13),
+    ("cached core_by_color out of sync with the structure",
+     lambda c: c._index.core_by_color.pop(4), 13),
+    ("cached banned out of sync with the structure", lambda c: c._index.banned.add(2), 13),
+    ("cached anchors out of sync with the structure", lambda c: c._index.anchors.discard(8), 13),
+    ("free-vertex cursor skipped a vertex outside the structure", lambda c: None, 14),
+]
+
+# the checks no configuration reaches once the earlier checks passed
+_UNREACHABLE = {
+    # anchors are core vertices, so the structure has 2(d-1+k) matched
+    # vertices and at most d-1-k free chain ends: 3(d-1)+k <= 4(d-1)
+    "structure grew past its vertex budget",
+}
+
+
+@pytest.mark.parametrize(
+    "message, inject, cursor", _AUDIT_FAULTS, ids=[row[0] for row in _AUDIT_FAULTS]
+)
+def test_audit_names_each_injected_fault(message, inject, cursor):
+    config = _chained_config()
+    _audit(config, 13)
+    inject(config)
+    with pytest.raises(InternalInvariantBroken, match=f"^configuration audit: {re.escape(message)}$"):
+        _audit(config, cursor)
+
+
+def _rotate_a_cover_loop(config):
+    # color 2 is covered by an edge of color 3, and 3 by one of color 2
+    config.cover[2] = (6, 11, 3)
+    chain_rotate(config, 3)
+
+
+def _rotate_into_an_uncovered_color(config):
+    config.cover[3] = (8, 12, 4)
+    chain_rotate(config, 3)
+
+
+# one row per raise in the rotation and the probe: (message, faulty call)
+_GUARD_FAULTS = [
+    ("chain rotation reached color 4, which no chain covers", lambda c: chain_rotate(c, 4)),
+    ("chain rotation reached color 4, which no chain covers", _rotate_into_an_uncovered_color),
+    ("chain rotation loops through its cover records", _rotate_a_cover_loop),
+    # the probe 13-9 has the twin color 1
+    ("probe color belongs to an uncovered core edge", lambda c: resolve_case(c, (13, 9))),
+    ("probe edge landed on banned vertex 6 (('anchor',))", lambda c: resolve_case(c, (13, 6))),
+]
+
+
+@pytest.mark.parametrize(
+    "message, call", _GUARD_FAULTS,
+    ids=["uncovered-start", "uncovered-hop", "cover-loop", "banned-color", "anchor"],
+)
+def test_rotation_and_probe_guards_name_each_fault(message, call):
+    config = _chained_config()
+    assert chain_rotate(config, 3) == ([(7, 8, 3), (5, 6, 2)], [(8, 12, 2), (6, 11, 7)])
+    with pytest.raises(InternalInvariantBroken, match=f"^{re.escape(message)}$"):
+        call(config)
+
+
+def _raised_messages():
+    """Each _audit fail(...) message and each InternalInvariantBroken(...)
+    message of chain_rotate and resolve_case, as a regex in which an
+    f-string field matches any text."""
+    raised = {"_audit": "fail", "chain_rotate": "InternalInvariantBroken",
+              "resolve_case": "InternalInvariantBroken"}
+    patterns = set()
+    for node in ast.parse(Path(delta.__file__).read_text()).body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in raised:
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == raised[node.name]:
+                arg = call.args[0]
+                parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+                patterns.add("".join(
+                    re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+                    for part in parts
+                ))
+    return patterns
+
+
+def test_every_audit_and_guard_message_has_a_fault_row():
+    patterns = _raised_messages()
+    rows = [row[0] for row in _AUDIT_FAULTS + _GUARD_FAULTS]
+    missed = {p for p in patterns if not any(re.fullmatch(p, m) for m in rows)}
+    assert missed == {re.escape(m) for m in _UNREACHABLE}
 
 
 def test_matching_outputs_are_pinned():
@@ -224,18 +358,20 @@ def _reference_build_index(config):
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
     for e in config.core:
         roles[e[0]] = roles[e[1]] = e[2]
-    for ci, chain in enumerate(config.chains):
-        for p, e in enumerate(chain.edges):
-            anchor = chain.anchors[p]
-            free_end = e[1] if e[0] == anchor else e[0]
-            roles[anchor] = ("anchor", ci, p)
-            roles[free_end] = ("chain", ci, p)
+    anchors = set()
+    for color, e in config.cover.items():
+        core_edge = next(f for f in config.core if f[2] == color)
+        anchor = e[0] if e[0] in (core_edge[0], core_edge[1]) else e[1]
+        free_end = e[1] if e[0] == anchor else e[0]
+        roles[anchor] = ("anchor",)
+        roles[free_end] = ("chain",)
+        anchors.add(anchor)
     twin_colors = {e[2] for e in config.twins_a}
     return _Index(
         roles=roles,
         core_by_color={e[2]: e for e in config.core},
         banned=twin_colors | {e[2] for e in config.core if e[2] not in config.cover},
-        anchors={a for chain in config.chains for a in chain.anchors},
+        anchors=anchors,
     )
 
 
@@ -250,7 +386,8 @@ def test_index_build_matches_the_kept_reference(monkeypatch):
         for f in fields(_Index):
             assert getattr(built, f.name) == getattr(kept, f.name), f.name
         reached["twins"] += bool(config.twins_a)
-        reached["chains"] += bool(config.chains)
+        # a chain of two or more edges: a cover edge of a core color
+        reached["chains"] += any(e[2] in config.cover for e in config.cover.values())
         reached["cover"] += bool(config.cover)
         audit(config, *cursor)
 
@@ -265,25 +402,31 @@ def test_index_build_matches_the_kept_reference(monkeypatch):
 
 def test_trace_events_are_pinned_with_one_call_per_probe(monkeypatch):
     # the benchmark counts probes and outcomes by wrapping these two
-    # module functions, so each probe must still pass through both
+    # module functions, so each probe must still pass through both; it
+    # also times chain_rotate, which only a finishing probe may call
     calls = Counter()
-    for name in ("extend_by_free_edge", "resolve_case"):
-        def counted(*args, _real=getattr(delta, name), _name=name):
-            calls[_name] += 1
+    rotations = Counter()
+    for name, counter in (
+        ("extend_by_free_edge", calls), ("resolve_case", calls), ("chain_rotate", rotations)
+    ):
+        def counted(*args, _real=getattr(delta, name), _name=name, _counter=counter):
+            _counter[_name] += 1
             return _real(*args)
 
         monkeypatch.setattr(delta, name, counted)
     digest = hashlib.sha256()
-    probes = 0
+    probes = finishing = 0
     for d in (30, 45, 60, 75, 90):
         seed = split_seed(606, d)
         g = random_proper_graph(4 * d - 3 + seed % 14, d, seed)
         events = []
         find_rainbow_matching_delta(g, trace=events.append)
         probes += sum("probe" in event for event in events)
+        finishing += sum(event["outcome"] in ("Matched", "RepeatIncreased") for event in events)
         digest.update(json.dumps(events).encode())
     assert probes > 0
     assert calls == {"extend_by_free_edge": probes, "resolve_case": probes}
+    assert 0 < rotations["chain_rotate"] <= finishing
     assert digest.hexdigest() == (
         "d31778ab8b2761af529c0b771a315f4b779e68814c86cf7c6859045409a5be99"
     )

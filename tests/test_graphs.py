@@ -30,6 +30,7 @@ from rainbowmatch import (
     validate_rainbow_matching,
     validate_transversal,
 )
+from rainbowmatch.graphs import _MatchingIndex
 
 C4_EDGES = [(1, 2, 1), (2, 3, 2), (3, 4, 1), (1, 4, 2)]
 
@@ -286,3 +287,38 @@ def test_wrong_instance_type_raises_bad_shape(call, expected):
     # these raised AttributeError from deep inside the call
     with pytest.raises(BadShape, match=f"^expected a {expected}, got "):
         call()
+
+
+# the index holds 1-2 and 3-4; each change asks for three edges
+_HELD = [(1, 2, 1), (3, 4, 2)]
+
+
+@pytest.mark.parametrize(
+    "edges, why",
+    [
+        (_HELD, "2 edges, expected 3"),
+        ([(1, 2, 1), (1, 2, 1), (3, 4, 2)], "a color is repeated"),
+        ([(1, 2, 1), (5, 6, 3), (7, 8, 3)], "a color is repeated"),
+        ([(1, 2, 1), (5, 7, 1), (9, 10, 4)], "a color is repeated"),
+        ([(1, 2, 1), (5, 6, 3), (6, 8, 5)], "a vertex is covered twice"),
+        ([(1, 2, 1), (2, 5, 6), (9, 10, 4)], "a vertex is covered twice"),
+        ([(1, 2, 1), (3, 4, 2), (5, 5, 7)], "a vertex is covered twice"),
+        ([(1, 2, 1), (5, 6, 3), (7, 8, 9)], "edge 7-8 with color 9 is not in the graph"),
+    ],
+    ids=["size", "listed-twice", "added-color", "kept-color", "added-vertex",
+         "kept-vertex", "loop", "not-in-graph"],
+)
+def test_matching_index_replace_leaves_the_index_unchanged_on_a_fault(edges, why):
+    # a fault can come after other added edges went in and the removed
+    # 3-4 went out; all of that is undone
+    g = build_graph(10, [(1, 2, 1), (3, 4, 2), (5, 6, 3), (7, 8, 3), (5, 7, 1),
+                         (6, 8, 5), (2, 5, 6), (9, 10, 4)])
+    index = _MatchingIndex(g)
+    index.apply((), _HELD)
+    before = (dict(index.color_at), dict(index.edge_of), set(index.edges))
+    assert index.replace(edges, 3) == why
+    assert (index.color_at, index.edge_of, index.edges) == before
+    assert index.replace([(1, 2, 1), (5, 6, 3), (9, 10, 4)], 3) is None
+    assert index.edges == {(1, 2, 1), (5, 6, 3), (9, 10, 4)}
+    assert index.color_at == {1: 1, 2: 1, 5: 3, 6: 3, 9: 4, 10: 4}
+    assert index.edge_of == {1: (1, 2, 1), 3: (5, 6, 3), 4: (9, 10, 4)}
