@@ -225,7 +225,9 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
         # uncovered core edge, named by its color: start a chain with a
         # fresh color or continue the one covering c (most probes)
         if not fresh and c not in config.cover:
-            raise InternalInvariantBroken("probe color belongs to an uncovered core edge")
+            if c in index.core_by_color:
+                raise InternalInvariantBroken("probe color belongs to an uncovered core edge")
+            raise InternalInvariantBroken("probe color belongs to a twin pair")
         config.cover[role] = vw
         index.roles[w] = _ANCHOR
         index.roles[v] = _CHAIN_END

@@ -37,16 +37,18 @@ it reaches within k-2, all of them in its reach set, so a layer walks
 only its new successors and the front vertices whose set holds a row
 the last layer minted an arc at. At k = 2 a walk is one arc long, and
 the layer adds each minted head to its tail's set and count itself.
-Walks of one or two arcs (k = 2 and 3) are read off without a search.
-The counts at the round's start are kept as a copy, and so is each
-path beginning's set when a layer first changes it; an augmentation
-puts those back, drops the successors and the chain's end column, and
-walks again only the path beginnings whose set holds a rewritten row.
+The stale front is walked in one batch, which reads walks of one or
+two arcs (k = 2 and 3) in place. The counts at the round's start are
+kept as a copy, and so is each path beginning's set when a layer
+first changes it; an augmentation puts those back, drops the
+successors and the chain's end column, and walks again only the path
+beginnings whose set holds a rewritten row.
 
 check=True also validates the whole transversal and compares the
 carried state with a fresh one after every augmentation, and the
 carried reach sets and counts with a fresh walk of the front at every
-layer.
+layer. That walk is the depth-first search of _collect_reach at every
+k, so it checks the in-place readings against an independent walk.
 
 The cycle-free variant drops one cell of each long cycle the builder
 leaves and then adds cells by 0-for-1 and 1-for-2 exchanges. Each
@@ -147,9 +149,7 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
     used_cols = {c for _, c, _ in cells}
     used_syms = {s for _, _, s in cells}
     a_first = frozenset(c for c in range(1, n + 1) if c not in used_cols)
-    reach = {u: _forbidden_tails(out_map, {}, u, k) for u in a_first}
-    count = _tally(square, reach)
-    return TransversalSearchState(
+    state = TransversalSearchState(
         square=square,
         k=k,
         out_map=out_map,
@@ -157,10 +157,11 @@ def _start_state(square: LatinSquare, k: int, cells: list) -> TransversalSearchS
         used_syms=used_syms,
         a_first=a_first,
         remaining=[s for s in range(1, n + 1) if s not in used_syms],
-        reach=reach,
-        count=count,
-        round_count=list(count),
+        count=[0] * (n + 1),
     )
+    _rewalk(state, a_first)
+    state.round_count = list(state.count)
+    return state
 
 
 def _cells(state: TransversalSearchState) -> list:
@@ -173,29 +174,15 @@ def _collect_reach(out_map: dict, b_parent: dict, u: int, limit: int, narrow: bo
 
     A vertex v's arcs are (head, color) pairs: its cell out_map[v], then
     the layer arc b_parent[v] that minted it. narrow=True keeps only
-    heads at distance ≥ 2 whose final arc is a cell. A wide walk of one
-    or two arcs, all the builder takes at k = 2 and 3, is read off
-    directly: the heads of u's arcs other than u, then the heads of
-    their arcs in another color other than u (a loop back to the middle
-    vertex adds nothing new). Longer walks go depth-first on an explicit
-    stack, so no path length meets the recursion limit."""
+    heads at distance ≥ 2 whose final arc is a cell. The walk goes
+    depth-first on an explicit stack, so no path length meets the
+    recursion limit. The builder reads its own walks of one or two arcs
+    in place (_rewalk); this walk serves longer ones, the narrow walks
+    of the color law and the check=True comparison of the front."""
     found: set = set()
     if limit <= 0:
         return found
     arc_maps = (out_map, b_parent)
-    if limit <= 2 and not narrow:
-        for arcs in arc_maps:
-            arc = arcs.get(u)
-            if arc is None or arc[0] == u:
-                continue
-            head, color = arc
-            found.add(head)
-            if limit == 2:
-                for far_arcs in arc_maps:
-                    far = far_arcs.get(head)
-                    if far is not None and far[1] != color and far[0] != u:
-                        found.add(far[0])
-        return found
     on_path = {u}
     used_colors: set = set()
     stack = [(u, 0, iter(arc_maps))]  # (vertex, color of the arc into it, maps left to read)
@@ -261,21 +248,39 @@ def _readers(state: TransversalSearchState, rows) -> list:
     return [w for w, tails in state.reach.items() if not tails.isdisjoint(rows)]
 
 
-def _rewalk(state: TransversalSearchState, u: int) -> set | None:
-    """Walk u's forbidden tails again, move u's counts from its old set
-    to the new one, and return the old set (None for a new vertex)."""
-    tails = _forbidden_tails(state.out_map, state.b_parent, u, state.k)
-    old = state.reach.get(u)
-    rows, count, col = state.square.rows, state.count, u - 1
-    gained = tails
-    if old is not None:
-        for v in old - tails:
-            count[rows[v - 1][col]] -= 1
-        gained = tails - old
-    for v in gained:
-        count[rows[v - 1][col]] += 1
-    state.reach[u] = tails
-    return old
+def _rewalk(state: TransversalSearchState, vertices) -> None:
+    """Walk the forbidden tails of each of vertices again and move its
+    counts from its old set, if any, to the new one. Walks of one or two
+    arcs (k = 2 and 3) are read in place: u, the heads of u's arcs and,
+    at k = 3, the heads of their arcs in another color; a loop, or an
+    arc back to u, leads only to a vertex already in the set. Longer
+    walks go through _forbidden_tails."""
+    out_map, b_parent, reach, count = state.out_map, state.b_parent, state.reach, state.count
+    rows, k = state.square.rows, state.k
+    for u in vertices:
+        if k > 3:
+            tails = _forbidden_tails(out_map, b_parent, u, k)
+        else:
+            tails = {u}
+            for arc in (out_map.get(u), b_parent.get(u)):
+                if arc is None:
+                    continue
+                head, color = arc
+                tails.add(head)
+                if k == 3:
+                    for far in (out_map.get(head), b_parent.get(head)):
+                        if far is not None and far[1] != color:
+                            tails.add(far[0])
+        col = u - 1
+        old = reach.get(u)
+        gained = tails
+        if old is not None:
+            for v in old - tails:
+                count[rows[v - 1][col]] -= 1
+            gained = tails - old
+        for v in gained:
+            count[rows[v - 1][col]] += 1
+        reach[u] = tails
 
 
 def choose_color(state: TransversalSearchState) -> int:
@@ -283,14 +288,15 @@ def choose_color(state: TransversalSearchState) -> int:
     A-front, ties to smallest. Afterwards the keys of state.reach are
     the front.
 
-    Only the stale front vertices are walked again: the successors the
-    last layer added and the vertices whose walk read a row it minted
-    an arc at. A path beginning's first new walk in a round keeps its
-    old set in round_reach, for apply_augmentation to put back."""
-    for u in state.stale:
-        old = _rewalk(state, u)
-        if u in state.a_first:
-            state.round_reach.setdefault(u, old)
+    Only the stale front vertices are walked again, in one batch: the
+    successors the last layer added and the vertices whose walk read a
+    row it minted an arc at. A path beginning's first new walk in a
+    round keeps its old set in round_reach, for apply_augmentation to
+    put back."""
+    reach, round_reach = state.reach, state.round_reach
+    for u in state.a_first.intersection(state.stale):
+        round_reach.setdefault(u, reach[u])
+    _rewalk(state, state.stale)
     state.stale = set()
     return min(state.remaining, key=state.count.__getitem__)
 
@@ -308,6 +314,7 @@ def expand_layer(state: TransversalSearchState, color: int):
     copied into round_reach first. At k ≥ 3 the minted arcs make stale
     the front vertices whose walk read their tails."""
     row_of, out_map, reach = state.square._row_of, state.out_map, state.reach
+    b_parent = state.b_parent
     minted = []
     for u in sorted(reach):
         v = row_of[u][color]
@@ -315,7 +322,7 @@ def expand_layer(state: TransversalSearchState, color: int):
             continue
         if v not in out_map:
             return v, u
-        if v in state.b_parent:
+        if v in b_parent:
             continue
         minted.append((v, u))
     if state.k == 2:
@@ -333,7 +340,7 @@ def expand_layer(state: TransversalSearchState, color: int):
     elif minted:
         state.stale.update(_readers(state, {v for v, _ in minted}))
     for v, u in minted:
-        state.b_parent[v] = (u, color)
+        b_parent[v] = (u, color)
         successor = out_map[v][0]
         state.a_parent[successor] = v
         state.stale.add(successor)
@@ -437,8 +444,7 @@ def apply_augmentation(state: TransversalSearchState, edge: tuple, color: int) -
     rows = state.square.rows
     for x in reach.pop(u):
         count[rows[x - 1][u - 1]] -= 1
-    for w in _readers(state, moved):
-        _rewalk(state, w)
+    _rewalk(state, _readers(state, moved))
     state.round_count = list(count)
     state.round_reach = {}
     state.spent = []

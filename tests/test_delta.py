@@ -288,14 +288,16 @@ _GUARD_FAULTS = [
     ("chain rotation reached color 4, which no chain covers", _rotate_into_an_uncovered_color),
     ("chain rotation loops through its cover records", _rotate_a_cover_loop),
     # the probe 13-9 has the twin color 1
-    ("probe color belongs to an uncovered core edge", lambda c: resolve_case(c, (13, 9))),
+    ("probe color belongs to a twin pair", lambda c: resolve_case(c, (13, 9))),
+    # the probe 9-10 is the core edge of the uncovered color 4 itself
+    ("probe color belongs to an uncovered core edge", lambda c: resolve_case(c, (9, 10))),
     ("probe edge landed on banned vertex 6 (('anchor',))", lambda c: resolve_case(c, (13, 6))),
 ]
 
 
 @pytest.mark.parametrize(
     "message, call", _GUARD_FAULTS,
-    ids=["uncovered-start", "uncovered-hop", "cover-loop", "banned-color", "anchor"],
+    ids=["uncovered-start", "uncovered-hop", "cover-loop", "banned-color", "core-color", "anchor"],
 )
 def test_rotation_and_probe_guards_name_each_fault(message, call):
     config = _chained_config()

@@ -525,22 +525,83 @@ def test_check_catches_a_stale_direct_update_at_k2(monkeypatch, fault, caught, w
     assert re.fullmatch(caught, " ".join(log[log.index("fault") + 1:]))
 
 
+def _keep_a_same_color_far_head(state, u):
+    # k = 3: a second arc in the first arc's color read as if rainbow
+    for head, color, _ in _arcs_of(state.out_map, state.b_parent, u):
+        for far, far_color, _ in _arcs_of(state.out_map, state.b_parent, head):
+            if far_color == color and far not in state.reach[u]:
+                return state.reach[u] | {far}
+    return None
+
+
+def _drop_the_layer_arc_head(state, u):
+    # k = 2: u's layer arc left unread
+    arc = state.b_parent.get(u)
+    if arc is None or arc[0] in (u, state.out_map.get(u, (None,))[0]):
+        return None
+    return state.reach[u] - {arc[0]}
+
+
+@pytest.mark.parametrize("inject, k", [
+    (_keep_a_same_color_far_head, 3),
+    (_drop_the_layer_arc_head, 2),
+], ids=["same-color", "layer-arc"])
+def test_front_audit_catches_a_wrong_short_walk(monkeypatch, inject, k):
+    # the first wrong in-place reading, its counts moved with it, is
+    # caught by the front audit that follows its walk
+    real_rewalk, real_audit = tv._rewalk, tv._audit_front
+    faulty, audits = [], []
+
+    def rewalk(state, vertices):
+        vertices = list(vertices)
+        real_rewalk(state, vertices)
+        if faulty:
+            return
+        for u in vertices:
+            wrong = inject(state, u)
+            if wrong is not None:
+                rows, col = state.square.rows, u - 1
+                for v in state.reach[u] - wrong:
+                    state.count[rows[v - 1][col]] -= 1
+                for v in wrong - state.reach[u]:
+                    state.count[rows[v - 1][col]] += 1
+                state.reach[u] = wrong
+                faulty.append((state, u))
+                return
+
+    def audit(state, layer):
+        if faulty:
+            audits.append(layer)
+        real_audit(state, layer)
+
+    monkeypatch.setattr(tv, "_rewalk", rewalk)
+    monkeypatch.setattr(tv, "_audit_front", audit)
+    with pytest.raises(InternalInvariantBroken) as caught:
+        build_short_cycle_free_transversal(_reversed_cyclic(32), k, check=True)
+    state, u = faulty[0]
+    assert str(caught.value) == (
+        f"layer {audits[0]}: carried reach of vertex {u} differs from a fresh walk of the front")
+    assert len(audits) == 1
+    assert state.reach[u] != tv._forbidden_tails(state.out_map, state.b_parent, u, k)
+
+
 def test_carried_walks_halve_the_walks_of_a_build(monkeypatch):
     # counts, not times: an unchecked order-200 build walked 2,971 front
     # vertices at k = 2 and 3,130 at k = 3 when every layer walked the
     # whole front
-    real = tv._collect_reach
-    calls = []
+    real = tv._rewalk
+    walked = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
+    def counted(state, vertices):
+        vertices = list(vertices)
+        walked.extend(vertices)
+        real(state, vertices)
 
-    monkeypatch.setattr(tv, "_collect_reach", counted)
+    monkeypatch.setattr(tv, "_rewalk", counted)
     for k, before in ((2, 2971), (3, 3130)):
-        calls.clear()
+        walked.clear()
         build_short_cycle_free_transversal(_reversed_cyclic(200), k)
-        assert 0 < len(calls) <= before // 2, (k, len(calls))
+        assert 0 < len(walked) <= before // 2, (k, len(walked))
 
 
 def _arcs_of(out_map, b_parent, v):
@@ -576,16 +637,22 @@ def _recursive_reach(out_map, b_parent, u, limit, narrow):
     return found
 
 
-def test_collect_reach_matches_the_recursive_walk():
-    checked = 0
+def _seeded_arc_maps():
+    """Sixty small (order, out_map, b_parent) triples: at most a cell and
+    a layer arc per vertex, as in a build, in few colors, so rainbow
+    paths get cut; loops and repeats allowed."""
     for seed in range(60):
         rng = random.Random(seed)
         n = rng.randint(1, 10)
-        # at most a cell and a layer arc per vertex, as in a build; few
-        # colors, so rainbow paths get cut; loops and repeats allowed
         out_map, b_parent = ({v: (rng.randint(1, n), rng.randint(1, 4))
                               for v in range(1, n + 1) if rng.random() < share}
                              for share in (0.9, 0.5))
+        yield n, out_map, b_parent
+
+
+def test_collect_reach_matches_the_recursive_walk():
+    checked = 0
+    for n, out_map, b_parent in _seeded_arc_maps():
         for u in range(1, n + 1):
             for limit in range(7):
                 for narrow in (False, True):
@@ -595,33 +662,34 @@ def test_collect_reach_matches_the_recursive_walk():
     assert checked > 1000
 
 
-def test_the_recursive_walk_comparison_reads_short_walks_directly(monkeypatch):
-    # the comparison above reaches the direct reading of one- and
-    # two-arc walks, and each of its exclusions decides some head there:
-    # a loop at u, an arc back to u and a second arc in the first arc's
-    # color (a loop at the middle vertex leads to a head found already)
-    real = tv._collect_reach
+def test_the_recursive_walk_comparison_reads_short_walks_directly():
+    # _rewalk reads walks of one and two arcs (k = 2 and 3) in place: on
+    # the arc maps above each set is u and the heads the recursive walk
+    # finds, and each exclusion of that walk decides some head: a loop
+    # at u, an arc back to u and a second arc in the first arc's color
+    # (a loop at the middle vertex leads to a head found already)
     decided = {"loop": 0, "back": 0, "color": 0}
-
-    def watched(out_map, b_parent, u, limit, narrow):
-        found = real(out_map, b_parent, u, limit, narrow)
-        if narrow or not 1 <= limit <= 2:
-            return found
-        arcs = _arcs_of(out_map, b_parent, u)
-        decided["loop"] += any(head == u for head, _, _ in arcs)
-        for head, color, _ in arcs:
-            if limit == 1 or head == u:
-                continue
-            for far, far_color, _ in _arcs_of(out_map, b_parent, head):
-                if far not in found:
-                    rule = ("back" if far == u else "color" if far_color == color
-                            else None)
-                    assert rule is not None, (u, limit, far)
-                    decided[rule] += 1
-        return found
-
-    monkeypatch.setattr(tv, "_collect_reach", watched)
-    test_collect_reach_matches_the_recursive_walk()
+    for n, out_map, b_parent in _seeded_arc_maps():
+        for limit in (1, 2):
+            state = tv.TransversalSearchState(
+                square=cyclic_square(n), k=limit + 1, out_map=out_map, used_cols=set(),
+                used_syms=set(), a_first=frozenset(), b_parent=b_parent, count=[0] * (n + 1))
+            tv._rewalk(state, range(1, n + 1))
+            assert state.count == tv._tally(state.square, state.reach)
+            for u in range(1, n + 1):
+                found = _recursive_reach(out_map, b_parent, u, limit, False)
+                assert state.reach[u] == found | {u}, (u, limit)
+                arcs = _arcs_of(out_map, b_parent, u)
+                decided["loop"] += any(head == u for head, _, _ in arcs)
+                for head, color, _ in arcs:
+                    if limit == 1 or head == u:
+                        continue
+                    for far, far_color, _ in _arcs_of(out_map, b_parent, head):
+                        if far not in found:
+                            rule = ("back" if far == u else "color" if far_color == color
+                                    else None)
+                            assert rule is not None, (u, limit, far)
+                            decided[rule] += 1
     assert min(decided.values()) > 20, decided
 
 
