@@ -282,7 +282,10 @@ def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
 
 def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
     """Check the whole configuration and its index; every vertex below
-    cursor, the loop's free-vertex position, must be in the structure."""
+    cursor, the loop's free-vertex position, must be in the structure.
+    The structure needs no vertex budget check: once the checks below
+    pass, anchors are core vertices, so it has 2(d-1+k) matched vertices
+    and at most d-1-k free chain ends, and 3(d-1)+k <= 4(d-1)."""
     g = config.graph
     d = config.target
     k = config.pair_count
@@ -335,8 +338,6 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
         if e[2] in twin_colors:
             fail("chain first edge color is not fresh")
         covered.add(color)
-    if len(seen | chain_vertices) > 4 * (d - 1):
-        fail("structure grew past its vertex budget")
     fresh = _build_index(config)
     for name in ("roles", "core_by_color", "banned", "anchors"):
         if getattr(config._index, name) != getattr(fresh, name):

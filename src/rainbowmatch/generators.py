@@ -217,7 +217,8 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
     once v has color c, so that color is the lowest clear bit of
     busy[u] | busy[v]. Every shuffle is _shuffled, whose draws are
     _below written out inline. The colored edges go to ColoredGraph
-    already sorted, and it checks each one as usual.
+    already sorted and normalized, so it keeps each tuple and checks
+    them in bulk.
 
     Raises InfeasibleParameters before allocating anything when
     n*(target+1), the most vertices plus edges the graph can have,

@@ -2,31 +2,41 @@
 
 Vertices are 1-based integers, colors are opaque non-negative integers.
 A graph is immutable once built; every solver works on private state and
-certifies its output against the unchanged instance.
+certifies its output against the unchanged instance. The constructor
+checks edges in bulk and reads a rejected list again, edge by edge, to
+name its first fault.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 
-from .errors import BadShape, DuplicateEdge, ImproperColoring, RainbowError, SelfLoop, require_type
+from .errors import (
+    BadShape,
+    DuplicateEdge,
+    ImproperColoring,
+    InternalInvariantBroken,
+    RainbowError,
+    SelfLoop,
+    require_type,
+)
 
 # an edge is (u, v, color) with u < v after normalization
 Edge = tuple[int, int, int]
 
 
-def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
+def _raise_first_fault(n: int, edges) -> None:
     """Check each edge in list order (BadShape if not three ints, bools
     and integral floats included; self-loop, vertex range, negative color,
-    repeated pair, color repeated at an end) and index them by vertex.
-    Errors carry the edge's ``position``. Only vertices with an edge get
-    an entry, so a huge vertex count costs nothing by itself."""
-    adj: defaultdict = defaultdict(dict)
-    # color -> neighbor at each vertex, for the properness check only;
-    # dicts keep the build's peak memory below that of sets
-    palette: defaultdict = defaultdict(dict)
+    repeated pair, color repeated at an end) and raise the first fault,
+    with the edge's ``position``. ColoredGraph calls it only on a list its
+    bulk check rejected, so valid input never pays for these sets."""
+    pairs: set = set()
+    ends: set = set()  # (vertex, color) for each end of the edges so far
     try:
         for i, (u, v, c) in enumerate(edges):
             if type(u) is not int or type(v) is not int or type(c) is not int:
@@ -37,24 +47,21 @@ def _adjacency(n: int, edges) -> dict[int, dict[int, int]]:
                 raise BadShape(f"edge {u}-{v} outside vertex range 1..{n}")
             if c < 0:
                 raise BadShape(f"edge {u}-{v} has negative color {c}")
-            at_u, at_v, colors_u, colors_v = adj[u], adj[v], palette[u], palette[v]
-            if v in at_u:
+            pair = (u, v) if u < v else (v, u)
+            if pair in pairs:
                 raise DuplicateEdge(f"edge {u}-{v} appears more than once")
-            if c in colors_u:
+            if (u, c) in ends:
                 raise ImproperColoring(f"color {c} repeated at vertex {u}")
-            if c in colors_v:
+            if (v, c) in ends:
                 raise ImproperColoring(f"color {c} repeated at vertex {v}")
-            at_u[v] = c
-            at_v[u] = c
-            colors_u[c] = v
-            colors_v[c] = u
+            pairs.add(pair)
+            ends.update(((u, c), (v, c)))
     except (RainbowError, TypeError, ValueError) as exc:
         if not isinstance(exc, RainbowError):
             # an edge that is not three fields
             exc = BadShape(f"edge {edges[i]!r} is not three integers")
         exc.position = i
         raise exc from None
-    return dict(adj)
 
 
 _NO_NEIGHBORS: MappingProxyType = MappingProxyType({})
@@ -64,8 +71,10 @@ _NO_NEIGHBORS: MappingProxyType = MappingProxyType({})
 class ColoredGraph:
     """A properly edge-colored graph on the vertices 1..vertex_count, its
     edges stored normalized (u < v) and sorted. The constructor is the one
-    place where edges are checked (see _adjacency); an error's
-    ``position`` is the first failing edge's index in the order given.
+    place where edges are checked: in bulk, then, if that fails, edge by
+    edge in the order given (see _raise_first_fault), so an error's
+    ``position`` is the first failing edge's index in that order. An edge
+    given as a tuple in u <= v order is stored as it is, not copied.
 
     neighbors(v) is v's read-only {neighbor: color} map, iterating in
     ascending neighbor order; solvers read colors from it directly. Only
@@ -86,16 +95,29 @@ class ColoredGraph:
             except TypeError:
                 raise BadShape(f"edges must be an iterable of (u, v, color), got {given!r}") from None
         try:
-            edges = tuple(sorted([(u, v, c) if u <= v else (v, u, c) for u, v, c in given]))
-            adj = _adjacency(self.vertex_count, edges)
-        except (RainbowError, TypeError, ValueError):
+            edges = tuple(sorted([e if type(e) is tuple and e[0] <= e[1] else _normalize(*e) for e in given]))
             # indexing the sorted edges inserts each vertex's neighbors in
-            # ascending order, which neighbors() promises; no check depends
-            # on the order, so the given order fails too, at the edge to report
-            _adjacency(self.vertex_count, given)
-            raise
+            # ascending order, which neighbors() promises
+            adj: defaultdict = defaultdict(dict)
+            for u, v, c in edges:
+                adj[u][v] = c
+                adj[v][u] = c
+            # an edge adds two entries unless it is a self-loop or repeats a pair, and a
+            # vertex has as many colors as neighbors unless a color repeats there
+            valid = (
+                set(map(type, chain.from_iterable(edges))) <= {int}
+                and min(adj, default=1) >= 1
+                and max(adj, default=0) <= self.vertex_count
+                and min(map(itemgetter(2), edges), default=0) >= 0
+                and sum(map(len, map(set, map(dict.values, adj.values())))) == 2 * len(edges)
+            )
+        except (TypeError, ValueError, IndexError):
+            valid = False  # an edge that is not three fields, or fields that do not compare or hash
+        if not valid:
+            _raise_first_fault(self.vertex_count, given)
+            raise InternalInvariantBroken("the bulk edge check rejected edges that pass one by one")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_adj", dict(adj))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -312,6 +334,8 @@ def parse_graph(text: str) -> ColoredGraph:
         raise BadShape("empty input: missing 'graph V E' header")
     try:
         g = ColoredGraph(header[0], edges)
+    except InternalInvariantBroken:
+        raise
     except RainbowError as exc:
         raise type(exc)(f"line {lines[exc.position]}: {exc}") from None
     if len(edges) != header[1]:

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from rainbowmatch import (
     BadShape,
     DuplicateEdge,
     ImproperColoring,
+    InternalInvariantBroken,
+    RainbowError,
     SelfLoop,
     build_graph,
     build_short_cycle_free_transversal,
@@ -30,6 +33,7 @@ from rainbowmatch import (
     validate_rainbow_matching,
     validate_transversal,
 )
+from rainbowmatch import graphs
 from rainbowmatch.graphs import _MatchingIndex
 
 C4_EDGES = [(1, 2, 1), (2, 3, 2), (3, 4, 1), (1, 4, 2)]
@@ -138,6 +142,154 @@ def test_a_huge_vertex_count_allocates_only_per_vertex_with_an_edge():
             g.neighbors(outside)
         with pytest.raises(KeyError):
             g.color_of(outside, 7)
+
+
+def _adjacency(n, edges):
+    """The constructor's check and index before its bulk check, kept to
+    check the build against: each edge is checked in list order, and
+    the first fault is raised with its ``position``."""
+    adj = defaultdict(dict)
+    palette = defaultdict(dict)
+    try:
+        for i, (u, v, c) in enumerate(edges):
+            if type(u) is not int or type(v) is not int or type(c) is not int:
+                raise BadShape(f"edge {edges[i]!r} is not three integers")
+            if u == v:
+                raise SelfLoop(f"edge {u}-{v} is a self-loop")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise BadShape(f"edge {u}-{v} outside vertex range 1..{n}")
+            if c < 0:
+                raise BadShape(f"edge {u}-{v} has negative color {c}")
+            at_u, at_v, colors_u, colors_v = adj[u], adj[v], palette[u], palette[v]
+            if v in at_u:
+                raise DuplicateEdge(f"edge {u}-{v} appears more than once")
+            if c in colors_u:
+                raise ImproperColoring(f"color {c} repeated at vertex {u}")
+            if c in colors_v:
+                raise ImproperColoring(f"color {c} repeated at vertex {v}")
+            at_u[v] = c
+            at_v[u] = c
+            colors_u[c] = v
+            colors_v[c] = u
+    except (RainbowError, TypeError, ValueError) as exc:
+        if not isinstance(exc, RainbowError):
+            exc = BadShape(f"edge {edges[i]!r} is not three integers")
+        exc.position = i
+        raise exc from None
+    return dict(adj)
+
+
+def _other_end(rnd, edges, n):
+    """(x, w, c): an edge end x, its edge's color c and a vertex w not
+    joined to x, so that x-w would repeat c at x; None when every vertex
+    is joined to all others."""
+    for u, v, c in rnd.sample(edges, len(edges)):
+        for x in (u, v):
+            joined = {y for e in edges if x in e[:2] for y in e[:2]}
+            if len(joined) < n:
+                return x, min(set(range(1, n + 1)) - joined), c
+    return None
+
+
+def _as_given(rnd, edges):
+    """edges, each turned either way round and given as a tuple or a list."""
+    edges = [e[1::-1] + e[2:] if rnd.random() < 0.5 else e for e in edges]
+    return [list(e) if rnd.random() < 0.5 else e for e in edges]
+
+
+def _inject(kind, edges, n, rnd):
+    """edges with one fault of kind, made from the edge at a random
+    position; the faulty edge goes in as a tuple or list, either way round."""
+    edges = list(edges)
+    i = rnd.randrange(len(edges))
+    u, v, c = edges[i]
+    if kind == "self-loop":
+        bad = [(u, u, c)]
+    elif kind in ("vertex 0", "vertex n+1", "huge vertex"):
+        bad = [(u, {"vertex 0": 0, "vertex n+1": n + 1, "huge vertex": 2**80 + n}[kind], c)]
+    elif kind == "negative color":
+        bad = [(u, v, -1 - c)]
+    elif kind in ("bool", "float", "str"):
+        fields = [u, v, c]
+        field = rnd.randrange(3)
+        fields[field] = {"bool": bool, "float": float, "str": str}[kind](fields[field])
+        bad = [tuple(fields)]
+    elif kind == "two fields":
+        bad = [(u, v)]
+    elif kind == "four fields":
+        bad = [(u, v, c, c)]
+    elif kind == "repeat, same color":
+        bad = [(u, v, c), (u, v, c)]
+    elif kind == "repeat, other color":
+        bad = [(u, v, c), (u, v, c + 1 + max(e[2] for e in edges))]
+    elif kind == "color at a vertex":
+        found = _other_end(rnd, edges, n)
+        if found is None:
+            return edges
+        x, w, color = found
+        bad = [(u, v, c), (x, w, color)]
+    else:  # a huge color is still a valid one
+        bad = [(u, v, 2**80 + c)]
+    edges[i:i + 1] = rnd.sample(_as_given(rnd, bad), len(bad))
+    return edges
+
+
+_FAULT_KINDS = ["self-loop", "vertex 0", "vertex n+1", "huge vertex", "negative color",
+                "bool", "float", "str", "two fields", "four fields", "repeat, same color",
+                "repeat, other color", "color at a vertex", "huge color"]
+
+
+def _assert_build_matches_the_reference(n, edges):
+    try:
+        _adjacency(n, edges)
+    except RainbowError as exc:
+        with pytest.raises(RainbowError) as info:
+            build_graph(n, edges)
+        assert type(info.value) is type(exc)
+        assert (str(info.value), info.value.position) == (str(exc), exc.position)
+        return
+    g = build_graph(n, edges)
+    normalized = sorted(tuple(e) if e[0] <= e[1] else (e[1], e[0], e[2]) for e in edges)
+    adj = _adjacency(n, normalized)
+    assert g.edges == tuple(normalized)
+    assert [(v, list(nbrs.items())) for v, nbrs in g._adj.items()] == \
+        [(v, list(nbrs.items())) for v, nbrs in adj.items()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 16), st.integers(1, 5), st.integers(0, 2**32))
+def test_the_bulk_check_agrees_with_the_edge_by_edge_reference(n, target, seed):
+    # a valid list in random order, then the same list with one fault of each kind
+    rnd = random.Random(seed)
+    edges = list(random_proper_graph(n, min(target, n - 1), seed).edges)
+    rnd.shuffle(edges)
+    edges = _as_given(rnd, edges)
+    _assert_build_matches_the_reference(n, edges)
+    for kind in _FAULT_KINDS:
+        _assert_build_matches_the_reference(n, _inject(kind, edges, n, rnd))
+
+
+def test_a_bulk_rejection_the_edge_checks_miss_is_an_internal_fault(monkeypatch):
+    monkeypatch.setattr(graphs, "_raise_first_fault", lambda n, edges: None)
+    message = "^the bulk edge check rejected edges that pass one by one$"
+    with pytest.raises(InternalInvariantBroken, match=message):
+        build_graph(3, [(1, 2, 1), (2, 1, 2)])
+    with pytest.raises(InternalInvariantBroken, match=message):
+        parse_graph("graph 3 2\n1 2 1\n2 3 1\n")
+
+
+def test_the_build_keeps_normalized_tuples_and_stays_near_its_retained_size():
+    sq = cyclic_square(96)
+    tracemalloc.start()
+    try:
+        g = to_bipartite_factorization(sq)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == 192 and len(g.edges) == 96 * 96
+    assert peak <= 1.3 * retained, (peak, retained)
+    edges = list(random_proper_graph(40, 7, seed=3).edges)
+    assert all(kept is given for kept, given in zip(build_graph(40, edges).edges, edges, strict=True))
 
 
 def test_validate_accepts_rainbow_matching():
