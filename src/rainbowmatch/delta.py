@@ -349,7 +349,13 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
 def _checked_level(g: ColoredGraph, d: int, carried: _MatchingIndex, edges, check: bool):
     """The level's result, once it passed the local check, which carries
     it into carried, and, under check=True, the full validation."""
-    why = carried.replace(edges, d)
+    new = set(edges)
+    if len(edges) != d:
+        why = f"{len(edges)} edges, expected {d}"
+    elif len(new) != d:
+        why = "a color is repeated"  # by an edge listed twice
+    else:
+        why = carried.change(carried.edges - new, new - carried.edges)
     if why is None and check:
         why = validate_rainbow_matching(g, edges)[1]
     if why is not None:

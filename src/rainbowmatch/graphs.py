@@ -202,12 +202,10 @@ class _MatchingIndex:
     its edges: each covered vertex's color (color_at), each color's edge
     (edge_of) and the edge set (edges).
 
-    fault reads only the edges a change removes and adds, and writes
-    nothing; apply makes the change; replace checks and makes it in one
-    pass. From the empty matching, changes that pass the check keep the
-    index a rainbow matching of graph, so by induction the check does
-    the work of validate_rainbow_matching on the changed matching, the
-    size apart."""
+    apply makes a change unchecked; change checks it as it makes it. From
+    the empty matching, changes that pass the check keep the index a
+    rainbow matching of graph, so by induction the check does the work
+    of validate_rainbow_matching on the changed matching."""
 
     __slots__ = ("graph", "color_at", "edge_of", "edges")
 
@@ -216,34 +214,6 @@ class _MatchingIndex:
         self.color_at: dict = {}
         self.edge_of: dict = {}
         self.edges: set = set()
-
-    def fault(self, removed: set, added) -> str | None:
-        """Why taking removed, a set of the matching's edges, out of the
-        matching and putting the edges of added in would not leave a
-        rainbow matching of graph, or None. An edge listed twice in
-        added, or an added edge that the matching keeps, repeats its
-        color."""
-        color_at, edge_of = self.color_at, self.edge_of
-        adj = self.graph._adj
-        colors: set = set()
-        ends: set = set()
-        for u, v, c in added:
-            if c in colors or (c in edge_of and edge_of[c] not in removed):
-                return "a color is repeated"
-            if (
-                u == v
-                or u in ends
-                or v in ends
-                or (u in color_at and edge_of[color_at[u]] not in removed)
-                or (v in color_at and edge_of[color_at[v]] not in removed)
-            ):
-                return "a vertex is covered twice"
-            if adj.get(u, _NO_NEIGHBORS).get(v) != c:
-                return f"edge {u}-{v} with color {c} is not in the graph"
-            colors.add(c)
-            ends.add(u)
-            ends.add(v)
-        return None
 
     def apply(self, removed, added) -> None:
         """Take the edges of removed out and put those of added in."""
@@ -256,23 +226,21 @@ class _MatchingIndex:
             edge_of[e[2]] = e
         self.edges.update(added)
 
-    def replace(self, edges, size: int) -> str | None:
-        """Why edges is not a rainbow matching of graph with size edges,
-        or None once the index holds it in place of its matching. Only
-        the edges in which the two differ are read: the removed ones
-        leave, then each added one is checked, as fault would, and put
-        in. On a fault the index is put back as it was."""
-        if len(edges) != size:
-            return f"{len(edges)} edges, expected {size}"
-        new = set(edges)
-        if len(new) != size:
-            return "a color is repeated"  # by an edge listed twice
-        removed = self.edges - new
+    def change(self, removed, added) -> str | None:
+        """Why taking removed, a set of the matching's edges, out and
+        putting the edges of added in would not leave a rainbow matching
+        of graph one edge larger, or None once the index holds it. The
+        removed edges leave, then each added one is checked as it is put
+        in: an edge listed twice in added, or a kept edge added again,
+        repeats its color. On a fault the index is put back as it was."""
+        size = len(self.edges) - len(removed) + len(added)
+        if size != len(self.edges) + 1:
+            return f"{size} edges, expected {len(self.edges) + 1}"
         self.apply(removed, ())
         color_at, edge_of = self.color_at, self.edge_of
         adj = self.graph._adj
         put: list = []
-        for e in new - self.edges:
+        for e in added:
             u, v, c = e
             if c in edge_of:
                 why = "a color is repeated"
@@ -287,13 +255,14 @@ class _MatchingIndex:
                 continue
             self.apply(put, removed)
             return why
-        self.edges = new
+        self.edges.update(put)
         return None
 
 
 def _content_lines(text: str):
-    """Yield (line number, stripped line) for each line of text that is
-    neither blank nor a '#' comment."""
+    """Yield (line number, stripped line) for each line of text, a str,
+    that is neither blank nor a '#' comment."""
+    require_type(text, str)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):

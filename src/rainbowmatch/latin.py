@@ -156,6 +156,7 @@ def cycles_of(square: LatinSquare, transversal) -> CycleDecomposition:
     are distinct: then the structure is a disjoint union of simple paths
     and simple cycles.
     """
+    require_type(square, LatinSquare)
     by_row: dict[int, Cell] = {cell[0]: cell for cell in transversal}
     pointed_at = {cell[1] for cell in by_row.values()}
     ordered = sorted(by_row)

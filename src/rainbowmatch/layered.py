@@ -43,19 +43,19 @@ only when the scan reaches that family, before the level's lookup has
 grown any list. A survivor needs only its lists' lengths.
 
 M is held in one index of each vertex's color and each color's edge
-(graphs._MatchingIndex). An exchange is checked against it by its diff:
-each added edge needs a free color, free endpoints and a place in the
-graph, and the size must grow by one, which by induction is the full
-validation. The realized exchange is applied to the index, and so is
-the greedy refill after it, which reads only the edges at the vertices
-and in the colors the exchange freed: the matching was maximal before,
-so no other edge can fit. The next round patches its free vertices,
-missing colors, free-free edges and active-edge lists from the same
-diff. check=True also validates every realized exchange in full,
-compares the index, the free vertices and the missing colors with a
-fresh build once per round and the active-edge lists with a fresh walk
-of the free vertices' edges at every level, and the start and each
-refill with the full greedy walk.
+(graphs._MatchingIndex). An exchange is checked by its diff as it is
+made in the index, which undoes it on a fault: each added edge needs a
+free color, free endpoints and a place in the graph, and the size must
+grow by one, which by induction is the full validation. The greedy
+refill after it goes into the index too; it reads only the edges at
+the vertices and in the colors the exchange freed: the matching was
+maximal before, so no other edge can fit. The next round patches its
+free vertices, missing colors, free-free edges and active-edge lists
+from the same diff. check=True also validates every realized exchange
+in full, compares the index, the free vertices and the missing colors
+with a fresh build once per round and the active-edge lists with a
+fresh walk of the free vertices' edges at every level, and the start
+and each refill with the full greedy walk.
 
 All threshold comparisons run in exact integer arithmetic on cubes.
 """
@@ -378,19 +378,14 @@ def _exchange_of(state: LayerState, violation: tuple) -> tuple | None:
 
 
 def _attempt_exchange(state: LayerState, violation: tuple, check: bool = False) -> tuple | None:
-    """The violation's exchange (see _exchange_of) if it nets one edge and
-    its diff passes state.index's check, else None. check=True also
+    """The violation's exchange (see _exchange_of), made in state.index if
+    its change passes the index's check, else None. check=True also
     validates the matching it makes in full."""
     exchange = _exchange_of(state, violation)
-    if exchange is None:
-        return None
-    deletions, additions = exchange
-    if len(additions) != len(deletions) + 1:
-        return None
-    if state.index.fault(deletions, additions) is not None:
+    if exchange is None or state.index.change(*exchange) is not None:
         return None
     if check:
-        ok, why = validate_rainbow_matching(state.graph, [*state.index.edges - deletions, *additions])
+        ok, why = validate_rainbow_matching(state.graph, state.index.edges)
         if not ok:
             raise InternalInvariantBroken(f"an exchange passed its diff check but is invalid: {why}")
     return exchange
@@ -432,10 +427,10 @@ def _check_level(state: LayerState, level: int, classified: list, survivors: lis
 def _run_layers(state: LayerState, *, check: bool) -> tuple[tuple | None, tuple | None, list]:
     """Drive the level loop on a prepared state.
 
-    Realizes candidates as exchanges and returns (the exchange, as
-    _attempt_exchange gives it, the violation it realized, rows) as soon
-    as one passes its check, or (None, None, rows) when no level yields
-    one. The rows are (level, |M_j|, |M_j'|) for tracing.
+    Realizes candidates as exchanges in state.index and returns (the
+    exchange, as _attempt_exchange gives it, the violation it realized,
+    rows) as soon as one passes its check, or (None, None, rows) when no
+    level yields one. The rows are (level, |M_j|, |M_j'|) for tracing.
     """
     delta = state.delta
     rows: list = []
@@ -593,12 +588,13 @@ def find_rainbow_matching_layered(
         rounds += 1
         if check:
             _check_round(state, rounds, palette)
+        size = len(index.edges)
         exchange, violation, rows = _run_layers(state, check=check)
         if trace is not None:
             trace(
                 {
                     "round": rounds,
-                    "size": len(index.edges),
+                    "size": size,
                     "levels": [
                         {"level": lv, "edges": ne, "classified": nc}
                         for lv, ne, nc in rows
@@ -609,7 +605,6 @@ def find_rainbow_matching_layered(
         if exchange is None:
             break
         gone, added = exchange
-        index.apply(gone, added)
         if check:
             fresh = _MatchingIndex(g)
             fresh.apply((), index.edges)

@@ -28,7 +28,8 @@ def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = No
     number of distinct colors remaining in the suffix.
     """
     require_type(g, ColoredGraph)
-    budget = budget or OracleBudget()
+    budget = OracleBudget() if budget is None else budget
+    require_type(budget, OracleBudget)
     edges = sorted(g.edges)
     if len(edges) > budget.max_edges:
         raise BudgetExceeded(f"{len(edges)} edges exceeds oracle budget {budget.max_edges}")
@@ -77,7 +78,8 @@ def max_cyclefree_transversal_exact(
     Row-by-row take/skip search with column and symbol occupancy sets.
     """
     require_type(square, LatinSquare)
-    budget = budget or OracleBudget()
+    budget = OracleBudget() if budget is None else budget
+    require_type(budget, OracleBudget)
     n = square.order
     if n > budget.max_order:
         raise BudgetExceeded(f"order {n} exceeds oracle budget {budget.max_order}")

@@ -24,7 +24,7 @@ from rainbowmatch import (
     to_bipartite_factorization,
     validate_rainbow_matching,
 )
-from rainbowmatch import delta
+from rainbowmatch import delta, layered
 from rainbowmatch.graphs import _NO_NEIGHBORS, _MatchingIndex
 from rainbowmatch.delta import (
     ChainsExtended,
@@ -36,6 +36,8 @@ from rainbowmatch.delta import (
     chain_rotate,
     resolve_case,
 )
+
+from test_layered import _CHECK_FAULTS
 
 
 def _solve_and_check(g):
@@ -298,18 +300,18 @@ def test_rotation_and_probe_guards_name_each_fault(message, call):
         call(config)
 
 
-def _raised_messages():
-    """Each _audit fail(...) message and each InternalInvariantBroken(...)
-    message of chain_rotate and resolve_case, as a regex in which an
-    f-string field matches any text."""
-    raised = {"_audit": "fail", "chain_rotate": "InternalInvariantBroken",
-              "resolve_case": "InternalInvariantBroken"}
+def _raised_messages(module, raised, default=None):
+    """Each message that a function of module passes to its raiser, as a
+    regex in which an f-string field matches any text. raised maps a
+    function's name to its raiser's, "fail" or "InternalInvariantBroken",
+    or to None for a function left out; default covers the others."""
     patterns = set()
-    for node in ast.parse(Path(delta.__file__).read_text()).body:
-        if not isinstance(node, ast.FunctionDef) or node.name not in raised:
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        raiser = isinstance(node, ast.FunctionDef) and raised.get(node.name, default)
+        if not raiser:
             continue
         for call in ast.walk(node):
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == raised[node.name]:
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == raiser:
                 arg = call.args[0]
                 parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
                 patterns.add("".join(
@@ -320,10 +322,19 @@ def _raised_messages():
 
 
 def test_every_audit_and_guard_message_has_a_fault_row():
-    patterns = _raised_messages()
-    rows = [row[0] for row in _AUDIT_FAULTS + _GUARD_FAULTS]
-    missed = {p for p in patterns if not any(re.fullmatch(p, m) for m in rows)}
-    assert missed == set()
+    # delta: each _audit message and each raise in chain_rotate and
+    # resolve_case; layered: every raise but _check_level's in-regime
+    # claims, which no run reaches (ROADMAP item 7)
+    delta_patterns = _raised_messages(delta, {
+        "_audit": "fail", "chain_rotate": "InternalInvariantBroken", "resolve_case": "InternalInvariantBroken",
+    })
+    layered_patterns = _raised_messages(layered, {"_check_level": None}, "InternalInvariantBroken")
+    assert len(layered_patterns) == 8
+    for patterns, faults in ((delta_patterns, _AUDIT_FAULTS + _GUARD_FAULTS),
+                             (layered_patterns, _CHECK_FAULTS)):
+        rows = [row[0] for row in faults]
+        missed = {p for p in patterns if not any(re.fullmatch(p, m) for m in rows)}
+        assert missed == set()
 
 
 def test_matching_outputs_are_pinned():
@@ -526,11 +537,17 @@ def test_full_validation_runs_at_the_end_and_at_every_level_under_check(monkeypa
 def test_carried_level_check_agrees_with_the_kept_reference(monkeypatch):
     # at every level: the true result, and each fault the result allows;
     # a fault leaves the index as it was
-    real = _MatchingIndex.replace
+    real = delta._checked_level
     caught = Counter()
 
-    def compare(carried, edges, d):
-        g = carried.graph
+    def verdict(g, d, scratch, result):
+        try:
+            real(g, d, scratch, result, False)
+        except InternalInvariantBroken as exc:
+            return str(exc).removeprefix(f"level {d} produced a bad matching: ")
+        return None
+
+    def compare(g, d, carried, edges, check):
         prev = set(carried.edges)
         for fault in [None] + _FAULTS:
             result = edges if fault is None else _corrupted(fault, g, edges, prev)
@@ -538,17 +555,17 @@ def test_carried_level_check_agrees_with_the_kept_reference(monkeypatch):
                 continue
             scratch = _MatchingIndex(g)
             scratch.apply((), prev)
-            verdict = real(scratch, result, d)
-            assert verdict == _level_fault(g, d, prev, result), (d, fault)
-            assert (verdict is None) == (fault is None), (d, fault)
+            why = verdict(g, d, scratch, result)
+            assert why == _level_fault(g, d, prev, result), (d, fault)
+            assert (why is None) == (fault is None), (d, fault)
             caught[fault] += 1
             kept = edges if fault is None else prev
             assert scratch.color_at == {x: e[2] for e in kept for x in e[:2]}
             assert scratch.edge_of == {e[2]: e for e in kept}
             assert scratch.edges == set(kept)
-        return real(carried, edges, d)
+        return real(g, d, carried, edges, check)
 
-    monkeypatch.setattr(_MatchingIndex, "replace", compare)
+    monkeypatch.setattr(delta, "_checked_level", compare)
     for d in range(1, 41):
         seed = split_seed(515, 10 * d)
         g = random_proper_graph(max(d + 1, 4 * d - 3 + seed % 14), d, seed)

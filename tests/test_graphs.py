@@ -18,6 +18,7 @@ from rainbowmatch import (
     build_graph,
     build_short_cycle_free_transversal,
     cycle_free_transversal,
+    cycles_of,
     cyclic_square,
     find_rainbow_matching_delta,
     find_rainbow_matching_layered,
@@ -27,6 +28,7 @@ from rainbowmatch import (
     max_transversal_exact,
     min_degree,
     parse_graph,
+    parse_latin,
     random_proper_graph,
     serialize_latin,
     to_bipartite_factorization,
@@ -433,44 +435,51 @@ def test_parse_reports_first_offending_line(text, error, line):
         (lambda: serialize_latin(None), "LatinSquare"),
         (lambda: to_bipartite_factorization(None), "LatinSquare"),
         (lambda: validate_transversal(build_graph(2, []), []), "LatinSquare"),
+        (lambda: cycles_of(None, []), "LatinSquare"),
+        (lambda: parse_graph(None), "str"),
+        (lambda: parse_latin(b"1\n1\n"), "str"),
+        (lambda: max_rainbow_matching_exact(build_graph(2, []), budget=5), "OracleBudget"),
+        (lambda: max_transversal_exact(cyclic_square(2), budget=5), "OracleBudget"),
     ],
 )
 def test_wrong_instance_type_raises_bad_shape(call, expected):
-    # these raised AttributeError from deep inside the call
+    # these raised AttributeError or TypeError from deep inside the call,
+    # or, for cycles_of, returned a decomposition
     with pytest.raises(BadShape, match=f"^expected a {expected}, got "):
         call()
 
 
-# the index holds 1-2 and 3-4; each change asks for three edges
+# the index holds 1-2 and 3-4; each change must leave three edges, and
+# most faults come after 3-4 went out and 5-6 or 5-7 went in
 _HELD = [(1, 2, 1), (3, 4, 2)]
+_OUT = {(3, 4, 2)}
 
 
 @pytest.mark.parametrize(
-    "edges, why",
+    "removed, added, why",
     [
-        (_HELD, "2 edges, expected 3"),
-        ([(1, 2, 1), (1, 2, 1), (3, 4, 2)], "a color is repeated"),
-        ([(1, 2, 1), (5, 6, 3), (7, 8, 3)], "a color is repeated"),
-        ([(1, 2, 1), (5, 7, 1), (9, 10, 4)], "a color is repeated"),
-        ([(1, 2, 1), (5, 6, 3), (6, 8, 5)], "a vertex is covered twice"),
-        ([(1, 2, 1), (2, 5, 6), (9, 10, 4)], "a vertex is covered twice"),
-        ([(1, 2, 1), (3, 4, 2), (5, 5, 7)], "a vertex is covered twice"),
-        ([(1, 2, 1), (5, 6, 3), (7, 8, 9)], "edge 7-8 with color 9 is not in the graph"),
+        (set(), [], "2 edges, expected 3"),
+        (_OUT, [(5, 6, 3), (5, 6, 3)], "a color is repeated"),
+        (_OUT, [(5, 6, 3), (1, 2, 1)], "a color is repeated"),
+        (_OUT, [(5, 6, 3), (7, 8, 3)], "a color is repeated"),
+        (_OUT, [(5, 7, 1), (9, 10, 4)], "a color is repeated"),
+        (_OUT, [(5, 6, 3), (6, 8, 5)], "a vertex is covered twice"),
+        (_OUT, [(2, 5, 6), (9, 10, 4)], "a vertex is covered twice"),
+        (set(), [(5, 5, 7)], "a vertex is covered twice"),
+        (_OUT, [(5, 6, 3), (7, 8, 9)], "edge 7-8 with color 9 is not in the graph"),
     ],
-    ids=["size", "listed-twice", "added-color", "kept-color", "added-vertex",
+    ids=["size", "listed-twice", "kept-again", "added-color", "kept-color", "added-vertex",
          "kept-vertex", "loop", "not-in-graph"],
 )
-def test_matching_index_replace_leaves_the_index_unchanged_on_a_fault(edges, why):
-    # a fault can come after other added edges went in and the removed
-    # 3-4 went out; all of that is undone
+def test_matching_index_change_leaves_the_index_unchanged_on_a_fault(removed, added, why):
     g = build_graph(10, [(1, 2, 1), (3, 4, 2), (5, 6, 3), (7, 8, 3), (5, 7, 1),
                          (6, 8, 5), (2, 5, 6), (9, 10, 4)])
     index = _MatchingIndex(g)
     index.apply((), _HELD)
     before = (dict(index.color_at), dict(index.edge_of), set(index.edges))
-    assert index.replace(edges, 3) == why
+    assert index.change(removed, added) == why
     assert (index.color_at, index.edge_of, index.edges) == before
-    assert index.replace([(1, 2, 1), (5, 6, 3), (9, 10, 4)], 3) is None
+    assert index.change(_OUT, [(5, 6, 3), (9, 10, 4)]) is None
     assert index.edges == {(1, 2, 1), (5, 6, 3), (9, 10, 4)}
     assert index.color_at == {1: 1, 2: 1, 5: 3, 6: 3, 9: 4, 10: 4}
     assert index.edge_of == {1: (1, 2, 1), 3: (5, 6, 3), 4: (9, 10, 4)}

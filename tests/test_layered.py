@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from collections.abc import KeysView, Mapping
 from unittest import mock
@@ -219,13 +220,17 @@ def test_detect_returns_none_when_no_exchange_exists():
 
 
 def _attempts(monkeypatch, g, matching):
-    """Layer once, recording every candidate tried and what it gave."""
+    """Layer once, recording every candidate tried and what it gave; the
+    index must hold what each attempt gave, or be left as it was."""
     tried = []
     attempt = layered._attempt_exchange
 
     def record(state, violation, check=False):
+        before = sorted(state.index.edges)
         result = attempt(state, violation, check)
-        tried.append((violation, _exchanged(sorted(state.index.edges), result)))
+        after = _exchanged(before, result)
+        tried.append((violation, after))
+        assert sorted(state.index.edges) == (before if after is None else after)
         return result
 
     monkeypatch.setattr(layered, "_attempt_exchange", record)
@@ -571,12 +576,16 @@ def test_greedy_start_equals_the_full_walk(d, spread, extra, seed):
     assert all(to == _colors_at(g.neighbors(v)) for v, to in by_color.items())
 
 
-def test_check_catches_a_greedy_start_missing_an_edge(monkeypatch):
-    g = _shuffled_cyclic(62, 1)
+def _drop_the_last_greedy_edge(monkeypatch):
     real = layered._greedy_start
     monkeypatch.setattr(
         layered, "_greedy_start", lambda *args: (real(*args)[0][:-1], real(*args)[1])
     )
+
+
+def test_check_catches_a_greedy_start_missing_an_edge(monkeypatch):
+    g = _shuffled_cyclic(62, 1)
+    _drop_the_last_greedy_edge(monkeypatch)
     with pytest.raises(InternalInvariantBroken, match="^greedy start differs from the full greedy walk$"):
         find_rainbow_matching_layered(g, check=True)
     m = find_rainbow_matching_layered(g)  # unchecked, the fault passes unseen
@@ -752,7 +761,8 @@ def _corrupt_exchange(fault, g, matching, gone, added):
 @pytest.mark.parametrize("fault", _EXCHANGE_FAULTS)
 def test_exchange_check_rejects_a_corrupt_exchange(monkeypatch, fault, check):
     # the first exchange the solve would realize comes back with one
-    # fault; its attempt fails, and the solve goes on to other candidates
+    # fault; its attempt fails and leaves the index as it was, and the
+    # solve goes on to other candidates
     g = _shuffled_cyclic(96, 1)
     real_exchange, real_attempt = layered._exchange_of, layered._attempt_exchange
     injected, verdicts = [], []
@@ -769,9 +779,12 @@ def test_exchange_check_rejects_a_corrupt_exchange(monkeypatch, fault, check):
 
     def attempt(state, violation, check=False):
         before = len(injected)
+        index = state.index
+        held = (dict(index.color_at), dict(index.edge_of), set(index.edges))
         result = real_attempt(state, violation, check)
         if len(injected) > before:
             verdicts.append(result)
+            assert (index.color_at, index.edge_of, index.edges) == held
         return result
 
     monkeypatch.setattr(layered, "_exchange_of", corrupting)
@@ -781,21 +794,27 @@ def test_exchange_check_rejects_a_corrupt_exchange(monkeypatch, fault, check):
     assert validate_rainbow_matching(g, m)[0] and len(m) >= guaranteed_size(96)
 
 
-def test_check_validates_a_realized_exchange_in_full(monkeypatch):
-    # with the diff check passing everything, check=True still catches a
-    # realized exchange that covers a vertex twice
-    g = _shuffled_cyclic(96, 1)
-    real_exchange = layered._exchange_of
+def _realize_a_vertex_collision(monkeypatch):
+    """Make every exchange cover a vertex twice, and every change in the
+    index unchecked."""
+    real = layered._exchange_of
 
     def corrupting(state, violation):
-        exchange = real_exchange(state, violation)
+        exchange = real(state, violation)
         if exchange is None:
             return exchange
         gone, added = exchange
-        return gone, _corrupt_exchange("vertex", g, sorted(state.index.edges), gone, added)
+        return gone, _corrupt_exchange("vertex", state.graph, sorted(state.index.edges), gone, added)
 
     monkeypatch.setattr(layered, "_exchange_of", corrupting)
-    monkeypatch.setattr(_MatchingIndex, "fault", lambda self, removed, added: None)
+    monkeypatch.setattr(_MatchingIndex, "change", _MatchingIndex.apply)
+
+
+def test_check_validates_a_realized_exchange_in_full(monkeypatch):
+    # with the change made unchecked, check=True still catches a realized
+    # exchange that covers a vertex twice
+    g = _shuffled_cyclic(96, 1)
+    _realize_a_vertex_collision(monkeypatch)
     with pytest.raises(
         InternalInvariantBroken,
         match="^an exchange passed its diff check but is invalid: vertex [0-9]+ is covered twice$",
@@ -815,10 +834,8 @@ def _stale_missing(state):
     state.missing.add(next(iter(state.index.edge_of)))
 
 
-@pytest.mark.parametrize("stale", [_stale_index, _stale_free, _stale_missing])
-def test_check_catches_stale_carried_state_in_its_round(monkeypatch, stale):
-    # the state the second round starts from goes stale in one part
-    g = _shuffled_cyclic(96, 1)
+def _stale_second_round(monkeypatch, stale):
+    """Let stale make the state the second round starts from go stale."""
     real = layered._next_state
     calls = []
 
@@ -830,11 +847,74 @@ def test_check_catches_stale_carried_state_in_its_round(monkeypatch, stale):
         return state
 
     monkeypatch.setattr(layered, "_next_state", faulty)
+
+
+@pytest.mark.parametrize("stale", [_stale_index, _stale_free, _stale_missing])
+def test_check_catches_stale_carried_state_in_its_round(monkeypatch, stale):
+    # the state the second round starts from goes stale in one part
+    g = _shuffled_cyclic(96, 1)
+    _stale_second_round(monkeypatch, stale)
     with pytest.raises(
         InternalInvariantBroken,
         match="^round 2: the carried index, free vertices or missing colors differ from a fresh build$",
     ):
         find_rainbow_matching_layered(g, check=True)
+
+
+def _refuse_every_change(monkeypatch):
+    monkeypatch.setattr(_MatchingIndex, "change", lambda self, removed, added: "a color is repeated")
+
+
+def _skip_every_round(monkeypatch):
+    monkeypatch.setattr(layered, "_run_layers", lambda state, check: (None, None, []))
+
+
+def _start_off_the_graph(monkeypatch):
+    real = layered._greedy_start
+    monkeypatch.setattr(
+        layered, "_greedy_start", lambda g, by_color: ([(1, 2, 2)], real(g, by_color)[1])
+    )
+
+
+def _below_the_guarantee():
+    """A graph whose greedy start, 33 edges against a guarantee of 34, is
+    in regime."""
+    return to_bipartite_factorization(_half_transversal_square(66))
+
+
+# One row per check in layered.py that a run can reach: (message, graph,
+# fault, check). _check_level's in-regime claims have none (ROADMAP
+# item 7): every in-regime level so far realizes an exchange first.
+_CHECK_FAULTS = [
+    ("greedy start differs from the full greedy walk",
+     lambda: _shuffled_cyclic(62, 1), _drop_the_last_greedy_edge, True),
+    ("level 2: the active-edge lists differ from a fresh walk",
+     lambda: build_graph(11, _LAZY_HIT_EDGES), _drop_a_classified_color, True),
+    ("level 1: no detected exchange could be realized",
+     _below_the_guarantee, _refuse_every_change, False),
+    ("an exchange passed its diff check but is invalid: vertex 97 is covered twice",
+     lambda: _shuffled_cyclic(96, 1), _realize_a_vertex_collision, True),
+    ("round 2: the carried index, free vertices or missing colors differ from a fresh build",
+     lambda: _shuffled_cyclic(96, 1), lambda mp: _stale_second_round(mp, _stale_index), True),
+    ("round 1: refill differs from the full greedy walk",
+     lambda: build_graph(14, _FREED_COLOR_EDGES),
+     lambda mp: _inject_refill_fault(mp, _first_freed_color), True),
+    ("finished with 33 edges, guarantee is 34", _below_the_guarantee, _skip_every_round, False),
+    ("final matching invalid: edge 1-2 with color 2 is not in the graph",
+     lambda: build_graph(2, [(1, 2, 1)]), _start_off_the_graph, False),
+]
+
+
+@pytest.mark.parametrize(
+    "message, graph, fault, check", _CHECK_FAULTS,
+    ids=["greedy-start", "active-edges", "unrealized", "exchange", "carried-state", "refill",
+         "guarantee", "final"],
+)
+def test_each_layered_check_names_its_fault(monkeypatch, message, graph, fault, check):
+    g = graph()
+    fault(monkeypatch)
+    with pytest.raises(InternalInvariantBroken, match=f"^{re.escape(message)}$"):
+        find_rainbow_matching_layered(g, check=check)
 
 
 def test_a_pool_is_its_list_at_classification():
