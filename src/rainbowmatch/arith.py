@@ -10,13 +10,16 @@ import math
 
 
 def int_kth_root(x: int, k: int) -> int:
-    """Largest integer r with r**k <= x. Requires x >= 0, k >= 1."""
+    """Largest integer r with r**k <= x. Requires x >= 0, k >= 1. A k
+    of at least x.bit_length() gives 1 without the huge powers."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x < 0:
         raise ValueError("x must be >= 0")
     if k == 1 or x == 0:
         return x
+    if k >= x.bit_length():  # 2**k > x, so the root is 1
+        return 1
     if k == 2:
         return math.isqrt(x)
     # integer Newton from 2**ceil(bits/k), which lies above the root;

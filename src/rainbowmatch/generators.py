@@ -1,9 +1,11 @@
 """Seeded instance generators.
 
-Every generator is deterministic in its seed. Each draw from range(m)
-follows _below, the rule CPython's Random.randrange(m) uses, applied to
-getrandbits directly, so the outputs depend only on the Mersenne
-Twister's getrandbits stream. The hot loops (the square walk and the
+Every generator is deterministic in its seed, which must be an int
+(InfeasibleParameters otherwise: random.Random would seed None from
+the clock and hash a str). Each draw from range(m) follows _below, the
+rule CPython's Random.randrange(m) uses, applied to getrandbits
+directly, so the outputs depend only on the Mersenne Twister's
+getrandbits stream. The hot loops (the square walk and the
 Fisher-Yates of _shuffled) write the rule out inline rather than call
 _below, which halves their cost; tests pin _below to randrange and
 _shuffled to a loop on _below. random_proper_graph colors with one
@@ -36,6 +38,8 @@ SQUARE_STEP_LIMIT = 20_000_000
 
 def split_seed(master: int, index: int) -> int:
     """Derive an independent 64-bit stream seed from a master seed."""
+    _require_int("seed", master)
+    _require_int("stream index", index)
     x = (master ^ (index * _GOLDEN)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -64,10 +68,15 @@ def _shuffled(getrandbits, items) -> list:
     return out
 
 
+def _require_int(name: str, value) -> None:
+    """InfeasibleParameters unless value is an int (a bool is not)."""
+    if type(value) is not int:
+        raise InfeasibleParameters(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _require_order(n) -> None:
     """InfeasibleParameters unless n is a non-negative int."""
-    if type(n) is not int:
-        raise InfeasibleParameters(f"order must be an int, got {type(n).__name__}")
+    _require_int("order", n)
     if n < 0:
         raise InfeasibleParameters("order must be non-negative")
 
@@ -111,6 +120,7 @@ def random_square(n: int, seed: int) -> LatinSquare:
     before allocating anything when n**3 exceeds SQUARE_STEP_LIMIT.
     """
     _require_order(n)
+    _require_int("seed", seed)
     if n**3 > SQUARE_STEP_LIMIT:
         raise InfeasibleParameters(
             f"order {n} needs {n**3} walk steps, over the limit of {SQUARE_STEP_LIMIT}"
@@ -236,6 +246,7 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
             f"{n} vertices of degree {target} may need {n * (target + 1)} vertices plus"
             f" edges, over the limit of {GRAPH_WORK_LIMIT}"
         )
+    _require_int("seed", seed)
     getrandbits = random.Random(seed).getrandbits
     adj = [set() for _ in range(n + 1)]
     # need[v] = target - degree; a vertex is short while need[v] > 0

@@ -154,11 +154,15 @@ def cycles_of(square: LatinSquare, transversal) -> CycleDecomposition:
     the paths and cycles together hold each row's last listed cell
     exactly once. The split means something only when rows and columns
     are distinct: then the structure is a disjoint union of simple paths
-    and simple cycles.
+    and simple cycles. A transversal that is not iterable, or a row's
+    last cell that is not three fields, is BadShape.
     """
     require_type(square, LatinSquare)
-    by_row: dict[int, Cell] = {cell[0]: cell for cell in transversal}
-    pointed_at = {cell[1] for cell in by_row.values()}
+    try:
+        by_row: dict[int, Cell] = {cell[0]: cell for cell in transversal}
+        pointed_at = {c for _, c, _ in by_row.values()}
+    except (TypeError, ValueError, IndexError):
+        raise BadShape("transversal is not an iterable of (row, col, symbol) cells") from None
     ordered = sorted(by_row)
     starts = [r for r in ordered if r not in pointed_at]
     visited: set[int] = set()

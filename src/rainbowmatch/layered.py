@@ -29,13 +29,15 @@ The start maps every vertex with a larger neighbor, and reads the
 colors of the graph off those maps; any other vertex gets its map the
 first time it is free. Each map is kept for the solve.
 
-A level costs about what it unblocks. Each round lists its free-free
-edges once. Level 1 looks up, from every free vertex, only the colors
-missing from M, and level j+1 only the colors classified at level j, so
-each matched vertex's list of active edges grows by exactly what the
-level unblocks. That lookup waits until the level's free-free and
-two-sided candidates have all failed, since only the quiet-side hits
-and the next level read it. Designation is lazy. Within a round a list
+A level costs about what it unblocks. Level 1 looks up, from every
+free vertex, only the colors missing from M, and level j+1 only the
+colors classified at level j, so each matched vertex's list of active
+edges grows by exactly what the level unblocks. That lookup waits until
+the level's free-free and two-sided candidates have all failed, since
+only the quiet-side hits and the next level read it. No list of
+free-free edges is kept: the scan looks each free vertex's later free
+vertices up in its neighbor map when it reaches them, and stops at the
+first exchange it realizes. Designation is lazy. Within a round a list
 only grows at its end, so a classified edge records its carrying side
 and that side's list length, and its pool, that prefix sorted, is made
 the first time an exchange reads it. The two-sided pair is looked for
@@ -50,12 +52,13 @@ grow by one, which by induction is the full validation. The greedy
 refill after it goes into the index too; it reads only the edges at
 the vertices and in the colors the exchange freed: the matching was
 maximal before, so no other edge can fit. The next round patches its
-free vertices, missing colors, free-free edges and active-edge lists
-from the same diff. check=True also validates every realized exchange
-in full, compares the index, the free vertices and the missing colors
-with a fresh build once per round and the active-edge lists with a
-fresh walk of the free vertices' edges at every level, and the start
-and each refill with the full greedy walk.
+free vertices, missing colors and active-edge lists from the same diff.
+check=True also validates every realized exchange in full, compares
+the index, the free vertices (which, with the graph, are all the
+free-free scan reads) and the missing colors with a fresh build once
+per round and the active-edge lists with a fresh walk of the free
+vertices' edges at every level, and the start and each refill with
+the full greedy walk.
 
 All threshold comparisons run in exact integer arithmetic on cubes.
 """
@@ -129,7 +132,6 @@ class LayerState:
     missing: set = field(repr=False)  # the colors of graph that the matching lacks
     free: list = field(default_factory=list)  # ascending
     by_color: dict = field(default_factory=dict, repr=False)  # scan or ever-free v -> {color: neighbor}
-    free_free: list = field(default_factory=list)  # (v, w, color), v < w both free, sorted
     found: dict = field(default_factory=dict)  # matched v -> [(color, free r)] in looked colors
     looked: set = field(default_factory=set)  # the colors whose edges found holds
     pending: list = field(default_factory=list)  # active colors not looked up yet
@@ -288,14 +290,17 @@ def _scan_candidates(state: LayerState, survivors: list, classified: list):
     """Yield the violations visible after this level, cheapest family
     first: FreeFree in (v, w) order, then TwoSided in classified's order,
     then HitsY in (free vertex, quiet vertex) order, all in colors
-    outside survivors'.
+    outside survivors'. Each FreeFree is looked up when it is reached.
 
     A HitsY may use a color classified at this level, so the pending
     colors are looked up only once every earlier candidate has failed."""
     next_colors = {e[2] for e in survivors}
-    for v, w, c in state.free_free:
-        if c not in next_colors:
-            yield ("FreeFree", None, ((v, w, c),))
+    free, neighbors = state.free, state.graph.neighbors
+    for i, v in enumerate(free):
+        later = free[i + 1 :]
+        for w, c in zip(later, map(neighbors(v).get, later)):
+            if c is not None and c not in next_colors:
+                yield ("FreeFree", None, ((v, w, c),))
     yield from _two_sided(state, classified)
     _unblock(state)
     quiet = state.quiet_side
@@ -304,20 +309,16 @@ def _scan_candidates(state: LayerState, survivors: list, classified: list):
 
 
 def _check_found(state: LayerState, level: int, current: list) -> None:
-    """check=True: the free-free edges and the active-edge lists against
-    a fresh walk of the free vertices' edges."""
+    """check=True: the active-edge lists against a fresh walk of the free
+    vertices' edges."""
     blocked = {e[2] for e in current}
     want: dict = {x: [] for x in state.index.color_at}
-    free_free = []
     for r in state.free:
         for w, c in state.graph.neighbors(r).items():
-            if w not in want:
-                if w > r:
-                    free_free.append((r, w, c))
-            elif c not in blocked:
+            if w in want and c not in blocked:
                 want[w].append((c, r))
     got = {w: sorted(found) for w, found in state.found.items()}
-    if free_free != state.free_free or got != {w: sorted(found) for w, found in want.items()}:
+    if got != {w: sorted(found) for w, found in want.items()}:
         raise InternalInvariantBroken(
             f"level {level}: the active-edge lists differ from a fresh walk"
         )
@@ -465,11 +466,11 @@ def _next_state(prior: LayerState, freed, gone, came) -> LayerState:
     """The state of the round after prior, once the edges of gone have
     left prior's matching and those of came joined it, which
     prior.index already holds, and the vertices of freed became free.
-    Prior's free vertices, missing colors, free-free edges and level-1
-    active-edge lists are patched only at the vertices and colors whose
-    status changed; the lists are reused in place. The first round
-    follows a default LayerState: no vertex free, none with a list, and
-    no color looked up."""
+    Prior's free vertices, missing colors and level-1 active-edge lists
+    are patched only at the vertices and colors whose status changed;
+    the lists are reused in place. The first round follows a default
+    LayerState: no vertex free, none with a list, and no color looked
+    up."""
     g, found, by_color = prior.graph, prior.found, prior.by_color
     freed = set(freed)
     taken = {x for e in came for x in (e[0], e[1])}.difference(found)
@@ -497,22 +498,14 @@ def _next_state(prior: LayerState, freed, gone, came) -> LayerState:
     for w in taken:
         to = by_color.get(w, {})
         found[w] = [(c, r) for c in kept if (r := to.get(c)) in free_set and r not in freed]
-    free_free = [e for e in prior.free_free if e[0] not in taken and e[1] not in taken]
     for r in freed:
-        nb = g.neighbors(r)
         if r not in by_color:
-            by_color[r] = _colors_at(nb)
-        for w in nb.keys() & free_set:
-            if w > r:
-                free_free.append((r, w, nb[w]))
-            elif w not in freed:  # a freed w lists the edge itself
-                free_free.append((w, r, nb[w]))
+            by_color[r] = _colors_at(g.neighbors(r))
         to = by_color[r]
         for c in kept:
             at = found.get(to.get(c))
             if at is not None:
                 at.append((c, r))
-    free_free.sort()
     return LayerState(
         graph=g,
         delta=prior.delta,
@@ -520,7 +513,6 @@ def _next_state(prior: LayerState, freed, gone, came) -> LayerState:
         missing=missing,
         free=sorted(free_set),
         by_color=by_color,
-        free_free=free_free,
         found=found,
         looked=kept,
         pending=list(missing - kept),

@@ -1,5 +1,7 @@
 """Exact integer root used by every guarantee threshold."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,18 @@ def test_rejects_bad_arguments():
         int_kth_root(-1, 2)
     with pytest.raises(ValueError):
         int_kth_root(4, 0)
+
+
+def test_a_huge_k_gives_one_without_the_huge_powers():
+    # r ** (k - 1) at this k would exhaust memory
+    assert [int_kth_root(x, x.bit_length()) for x in (1, 2, 3, 7, 10**40)] == [1] * 5
+    tracemalloc.start()
+    try:
+        assert int_kth_root(10, 2**80) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_huge_values_stay_exact():

@@ -107,6 +107,21 @@ def test_generator_parameter_messages(call, message):
     assert type(info.value) is InfeasibleParameters and str(info.value) == message
 
 
+@pytest.mark.parametrize("seed", [None, "x", 1.5, True])
+@pytest.mark.parametrize("call, name", [
+    (lambda seed: random_square(4, seed), "seed"),
+    (lambda seed: random_proper_graph(6, 2, seed), "seed"),
+    (lambda seed: split_seed(seed, 1), "seed"),
+    (lambda seed: split_seed(1, seed), "stream index"),
+], ids=["random-square", "random-proper-graph", "split-seed", "split-seed-index"])
+def test_a_seed_that_is_not_an_int_is_refused(call, name, seed):
+    # None seeded from the clock, so each call gave another square, a str
+    # or float was hashed, and split_seed raised a bare TypeError
+    with pytest.raises(InfeasibleParameters) as info:
+        call(seed)
+    assert str(info.value) == f"{name} must be an int, got {type(seed).__name__}"
+
+
 def test_square_ceilings_sit_just_above_the_sizes_in_use():
     # criterion 5 walks random_square(216), about 1.01e7 steps
     assert SQUARE_CELL_LIMIT == 2000 * 2000

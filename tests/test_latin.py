@@ -157,6 +157,14 @@ def test_cycles_of_decomposition():
     assert dec.paths == (((3, 4, 2),),)
 
 
+@pytest.mark.parametrize("transversal", [None, 5, [(1,)], [(1, 2)], [(1, 2, 2, 9)], [3], [()]])
+def test_cycles_of_refuses_what_is_not_a_list_of_cells(transversal):
+    # None and 5 raised a bare TypeError, (1,) an IndexError, and the
+    # two- and four-field cells gave a decomposition
+    with pytest.raises(BadShape, match="^transversal is not an iterable of"):
+        cycles_of(build_square(WITNESS_ROWS), transversal)
+
+
 def test_cycles_of_leads_each_cycle_with_smallest_row():
     sq = cyclic_square(3)
     # full transversal of the cyclic square: one 3-cycle
