@@ -154,16 +154,19 @@ def cycles_of(square: LatinSquare, transversal) -> CycleDecomposition:
     the paths and cycles together hold each row's last listed cell
     exactly once. The split means something only when rows and columns
     are distinct: then the structure is a disjoint union of simple paths
-    and simple cycles. A transversal that is not iterable, or a row's
-    last cell that is not three fields, is BadShape.
+    and simple cycles. A transversal that is not iterable, a cell that
+    is not three fields, or rows that do not compare is BadShape.
     """
     require_type(square, LatinSquare)
+    by_row: dict[int, Cell] = {}
     try:
-        by_row: dict[int, Cell] = {cell[0]: cell for cell in transversal}
-        pointed_at = {c for _, c, _ in by_row.values()}
-    except (TypeError, ValueError, IndexError):
+        for cell in transversal:
+            r, _, _ = cell
+            by_row[r] = cell
+        ordered = sorted(by_row)
+    except (TypeError, ValueError):
         raise BadShape("transversal is not an iterable of (row, col, symbol) cells") from None
-    ordered = sorted(by_row)
+    pointed_at = {c for _, c, _ in by_row.values()}
     starts = [r for r in ordered if r not in pointed_at]
     visited: set[int] = set()
     cycles: list[tuple[Cell, ...]] = []

@@ -35,9 +35,9 @@ colors classified at level j, so each matched vertex's list of active
 edges grows by exactly what the level unblocks. That lookup waits until
 the level's free-free and two-sided candidates have all failed, since
 only the quiet-side hits and the next level read it. No list of
-free-free edges is kept: the scan looks each free vertex's later free
-vertices up in its neighbor map when it reaches them, and stops at the
-first exchange it realizes. Designation is lazy. Within a round a list
+free-free edges is kept: the scan reads a free vertex's later free
+neighbors off the shorter of its later free vertices and its neighbor
+map, and stops at the first exchange it realizes. Designation is lazy. Within a round a list
 only grows at its end, so a classified edge records its carrying side
 and that side's list length, and its pool, that prefix sorted, is made
 the first time an exchange reads it. The two-sided pair is looked for
@@ -54,7 +54,7 @@ the vertices and in the colors the exchange freed: the matching was
 maximal before, so no other edge can fit. The next round patches its
 free vertices, missing colors and active-edge lists from the same diff.
 check=True also validates every realized exchange in full, compares
-the index, the free vertices (which, with the graph, are all the
+the index and the free vertices (which, with the graph, are all the
 free-free scan reads) and the missing colors with a fresh build once
 per round and the active-edge lists with a fresh walk of the free
 vertices' edges at every level, and the start and each refill with
@@ -290,16 +290,22 @@ def _scan_candidates(state: LayerState, survivors: list, classified: list):
     """Yield the violations visible after this level, cheapest family
     first: FreeFree in (v, w) order, then TwoSided in classified's order,
     then HitsY in (free vertex, quiet vertex) order, all in colors
-    outside survivors'. Each FreeFree is looked up when it is reached.
+    outside survivors'. Each FreeFree is read when it is reached, from
+    v's later free vertices or v's (ascending) neighbors, the fewer.
 
     A HitsY may use a color classified at this level, so the pending
     colors are looked up only once every earlier candidate has failed."""
     next_colors = {e[2] for e in survivors}
-    free, neighbors = state.free, state.graph.neighbors
+    free, neighbors, matched = state.free, state.graph.neighbors, state.index.color_at
     for i, v in enumerate(free):
-        later = free[i + 1 :]
-        for w, c in zip(later, map(neighbors(v).get, later)):
-            if c is not None and c not in next_colors:
+        near = neighbors(v)
+        if len(free) - i - 1 <= len(near):
+            later = free[i + 1 :]
+            pairs = zip(later, map(near.get, later))
+        else:
+            pairs = near.items()
+        for w, c in pairs:
+            if c is not None and c not in next_colors and w > v and w not in matched:
                 yield ("FreeFree", None, ((v, w, c),))
     yield from _two_sided(state, classified)
     _unblock(state)

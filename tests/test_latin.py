@@ -157,10 +157,15 @@ def test_cycles_of_decomposition():
     assert dec.paths == (((3, 4, 2),),)
 
 
-@pytest.mark.parametrize("transversal", [None, 5, [(1,)], [(1, 2)], [(1, 2, 2, 9)], [3], [()]])
+@pytest.mark.parametrize(
+    "transversal",
+    [None, 5, [(1,)], [(1, 2)], [(1, 2, 2, 9)], [3], [()], [(1,), (1, 2, 3)], [(1, 2, 3), ("a", 2, 3)]],
+)
 def test_cycles_of_refuses_what_is_not_a_list_of_cells(transversal):
-    # None and 5 raised a bare TypeError, (1,) an IndexError, and the
-    # two- and four-field cells gave a decomposition
+    # None and 5 raised a bare TypeError, (1,) an IndexError, the two-
+    # and four-field cells gave a decomposition, as did a bad cell whose
+    # row a later cell repeats, and rows that do not compare raised a
+    # bare TypeError
     with pytest.raises(BadShape, match="^transversal is not an iterable of"):
         cycles_of(build_square(WITNESS_ROWS), transversal)
 

@@ -457,6 +457,24 @@ def test_matches_reference_on_random_proper_graphs(d, spread):
         _assert_matches_reference(random_proper_graph(2 * d + spread, d, seed))
 
 
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_matches_reference_on_sparse_proper_graphs(d):
+    # far more free vertices than neighbours, so the scan walks each free
+    # vertex's neighbours rather than looking its later free vertices up
+    for seed in range(2):
+        _assert_matches_reference(random_proper_graph(12 * d, d, seed))
+
+
+def test_the_scan_gives_free_free_edges_in_order_both_ways():
+    # with no matched edge every vertex is free and every edge a
+    # candidate: the early vertices walk their neighbours, the last few
+    # look their later free vertices up, and both keep (v, w) order
+    g = random_proper_graph(60, 3, 0)
+    state = _first_state(g, min_degree(g), {e[2] for e in g.edges}, {}, [])
+    got = _both_scans(state, [], [])
+    assert [added for _, _, (added,) in got] == list(g.edges)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_matches_reference_on_small_proper_graphs(d, spread, seed):
@@ -712,6 +730,23 @@ def test_a_solve_reads_about_what_its_levels_unblock(monkeypatch):
     monkeypatch.setattr(ColoredGraph, "neighbors", lambda self, v: neighbors(g, v))
     assert find_rainbow_matching_layered(counted) == want
     assert 73_728 < direct[0] <= 76_000
+
+
+def test_a_sparse_solve_reads_about_its_edges(monkeypatch):
+    # a one-color perfect matching: the greedy start takes one edge and
+    # leaves 19,998 vertices free, so a scan that looked up every pair
+    # of free vertices would read about 2 * 10^8 entries per level
+    n = 20_000
+    g = build_graph(n, [(v, v + 1, 0) for v in range(1, n, 2)])
+    reads = [0]
+    neighbors = ColoredGraph.neighbors
+    monkeypatch.setattr(
+        ColoredGraph, "neighbors", lambda self, v: _CountedNeighbors(neighbors(self, v), reads)
+    )
+    assert find_rainbow_matching_layered(g) == ((1, 2, 0),)
+    # each of the 2 levels reads each free vertex's one neighbour, and
+    # setting up the round reads them once more
+    assert 0 < reads[0] <= 4 * n
 
 
 def test_an_edgeless_graph_with_a_huge_vertex_count_lists_no_vertex():
