@@ -8,14 +8,15 @@ integer k-th roots instead.
 
 import math
 
+from .errors import require_int
+
 
 def int_kth_root(x: int, k: int) -> int:
-    """Largest integer r with r**k <= x. Requires x >= 0, k >= 1. A k
-    of at least x.bit_length() gives 1 without the huge powers."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    """Largest integer r with r**k <= x. Requires ints x >= 0, k >= 1,
+    and raises PreconditionViolated otherwise. A k of at least
+    x.bit_length() gives 1 without the huge powers."""
+    require_int("x", x, 0)
+    require_int("k", k, 1)
     if k == 1 or x == 0:
         return x
     if k >= x.bit_length():  # 2**k > x, so the root is 1

@@ -20,13 +20,16 @@ chain covers one more core edge. With k pairs at most d-1-k probes
 extend a chain before one raises k or ends the level, so a level takes
 at most d(d+1)/2 probes, inside the loop's budget of d*d.
 
-Core vertices and the cover map name a core edge by its color, so the
-core part of the index, each vertex's color and each color's edge,
-carries from one level's result to the next level's start. At a
+A GoodConfiguration holds each fact once. The core is one map from
+color to core edge, which core vertices and the cover map name by
+color. Each vertex's role and the colors a probe may not use are
+fields kept in step with the structure; an anchor is a vertex whose
+role says so. A level starts from copies of the carried matching's two
+maps: color to edge is the core, and vertex to color the roles. At a
 level's end the solver diffs the new result against the old: removed
-edges leave the index, and each added edge must bring an unused color
-and unused endpoints and be in the graph. With the size and a check
-that no edge is listed twice, that is by induction the full
+edges leave the carried maps, and each added edge must bring an unused
+color and unused endpoints and be in the graph. With the size and a
+check that no edge is listed twice, that is by induction the full
 validation, which runs once on the final matching, and at every level
 as well under check=True.
 
@@ -53,38 +56,28 @@ from .graphs import (
 
 
 @dataclass
-class _Index:
-    """Lookups derived from a configuration, kept in step with it.
+class GoodConfiguration:
+    """Twin pairs, a core and its chains, with two lookups kept in step.
 
     A vertex's role is its core edge's color, an int, or a tuple:
     ("twin", i, side), _ANCHOR or _CHAIN_END. banned holds the colors a
     probe edge may not use: the twin colors and the uncovered core ones.
+    Both are built from the structure unless the caller passes them, in
+    step with it.
     """
 
-    roles: dict  # vertex -> role; anchors shadow core entries
-    core_by_color: dict  # core color -> core edge
-    banned: set
-    anchors: set
-
-
-@dataclass
-class GoodConfiguration:
     graph: ColoredGraph = field(repr=False)
     target: int
     twins_a: list
     twins_b: list
-    core: list
+    core: dict  # core color -> core edge
     cover: dict  # covered core color -> its chain edge, in the order added
-    # built from the structure unless the caller passes one in step with it
-    _index: _Index | None = field(default=None, repr=False, compare=False)
+    roles: dict = field(default=None, repr=False, compare=False)  # an anchor shadows its core entry
+    banned: set = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self._index is None:
-            self._index = _build_index(self)
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.twins_a)
+        if self.roles is None:
+            self.roles, self.banned = _build_index(self)
 
 
 @dataclass
@@ -110,27 +103,24 @@ _ANCHOR = ("anchor",)
 _CHAIN_END = ("chain",)
 
 
-def _build_index(config: GoodConfiguration) -> _Index:
+def _build_index(config: GoodConfiguration) -> tuple[dict, set]:
+    """The roles and banned colors of the configuration's structure."""
     roles: dict[int, int | tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
     core = config.core
-    colors = list(map(itemgetter(2), core))
-    roles.update(zip(map(itemgetter(0), core), colors))
-    roles.update(zip(map(itemgetter(1), core), colors))
-    core_by_color = dict(zip(colors, core))
-    anchors = set()
+    roles.update(zip(map(itemgetter(0), core.values()), core))
+    roles.update(zip(map(itemgetter(1), core.values()), core))
     for color, e in config.cover.items():
         # the chain edge and its core edge share one endpoint, the anchor
-        anchor, free_end = (e[0], e[1]) if e[0] in core_by_color[color][:2] else (e[1], e[0])
+        anchor, free_end = (e[0], e[1]) if e[0] in core[color][:2] else (e[1], e[0])
         roles[anchor] = _ANCHOR
         roles[free_end] = _CHAIN_END
-        anchors.add(anchor)
-    banned = set(colors)
+    banned = set(core)
     banned.difference_update(config.cover)
     banned.update(map(itemgetter(2), config.twins_a))
-    return _Index(roles=roles, core_by_color=core_by_color, banned=banned, anchors=anchors)
+    return roles, banned
 
 
 def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
@@ -140,9 +130,9 @@ def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     anchor vertices: d-1 constraints against degree >= d, so an edge
     always remains. Smallest admissible neighbor wins.
     """
-    banned, anchors = config._index.banned, config._index.anchors
+    banned, roles = config.banned, config.roles
     for w, c in config.graph._adj.get(v, _NO_NEIGHBORS).items():
-        if c in banned or w in anchors:
+        if c in banned or roles.get(w) is _ANCHOR:
             continue
         return v, w
     raise InternalInvariantBroken(f"no admissible probe edge at vertex {v}")
@@ -157,8 +147,7 @@ def chain_rotate(config: GoodConfiguration, color: int):
     (removed core edges, added chain edges): applied to twins_a + core,
     the net effect trades the starting core color for one fresh color.
     """
-    cover = config.cover
-    core_by_color = config._index.core_by_color
+    cover, core = config.cover, config.core
     removed: list[Edge] = []
     added: list[Edge] = []
     # a valid rotation follows each cover record at most once
@@ -166,10 +155,10 @@ def chain_rotate(config: GoodConfiguration, color: int):
         edge = cover.get(color)
         if edge is None:
             break
-        removed.append(core_by_color[color])
+        removed.append(core[color])
         added.append(edge)
         color = edge[2]
-        if color not in core_by_color:
+        if color not in core:
             return removed, added
     if color in cover:
         raise InternalInvariantBroken("chain rotation loops through its cover records")
@@ -191,7 +180,7 @@ def _restructure(config: GoodConfiguration, candidate: list, colors: list) -> Go
         target=config.target,
         twins_a=config.twins_a + [first],
         twins_b=config.twins_b + [second],
-        core=candidate[k:i] + candidate[i + 1 : -1],
+        core={e[2]: e for e in candidate[k:i] + candidate[i + 1 : -1]},
         cover={},
     )
 
@@ -205,10 +194,10 @@ def _avoiding_pairs(config: GoodConfiguration, w: int) -> list:
 
 
 def _rotated_core(config: GoodConfiguration, color: int) -> list:
-    """The core after rotating in the chain that covers the core color."""
+    """The core edges after rotating in the chain that covers the core color."""
     removed, added = chain_rotate(config, color)
     gone = set(removed)
-    return [e for e in config.core if e not in gone] + added
+    return [e for e in config.core.values() if e not in gone] + added
 
 
 def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
@@ -216,29 +205,28 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     v, w = edge
     c = config.graph._adj.get(v, _NO_NEIGHBORS).get(w)
     vw = (v, w, c) if v <= w else (w, v, c)
-    index = config._index
+    roles, banned, core = config.roles, config.banned, config.core
     # banned is the twin colors and some core colors
-    fresh = c not in index.banned and c not in index.core_by_color
-    role = index.roles.get(w)
+    fresh = c not in banned and c not in core
+    role = roles.get(w)
 
     if type(role) is int and role not in config.cover:
         # uncovered core edge, named by its color: start a chain with a
         # fresh color or continue the one covering c (most probes)
         if not fresh and c not in config.cover:
-            if c in index.core_by_color:
+            if c in core:
                 raise InternalInvariantBroken("probe color belongs to an uncovered core edge")
             raise InternalInvariantBroken("probe color belongs to a twin pair")
         config.cover[role] = vw
-        index.roles[w] = _ANCHOR
-        index.roles[v] = _CHAIN_END
-        index.anchors.add(w)
-        index.banned.discard(role)
+        roles[w] = _ANCHOR
+        roles[v] = _CHAIN_END
+        banned.discard(role)
         return _CHAINS_EXTENDED
 
     if role is None:
         # w outside the structure
         if fresh:
-            return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
+            return Matched(tuple(sorted([*config.twins_a, *core.values(), vw])))
         rotated = _rotated_core(config, c)
         return Matched(tuple(sorted(config.twins_a + rotated + [vw])))
 
@@ -254,16 +242,15 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     if kind == "twin":
         if fresh:
             keep = config.twins_b if role[2] == 0 else config.twins_a
-            return Matched(tuple(sorted(keep + config.core + [vw])))
+            return Matched(tuple(sorted([*keep, *core.values(), vw])))
         rotated = _rotated_core(config, c)
         return Matched(tuple(sorted(_avoiding_pairs(config, w) + rotated + [vw])))
 
     if kind == "chain":
+        candidate = [*config.twins_a, *core.values(), vw]
         if fresh:
-            return Matched(tuple(sorted(config.twins_a + config.core + [vw])))
-        candidate = config.twins_a + config.core + [vw]
-        colors = list(map(itemgetter(2), candidate))
-        return RepeatIncreased(_restructure(config, candidate, colors))
+            return Matched(tuple(sorted(candidate)))
+        return RepeatIncreased(_restructure(config, candidate, list(map(itemgetter(2), candidate))))
 
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
 
@@ -272,7 +259,7 @@ def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
     """All d-1 colors are duplicated; v, like any vertex outside the
     structure, has an edge avoiding the d-1 twin colors, and whichever
     endpoint it hits, one twin per pair survives."""
-    twin_colors = config._index.banned  # the core is empty
+    twin_colors = config.banned  # the core is empty
     for w, c in config.graph.neighbors(v).items():
         if c not in twin_colors:
             vw = _normalize(v, w, c)
@@ -281,23 +268,24 @@ def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
 
 
 def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
-    """Check the whole configuration and its index; every vertex below
+    """Check the whole configuration and its lookups; every vertex below
     cursor, the loop's free-vertex position, must be in the structure.
     The structure needs no vertex budget check: once the checks below
-    pass, anchors are core vertices, so it has 2(d-1+k) matched vertices
-    and at most d-1-k free chain ends, and 3(d-1)+k <= 4(d-1)."""
+    pass, every anchor is a core vertex, so it has 2(d-1+k) matched
+    vertices and at most d-1-k free chain ends, and 3(d-1)+k <= 4(d-1)."""
     g = config.graph
     d = config.target
-    k = config.pair_count
+    k = len(config.twins_a)
 
     def fail(msg: str):
         raise InternalInvariantBroken(f"configuration audit: {msg}")
 
     if len(config.twins_b) != k:
         fail("twin lists differ in length")
-    if len(config.core) != d - 1 - k:
+    core = config.core
+    if len(core) != d - 1 - k:
         fail("core size is not target-1-k")
-    for e in config.twins_a + config.twins_b + config.core + list(config.cover.values()):
+    for e in [*config.twins_a, *config.twins_b, *core.values(), *config.cover.values()]:
         if g.color_of(e[0], e[1]) != e[2]:
             fail(f"edge {e} not in the graph")
     for a, b in zip(config.twins_a, config.twins_b):
@@ -306,13 +294,12 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
     twin_colors = [e[2] for e in config.twins_a]
     if len(set(twin_colors)) != k:
         fail("twin colors repeat")
-    core_edges = {e[2]: e for e in config.core}
-    if len(core_edges) != len(config.core):
-        fail("core colors repeat")
-    if core_edges.keys() & set(twin_colors):
+    if any(e[2] != color for color, e in core.items()):
+        fail("core edge filed under another color")
+    if core.keys() & set(twin_colors):
         fail("core reuses a twin color")
     seen: set[int] = set()
-    for e in config.twins_a + config.twins_b + config.core:
+    for e in [*config.twins_a, *config.twins_b, *core.values()]:
         for x in (e[0], e[1]):
             if x in seen:
                 fail(f"vertex {x} used twice in the matchings")
@@ -320,7 +307,7 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
     chain_vertices: set[int] = set()
     covered: set[int] = set()  # the core colors covered so far, in cover order
     for color, e in config.cover.items():
-        core_edge = core_edges.get(color)
+        core_edge = core.get(color)
         if core_edge is None:
             fail("chain covers a color outside the core")
         shared = {e[0], e[1]} & {core_edge[0], core_edge[1]}
@@ -333,16 +320,16 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
         if free_end in chain_vertices or anchor in chain_vertices:
             fail("chains overlap")
         chain_vertices.update((free_end, anchor))
-        if e[2] in core_edges and e[2] not in covered:
+        if e[2] in core and e[2] not in covered:
             fail("chain edge color not among earlier covered core colors")
         if e[2] in twin_colors:
             fail("chain first edge color is not fresh")
         covered.add(color)
-    fresh = _build_index(config)
-    for name in ("roles", "core_by_color", "banned", "anchors"):
-        if getattr(config._index, name) != getattr(fresh, name):
+    roles, banned = _build_index(config)
+    for name, built in (("roles", roles), ("banned", banned)):
+        if getattr(config, name) != built:
             fail(f"cached {name} out of sync with the structure")
-    if any(u not in fresh.roles for u in range(1, cursor)):
+    if any(u not in roles for u in range(1, cursor)):
         fail("free-vertex cursor skipped a vertex outside the structure")
 
 
@@ -363,31 +350,23 @@ def _checked_level(g: ColoredGraph, d: int, carried: _MatchingIndex, edges, chec
     return edges
 
 
-def _advance_level(
-    g: ColoredGraph, d: int, prev: tuple, carried: _MatchingIndex, check: bool, trace
-) -> tuple:
-    """Grow prev, a rainbow matching of size d-1 that carried indexes, to
-    size d, and carry the result into carried.
+def _advance_level(g: ColoredGraph, d: int, carried: _MatchingIndex, check: bool, trace) -> tuple:
+    """Grow carried's rainbow matching of size d-1 to size d, and carry
+    the result into carried.
 
-    The level starts from copies of the carried index. Most probes
+    The level starts from copies of the carried maps. Most probes
     extend a chain, which keeps the configuration and its roles, so the
     free-vertex cursor v only moves forward. A RepeatIncreased builds a
     new configuration, and v starts again at 1.
     """
-    index = _Index(
-        roles=dict(carried.color_at),
-        core_by_color=dict(carried.edge_of),
-        banned=set(carried.edge_of),
-        anchors=set(),
-    )
     config = GoodConfiguration(
-        graph=g, target=d, twins_a=[], twins_b=[], core=list(prev), cover={},
-        _index=index,
+        graph=g, target=d, twins_a=[], twins_b=[], core=dict(carried.edge_of), cover={},
+        roles=dict(carried.color_at), banned=set(carried.edge_of),
     )
     if check:
         _audit(config)
     n = g.vertex_count
-    roles = config._index.roles
+    roles = config.roles
     v = 1
     for _ in range(d * d):
         while v in roles:
@@ -397,7 +376,7 @@ def _advance_level(
         if len(config.twins_a) == d - 1:
             result = _finish_full_twins(config, v)
             if trace is not None:
-                trace({"level": d, "k": config.pair_count, "outcome": "FullTwins"})
+                trace({"level": d, "k": len(config.twins_a), "outcome": "FullTwins"})
             return _checked_level(g, d, carried, result, check)
         v, w = extend_by_free_edge(config, v)
         outcome = resolve_case(config, (v, w))
@@ -405,7 +384,7 @@ def _advance_level(
             trace(
                 {
                     "level": d,
-                    "k": config.pair_count,
+                    "k": len(config.twins_a),
                     "covered": len(config.cover),
                     "probe": [v, w],
                     "outcome": type(outcome).__name__,
@@ -413,7 +392,7 @@ def _advance_level(
             )
         if type(outcome) is RepeatIncreased:
             config = outcome.config
-            roles = config._index.roles
+            roles = config.roles
             v = 1
         elif type(outcome) is Matched:
             return _checked_level(g, d, carried, outcome.matching, check)
@@ -442,7 +421,7 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=N
     matching: tuple = ()
     carried = _MatchingIndex(g)
     for d in range(1, delta + 1):
-        matching = _advance_level(g, d, matching, carried, check, trace)
+        matching = _advance_level(g, d, carried, check, trace)
     ok, why = validate_rainbow_matching(g, matching)
     if not ok or len(matching) != delta:
         raise InternalInvariantBroken(f"final matching invalid: {why}")

@@ -4,13 +4,17 @@ Every error raised on a user-facing path derives from RainbowError so CLI
 code can map "bad input" and "internal failure" to distinct exit codes.
 """
 
+import math
+
 
 class RainbowError(Exception):
     """Base class for all package errors."""
 
 
 class BadShape(RainbowError):
-    """A grid of rows is not square or rows have unequal lengths."""
+    """An argument has the wrong type or shape: a grid that is not
+    square, a malformed line, edge or cell, or an instance of another
+    class."""
 
 
 class NotLatin(RainbowError):
@@ -54,6 +58,17 @@ def require_int(name: str, value, least: int) -> None:
         raise PreconditionViolated(f"{name} must be an int, got {type(value).__name__}")
     if value < least:
         raise PreconditionViolated(f"{name} must be at least {least}, got {value}")
+
+
+def require_cycle_bound(k) -> None:
+    """PreconditionViolated unless k, a bound on forbidden cycle lengths,
+    is math.inf or an int (a bool is not) of at least 0."""
+    if type(k) is not float or k != math.inf:
+        if type(k) is not int:
+            kind = type(k).__name__
+            raise PreconditionViolated(f"cycle bound must be an int or math.inf, got {kind}")
+        if k < 0:
+            raise PreconditionViolated(f"cycle bound must be at least 0, got {k}")
 
 
 class InternalInvariantBroken(RainbowError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadShape, NotLatin, require_type
+from .errors import BadShape, NotLatin, require_cycle_bound, require_type
 from .graphs import ColoredGraph, _content_lines, build_graph
 
 
@@ -201,12 +201,14 @@ def validate_transversal(
 ) -> tuple[bool, str | None]:
     """Check cells exist, rows/columns/symbols are distinct, and - when
     forbid_cycles_up_to is k > 0 (math.inf allowed) - that no successor
-    cycle has length <= k.
+    cycle has length <= k. A bound that is not math.inf or an int >= 0
+    raises PreconditionViolated.
 
     The first violation is reported: cells in list order (range, entry,
     then row, column and symbol reuse), then the cycles in ascending
     order of their smallest row."""
     require_type(square, LatinSquare)
+    require_cycle_bound(forbid_cycles_up_to)
     try:
         cells = list(transversal)
     except TypeError:

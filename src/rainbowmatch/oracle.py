@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, require_type
+from .errors import BudgetExceeded, require_cycle_bound, require_int, require_type
 from .graphs import ColoredGraph
 from .latin import LatinSquare, _closes_short_cycle
 
@@ -18,6 +18,10 @@ class OracleBudget:
     max_edges: int = 24
     max_order: int = 7
     node_limit: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        for name in ("max_edges", "max_order", "node_limit"):
+            require_int(name, getattr(self, name), 0)
 
 
 def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = None) -> tuple:
@@ -74,10 +78,12 @@ def max_cyclefree_transversal_exact(
     """Maximum partial transversal whose cycles all exceed length k, as
     sorted (row, col, symbol) cells.
 
-    k = 0 puts no constraint on cycles; k = math.inf forbids them all.
+    k = 0 puts no constraint on cycles; k = math.inf forbids them all;
+    any k but math.inf or an int >= 0 raises PreconditionViolated.
     Row-by-row take/skip search with column and symbol occupancy sets.
     """
     require_type(square, LatinSquare)
+    require_cycle_bound(k)
     budget = OracleBudget() if budget is None else budget
     require_type(budget, OracleBudget)
     n = square.order

@@ -37,10 +37,17 @@ def test_first_power_is_identity():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        int_kth_root(-1, 2)
-    with pytest.raises(ValueError):
-        int_kth_root(4, 0)
+    for x, k, why in [
+        (-1, 2, "x must be at least 0, got -1"),
+        (4, 0, "k must be at least 1, got 0"),
+        (4, -1, "k must be at least 1, got -1"),
+        (4.0, 2, "x must be an int, got float"),
+        (True, 2, "x must be an int, got bool"),
+        (4, "2", "k must be an int, got str"),
+        (4, None, "k must be an int, got NoneType"),
+    ]:
+        with pytest.raises(PreconditionViolated, match=f"^{why}$"):
+            int_kth_root(x, k)
 
 
 def test_a_huge_k_gives_one_without_the_huge_powers():

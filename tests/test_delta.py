@@ -5,7 +5,6 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import fields
 from operator import itemgetter, setitem
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from rainbowmatch.delta import (
     GoodConfiguration,
     Matched,
     _audit,
-    _Index,
     _restructure,
     chain_rotate,
     resolve_case,
@@ -113,7 +111,7 @@ def test_chain_rotate_cascades_to_the_fresh_color():
         target=4,
         twins_a=[],
         twins_b=[],
-        core=[(1, 2, 5), (3, 4, 6)],
+        core={5: (1, 2, 5), 6: (3, 4, 6)},
         # one chain covers the core edges of colors 5 and 6: the edge
         # covering 6 has color 5, whose edge has the fresh color 7
         cover={5: (2, 9, 7), 6: (4, 10, 5)},
@@ -126,20 +124,20 @@ def test_chain_rotate_cascades_to_the_fresh_color():
 def test_restructure_promotes_the_duplicated_color():
     g = build_graph(8, [(1, 2, 1), (3, 4, 2), (5, 6, 1), (7, 8, 3)])
     config = GoodConfiguration(
-        graph=g, target=3, twins_a=[], twins_b=[], core=[], cover={}
+        graph=g, target=3, twins_a=[], twins_b=[], core={}, cover={}
     )
     candidate = [(1, 2, 1), (7, 8, 3), (5, 6, 1)]  # core edges, then the probe edge
     out = _restructure(config, candidate, [1, 3, 1])
     assert out.twins_a == [(1, 2, 1)]
     assert out.twins_b == [(5, 6, 1)]
-    assert out.core == [(7, 8, 3)]
+    assert out.core == {3: (7, 8, 3)}
     assert out.cover == {}
 
 
 def test_restructure_rejects_candidates_without_one_duplicate():
     g = build_graph(4, [(1, 2, 1), (3, 4, 2)])
     config = GoodConfiguration(
-        graph=g, target=2, twins_a=[], twins_b=[], core=[], cover={}
+        graph=g, target=2, twins_a=[], twins_b=[], core={}, cover={}
     )
     with pytest.raises(InternalInvariantBroken):
         _restructure(config, [(1, 2, 1), (3, 4, 2)], [1, 2])
@@ -158,14 +156,14 @@ def test_restructure_rejects_a_repeat_other_than_probe_and_core(twins, candidate
     # the candidate is twins_a, then core edges, then the probe edge
     config = GoodConfiguration(
         graph=build_graph(8, []), target=len(candidate), twins_a=[a for a, _ in twins],
-        twins_b=[b for _, b in twins], core=[], cover={},
+        twins_b=[b for _, b in twins], core={}, cover={},
     )
     with pytest.raises(InternalInvariantBroken, match="^candidate does not have exactly one duplicated color$"):
         _restructure(config, candidate, [e[2] for e in candidate])
 
 
 def test_cached_index_passes_every_audit():
-    # check=True compares the configuration's cached index with one
+    # check=True compares the configuration's roles and banned colors with ones
     # rebuilt from the structure after every probe
     for delta in range(1, 13):
         for trial in range(3):
@@ -179,13 +177,13 @@ def test_audit_rejects_a_stale_index():
     g = build_graph(6, [(1, 2, 1), (3, 4, 2), (1, 5, 3)])
     config = GoodConfiguration(
         graph=g, target=3, twins_a=[], twins_b=[],
-        core=[(1, 2, 1), (3, 4, 2)], cover={},
+        core={1: (1, 2, 1), 2: (3, 4, 2)}, cover={},
     )
     outcome = resolve_case(config, (5, 1))
     assert isinstance(outcome, ChainsExtended)
     _audit(config)
-    assert config._index.banned == {2}
-    config._index.banned.add(1)
+    assert config.banned == {2}
+    config.banned.add(1)
     with pytest.raises(InternalInvariantBroken, match="banned"):
         _audit(config)
 
@@ -195,7 +193,7 @@ def test_audit_rejects_a_cursor_past_a_free_vertex():
     g = build_graph(6, [(1, 2, 1), (3, 4, 2), (1, 5, 3)])
     config = GoodConfiguration(
         graph=g, target=3, twins_a=[], twins_b=[],
-        core=[(1, 2, 1), (3, 4, 2)], cover={},
+        core={1: (1, 2, 1), 2: (3, 4, 2)}, cover={},
     )
     _audit(config, 5)
     with pytest.raises(InternalInvariantBroken, match="free-vertex cursor skipped"):
@@ -214,15 +212,23 @@ def _chained_config():
     ])
     return GoodConfiguration(
         graph=g, target=5, twins_a=[(1, 2, 1)], twins_b=[(3, 4, 1)],
-        core=[(5, 6, 2), (7, 8, 3), (9, 10, 4)], cover={2: (6, 11, 7), 3: (8, 12, 2)},
+        core={2: (5, 6, 2), 3: (7, 8, 3), 4: (9, 10, 4)}, cover={2: (6, 11, 7), 3: (8, 12, 2)},
     )
 
 
 def _repeat_the_twin_color(config):
     # a second color-1 pair, with one core edge fewer to keep the size
-    config.core.pop()
+    del config.core[4]
     config.twins_a.append((15, 16, 1))
     config.twins_b.append((17, 18, 1))
+
+
+def _swap_core_edge(color, edge):
+    """Replace the core edge of the color with edge, under edge's color."""
+    def swap(config):
+        del config.core[color]
+        config.core[edge[2]] = edge
+    return swap
 
 
 def _swap_the_cover_order(config):
@@ -236,9 +242,9 @@ _AUDIT_FAULTS = [
     ("edge (8, 12, 9) not in the graph", lambda c: setitem(c.cover, 3, (8, 12, 9)), 13),
     ("twin pair colors differ", lambda c: setitem(c.twins_b, 0, (13, 14, 5)), 13),
     ("twin colors repeat", _repeat_the_twin_color, 13),
-    ("core colors repeat", lambda c: setitem(c.core, 2, (19, 20, 3)), 13),
-    ("core reuses a twin color", lambda c: setitem(c.core, 2, (15, 16, 1)), 13),
-    ("vertex 5 used twice in the matchings", lambda c: setitem(c.core, 2, (5, 21, 6)), 13),
+    ("core edge filed under another color", lambda c: setitem(c.core, 4, (19, 20, 3)), 13),
+    ("core reuses a twin color", _swap_core_edge(4, (15, 16, 1)), 13),
+    ("vertex 5 used twice in the matchings", _swap_core_edge(4, (5, 21, 6)), 13),
     ("chain covers a color outside the core", lambda c: setitem(c.cover, 9, (10, 22, 8)), 13),
     # the edge of color 8 misses the core edge 9-10 of color 4
     ("anchor not shared by chain edge and core edge", lambda c: setitem(c.cover, 4, (21, 24, 8)), 13),
@@ -246,11 +252,8 @@ _AUDIT_FAULTS = [
     ("chains overlap", lambda c: setitem(c.cover, 4, (10, 11, 10)), 13),
     ("chain edge color not among earlier covered core colors", _swap_the_cover_order, 13),
     ("chain first edge color is not fresh", lambda c: setitem(c.cover, 4, (10, 23, 1)), 13),
-    ("cached roles out of sync with the structure", lambda c: c._index.roles.pop(12), 13),
-    ("cached core_by_color out of sync with the structure",
-     lambda c: c._index.core_by_color.pop(4), 13),
-    ("cached banned out of sync with the structure", lambda c: c._index.banned.add(2), 13),
-    ("cached anchors out of sync with the structure", lambda c: c._index.anchors.discard(8), 13),
+    ("cached roles out of sync with the structure", lambda c: c.roles.pop(12), 13),
+    ("cached banned out of sync with the structure", lambda c: c.banned.add(2), 13),
     ("free-vertex cursor skipped a vertex outside the structure", lambda c: None, 14),
 ]
 
@@ -355,29 +358,22 @@ def test_matching_outputs_are_pinned():
 
 
 def _reference_build_index(config):
-    """The index built by one plain loop per structure part, kept to
-    check the faster build against."""
+    """The roles and banned colors built by one plain loop per structure
+    part, kept to check the faster build against."""
     roles: dict[int, int | tuple] = {}
     for i, (a, b) in enumerate(zip(config.twins_a, config.twins_b)):
         roles[a[0]] = roles[a[1]] = ("twin", i, 0)
         roles[b[0]] = roles[b[1]] = ("twin", i, 1)
-    for e in config.core:
+    for e in config.core.values():
         roles[e[0]] = roles[e[1]] = e[2]
-    anchors = set()
     for color, e in config.cover.items():
-        core_edge = next(f for f in config.core if f[2] == color)
+        core_edge = config.core[color]
         anchor = e[0] if e[0] in (core_edge[0], core_edge[1]) else e[1]
         free_end = e[1] if e[0] == anchor else e[0]
         roles[anchor] = ("anchor",)
         roles[free_end] = ("chain",)
-        anchors.add(anchor)
     twin_colors = {e[2] for e in config.twins_a}
-    return _Index(
-        roles=roles,
-        core_by_color={e[2]: e for e in config.core},
-        banned=twin_colors | {e[2] for e in config.core if e[2] not in config.cover},
-        anchors=anchors,
-    )
+    return roles, twin_colors | {e[2] for e in config.core.values() if e[2] not in config.cover}
 
 
 def test_index_build_matches_the_kept_reference(monkeypatch):
@@ -387,9 +383,7 @@ def test_index_build_matches_the_kept_reference(monkeypatch):
     reached = Counter()
 
     def compare(config, *cursor):
-        built, kept = delta._build_index(config), _reference_build_index(config)
-        for f in fields(_Index):
-            assert getattr(built, f.name) == getattr(kept, f.name), f.name
+        assert delta._build_index(config) == _reference_build_index(config)
         reached["twins"] += bool(config.twins_a)
         # a chain of two or more edges: a cover edge of a core color
         reached["chains"] += any(e[2] in config.cover for e in config.cover.values())
@@ -504,7 +498,7 @@ def test_level_check_rejects_a_corrupt_matching(monkeypatch, fault, check):
     def corrupting(config, edge):
         # a level's first probe sees its start configuration, whose core
         # is the level before's result
-        starts.setdefault(config.target, tuple(config.core))
+        starts.setdefault(config.target, tuple(config.core.values()))
         outcome = real(config, edge)
         if config.target == level and isinstance(outcome, Matched):
             corrupt = _corrupted(fault, g, outcome.matching, starts[level])

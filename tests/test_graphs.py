@@ -1,6 +1,8 @@
 """Colored graph container, validation, and the text format."""
 
+import inspect
 import random
+import time
 import tracemalloc
 from collections import defaultdict
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rainbowmatch
 from rainbowmatch import (
     BadShape,
     DuplicateEdge,
@@ -447,6 +450,87 @@ def test_wrong_instance_type_raises_bad_shape(call, expected):
     # or, for cycles_of, returned a decomposition
     with pytest.raises(BadShape, match=f"^expected a {expected}, got "):
         call()
+
+
+def _good_calls():
+    """One call that works for each public callable but the error
+    classes, as its positional arguments."""
+    sq3, sq5 = cyclic_square(3), cyclic_square(5)
+    g = random_proper_graph(9, 3, 1)
+    budget = rainbowmatch.OracleBudget()
+    return {
+        "ColoredGraph": (3, ((1, 2, 1),)),
+        "CycleDecomposition": ((), ()),
+        "LatinSquare": (((1,),),),
+        "OracleBudget": (24, 7, 10_000_000),
+        "build_graph": (3, [(1, 2, 1)]),
+        "build_short_cycle_free_transversal": (sq5, 2),
+        "build_square": ([[1, 2], [2, 1]],),
+        "corollary_bound": (5,),
+        "cycle_free_transversal": (sq5,),
+        "cycles_of": (sq3, [(1, 1, 1)]),
+        "cyclic_square": (3,),
+        "default_cycle_bound": (5,),
+        "find_rainbow_matching_delta": (g,),
+        "find_rainbow_matching_layered": (g,),
+        "format_graph": (g,),
+        "guaranteed_size": (4,),
+        "int_kth_root": (27, 3),
+        "k4_factorization_pair": (),
+        "max_cyclefree_transversal_exact": (sq3, 2, budget),
+        "max_rainbow_matching_exact": (build_graph(4, [(1, 2, 1), (3, 4, 2), (1, 3, 3)]), budget),
+        "max_transversal_exact": (sq3, budget),
+        "min_degree": (g,),
+        "parse_graph": ("graph 2 1\n1 2 1\n",),
+        "parse_latin": (serialize_latin(sq3),),
+        "random_proper_graph": (9, 3, 1),
+        "random_square": (4, 1),
+        "serialize_latin": (sq3,),
+        "split_seed": (1, 2),
+        "theorem_bound": (100, 3),
+        "to_bipartite_factorization": (sq3,),
+        "validate_rainbow_matching": (g, [(1, 2, 1)]),
+        "validate_transversal": (sq3, [(1, 1, 1)], 2),
+        "witness_square_4": (),
+    }
+
+
+# every public name but the error classes, which take any arguments
+_PUBLIC_CALLABLES = sorted(
+    name for name in rainbowmatch.__all__
+    if not (inspect.isclass(obj := getattr(rainbowmatch, name)) and issubclass(obj, RainbowError))
+)
+_BAD_VALUES = [None, "x", 1.5, True, -1, [None], [(1,)], 2**80, object()]
+
+
+def test_every_public_callable_has_a_good_call():
+    assert sorted(_good_calls()) == _PUBLIC_CALLABLES
+
+
+@pytest.mark.parametrize("name", _PUBLIC_CALLABLES)
+def test_each_bad_positional_argument_returns_or_raises_a_package_error(name):
+    # the good call, which must return, then each positional parameter in
+    # turn replaced by each bad value; each call must finish within 1 s
+    # and 1 MB
+    func = getattr(rainbowmatch, name)
+    good = _good_calls()[name]
+    positional = [p for p in inspect.signature(func).parameters.values()
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    assert len(good) == len(positional)
+    calls = [good] + [good[:i] + (bad,) + good[i + 1:]
+                      for i in range(len(good)) for bad in _BAD_VALUES]
+    for args in calls:
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            func(*args)
+        except RainbowError:
+            assert args is not good
+        finally:
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 2**20, (args, elapsed, peak)
 
 
 # the index holds 1-2 and 3-4; each change must leave three edges, and

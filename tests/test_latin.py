@@ -11,9 +11,11 @@ from rainbowmatch import (
     BadShape,
     LatinSquare,
     NotLatin,
+    PreconditionViolated,
     build_square,
     cycles_of,
     cyclic_square,
+    max_cyclefree_transversal_exact,
     parse_latin,
     random_square,
     serialize_latin,
@@ -147,6 +149,29 @@ def test_validate_transversal_cycle_thresholds():
     assert not ok and "cycle" in why
     ok, _ = validate_transversal(sq, loop, forbid_cycles_up_to=0)
     assert ok  # cycles allowed when the threshold is 0
+
+
+@pytest.mark.parametrize(
+    "k, why",
+    [
+        ("x", "must be an int or math.inf, got str"),
+        (None, "must be an int or math.inf, got NoneType"),
+        (True, "must be an int or math.inf, got bool"),
+        (1.5, "must be an int or math.inf, got float"),
+        (-math.inf, "must be an int or math.inf, got float"),
+        (-1, "must be at least 0, got -1"),
+    ],
+)
+def test_a_cycle_bound_is_an_int_of_at_least_0_or_inf(k, why):
+    # "x" raised TypeError in both; None and -1 skipped the cycle check of
+    # validate_transversal, and True acted as 1
+    sq = cyclic_square(3)
+    for call in (lambda: validate_transversal(sq, [(1, 1, 1)], k),
+                 lambda: max_cyclefree_transversal_exact(sq, k)):
+        with pytest.raises(PreconditionViolated, match=f"^cycle bound {why}$"):
+            call()
+    assert validate_transversal(sq, [(1, 1, 1)], 2**80)[1] == "cycle of length 1 through row 1"
+    assert len(max_cyclefree_transversal_exact(sq, 2**80)) == 2
 
 
 def test_cycles_of_decomposition():

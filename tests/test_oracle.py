@@ -7,6 +7,7 @@ import pytest
 from rainbowmatch import (
     BudgetExceeded,
     OracleBudget,
+    PreconditionViolated,
     build_graph,
     cyclic_square,
     k4_factorization_pair,
@@ -60,6 +61,21 @@ def test_matching_node_limit():
     g = to_bipartite_factorization(cyclic_square(4))
     with pytest.raises(BudgetExceeded):
         max_rainbow_matching_exact(g, budget=OracleBudget(node_limit=3))
+
+
+@pytest.mark.parametrize(
+    "field, value, why",
+    [
+        ("max_edges", None, "must be an int, got NoneType"),
+        ("max_order", "7", "must be an int, got str"),
+        ("node_limit", -1, "must be at least 0, got -1"),
+    ],
+)
+def test_budget_fields_are_non_negative_ints(field, value, why):
+    # a budget built with None compared it with a size inside the search
+    # and raised TypeError there
+    with pytest.raises(PreconditionViolated, match=f"^{field} {why}$"):
+        OracleBudget(**{field: value})
 
 
 def test_order_two_square_has_singleton_transversal():
