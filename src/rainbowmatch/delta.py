@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import InternalInvariantBroken, PreconditionViolated
+from .errors import InternalInvariantBroken, PreconditionViolated, require_trace
 from .graphs import (
     _NO_NEIGHBORS,
     ColoredGraph,
@@ -410,9 +410,11 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=N
     dict) receives one event per probe, with the keys level, k,
     covered, probe ([v, w]) and outcome (Matched,
     RepeatIncreased or ChainsExtended), and one {level, k, outcome:
-    FullTwins} event for a level completed from the full twin set.
+    FullTwins} event for a level completed from the full twin set. A
+    trace that is neither None nor callable is PreconditionViolated.
     """
     delta = min_degree(g)
+    require_trace(trace)
     if g.vertex_count < 4 * delta - 3:
         raise PreconditionViolated(
             f"need at least {4 * delta - 3} vertices for minimum degree {delta},"

@@ -60,6 +60,20 @@ def require_int(name: str, value, least: int) -> None:
         raise PreconditionViolated(f"{name} must be at least {least}, got {value}")
 
 
+def require_trace(trace) -> None:
+    """PreconditionViolated unless trace, a solver's event hook, is None
+    or callable."""
+    if trace is not None and not callable(trace):
+        raise PreconditionViolated(f"trace must be None or callable, got {type(trace).__name__}")
+
+
+def require_stats(stats) -> None:
+    """PreconditionViolated unless stats, a builder's count sink, is None
+    or a dict."""
+    if stats is not None and not isinstance(stats, dict):
+        raise PreconditionViolated(f"stats must be None or a dict, got {type(stats).__name__}")
+
+
 def require_cycle_bound(k) -> None:
     """PreconditionViolated unless k, a bound on forbidden cycle lengths,
     is math.inf or an int (a bool is not) of at least 0."""

@@ -42,7 +42,10 @@ only grows at its end, so a classified edge records its carrying side
 and that side's list length, and its pool, that prefix sorted, is made
 the first time an exchange reads it. The two-sided pair is looked for
 only when the scan reaches that family, before the level's lookup has
-grown any list. A survivor needs only its lists' lengths.
+grown any list. A survivor needs only its lists' lengths. A level that
+classifies nothing and realizes no exchange ends the round: nothing is
+pending and nothing changed, so each later level would repeat it, and
+the trace gets its rows without the work.
 
 M is held in one index of each vertex's color and each color's edge
 (graphs._MatchingIndex). An exchange is checked by its diff as it is
@@ -69,7 +72,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .arith import int_kth_root
-from .errors import InternalInvariantBroken, PreconditionViolated, require_int
+from .errors import InternalInvariantBroken, PreconditionViolated, require_int, require_trace
 from .graphs import (
     ColoredGraph,
     Edge,
@@ -438,11 +441,21 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[tuple | None, tuple 
     exchange, as _attempt_exchange gives it, the violation it realized,
     rows) as soon as one passes its check, or (None, None, rows) when no
     level yields one. The rows are (level, |M_j|, |M_j'|) for tracing.
+
+    The loop ends at the first level that classifies nothing and
+    realizes no exchange. Its scan's lookup emptied pending, and found,
+    free, quiet_side and current are as they were, since a failed
+    attempt leaves the index unchanged; so every later level would look
+    up nothing and fail on the same candidates. Their rows,
+    (level, |current|, 0), are appended without running them. Under
+    check=True they would check the same state again, and in regime
+    _check_level raises at the level that stopped, for its 0 edges.
     """
     delta = state.delta
     rows: list = []
     current = sorted(state.index.edges)
-    for level in range(1, _level_count(delta) + 1):
+    last = _level_count(delta)
+    for level in range(1, last + 1):
         _unblock(state)
         if check:
             _check_found(state, level, current)
@@ -464,6 +477,9 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[tuple | None, tuple 
             )
         if check:
             _check_level(state, level, classified, survivors)
+        if not classified:
+            rows.extend((skipped, len(current), 0) for skipped in range(level + 1, last + 1))
+            break
         current = survivors
     return None, None, rows
 
@@ -564,9 +580,11 @@ def find_rainbow_matching_layered(
     Needs vertex_count >= 2*min_degree. check=True verifies the layer
     claims and the carried state on every round, every realized
     exchange in full, and each refill against the full greedy walk;
-    trace (a callable taking one dict) receives per-round statistics.
+    trace (a callable taking one dict) receives per-round statistics;
+    one that is neither None nor callable is PreconditionViolated.
     """
     delta = min_degree(g)
+    require_trace(trace)
     if g.vertex_count < 2 * delta:
         raise PreconditionViolated(
             f"need at least {2 * delta} vertices for minimum degree {delta},"

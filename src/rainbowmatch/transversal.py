@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .arith import int_kth_root
-from .errors import InternalInvariantBroken, require_int, require_type
+from .errors import InternalInvariantBroken, require_int, require_stats, require_type
 from .latin import (
     LatinSquare,
     _closes_short_cycle,
@@ -545,9 +545,11 @@ def build_short_cycle_free_transversal(
     fresh walk of the front at every layer, and compares the carried
     search state with a fresh one after every augmentation. stats (a
     dict) receives initial, the greedy start's size, and augmentations,
-    the expansion rounds that grew it.
+    the expansion rounds that grew it; stats that are neither None nor
+    a dict are PreconditionViolated, before any work.
     """
     require_type(square, LatinSquare)
+    require_stats(stats)
     n = square.order
     bound = theorem_bound(n, k)  # the one check of k
     state = _start_state(square, k, _greedy_init(square, k))

@@ -16,6 +16,7 @@ from rainbowmatch import (
     DuplicateEdge,
     ImproperColoring,
     InternalInvariantBroken,
+    PreconditionViolated,
     RainbowError,
     SelfLoop,
     build_graph,
@@ -285,9 +286,10 @@ def test_a_bulk_rejection_the_edge_checks_miss_is_an_internal_fault(monkeypatch)
 
 def test_the_build_keeps_normalized_tuples_and_stays_near_its_retained_size():
     sq = cyclic_square(96)
+    edges = list(to_bipartite_factorization(sq).edges)
     tracemalloc.start()
     try:
-        g = to_bipartite_factorization(sq)
+        g = build_graph(192, edges)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -507,30 +509,91 @@ def test_every_public_callable_has_a_good_call():
     assert sorted(_good_calls()) == _PUBLIC_CALLABLES
 
 
-@pytest.mark.parametrize("name", _PUBLIC_CALLABLES)
-def test_each_bad_positional_argument_returns_or_raises_a_package_error(name):
-    # the good call, which must return, then each positional parameter in
-    # turn replaced by each bad value; each call must finish within 1 s
-    # and 1 MB
-    func = getattr(rainbowmatch, name)
-    good = _good_calls()[name]
-    positional = [p for p in inspect.signature(func).parameters.values()
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    assert len(good) == len(positional)
-    calls = [good] + [good[:i] + (bad,) + good[i + 1:]
-                      for i in range(len(good)) for bad in _BAD_VALUES]
-    for args in calls:
+def _assert_each_call_returns_or_raises_a_package_error(func, calls):
+    """Call func with each (args, kwargs) of calls: the first, the good
+    call, must return, and each other must return or raise a
+    RainbowError, each within 1 s and 1 MB."""
+    for i, (args, kwargs) in enumerate(calls):
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            func(*args)
+            func(*args, **kwargs)
         except RainbowError:
-            assert args is not good
+            assert i > 0
         finally:
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert elapsed < 1 and peak < 2**20, (args, elapsed, peak)
+        assert elapsed < 1 and peak < 2**20, (args, kwargs, elapsed, peak)
+
+
+def _parameters(func, *kinds):
+    return [p.name for p in inspect.signature(func).parameters.values() if p.kind in kinds]
+
+
+@pytest.mark.parametrize("name", _PUBLIC_CALLABLES)
+def test_each_bad_positional_argument_returns_or_raises_a_package_error(name):
+    # the good call, which must return, then each positional parameter in
+    # turn replaced by each bad value
+    func = getattr(rainbowmatch, name)
+    good = _good_calls()[name]
+    positional = _parameters(func, inspect.Parameter.POSITIONAL_ONLY,
+                             inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    assert len(good) == len(positional)
+    calls = [(good, {})] + [(good[:i] + (bad,) + good[i + 1:], {})
+                            for i in range(len(good)) for bad in _BAD_VALUES]
+    _assert_each_call_returns_or_raises_a_package_error(func, calls)
+
+
+_KEYWORD_ONLY_CALLABLES = [
+    name for name in _PUBLIC_CALLABLES
+    if _parameters(getattr(rainbowmatch, name), inspect.Parameter.KEYWORD_ONLY)
+]
+
+
+def test_the_keyword_only_parameters_are_the_solver_hooks():
+    assert {name: _parameters(getattr(rainbowmatch, name), inspect.Parameter.KEYWORD_ONLY)
+            for name in _KEYWORD_ONLY_CALLABLES} == {
+        "build_short_cycle_free_transversal": ["check", "stats"],
+        "cycle_free_transversal": ["check", "stats"],
+        "find_rainbow_matching_delta": ["check", "trace"],
+        "find_rainbow_matching_layered": ["check", "trace"],
+    }
+
+
+@pytest.mark.parametrize("name", _KEYWORD_ONLY_CALLABLES)
+def test_each_bad_keyword_only_argument_returns_or_raises_a_package_error(name):
+    # the good call with each keyword-only parameter in turn set to each
+    # bad value; check takes any value as a truth value, and a trace that
+    # is not callable or stats that are not a dict are refused
+    func = getattr(rainbowmatch, name)
+    good = _good_calls()[name]
+    calls = [(good, {})] + [(good, {keyword: bad})
+                            for keyword in _parameters(func, inspect.Parameter.KEYWORD_ONLY)
+                            for bad in _BAD_VALUES]
+    _assert_each_call_returns_or_raises_a_package_error(func, calls)
+
+
+@pytest.mark.parametrize(
+    "name, keyword, step, message",
+    [
+        ("find_rainbow_matching_delta", "trace", "delta._advance_level",
+         "trace must be None or callable, got str"),
+        ("find_rainbow_matching_layered", "trace", "layered._greedy_start",
+         "trace must be None or callable, got str"),
+        ("build_short_cycle_free_transversal", "stats", "transversal._greedy_init",
+         "stats must be None or a dict, got str"),
+        ("cycle_free_transversal", "stats", "transversal._greedy_init",
+         "stats must be None or a dict, got str"),
+    ],
+)
+def test_a_bad_hook_is_refused_before_the_solve_starts(monkeypatch, name, keyword, step, message):
+    def started(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(f"rainbowmatch.{step}", started)
+    with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+        getattr(rainbowmatch, name)(*_good_calls()[name], **{keyword: "x"})
 
 
 # the index holds 1-2 and 3-4; each change must leave three edges, and

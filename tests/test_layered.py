@@ -399,15 +399,87 @@ def _both_scans(state, survivors, classified):
     return got
 
 
+def _reference_run_layers(state, *, check):
+    """_run_layers as it was before a round ended at its first level that
+    classifies nothing: every level runs its lookup, classification and
+    scan in full."""
+    delta = state.delta
+    rows = []
+    current = sorted(state.index.edges)
+    for level in range(1, layered._level_count(delta) + 1):
+        layered._unblock(state)
+        if check:
+            layered._check_found(state, level, current)
+        survivors, classified = layered._classify_level(state, current)
+        for record in classified:
+            state.origins[record.edge[2]] = record
+            state.quiet_side[record.y] = record
+            state.pending.append(record.edge[2])
+        rows.append((level, len(current), len(classified)))
+        tried = False
+        for candidate in layered._scan_candidates(state, survivors, classified):
+            tried = True
+            exchange = layered._attempt_exchange(state, candidate, check)
+            if exchange is not None:
+                return exchange, candidate, rows
+        if tried and layered._in_regime(len(state.index.edges), delta):
+            raise InternalInvariantBroken(
+                f"level {level}: no detected exchange could be realized"
+            )
+        if check:
+            layered._check_level(state, level, classified, survivors)
+        current = survivors
+    return None, None, rows
+
+
+def _solve_watching_the_stop(g, check, trace=None):
+    """(find_rainbow_matching_layered(g, ...), the steps of its rounds as
+    "round", "classify", "classify nothing" and "scan"), failing if a
+    round classifies or scans again once a level classified nothing."""
+    steps = []
+    run, classify, scan = layered._run_layers, layered._classify_level, layered._scan_candidates
+
+    def watched_run(state, *, check):
+        steps.append("round")
+        return run(state, check=check)
+
+    def watched_classify(state, current):
+        survivors, classified = classify(state, current)
+        steps.append("classify" if classified else "classify nothing")
+        return survivors, classified
+
+    def watched_scan(state, survivors, classified):
+        steps.append("scan")
+        return scan(state, survivors, classified)
+
+    with mock.patch.multiple(
+        layered, _run_layers=watched_run, _classify_level=watched_classify,
+        _scan_candidates=watched_scan,
+    ):
+        m = find_rainbow_matching_layered(g, check=check, trace=trace)
+    for i, step in enumerate(steps):
+        if step == "classify nothing":
+            # that level's own scan, then the next round or the end
+            assert steps[i + 1] == "scan" and steps[i + 2 : i + 3] in ([], ["round"])
+    return m, steps
+
+
 def _assert_matches_reference(g):
-    """Solve g with check=True and again with the reference classification,
-    scan, greedy start and full-walk refill; the matchings and every trace
+    """Solve g checked and plain, and again with the reference level loop,
+    checked, and with the reference loop, classification, scan, greedy
+    start and full-walk refill, plain; the matchings and every trace
     dict must agree, and so must the two classifications and the two
-    candidate lists of every level."""
-    rows, reference_rows = [], []
-    m = find_rainbow_matching_layered(g, check=True, trace=rows.append)
+    candidate lists of every level. The solves that end their rounds
+    early must never classify or scan after a level that classified
+    nothing."""
+    rows, plain_rows, full_rows, reference_rows = [], [], [], []
+    m = _solve_watching_the_stop(g, True, rows.append)[0]
+    assert _solve_watching_the_stop(g, False, plain_rows.append)[0] == m
+    with mock.patch.object(layered, "_run_layers", _reference_run_layers):
+        assert find_rainbow_matching_layered(g, check=True, trace=full_rows.append) == m
     with mock.patch.multiple(
         layered,
+        _run_layers=_reference_run_layers,
         _classify_level=_both_classifications,
         _scan_candidates=_both_scans,
         _greedy_start=lambda g, by_color: (
@@ -417,7 +489,7 @@ def _assert_matches_reference(g):
     ):
         reference = find_rainbow_matching_layered(g, trace=reference_rows.append)
     assert m == reference
-    assert rows == reference_rows
+    assert rows == plain_rows == full_rows == reference_rows
     return rows
 
 
@@ -463,6 +535,19 @@ def test_matches_reference_on_sparse_proper_graphs(d):
     # vertex's neighbours rather than looking its later free vertices up
     for seed in range(2):
         _assert_matches_reference(random_proper_graph(12 * d, d, seed))
+
+
+def test_a_round_ends_at_its_first_level_that_classifies_nothing():
+    # the last round classifies 1 edge at level 1 and none at level 2,
+    # then stops; its trace still lists all 11 levels
+    rows = []
+    _, steps = _solve_watching_the_stop(_shuffled_cyclic(192, 4), False, rows.append)
+    assert [(r["edges"], r["classified"]) for r in rows[-2]["levels"]] == (
+        [(165, 1)] + [(164, 0)] * 10
+    )
+    assert steps[-5:] == ["round", "classify", "scan", "classify nothing", "scan"]
+    assert steps.count("classify") + steps.count("classify nothing") == 11
+    assert sum(len(r["levels"]) for r in rows[:-1]) == 20
 
 
 def test_the_scan_gives_free_free_edges_in_order_both_ways():
@@ -716,7 +801,9 @@ def test_a_solve_reads_about_what_its_levels_unblock(monkeypatch):
         ColoredGraph, "neighbors", lambda self, v: _CountedNeighbors(neighbors(self, v), reads)
     )
     assert find_rainbow_matching_layered(g) == want
-    assert 0 < reads[0] <= 60_000
+    # 22,209; it read 35,088 when the last round ran all 11 levels, the
+    # 9 after its first level that classified nothing 1,431 entries each
+    assert 0 < reads[0] <= 25_000
     # entries read from the graph's own maps, not through neighbors (which
     # here reads g's maps): mostly the greedy start's color maps, each
     # of whose 192 rows' 192 entries _colors_at reads twice (73,728 in
