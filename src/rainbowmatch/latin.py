@@ -20,6 +20,18 @@ from .graphs import ColoredGraph, _content_lines
 
 @dataclass(frozen=True)
 class LatinSquare:
+    """A Latin square of order n: rows, n tuples of the symbols 1..n.
+
+    _col_of[r][s] is the column of symbol s in row r, and _row_of[c][s]
+    the row of symbol s in column c; each is n + 1 tuples of n + 1 ints,
+    0 at every index 0. Both tables hold the ints of one tuple of 1..n,
+    so they share one int object per row and column number.
+
+    The build checks the cells row by row, each for its range, then a
+    repeat in its row, then in its column, and raises NotLatin for the
+    first fault, with the cell's (row, column) as ``cell``.
+    """
+
     rows: tuple[tuple[int, ...], ...]
     _col_of: tuple = field(init=False, repr=False, compare=False)
     _row_of: tuple = field(init=False, repr=False, compare=False)
@@ -37,22 +49,33 @@ class LatinSquare:
             if not set(map(type, row)) <= {int}:  # a bool, float or str fails
                 bad = next(s for s in row if type(s) is not int)
                 raise BadShape(f"row {r} holds {bad!r}, expected an int")
-        # col_of[r][s] = column of symbol s in row r; row_of[c][s] likewise
-        col_of = [[0] * (n + 1) for _ in range(n + 1)]
+        # each row's col_of list becomes a tuple once the row is checked,
+        # and each row_of list one in place at the end, so no list copy of
+        # a table lives beside its tuples
+        numbers = tuple(range(1, n + 1))
+        col_of = [(0,) * (n + 1)]
         row_of = [[0] * (n + 1) for _ in range(n + 1)]
-        for r in range(1, n + 1):
-            for c in range(1, n + 1):
-                s = rows[r - 1][c - 1]
-                if not (1 <= s <= n):
-                    raise NotLatin(f"cell ({r},{c}) holds {s}, outside 1..{n}")
-                if col_of[r][s]:
-                    raise NotLatin(f"symbol {s} repeated in row {r}")
-                if row_of[c][s]:
-                    raise NotLatin(f"symbol {s} repeated in column {c}")
-                col_of[r][s] = c
-                row_of[c][s] = r
-        object.__setattr__(self, "_col_of", tuple(tuple(x) for x in col_of))
-        object.__setattr__(self, "_row_of", tuple(tuple(x) for x in row_of))
+        try:
+            for r, row in zip(numbers, rows):
+                cols = [0] * (n + 1)
+                for c, s in zip(numbers, row):
+                    if not (1 <= s <= n):
+                        raise NotLatin(f"cell ({r},{c}) holds {s}, outside 1..{n}")
+                    if cols[s]:
+                        raise NotLatin(f"symbol {s} repeated in row {r}")
+                    column = row_of[c]
+                    if column[s]:
+                        raise NotLatin(f"symbol {s} repeated in column {c}")
+                    cols[s] = c
+                    column[s] = r
+                col_of.append(tuple(cols))
+        except NotLatin as exc:
+            exc.cell = (r, c)
+            raise
+        for c, column in enumerate(row_of):
+            row_of[c] = tuple(column)
+        object.__setattr__(self, "_col_of", tuple(col_of))
+        object.__setattr__(self, "_row_of", tuple(row_of))
 
     @property
     def order(self) -> int:
@@ -91,10 +114,14 @@ def parse_latin(text: str) -> LatinSquare:
 
     Line 1: order n; then n rows of n symbols. '#' comments and blank
     lines are ignored. Any alphabet of n distinct integers is accepted
-    and normalized to 1..n by rank.
+    and normalized to 1..n by rank; each row is replaced in place by its
+    ranks, so the parsed ints go row by row. A repeat is raised again as
+    ``line N: symbol S repeated in ...``, naming the file's own symbol
+    and the line of the faulting cell's row.
     """
     n: int | None = None
-    rows: list[list[int]] = []
+    rows: list = []
+    lines: list[int] = []  # the line number of each row
     for ln, line in _content_lines(text):
         parts = line.split()
         if n is None:
@@ -116,6 +143,7 @@ def parse_latin(text: str) -> LatinSquare:
         if len(row) != n:
             raise BadShape(f"line {ln}: row has {len(row)} entries, expected {n}")
         rows.append(row)
+        lines.append(ln)
     if n is None:
         raise BadShape("empty input: missing order line")
     if len(rows) != n:
@@ -124,7 +152,16 @@ def parse_latin(text: str) -> LatinSquare:
     if len(alphabet) != n and n > 0:
         raise NotLatin(f"found {len(alphabet)} distinct symbols, expected {n}")
     rank = {s: i + 1 for i, s in enumerate(alphabet)}
-    return build_square([[rank[s] for s in row] for row in rows])
+    for i, row in enumerate(rows):
+        rows[i] = tuple(map(rank.__getitem__, row))
+    try:
+        return build_square(rows)
+    except NotLatin as exc:
+        # ranks are 1..n, so the fault is a repeat: "symbol s repeated in ..."
+        r, c = exc.cell
+        s = rows[r - 1][c - 1]
+        where = str(exc).removeprefix(f"symbol {s} ")
+        raise NotLatin(f"line {lines[r - 1]}: symbol {alphabet[s - 1]} {where}") from None
 
 
 def serialize_latin(square: LatinSquare) -> str:

@@ -114,6 +114,18 @@ def test_malformed_graph_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3\n30 10 20\n# a comment\n\n10 20 20\n20 30 10\n", "line 5: symbol 20 repeated in row 2"),
+    ("# order\n3\n7 -4 0\n0 7 -4\n# last row\n7 0 -4\n", "line 6: symbol 7 repeated in column 1"),
+], ids=["row", "column"])
+def test_a_repeat_in_a_square_file_exits_1_naming_its_line(tmp_path, capsys, text, message):
+    inst = tmp_path / "bad.txt"
+    inst.write_text(text)
+    code, _, err = run(capsys, "transversal", "--input", str(inst), "--k", "3")
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--algo", "delta",
                        "--input", str(tmp_path / "nope.txt"))

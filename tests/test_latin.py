@@ -113,6 +113,25 @@ def test_parse_latin_shape_messages(text, message):
     assert type(info.value) is BadShape and str(info.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2\n5 5\n7 7\n", "line 2: symbol 5 repeated in row 1"),
+    ("2\n10 20\n10 20\n", "line 3: symbol 10 repeated in column 1"),
+    # the line counts the comment and blank lines before the faulting row
+    ("3\n30 10 20\n# a comment\n\n10 20 20\n20 30 10\n", "line 5: symbol 20 repeated in row 2"),
+    ("# order\n3\n7 -4 0\n0 7 -4\n# last row\n7 0 -4\n", "line 6: symbol 7 repeated in column 1"),
+], ids=["row", "column", "row-after-comment", "column-after-comment"])
+def test_parse_latin_names_the_files_symbol_and_line(text, message):
+    with pytest.raises(NotLatin) as info:
+        parse_latin(text)
+    assert type(info.value) is NotLatin and str(info.value) == message
+
+
+def test_build_square_names_the_faulting_cell():
+    with pytest.raises(NotLatin, match=r"^symbol 2 repeated in column 2$") as info:
+        build_square(((1, 2, 3), (3, 2, 1), (2, 3, 1)))
+    assert info.value.cell == (2, 2)
+
+
 def test_validate_transversal_accepts_partial():
     sq = build_square(WITNESS_ROWS)
     ok, why = validate_transversal(sq, [(1, 2, 2), (2, 3, 4)])
@@ -309,6 +328,122 @@ def test_the_factorization_shares_its_vertex_ints():
             tracemalloc.stop()
         del g
     assert peaks[0] < peaks[1], peaks
+
+
+def _reference_tables(rows):
+    """The per-cell build the LatinSquare tables are checked against:
+    list-of-lists tables filled cell by cell in row-major order, each
+    cell checked for its range, then a repeat in its row, then in its
+    column. Returns (col_of, row_of) as tuples of tuples, or raises
+    NotLatin carrying the faulting cell."""
+    n = len(rows)
+    col_of = [[0] * (n + 1) for _ in range(n + 1)]
+    row_of = [[0] * (n + 1) for _ in range(n + 1)]
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            s = rows[r - 1][c - 1]
+            try:
+                if not (1 <= s <= n):
+                    raise NotLatin(f"cell ({r},{c}) holds {s}, outside 1..{n}")
+                if col_of[r][s]:
+                    raise NotLatin(f"symbol {s} repeated in row {r}")
+                if row_of[c][s]:
+                    raise NotLatin(f"symbol {s} repeated in column {c}")
+            except NotLatin as exc:
+                exc.cell = (r, c)
+                raise
+            col_of[r][s] = c
+            row_of[c][s] = r
+    return tuple(map(tuple, col_of)), tuple(map(tuple, row_of))
+
+
+def _tables_or_fault(build, rows):
+    try:
+        return build(rows)
+    except NotLatin as exc:
+        return type(exc), str(exc), exc.cell
+
+
+def _built_tables(rows):
+    sq = LatinSquare(rows)
+    return sq._col_of, sq._row_of
+
+
+def _table_squares():
+    for n in range(4):
+        yield from _all_squares(n)
+    for n in range(1, 13):
+        yield random_square(n, seed=n).rows
+    # both sides of the cached small ints (-5..256)
+    for n, seed in ((96, 1), (257, 2), (300, 3)):
+        yield _shuffled_cyclic_square(n, seed).rows
+
+
+def _faulty_copies(rows):
+    """Copies of rows with one fault each, at several cells: a symbol out
+    of range, a repeat in a row (a column's two cells swapped), a repeat
+    in a column (a row's two cells swapped), and both in one row."""
+    n = len(rows)
+    for r, c in {(0, 0), (0, n - 1), (n // 2, n // 3), (n - 1, 0), (n - 1, n - 1)}:
+        r2, c2 = (r + 1) % n, (c + 1) % n
+        for bad in (0, n + 1, -7, 10**30):
+            grid = [list(row) for row in rows]
+            grid[r][c] = bad
+            yield grid
+        grid = [list(row) for row in rows]
+        grid[r][c], grid[r2][c] = grid[r2][c], grid[r][c]
+        yield grid
+        grid = [list(row) for row in rows]
+        grid[r][c], grid[r][c2] = grid[r][c2], grid[r][c]
+        yield grid
+        grid = [list(row) for row in rows]
+        grid[r][c], grid[r][c2] = grid[r][c2], grid[r][c]
+        grid[r][(c2 + 1) % n] = grid[r][c]
+        yield grid
+
+
+def test_the_tables_equal_the_per_cell_build():
+    for rows in _table_squares():
+        assert _built_tables(rows) == _reference_tables(rows)
+
+
+def test_a_faulty_square_raises_what_the_per_cell_build_raises():
+    seen = set()
+    for rows in (random_square(7, seed=3).rows, _shuffled_cyclic_square(257, 1).rows):
+        for grid in _faulty_copies(rows):
+            got = _tables_or_fault(_built_tables, grid)
+            assert got == _tables_or_fault(_reference_tables, grid)
+            seen.add(got[1].split()[-2] if got[1].startswith("symbol") else "range")
+    assert seen == {"range", "row", "column"}
+
+
+def test_the_tables_share_one_int_per_number():
+    # the per-cell build held 13,457 distinct ints in col_of at order 300
+    n = 300
+    sq = _shuffled_cyclic_square(n, 3)
+    for table in (sq._col_of, sq._row_of):
+        assert len(set(map(id, itertools.chain.from_iterable(table)))) == n + 1
+
+
+def test_the_packages_squares_share_one_int_per_symbol():
+    # a fresh int per cell above 256 gave 13,456 distinct ints at order 300
+    n = 300
+    for sq in (cyclic_square(n), parse_latin(serialize_latin(_shuffled_cyclic_square(n, 4)))):
+        assert len(set(map(id, itertools.chain.from_iterable(sq.rows)))) == n
+
+
+def test_the_square_build_peaks_near_what_it_keeps():
+    # the rows are made outside the measured region; the per-cell build
+    # kept full list-of-lists tables beside the tuples and peaked at 1.59x
+    rows = _shuffled_cyclic_square(400, 5).rows
+    tracemalloc.start()
+    try:
+        sq = LatinSquare(rows)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sq.rows == rows
+    assert peak <= 1.1 * kept, (peak, kept)
 
 
 def test_validate_transversal_strictest_setting_accepts_paths():
