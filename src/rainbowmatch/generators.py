@@ -8,13 +8,17 @@ directly, so the outputs depend only on the Mersenne Twister's
 getrandbits stream. The hot loops (the square walk and the
 Fisher-Yates of _shuffled) write the rule out inline rather than call
 _below, which halves their cost; tests pin _below to randrange and
-_shuffled to a loop on _below. random_proper_graph colors with one
+_shuffled to a loop on _below. random_proper_graph shuffles one tuple
+of vertex ints, so its edges and neighbor maps share one int per
+vertex; it keeps each vertex's larger neighbors in place of edge
+tuples, sorts them into two columns of edge ends, and colors with one
 bitmask of used colors per vertex.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .errors import InfeasibleParameters
 from .graphs import ColoredGraph, build_graph
@@ -24,8 +28,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # The most vertices plus edges random_proper_graph may build. Each edge
 # lowers the shortfall of a vertex still below the target degree, so a
-# graph on n vertices has at most n*target edges; at this ceiling a
-# build takes about 10 s and 2 GB (Python 3.11, x86-64).
+# graph on n vertices has at most n*target edges. At this ceiling a
+# build takes 8-16 s and peaks at 0.5 GB resident for 20,000 vertices of
+# degree 249, 1.0 GB for 2,500,000 of degree 1 (Python 3.11, x86-64).
 GRAPH_WORK_LIMIT = 5_000_000
 # The most cells cyclic_square may build, n*n at order n; at this
 # ceiling (order 2000) a build takes about 0.6 s and peaks at 97 MB of
@@ -224,11 +229,16 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
     """Random properly edge-colored graph with minimum degree exactly target.
 
     Overlays random pairings one edge at a time and stops the moment no
-    vertex is short of target, so the minimum cannot overshoot. Edges
-    then receive, in a shuffled order of the sorted edge list, the
-    smallest color free at both endpoints: bit c - 1 of busy[v] is set
-    once v has color c, so that color is the lowest clear bit of
-    busy[u] | busy[v]. Every shuffle is _shuffled, whose draws are
+    vertex is short of target, so the minimum cannot overshoot. Every
+    round shuffles the same tuple of vertex ints, and an accepted edge
+    files its larger end under its smaller one, so the graph holds one
+    int per vertex. The neighbor sets that reject repeated pairs go when
+    pairing ends. The sorted edge list is two columns: us repeats each u
+    once per larger neighbor, and vs lists those neighbors, each
+    vertex's sorted in place. Edges then receive, in a shuffled order of
+    that list, the smallest color free at both endpoints: bit c - 1 of
+    busy[v] is set once v has color c, so that color is the lowest clear
+    bit of busy[u] | busy[v]. Every shuffle is _shuffled, whose draws are
     _below written out inline. The colored edges go to ColoredGraph
     already sorted and normalized, so it keeps each tuple and checks
     them in bulk.
@@ -251,43 +261,57 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
         )
     _require_int("seed", seed)
     getrandbits = random.Random(seed).getrandbits
-    adj = [set() for _ in range(n + 1)]
+    # one int per vertex, shared by every round, edge and neighbor map;
+    # vertex 0 only aligns the per-vertex lists and is never drawn
+    vertices = tuple(range(n + 1))
+    tail = vertices[1:]
+    adj = [set() for _ in vertices]
+    # higher[u]: the larger ends of u's edges, in the order accepted
+    higher: list[list[int]] = [[] for _ in vertices]
     # need[v] = target - degree; a vertex is short while need[v] > 0
     need = [target] * (n + 1)
     short = n if target > 0 else 0
-    edges: list[tuple[int, int]] = []
     rounds = 8 * (target + 1) + 32
     while short:
         if rounds:
             rounds -= 1
-            order = iter(_shuffled(getrandbits, range(1, n + 1)))
+            order = iter(_shuffled(getrandbits, tail))
             batch = zip(order, order)
         else:
             # join the smallest short vertex to its smallest short
             # non-neighbor, else to its smallest non-neighbor
-            v = next(w for w in range(1, n + 1) if need[w] > 0)
-            candidates = [w for w in range(1, n + 1) if w != v and w not in adj[v]]
+            v = next(w for w in tail if need[w] > 0)
+            candidates = [w for w in tail if w != v and w not in adj[v]]
             batch = ((v, next((w for w in candidates if need[w] > 0), candidates[0])),)
         for u, v in batch:
             if v in adj[u] or (need[u] <= 0 and need[v] <= 0):
                 continue
             adj[u].add(v)
             adj[v].add(u)
-            edges.append((u, v) if u < v else (v, u))
+            if u > v:
+                u, v = v, u
+            higher[u].append(v)
             need[u] -= 1
             need[v] -= 1
             short -= (need[u] == 0) + (need[v] == 0)
             if not short:
                 break
+    del adj, tail, need
 
-    pairs = sorted(edges)
-    colors = [0] * len(pairs)
+    # the sorted edge list as two columns: edge i is (us[i], vs[i])
+    us = [u for u, ends in zip(vertices, higher) for _ in ends]
+    for ends in higher:
+        ends.sort()
+    vs = list(chain.from_iterable(higher))
+    del higher
+    colors = [0] * len(us)
     busy = [0] * (n + 1)
-    for i in _shuffled(getrandbits, range(len(pairs))):
-        u, v = pairs[i]
+    for i in _shuffled(getrandbits, range(len(us))):
+        u = us[i]
+        v = vs[i]
         b = busy[u] | busy[v]
         free = ~b & (b + 1)
         busy[u] |= free
         busy[v] |= free
         colors[i] = free.bit_length()
-    return build_graph(n, [(u, v, c) for (u, v), c in zip(pairs, colors)])
+    return build_graph(n, list(zip(us, vs, colors)))

@@ -327,4 +327,5 @@ def format_graph(g: ColoredGraph) -> str:
     require_type(g, ColoredGraph)
     lines = [f"graph {g.vertex_count} {len(g.edges)}"]
     lines.extend(f"{u} {v} {c}" for u, v, c in g.edges)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)

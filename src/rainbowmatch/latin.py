@@ -168,7 +168,8 @@ def serialize_latin(square: LatinSquare) -> str:
     require_type(square, LatinSquare)
     lines = [str(square.order)]
     lines.extend(" ".join(str(s) for s in row) for row in square.rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def to_bipartite_factorization(square: LatinSquare) -> ColoredGraph:

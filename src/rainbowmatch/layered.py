@@ -27,7 +27,10 @@ M is the greedy walk over the edges in (color, u, v) order, read from
 color -> neighbor maps without sorting the edges (see _greedy_start).
 The start maps every vertex with a larger neighbor, and reads the
 colors of the graph off those maps; any other vertex gets its map the
-first time it is free. Each map is kept for the solve.
+first time it is free. The start drops the map of each vertex it
+matches, since the solve reads only free vertices' maps; a dropped map
+is built again the first time its vertex is freed, and is then kept
+for the solve.
 
 A level costs about what it unblocks. Level 1 looks up, from every
 free vertex, only the colors missing from M, and level j+1 only the
@@ -134,7 +137,7 @@ class LayerState:
     index: _MatchingIndex = field(repr=False)  # the round's matching
     missing: set = field(repr=False)  # the colors of graph that the matching lacks
     free: list = field(default_factory=list)  # ascending
-    by_color: dict = field(default_factory=dict, repr=False)  # scan or ever-free v -> {color: neighbor}
+    by_color: dict = field(default_factory=dict, repr=False)  # ever-free v -> {color: neighbor}
     found: dict = field(default_factory=dict)  # matched v -> [(color, free r)] in looked colors
     looked: set = field(default_factory=set)  # the colors whose edges found holds
     pending: list = field(default_factory=list)  # active colors not looked up yet
@@ -178,7 +181,11 @@ def _greedy_start(g: ColoredGraph, by_color: dict) -> tuple[list, set]:
     color's walk takes its smallest (u, v) with both ends free and skips
     the rest. A proper coloring gives u at most one edge in the color,
     and a hit (u, w) has w > u, or w would have hit first; so the walk
-    visits, in ascending order, only the free scan vertices."""
+    visits, in ascending order, only the free scan vertices.
+
+    The map of each vertex the walk matches is dropped from by_color:
+    the solve reads the maps of free vertices only, and _next_state
+    builds a vertex's map again the first time it is freed."""
     adj = g._adj
     scan = sorted(u for u, nb in adj.items() if next(reversed(nb)) > u)
     for u in scan:
@@ -192,8 +199,8 @@ def _greedy_start(g: ColoredGraph, by_color: dict) -> tuple[list, set]:
             if w is not None and w not in matched:
                 matching.append((u, w, c))
                 matched.update((u, w))
-                del scan[i]
-                if w in by_color:  # a scan vertex too
+                del scan[i], by_color[u]
+                if by_color.pop(w, None) is not None:  # a scan vertex too
                     scan.remove(w)
                 break
         if not scan:

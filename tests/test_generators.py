@@ -74,6 +74,28 @@ def test_random_proper_graph_is_seeded():
     assert a.edges != c.edges
 
 
+def test_random_proper_graph_shares_one_int_per_vertex():
+    # every pairing round shuffled a fresh range, so the edges held 176,119
+    # int objects for these 2,000 vertices
+    g = random_proper_graph(2000, 100, 3)
+    ends = {id(x) for e in g.edges for x in e[:2]}
+    ends.update(id(w) for v, nb in g._adj.items() for w in (v, *nb))
+    assert len(ends) == 2000
+
+
+def test_random_proper_graph_peaks_near_what_it_keeps():
+    # the edge tuples, neighbor sets and per-round ints that the build kept
+    # until ColoredGraph was made peaked at 2.16x
+    tracemalloc.start()
+    try:
+        g = random_proper_graph(2000, 100, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert min_degree(g) == 100
+    assert peak <= 1.35 * kept, (peak, kept)
+
+
 def test_random_proper_graph_rejects_impossible_parameters():
     with pytest.raises(InfeasibleParameters):
         random_proper_graph(5, 5, seed=0)

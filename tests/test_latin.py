@@ -91,6 +91,20 @@ def test_serialize_parse_round_trip_property(n, seed):
     assert parse_latin(serialize_latin(sq)) == sq
 
 
+def test_serialize_latin_peaks_near_its_text():
+    # the row strings and the one joined text; adding the final newline to
+    # the join made a third copy and peaked at 3.02x
+    sq = cyclic_square(800)
+    tracemalloc.start()
+    try:
+        text = serialize_latin(sq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith(" 799\n") and text.count("\n") == 801
+    assert peak < 2.2 * len(text), (peak, len(text))
+
+
 def test_parse_accepts_comments():
     text = "# a square\n2\n1 2\n2 1\n"
     assert parse_latin(text).rows == ((1, 2), (2, 1))

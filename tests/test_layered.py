@@ -677,6 +677,10 @@ def test_greedy_start_equals_the_full_walk(d, spread, extra, seed):
     assert start == _extend_maximal(_greedy_order(g), [])
     assert palette == {e[2] for e in g.edges}
     assert all(to == _colors_at(g.neighbors(v)) for v, to in by_color.items())
+    # the maps left are those of the scan vertices the start leaves free
+    matched = {x for e in start for x in e[:2]}
+    scan = {v for v in g.vertices() if g.degree(v) and max(g.neighbors(v)) > v}
+    assert set(by_color) == scan - matched
 
 
 def _drop_the_last_greedy_edge(monkeypatch):
@@ -834,6 +838,20 @@ def test_a_sparse_solve_reads_about_its_edges(monkeypatch):
     # each of the 2 levels reads each free vertex's one neighbour, and
     # setting up the round reads them once more
     assert 0 < reads[0] <= 4 * n
+
+
+def test_a_solve_drops_the_color_maps_of_the_vertices_it_matches():
+    # the solve's own heap, the graph built before; keeping the color map
+    # of every vertex the greedy start matched peaked at 2.48 MiB
+    g = _shuffled_cyclic(192, 4)
+    tracemalloc.start()
+    try:
+        m = find_rainbow_matching_layered(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m) >= guaranteed_size(192)
+    assert peak <= 2.0 * 2**20, peak
 
 
 def test_an_edgeless_graph_with_a_huge_vertex_count_lists_no_vertex():
