@@ -9,15 +9,16 @@ getrandbits stream. The hot loops (the square walk and the
 Fisher-Yates of _shuffled) write the rule out inline rather than call
 _below, which halves their cost; tests pin _below to randrange and
 _shuffled to a loop on _below. random_proper_graph shuffles one tuple
-of vertex ints, so its edges and neighbor maps share one int per
-vertex; it keeps each vertex's larger neighbors in place of edge
-tuples, sorts them into two columns of edge ends, and colors with one
-bitmask of used colors per vertex.
+of vertex ints, so its neighbor maps share one int per vertex; it
+keeps each vertex's larger neighbors in place of edge tuples, sorts
+them into two columns of edge ends, colors with one bitmask of used
+colors per vertex, and fills the graph's maps from the columns.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from itertools import chain
 
 from .errors import InfeasibleParameters
@@ -29,8 +30,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # The most vertices plus edges random_proper_graph may build. Each edge
 # lowers the shortfall of a vertex still below the target degree, so a
 # graph on n vertices has at most n*target edges. At this ceiling a
-# build takes 8-16 s and peaks at 0.5 GB resident for 20,000 vertices of
-# degree 249, 1.0 GB for 2,500,000 of degree 1 (Python 3.11, x86-64).
+# build takes 12-13 s and peaks at 0.28 GB resident for 20,000 vertices
+# of degree 249, 0.9 GB for 2,500,000 of degree 1, nearly all of it the
+# graph's 2,500,000 one-entry maps (Python 3.11, x86-64, 2 vCPUs).
 GRAPH_WORK_LIMIT = 5_000_000
 # The most cells cyclic_square may build, n*n at order n; at this
 # ceiling (order 2000) a build takes about 0.6 s and peaks at 97 MB of
@@ -232,16 +234,17 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
     vertex is short of target, so the minimum cannot overshoot. Every
     round shuffles the same tuple of vertex ints, and an accepted edge
     files its larger end under its smaller one, so the graph holds one
-    int per vertex. The neighbor sets that reject repeated pairs go when
-    pairing ends. The sorted edge list is two columns: us repeats each u
-    once per larger neighbor, and vs lists those neighbors, each
-    vertex's sorted in place. Edges then receive, in a shuffled order of
-    that list, the smallest color free at both endpoints: bit c - 1 of
-    busy[v] is set once v has color c, so that color is the lowest clear
-    bit of busy[u] | busy[v]. Every shuffle is _shuffled, whose draws are
-    _below written out inline. The colored edges go to ColoredGraph
-    already sorted and normalized, so it keeps each tuple and checks
-    them in bulk.
+    int per vertex. One set of pair keys, u * (n + 1) + v for u < v,
+    rejects repeated pairs and goes when pairing ends. The sorted edge
+    list is two columns: us repeats each u once per larger neighbor, and
+    vs lists those neighbors, each vertex's sorted in place. Edges then
+    receive, in a shuffled order of that list, the smallest color free
+    at both endpoints: bit c - 1 of busy[v] is set once v has color c,
+    so that color is the lowest clear bit of busy[u] | busy[v]. Every
+    shuffle is _shuffled, whose draws are _below written out inline.
+    The columns fill the neighbor maps in sorted edge order, so each map
+    lists its neighbors ascending, and the maps pass ColoredGraph's bulk
+    check; no edge tuple is built.
 
     Raises InfeasibleParameters before allocating anything when
     n*(target+1), the most vertices plus edges the graph can have,
@@ -261,11 +264,12 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
         )
     _require_int("seed", seed)
     getrandbits = random.Random(seed).getrandbits
-    # one int per vertex, shared by every round, edge and neighbor map;
-    # vertex 0 only aligns the per-vertex lists and is never drawn
+    # one int per vertex, shared by every round and neighbor map; vertex
+    # 0 only aligns the per-vertex lists and is never drawn
     vertices = tuple(range(n + 1))
     tail = vertices[1:]
-    adj = [set() for _ in vertices]
+    # u * (n + 1) + v for each pair u < v joined so far
+    pairs: set = set()
     # higher[u]: the larger ends of u's edges, in the order accepted
     higher: list[list[int]] = [[] for _ in vertices]
     # need[v] = target - degree; a vertex is short while need[v] > 0
@@ -281,22 +285,22 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
             # join the smallest short vertex to its smallest short
             # non-neighbor, else to its smallest non-neighbor
             v = next(w for w in tail if need[w] > 0)
-            candidates = [w for w in tail if w != v and w not in adj[v]]
+            candidates = [w for w in tail if w != v and min(v, w) * (n + 1) + max(v, w) not in pairs]
             batch = ((v, next((w for w in candidates if need[w] > 0), candidates[0])),)
         for u, v in batch:
-            if v in adj[u] or (need[u] <= 0 and need[v] <= 0):
-                continue
-            adj[u].add(v)
-            adj[v].add(u)
             if u > v:
                 u, v = v, u
+            key = u * (n + 1) + v
+            if key in pairs or (need[u] <= 0 and need[v] <= 0):
+                continue
+            pairs.add(key)
             higher[u].append(v)
             need[u] -= 1
             need[v] -= 1
             short -= (need[u] == 0) + (need[v] == 0)
             if not short:
                 break
-    del adj, tail, need
+    del pairs, tail, need
 
     # the sorted edge list as two columns: edge i is (us[i], vs[i])
     us = [u for u, ends in zip(vertices, higher) for _ in ends]
@@ -314,4 +318,9 @@ def random_proper_graph(n: int, target: int, seed: int) -> ColoredGraph:
         busy[u] |= free
         busy[v] |= free
         colors[i] = free.bit_length()
-    return build_graph(n, list(zip(us, vs, colors)))
+    # filled in sorted edge order, each map lists its neighbors ascending
+    adj: defaultdict = defaultdict(dict)
+    for u, v, c in zip(us, vs, colors):
+        adj[u][v] = c
+        adj[v][u] = c
+    return ColoredGraph._checked(n, dict(adj), len(us))

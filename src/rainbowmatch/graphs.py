@@ -2,17 +2,19 @@
 
 Vertices are 1-based integers, colors are opaque non-negative integers.
 A graph is immutable once built; every solver works on private state and
-certifies its output against the unchanged instance. The constructor
-checks edges in bulk and reads a rejected list again, edge by edge, to
-name its first fault.
+certifies its output against the unchanged instance. A graph stores
+one {neighbor: color} map per vertex with an edge and nothing else;
+its edge list is read off the maps on demand. The constructor checks
+the maps a caller's edges build, in bulk, and reads a rejected list
+again, edge by edge, to name its first fault.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 
 from .errors import (
@@ -67,68 +69,106 @@ def _raise_first_fault(n: int, edges) -> None:
 _NO_NEIGHBORS: MappingProxyType = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+def _proper_maps(vertex_count: int, adj: dict, edge_count: int) -> bool:
+    """Do adj's neighbor maps index edge_count edges of three ints as a
+    proper coloring of a graph on 1..vertex_count? Unless an edge is a
+    self-loop or repeats a pair, which the count rejects, it puts each
+    end as a key in the other end's map, so the keys show every end's
+    type; and a vertex has as many colors as neighbors unless a color
+    repeats there. TypeError when the vertices do not compare."""
+    maps = adj.values()
+    return (
+        set(map(type, chain.from_iterable(maps))) <= {int}
+        and set(map(type, chain.from_iterable(map(dict.values, maps)))) <= {int}
+        and min(adj, default=1) >= 1
+        and max(adj, default=0) <= vertex_count
+        and min(chain.from_iterable(map(dict.values, maps)), default=0) >= 0
+        and sum(map(len, map(set, map(dict.values, maps)))) == 2 * edge_count
+    )
+
+
+@dataclass(frozen=True, init=False)
 class ColoredGraph:
-    """A properly edge-colored graph on the vertices 1..vertex_count, its
-    edges stored normalized (u < v) and sorted. The constructor is the one
-    place where edges are checked: in bulk, then, if that fails, edge by
-    edge in the order given (see _raise_first_fault), so an error's
-    ``position`` is the first failing edge's index in that order. An edge
-    given as a tuple in u <= v order is stored as it is, not copied.
+    """A properly edge-colored graph on the vertices 1..vertex_count,
+    held as one {neighbor: color} map per vertex with an edge, so each
+    edge is stored once per end and nowhere else. The constructor is
+    the one place where a caller's edges are checked: in bulk, on the
+    maps they build, then, if that fails, edge by edge in the order
+    given (see _raise_first_fault), so an error's ``position`` is the
+    first failing edge's index in that order.
 
     neighbors(v) is v's read-only {neighbor: color} map, iterating in
     ascending neighbor order; solvers read colors from it directly. Only
-    the vertices with an edge are indexed; the others answer as empty."""
+    the vertices with an edge are indexed; the others answer as empty.
+    Two graphs are equal when they have the same vertex count and the
+    same maps, so the same edges."""
 
     vertex_count: int
-    edges: tuple[Edge, ...]
-    _adj: dict = field(init=False, repr=False, compare=False)
+    _adj: dict = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if type(self.vertex_count) is not int or self.vertex_count < 0:
-            raise BadShape(f"vertex_count must be a non-negative int, got {self.vertex_count!r}")
+    def __init__(self, vertex_count: int, edges) -> None:
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise BadShape(f"vertex_count must be a non-negative int, got {vertex_count!r}")
         # a list or tuple is read in place, since a copy would raise the build's peak heap
-        given = self.edges
+        given = edges
         if not isinstance(given, (list, tuple)):
             try:
                 given = tuple(given)
             except TypeError:
                 raise BadShape(f"edges must be an iterable of (u, v, color), got {given!r}") from None
         try:
-            edges = tuple(sorted([e if type(e) is tuple and e[0] <= e[1] else _normalize(*e) for e in given]))
-            # indexing the sorted edges inserts each vertex's neighbors in
-            # ascending order, which neighbors() promises
+            # indexing the edges in sorted order inserts each vertex's
+            # neighbors in ascending order, which neighbors() promises
             adj: defaultdict = defaultdict(dict)
-            for u, v, c in edges:
+            for u, v, c in sorted([e if type(e) is tuple and e[0] <= e[1] else _normalize(*e) for e in given]):
                 adj[u][v] = c
                 adj[v][u] = c
-            # an edge adds two entries unless it is a self-loop or repeats a pair, and a
-            # vertex has as many colors as neighbors unless a color repeats there
-            valid = (
-                set(map(type, chain.from_iterable(edges))) <= {int}
-                and min(adj, default=1) >= 1
-                and max(adj, default=0) <= self.vertex_count
-                and min(map(itemgetter(2), edges), default=0) >= 0
-                and sum(map(len, map(set, map(dict.values, adj.values())))) == 2 * len(edges)
-            )
+            valid = _proper_maps(vertex_count, adj, len(given))
         except (TypeError, ValueError, IndexError):
             valid = False  # an edge that is not three fields, or fields that do not compare or hash
         if not valid:
-            _raise_first_fault(self.vertex_count, given)
+            _raise_first_fault(vertex_count, given)
             raise InternalInvariantBroken("the bulk edge check rejected edges that pass one by one")
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "_adj", dict(adj))
 
     @classmethod
-    def _proved(cls, vertex_count: int, edges: tuple, adj: dict) -> ColoredGraph:
-        """The graph of edges, normalized and sorted, and adj, their
-        neighbor maps in ascending order, taken as given: for input the
-        caller has already proved a proper coloring, so no check runs."""
+    def _proved(cls, vertex_count: int, adj: dict) -> ColoredGraph:
+        """The graph whose neighbor maps, each in ascending order, are
+        adj, taken as given: for maps the caller has already proved a
+        proper coloring, so no check runs."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", vertex_count)
-        object.__setattr__(g, "edges", edges)
         object.__setattr__(g, "_adj", adj)
         return g
+
+    @classmethod
+    def _checked(cls, vertex_count: int, adj: dict, edge_count: int) -> ColoredGraph:
+        """The graph whose neighbor maps, each in ascending order, are
+        adj, after the constructor's bulk check; the caller built them,
+        so a failure is an internal fault."""
+        if not _proper_maps(vertex_count, adj, edge_count):
+            raise InternalInvariantBroken("neighbor maps that are not a proper coloring")
+        return cls._proved(vertex_count, adj)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (u, v, color) with u < v, sorted: a new tuple built
+        from the maps on each read, O(E), so bind it once to read it
+        more than once. A vertex's larger neighbors end its map."""
+        adj = self._adj
+        out: list = []
+        for u in sorted(adj):
+            nb = adj[u]
+            i = bisect(list(nb), u)
+            out.extend(zip(repeat(u), islice(nb, i, None), islice(nb.values(), i, None)))
+        return tuple(out)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -287,11 +327,13 @@ def parse_graph(text: str) -> ColoredGraph:
     '#' and blank lines are ignored. The parser checks the header, the
     integer fields and the edge count; ColoredGraph checks the edges, and
     the first failing one is raised again as ``line N: <message>``, ahead
-    of a wrong edge count.
+    of a wrong edge count. Each vertex is kept as the first int parsed
+    for it, so the graph holds one int per vertex, as a generated one does.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
     lines: list[int] = []  # the line number of each edge
+    seen: dict = {}  # each vertex parsed so far, mapped to itself
     for ln, line in _content_lines(text):
         parts = line.split()
         if header is None:
@@ -308,7 +350,7 @@ def parse_graph(text: str) -> ColoredGraph:
             u, v, c = map(int, parts)
         except ValueError:
             raise BadShape(f"line {ln}: expected 'u v c' integers") from None
-        edges.append((u, v, c))
+        edges.append((seen.setdefault(u, u), seen.setdefault(v, v), c))
         lines.append(ln)
     if header is None:
         raise BadShape("empty input: missing 'graph V E' header")
@@ -325,7 +367,8 @@ def parse_graph(text: str) -> ColoredGraph:
 
 def format_graph(g: ColoredGraph) -> str:
     require_type(g, ColoredGraph)
-    lines = [f"graph {g.vertex_count} {len(g.edges)}"]
-    lines.extend(f"{u} {v} {c}" for u, v, c in g.edges)
+    edges = g.edges
+    lines = [f"graph {g.vertex_count} {len(edges)}"]
+    lines.extend(f"{u} {v} {c}" for u, v, c in edges)
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)

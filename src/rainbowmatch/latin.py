@@ -12,7 +12,6 @@ with r == c is a 1-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 from .errors import BadShape, NotLatin, require_cycle_bound, require_type
 from .graphs import ColoredGraph, _content_lines
@@ -177,18 +176,17 @@ def to_bipartite_factorization(square: LatinSquare) -> ColoredGraph:
     colored by the symbol in cell (r, c). Symbols are a proper coloring
     because each appears once per row and once per column, which
     LatinSquare has checked, so the graph is built from the rows with no
-    second check: the row-major edges are already sorted, row r's map is
-    its columns zipped with its symbols and column c's its rows zipped
-    with the column's symbols. The vertex ints are made once and shared
-    by the edges and the maps."""
+    second check: row r's map is its columns zipped with its symbols and
+    column c's its rows zipped with the column's symbols, each in
+    ascending order. The vertex ints are made once and shared by the
+    maps."""
     require_type(square, LatinSquare)
     n = square.order
     rows = tuple(range(1, n + 1))
     cols = tuple(range(n + 1, 2 * n + 1))
-    edges = tuple(chain.from_iterable(zip(repeat(r), cols, row) for r, row in zip(rows, square.rows)))
     adj = {r: dict(zip(cols, row)) for r, row in zip(rows, square.rows)}
     adj.update(zip(cols, (dict(zip(rows, column)) for column in zip(*square.rows))))
-    return ColoredGraph._proved(2 * n, edges, adj)
+    return ColoredGraph._proved(2 * n, adj)
 
 
 def cycles_of(square: LatinSquare, transversal) -> CycleDecomposition:

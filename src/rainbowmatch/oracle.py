@@ -34,7 +34,7 @@ def max_rainbow_matching_exact(g: ColoredGraph, budget: OracleBudget | None = No
     require_type(g, ColoredGraph)
     budget = OracleBudget() if budget is None else budget
     require_type(budget, OracleBudget)
-    edges = sorted(g.edges)
+    edges = g.edges
     if len(edges) > budget.max_edges:
         raise BudgetExceeded(f"{len(edges)} edges exceeds oracle budget {budget.max_edges}")
     suffix = [0] * (len(edges) + 1)

@@ -9,6 +9,7 @@ import pytest
 
 from rainbowmatch import (
     InfeasibleParameters,
+    InternalInvariantBroken,
     build_graph,
     build_square,
     cyclic_square,
@@ -19,6 +20,7 @@ from rainbowmatch import (
     split_seed,
     witness_square_4,
 )
+from rainbowmatch import graphs
 from rainbowmatch.generators import SQUARE_CELL_LIMIT, SQUARE_STEP_LIMIT, _below, _shuffled
 
 
@@ -95,6 +97,15 @@ def test_random_proper_graph_peaks_near_what_it_keeps():
     assert min_degree(g) == 100
     assert peak <= 1.35 * kept, (peak, kept)
 
+
+
+def test_random_proper_graph_passes_its_maps_through_the_bulk_check(monkeypatch):
+    edge_count = len(random_proper_graph(9, 3, 1).edges)
+    checked = []  # a check that records its call and fails
+    monkeypatch.setattr(graphs, "_proper_maps", lambda n, adj, count: checked.append((n, count)))
+    with pytest.raises(InternalInvariantBroken, match="^neighbor maps that are not a proper coloring$"):
+        random_proper_graph(9, 3, 1)
+    assert checked == [(9, edge_count)]
 
 def test_random_proper_graph_rejects_impossible_parameters():
     with pytest.raises(InfeasibleParameters):

@@ -328,9 +328,10 @@ def test_the_factorization_equals_the_checked_build():
 
 
 def test_the_factorization_shares_its_vertex_ints():
-    # the edges and the maps share one int per vertex, so the build peaks
-    # below the checked build over freshly made edges (6.1 against 7.4 MB
-    # at order 192; one new int per edge and map entry peaks at 7.7 MB)
+    # the maps share one int per vertex and no edge tuple is made, so the
+    # build peaks below the checked build over freshly made edges (3.45
+    # against 7.0 MiB at order 192; 5.98 MiB when the graph kept its edge
+    # tuples too, and one new int per edge and map entry peaked at 7.7 MB)
     sq = cyclic_square(192)
     peaks = []
     for build in (to_bipartite_factorization, _checked_factorization):
