@@ -151,17 +151,23 @@ class ColoredGraph:
             raise InternalInvariantBroken("neighbor maps that are not a proper coloring")
         return cls._proved(vertex_count, adj)
 
+    def _suffixes(self):
+        """Yield (u, its larger neighbors, their colors) for each vertex u
+        with an edge, ascending; a map is ascending, so they end it."""
+        adj = self._adj
+        for u in sorted(adj):
+            nb = adj[u]
+            i = bisect(list(nb), u)
+            yield u, islice(nb, i, None), islice(nb.values(), i, None)
+
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as (u, v, color) with u < v, sorted: a new tuple built
         from the maps on each read, O(E), so bind it once to read it
-        more than once. A vertex's larger neighbors end its map."""
-        adj = self._adj
+        more than once."""
         out: list = []
-        for u in sorted(adj):
-            nb = adj[u]
-            i = bisect(list(nb), u)
-            out.extend(zip(repeat(u), islice(nb, i, None), islice(nb.values(), i, None)))
+        for u, ws, cs in self._suffixes():
+            out.extend(zip(repeat(u), ws, cs))
         return tuple(out)
 
     def __hash__(self) -> int:
@@ -320,6 +326,12 @@ def _content_lines(text: str):
             yield ln, line
 
 
+def _line_number(text: str, k: int) -> int:
+    """The line number of text's content line k, the first (the header)
+    being 0: a parser reads it again only to name a fault."""
+    return next(islice(_content_lines(text), k, None))[0]
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse the colored-graph text format.
 
@@ -332,7 +344,6 @@ def parse_graph(text: str) -> ColoredGraph:
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
-    lines: list[int] = []  # the line number of each edge
     seen: dict = {}  # each vertex parsed so far, mapped to itself
     for ln, line in _content_lines(text):
         parts = line.split()
@@ -351,7 +362,6 @@ def parse_graph(text: str) -> ColoredGraph:
         except ValueError:
             raise BadShape(f"line {ln}: expected 'u v c' integers") from None
         edges.append((seen.setdefault(u, u), seen.setdefault(v, v), c))
-        lines.append(ln)
     if header is None:
         raise BadShape("empty input: missing 'graph V E' header")
     try:
@@ -359,16 +369,16 @@ def parse_graph(text: str) -> ColoredGraph:
     except InternalInvariantBroken:
         raise
     except RainbowError as exc:
-        raise type(exc)(f"line {lines[exc.position]}: {exc}") from None
+        raise type(exc)(f"line {_line_number(text, exc.position + 1)}: {exc}") from None
     if len(edges) != header[1]:
         raise BadShape(f"header announced {header[1]} edges, found {len(edges)}")
     return g
 
 
 def format_graph(g: ColoredGraph) -> str:
+    """The text parse_graph reads, written from the maps a vertex at a time."""
     require_type(g, ColoredGraph)
-    edges = g.edges
-    lines = [f"graph {g.vertex_count} {len(edges)}"]
-    lines.extend(f"{u} {v} {c}" for u, v, c in edges)
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    chunks = [f"graph {g.vertex_count} {sum(map(len, g._adj.values())) // 2}\n"]
+    for u, ws, cs in g._suffixes():
+        chunks.append("".join(f"{u} {w} {c}\n" for w, c in zip(ws, cs)))
+    return "".join(chunks)

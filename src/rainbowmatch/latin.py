@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadShape, NotLatin, require_cycle_bound, require_type
-from .graphs import ColoredGraph, _content_lines
+from .graphs import ColoredGraph, _content_lines, _line_number
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,6 @@ def parse_latin(text: str) -> LatinSquare:
     """
     n: int | None = None
     rows: list = []
-    lines: list[int] = []  # the line number of each row
     for ln, line in _content_lines(text):
         parts = line.split()
         if n is None:
@@ -142,7 +141,6 @@ def parse_latin(text: str) -> LatinSquare:
         if len(row) != n:
             raise BadShape(f"line {ln}: row has {len(row)} entries, expected {n}")
         rows.append(row)
-        lines.append(ln)
     if n is None:
         raise BadShape("empty input: missing order line")
     if len(rows) != n:
@@ -160,7 +158,7 @@ def parse_latin(text: str) -> LatinSquare:
         r, c = exc.cell
         s = rows[r - 1][c - 1]
         where = str(exc).removeprefix(f"symbol {s} ")
-        raise NotLatin(f"line {lines[r - 1]}: symbol {alphabet[s - 1]} {where}") from None
+        raise NotLatin(f"line {_line_number(text, r)}: symbol {alphabet[s - 1]} {where}") from None
 
 
 def serialize_latin(square: LatinSquare) -> str:

@@ -57,12 +57,13 @@ free color, free endpoints and a place in the graph, and the size must
 grow by one, which by induction is the full validation. The greedy
 refill after it goes into the index too; it reads only the edges at
 the vertices and in the colors the exchange freed: the matching was
-maximal before, so no other edge can fit. The next round patches its
-free vertices, missing colors and active-edge lists from the same diff.
-check=True also validates every realized exchange in full, compares
-the index and the free vertices (which, with the graph, are all the
-free-free scan reads) and the missing colors with a fresh build once
-per round and the active-edge lists with a fresh walk of the free
+maximal before, so no other edge can fit. One state serves the whole
+solve: the next round patches its free vertices and active-edge lists
+in place from the same diff, and reads its missing colors off the
+palette and the index. check=True also validates every realized
+exchange in full, compares the index and the free vertices (which,
+with the graph, are all the free-free scan reads) with a fresh build
+once per round and the active-edge lists with a fresh walk of the free
 vertices' edges at every level, and the start and each refill with
 the full greedy walk.
 
@@ -130,12 +131,13 @@ class ClassifiedEdge:
 
 @dataclass
 class LayerState:
-    """One round's data; the defaults give the prior of the first round."""
+    """A solve's data, which _next_state moves from round to round in
+    place; the defaults are what precedes the first round."""
 
     graph: ColoredGraph = field(repr=False)
     delta: int
     index: _MatchingIndex = field(repr=False)  # the round's matching
-    missing: set = field(repr=False)  # the colors of graph that the matching lacks
+    palette: set = field(repr=False)  # the colors of graph
     free: list = field(default_factory=list)  # ascending
     by_color: dict = field(default_factory=dict, repr=False)  # ever-free v -> {color: neighbor}
     found: dict = field(default_factory=dict)  # matched v -> [(color, free r)] in looked colors
@@ -491,33 +493,29 @@ def _run_layers(state: LayerState, *, check: bool) -> tuple[tuple | None, tuple 
     return None, None, rows
 
 
-def _next_state(prior: LayerState, freed, gone, came) -> LayerState:
-    """The state of the round after prior, once the edges of gone have
-    left prior's matching and those of came joined it, which
-    prior.index already holds, and the vertices of freed became free.
-    Prior's free vertices, missing colors and level-1 active-edge lists
-    are patched only at the vertices and colors whose status changed;
-    the lists are reused in place. The first round follows a default
-    LayerState: no vertex free, none with a list, and no color looked
-    up."""
-    g, found, by_color = prior.graph, prior.found, prior.by_color
+def _next_state(state: LayerState, freed, came) -> None:
+    """Move state to the next round, whose matching state.index holds:
+    the edges of came joined it and the vertices of freed became free.
+    The free vertices and level-1 active-edge lists are patched only at
+    the vertices and colors whose status changed; the missing colors are
+    the palette's colors that the index lacks. The first round follows a
+    state with no vertex free, none with a list, and no color looked up."""
+    g, found, by_color = state.graph, state.found, state.by_color
     freed = set(freed)
     taken = {x for e in came for x in (e[0], e[1])}.difference(found)
-    free_set = set(prior.free).difference(taken)
+    free_set = set(state.free).difference(taken)
     free_set.update(freed)
-    missing = prior.missing.difference([e[2] for e in came])
-    used = prior.index.edge_of
-    missing.update(e[2] for e in gone if e[2] not in used)
-    kept = prior.looked & missing
+    missing = state.palette.difference(state.index.edge_of)
+    kept = state.looked & missing
     # drop the lists of the freed vertices (in the first round none has
     # one), the edges from the newly covered ones, and the edges in
     # colors that are no longer missing
     for w in freed.intersection(found):
         del found[w]
-    stale = prior.looked - missing
-    for r in prior.free:
+    stale = state.looked - missing
+    for r in state.free:
         to = by_color[r]
-        for c in prior.looked if r in taken else stale:
+        for c in state.looked if r in taken else stale:
             at = found.get(to.get(c))
             if at is not None:
                 at.remove((c, r))
@@ -535,34 +533,28 @@ def _next_state(prior: LayerState, freed, gone, came) -> LayerState:
             at = found.get(to.get(c))
             if at is not None:
                 at.append((c, r))
-    return LayerState(
-        graph=g,
-        delta=prior.delta,
-        index=prior.index,
-        missing=missing,
-        free=sorted(free_set),
-        by_color=by_color,
-        found=found,
-        looked=kept,
-        pending=list(missing - kept),
-    )
+    state.free = sorted(free_set)
+    state.looked = kept
+    state.pending = list(missing - kept)
+    state.origins.clear()
+    state.quiet_side.clear()
 
 
 def _first_state(g: ColoredGraph, delta: int, palette: set, by_color: dict, matching: list) -> LayerState:
-    """The first round's state, on matching, indexed afresh: every vertex
-    it leaves uncovered is newly free, and every color of palette it
-    lacks is missing."""
+    """The solve's one state, in its first round on matching, indexed
+    afresh: every vertex it leaves uncovered is newly free."""
     index = _MatchingIndex(g)
     index.apply((), matching)
-    prior = LayerState(graph=g, delta=delta, index=index, missing=palette, by_color=by_color)
+    state = LayerState(graph=g, delta=delta, index=index, palette=palette, by_color=by_color)
     # no level runs at delta 0, so a huge edgeless graph lists no vertex
     freed = [v for v in g.vertices() if v not in index.color_at] if delta else []
-    return _next_state(prior, freed, (), matching)
+    _next_state(state, freed, matching)
+    return state
 
 
-def _check_round(state: LayerState, rounds: int, palette: set) -> None:
-    """check=True: the carried index, free vertices and missing colors
-    against a fresh build from the matching's edges."""
+def _check_round(state: LayerState, rounds: int) -> None:
+    """check=True: the carried index and free vertices against a fresh
+    build from the matching's edges."""
     edges = state.index.edges
     color_at = {x: e[2] for e in edges for x in (e[0], e[1])}
     free = [v for v in state.graph.vertices() if v not in color_at] if state.delta else []
@@ -570,11 +562,9 @@ def _check_round(state: LayerState, rounds: int, palette: set) -> None:
         state.index.color_at != color_at
         or state.index.edge_of != {e[2]: e for e in edges}
         or state.free != free
-        or state.missing != palette.difference(state.index.edge_of)
     ):
         raise InternalInvariantBroken(
-            f"round {rounds}: the carried index, free vertices or missing colors"
-            f" differ from a fresh build"
+            f"round {rounds}: the carried index or free vertices differ from a fresh build"
         )
 
 
@@ -610,7 +600,7 @@ def find_rainbow_matching_layered(
     while True:
         rounds += 1
         if check:
-            _check_round(state, rounds, palette)
+            _check_round(state, rounds)
         size = len(index.edges)
         exchange, violation, rows = _run_layers(state, check=check)
         if trace is not None:
@@ -638,7 +628,7 @@ def find_rainbow_matching_layered(
                 f"round {rounds}: refill differs from the full greedy walk"
             )
         freed = [x for e in gone for x in (e[0], e[1]) if x not in index.color_at]
-        state = _next_state(state, freed, gone, added + refill)
+        _next_state(state, freed, added + refill)
     matching = sorted(index.edges)
     bound = guaranteed_size(delta)
     if len(matching) < bound:

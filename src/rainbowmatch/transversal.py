@@ -685,13 +685,13 @@ def cycle_free_transversal(
     """Partial transversal with no cycles at all, which no 0-for-1 or
     1-for-2 exchange can enlarge, as sorted (row, col, symbol) cells.
 
-    Builds a short-cycle-free transversal at the standard cutoff (2 at
-    every order but 3 below about 2.5*10^13), drops the smallest-row
-    cell of each surviving (long) cycle, then adds a free cell, or
-    trades one cell for two, while such a move keeps the result
-    cycle-free. The result is validated with every cycle forbidden;
-    check=True also revalidates each exchange move. stats (a dict)
-    receives the builder's counts plus cycles_removed."""
+    Builds a short-cycle-free transversal at the standard cutoff (3 at
+    order 3, else 2 below 25,438,034,785,805 and 3 to about 8.8*10^19),
+    drops the smallest-row cell of each surviving (long) cycle, then
+    adds a free cell, or trades one cell for two, while such a move
+    keeps the result cycle-free. The result is validated with every
+    cycle forbidden; check=True also revalidates each exchange move.
+    stats (a dict) receives the builder's counts plus cycles_removed."""
     require_type(square, LatinSquare)
     k = default_cycle_bound(square.order)
     cells = build_short_cycle_free_transversal(square, k, check=check, stats=stats)
@@ -702,4 +702,4 @@ def cycle_free_transversal(
         raise InternalInvariantBroken(f"cycle-free transversal invalid: {why}")
     if stats is not None:
         stats["cycles_removed"] = len(cycles)
-    return tuple(sorted(result))
+    return tuple(result)

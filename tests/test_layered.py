@@ -970,35 +970,50 @@ def _stale_free(state):
     state.free.pop()
 
 
-def _stale_missing(state):
-    state.missing.add(next(iter(state.index.edge_of)))
-
-
 def _stale_second_round(monkeypatch, stale):
-    """Let stale make the state the second round starts from go stale."""
+    """Let stale make the state go stale as the second round begins."""
     real = layered._next_state
     calls = []
 
-    def faulty(*args):
-        state = real(*args)
+    def faulty(state, *args):
+        real(state, *args)
         calls.append(state)
-        if len(calls) == 2:  # the first call builds the first round's state
+        if len(calls) == 2:  # the first call sets up the first round
             stale(state)
-        return state
 
     monkeypatch.setattr(layered, "_next_state", faulty)
 
 
-@pytest.mark.parametrize("stale", [_stale_index, _stale_free, _stale_missing])
+@pytest.mark.parametrize("stale", [_stale_index, _stale_free])
 def test_check_catches_stale_carried_state_in_its_round(monkeypatch, stale):
     # the state the second round starts from goes stale in one part
     g = _shuffled_cyclic(96, 1)
     _stale_second_round(monkeypatch, stale)
     with pytest.raises(
         InternalInvariantBroken,
-        match="^round 2: the carried index, free vertices or missing colors differ from a fresh build$",
+        match="^round 2: the carried index or free vertices differ from a fresh build$",
     ):
         find_rainbow_matching_layered(g, check=True)
+
+
+def test_a_solve_moves_one_state_through_its_rounds(monkeypatch):
+    # every round's move is made in place on the state the first round
+    # began with, and each round's pending colors are the palette's
+    # colors that neither the matching nor an earlier lookup holds
+    g = _shuffled_cyclic(96, 1)
+    real = layered._next_state
+    seen = []
+
+    def recording(state, *args):
+        assert real(state, *args) is None
+        seen.append(state)
+        assert set(state.pending) == state.palette - set(state.index.edge_of) - state.looked
+        assert not state.origins and not state.quiet_side
+
+    monkeypatch.setattr(layered, "_next_state", recording)
+    find_rainbow_matching_layered(g, check=True)
+    assert len(seen) > 2
+    assert all(state is seen[0] for state in seen)
 
 
 def _refuse_every_change(monkeypatch):
@@ -1034,7 +1049,7 @@ _CHECK_FAULTS = [
      _below_the_guarantee, _refuse_every_change, False),
     ("an exchange passed its diff check but is invalid: vertex 97 is covered twice",
      lambda: _shuffled_cyclic(96, 1), _realize_a_vertex_collision, True),
-    ("round 2: the carried index, free vertices or missing colors differ from a fresh build",
+    ("round 2: the carried index or free vertices differ from a fresh build",
      lambda: _shuffled_cyclic(96, 1), lambda mp: _stale_second_round(mp, _stale_index), True),
     ("round 1: refill differs from the full greedy walk",
      lambda: build_graph(14, _FREED_COLOR_EDGES),

@@ -88,6 +88,11 @@ def test_default_cycle_bound_values():
     assert default_cycle_bound(3) == 3
     assert default_cycle_bound(4) == 2
     assert default_cycle_bound(100) == 2
+    # the cutoffs cycle_free_transversal's docstring names
+    assert default_cycle_bound(25_438_034_785_804) == 2
+    assert default_cycle_bound(25_438_034_785_805) == 3
+    assert default_cycle_bound(87_994_213_187_312_934_911) == 3
+    assert default_cycle_bound(87_994_213_187_312_934_912) == 4
 
 
 def test_greedy_init_is_short_cycle_free():
