@@ -74,13 +74,17 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _emit(args, payload: dict, header: list, word: str, items: tuple) -> None:
-    """Write a certificate as JSON, or as '# ' header lines then one
-    'word a b c' line per edge or cell."""
+def _emit(args, payload: dict, title: str, rows: tuple, word: str, items: tuple) -> None:
+    """Write a certificate as JSON, or as text: '# ' header lines, then
+    one 'word a b c' line per edge or cell. The header is the title, one
+    line per row of payload keys, each key written 'key: <its JSON
+    value>', and one 'log: ' line per entry of the payload's log."""
     if args.format == "json":
         _write_text(args.out, json.dumps(payload, indent=2))
         return
-    lines = [f"# {line}" for line in header]
+    lines = [f"# {title}"]
+    lines.extend("# " + " ".join(f"{key}: {json.dumps(payload[key])}" for key in row) for row in rows)
+    lines.extend(f"# log: {line}" for line in payload.get("log", ()))
     lines.extend(f"{word} {a} {b} {c}" for a, b, c in items)
     _write_text(args.out, "\n".join(lines) + "\n")
 
@@ -88,22 +92,18 @@ def _emit(args, payload: dict, header: list, word: str, items: tuple) -> None:
 # ---------------------------------------------------------------- gen
 
 
+# each --kind, in the order the option lists them, and its file text
+_GEN_KINDS = {
+    "graph": lambda a: format_graph(generators.random_proper_graph(a.n, a.target, a.seed)),
+    "square": lambda a: serialize_latin(generators.random_square(a.n, seed=a.seed)),
+    "cyclic": lambda a: serialize_latin(generators.cyclic_square(a.n)),
+    "witness": lambda a: serialize_latin(generators.witness_square_4()),
+    "k4pair": lambda a: format_graph(generators.k4_factorization_pair()),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.kind == "graph":
-        g = generators.random_proper_graph(args.n, args.target, args.seed)
-        _write_text(args.out, format_graph(g))
-        return 0
-    if args.kind == "square":
-        sq = generators.random_square(args.n, seed=args.seed)
-    elif args.kind == "cyclic":
-        sq = generators.cyclic_square(args.n)
-    elif args.kind == "witness":
-        sq = generators.witness_square_4()
-    else:  # k4pair
-        g = generators.k4_factorization_pair()
-        _write_text(args.out, format_graph(g))
-        return 0
-    _write_text(args.out, serialize_latin(sq))
+    _write_text(args.out, _GEN_KINDS[args.kind](args))
     return 0
 
 
@@ -222,7 +222,6 @@ def _log_line(event: dict) -> str:
 
 def _cmd_solve(args) -> int:
     g = parse_graph(_read_text(args.input))
-    delta = min_degree(g)
     solved = _solve_valid(args.algo, g, None, args.check)
     edges, bound = solved.found, solved.bound
     if args.trace:
@@ -232,7 +231,7 @@ def _cmd_solve(args) -> int:
     payload = {
         "algo": args.algo,
         "vertices": g.vertex_count,
-        "delta": delta,
+        "delta": min_degree(g),
         "size": len(edges),
         "bound": bound,
         "valid": True,
@@ -240,14 +239,8 @@ def _cmd_solve(args) -> int:
     }
     if log_lines:
         payload["log"] = log_lines
-    header = [
-        f"solve --algo {args.algo}",
-        f"vertices: {g.vertex_count} delta: {delta}",
-        f"size: {len(edges)} bound: {bound}",
-        "valid: true",
-    ]
-    header.extend(f"log: {line}" for line in log_lines)
-    _emit(args, payload, header, "edge", edges)
+    rows = (("vertices", "delta"), ("size", "bound"), ("valid",))
+    _emit(args, payload, f"solve --algo {args.algo}", rows, "edge", edges)
     return 0
 
 
@@ -264,7 +257,6 @@ def _cmd_transversal(args) -> int:
     solved = _solve_valid(algo, sq, args.k, args.check)
     cells, k_used, bound = solved.found, solved.k, solved.bound
     parts = cycles_of(sq, cells)
-    cycle_lengths = sorted(len(cyc) for cyc in parts.cycles)
     payload = {
         "order": sq.order,
         "k": k_used,
@@ -272,20 +264,15 @@ def _cmd_transversal(args) -> int:
         "size": len(cells),
         "bound": bound,
         "valid": True,
-        "cycles": cycle_lengths,
+        "cycles": sorted(len(cyc) for cyc in parts.cycles),
         "paths": len(parts.paths),
         "cells": [list(c) for c in cells],
     }
     if args.cycle_free:
         payload["cycles_removed"] = solved.events[-1]["cycles_removed"]
-    header = [
-        "transversal" + (" --cycle-free" if args.cycle_free else f" --k {k_used}"),
-        f"order: {sq.order} k: {k_used}",
-        f"size: {len(cells)} bound: {bound}",
-        f"cycles: {cycle_lengths} paths: {len(parts.paths)}",
-        "valid: true",
-    ]
-    _emit(args, payload, header, "cell", cells)
+    title = "transversal" + (" --cycle-free" if args.cycle_free else f" --k {k_used}")
+    rows = (("order", "k"), ("size", "bound"), ("cycles", "paths"), ("valid",))
+    _emit(args, payload, title, rows, "cell", cells)
     return 0
 
 
@@ -375,7 +362,7 @@ def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool
         "k": solved.k,
         "bound": solved.bound,
         "achieved": len(solved.found),
-        "valid": solved.why is None,
+        "valid": "true" if solved.why is None else "false",
         "augmentations": solved.augmentations,
     }
 
@@ -409,7 +396,6 @@ def _cmd_sweep(args) -> int:
                 row = _sweep_row(suite, size, trial, seed, args.k, args.check)
                 if args.timing:
                     row["millis"] = int((time.perf_counter() - started) * 1000)
-                row["valid"] = "true" if row["valid"] else "false"
                 writer.writerow(row)
                 out.flush()
                 if row["valid"] == "false":
@@ -448,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--kind",
         required=True,
-        choices=["graph", "square", "cyclic", "witness", "k4pair"],
+        choices=list(_GEN_KINDS),
     )
     gen.add_argument("--n", type=int, default=8, help="order / vertex count")
     gen.add_argument("--target", type=int, default=2, help="minimum degree for --kind graph")

@@ -31,7 +31,8 @@ edges leave the carried maps, and each added edge must bring an unused
 color and unused endpoints and be in the graph. With the size and a
 check that no edge is listed twice, that is by induction the full
 validation, which runs once on the final matching, and at every level
-as well under check=True.
+as well under check=True. A level's matching lives only in the carried
+maps, sorted once at the end; a probe edge brings the color found with it.
 
 A trace callable receives each probe as a dict (see
 find_rainbow_matching_delta). The solver formats no text; the command
@@ -82,7 +83,7 @@ class GoodConfiguration:
 
 @dataclass
 class Matched:
-    matching: tuple  # sorted edges
+    matching: list  # the level's edges, as the case built them
 
 
 @dataclass
@@ -123,8 +124,8 @@ def _build_index(config: GoodConfiguration) -> tuple[dict, set]:
     return roles, banned
 
 
-def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
-    """Choose the probe edge at free vertex v.
+def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int, int]:
+    """Choose the probe edge (v, w, color) at free vertex v.
 
     Bans the twin colors, the colors of uncovered core edges, and the
     anchor vertices: d-1 constraints against degree >= d, so an edge
@@ -134,7 +135,7 @@ def extend_by_free_edge(config: GoodConfiguration, v: int) -> tuple[int, int]:
     for w, c in config.graph._adj.get(v, _NO_NEIGHBORS).items():
         if c in banned or roles.get(w) is _ANCHOR:
             continue
-        return v, w
+        return v, w, c
     raise InternalInvariantBroken(f"no admissible probe edge at vertex {v}")
 
 
@@ -200,10 +201,9 @@ def _rotated_core(config: GoodConfiguration, color: int) -> list:
     return [e for e in config.core.values() if e not in gone] + added
 
 
-def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
-    """Apply one probe edge; finish, add a twin pair, or grow chains."""
-    v, w = edge
-    c = config.graph._adj.get(v, _NO_NEIGHBORS).get(w)
+def resolve_case(config: GoodConfiguration, edge: tuple[int, int, int]):
+    """Apply the probe edge (v, w, color); finish, add a twin pair, or grow chains."""
+    v, w, c = edge
     vw = (v, w, c) if v <= w else (w, v, c)
     roles, banned, core = config.roles, config.banned, config.core
     # banned is the twin colors and some core colors
@@ -226,36 +226,36 @@ def resolve_case(config: GoodConfiguration, edge: tuple[int, int]):
     if role is None:
         # w outside the structure
         if fresh:
-            return Matched(tuple(sorted([*config.twins_a, *core.values(), vw])))
+            return Matched([*config.twins_a, *core.values(), vw])
         rotated = _rotated_core(config, c)
-        return Matched(tuple(sorted(config.twins_a + rotated + [vw])))
+        return Matched(config.twins_a + rotated + [vw])
 
     if type(role) is int:
         # covered core edge
         candidate = config.twins_a + _rotated_core(config, role) + [vw]
         colors = list(map(itemgetter(2), candidate))
         if len(set(colors)) == len(colors):
-            return Matched(tuple(sorted(candidate)))
+            return Matched(candidate)
         return RepeatIncreased(_restructure(config, candidate, colors))
 
     kind = role[0]
     if kind == "twin":
         if fresh:
             keep = config.twins_b if role[2] == 0 else config.twins_a
-            return Matched(tuple(sorted([*keep, *core.values(), vw])))
+            return Matched([*keep, *core.values(), vw])
         rotated = _rotated_core(config, c)
-        return Matched(tuple(sorted(_avoiding_pairs(config, w) + rotated + [vw])))
+        return Matched(_avoiding_pairs(config, w) + rotated + [vw])
 
     if kind == "chain":
         candidate = [*config.twins_a, *core.values(), vw]
         if fresh:
-            return Matched(tuple(sorted(candidate)))
+            return Matched(candidate)
         return RepeatIncreased(_restructure(config, candidate, list(map(itemgetter(2), candidate))))
 
     raise InternalInvariantBroken(f"probe edge landed on banned vertex {w} ({role})")
 
 
-def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
+def _finish_full_twins(config: GoodConfiguration, v: int) -> list:
     """All d-1 colors are duplicated; v, like any vertex outside the
     structure, has an edge avoiding the d-1 twin colors, and whichever
     endpoint it hits, one twin per pair survives."""
@@ -263,7 +263,7 @@ def _finish_full_twins(config: GoodConfiguration, v: int) -> tuple:
     for w, c in config.graph.neighbors(v).items():
         if c not in twin_colors:
             vw = _normalize(v, w, c)
-            return tuple(sorted(_avoiding_pairs(config, w) + [vw]))
+            return _avoiding_pairs(config, w) + [vw]
     raise InternalInvariantBroken(f"no fresh-colored edge at vertex {v}")
 
 
@@ -333,9 +333,9 @@ def _audit(config: GoodConfiguration, cursor: int = 1) -> None:
         fail("free-vertex cursor skipped a vertex outside the structure")
 
 
-def _checked_level(g: ColoredGraph, d: int, carried: _MatchingIndex, edges, check: bool):
-    """The level's result, once it passed the local check, which carries
-    it into carried, and, under check=True, the full validation."""
+def _checked_level(g: ColoredGraph, d: int, carried: _MatchingIndex, edges, check: bool) -> None:
+    """Carry the level's result into carried once it passed the local
+    check and, under check=True, the full validation."""
     new = set(edges)
     if len(edges) != d:
         why = f"{len(edges)} edges, expected {d}"
@@ -347,10 +347,9 @@ def _checked_level(g: ColoredGraph, d: int, carried: _MatchingIndex, edges, chec
         why = validate_rainbow_matching(g, edges)[1]
     if why is not None:
         raise InternalInvariantBroken(f"level {d} produced a bad matching: {why}")
-    return edges
 
 
-def _advance_level(g: ColoredGraph, d: int, carried: _MatchingIndex, check: bool, trace) -> tuple:
+def _advance_level(g: ColoredGraph, d: int, carried: _MatchingIndex, check: bool, trace) -> None:
     """Grow carried's rainbow matching of size d-1 to size d, and carry
     the result into carried.
 
@@ -378,15 +377,15 @@ def _advance_level(g: ColoredGraph, d: int, carried: _MatchingIndex, check: bool
             if trace is not None:
                 trace({"level": d, "k": len(config.twins_a), "outcome": "FullTwins"})
             return _checked_level(g, d, carried, result, check)
-        v, w = extend_by_free_edge(config, v)
-        outcome = resolve_case(config, (v, w))
+        probe = extend_by_free_edge(config, v)
+        outcome = resolve_case(config, probe)
         if trace is not None:
             trace(
                 {
                     "level": d,
                     "k": len(config.twins_a),
                     "covered": len(config.cover),
-                    "probe": [v, w],
+                    "probe": [v, probe[1]],
                     "outcome": type(outcome).__name__,
                 }
             )
@@ -420,10 +419,10 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=N
             f"need at least {4 * delta - 3} vertices for minimum degree {delta},"
             f" got {g.vertex_count}"
         )
-    matching: tuple = ()
     carried = _MatchingIndex(g)
     for d in range(1, delta + 1):
-        matching = _advance_level(g, d, carried, check, trace)
+        _advance_level(g, d, carried, check, trace)
+    matching = tuple(sorted(carried.edges))
     ok, why = validate_rainbow_matching(g, matching)
     if not ok or len(matching) != delta:
         raise InternalInvariantBroken(f"final matching invalid: {why}")

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import time
 import tracemalloc
 
@@ -631,6 +632,45 @@ def test_solve_trace_works_for_every_algo(tmp_path, capsys):
         assert code == 1
         assert out == "" and "error:" in err
         assert not trace.exists()
+
+
+def test_text_headers_state_the_json_payload(tmp_path, capsys):
+    # after the title, each text header line is 'key: <JSON value>' pairs
+    # of the same run's payload, then one 'log: ' line per payload log entry
+    graph = tmp_path / "g.txt"
+    run(capsys, "gen", "--kind", "graph", "--n", "30", "--target", "7",
+        "--seed", "3", "--out", str(graph))
+    pair = tmp_path / "pair.txt"
+    run(capsys, "gen", "--kind", "k4pair", "--out", str(pair))
+    square = tmp_path / "sq.txt"
+    run(capsys, "gen", "--kind", "square", "--n", "11", "--seed", "4", "--out", str(square))
+    solve_keys = ["vertices", "delta", "size", "bound", "valid"]
+    transversal_keys = ["order", "k", "size", "bound", "cycles", "paths", "valid"]
+    runs = [
+        ("solve --algo delta", ["solve", "--algo", "delta", "--input", str(graph)], solve_keys),
+        ("solve --algo layered", ["solve", "--algo", "layered", "--input", str(pair)], solve_keys),
+        ("solve --algo oracle", ["solve", "--algo", "oracle", "--input", str(pair)], solve_keys),
+        ("transversal --k 3", ["transversal", "--input", str(square), "--k", "3"], transversal_keys),
+        ("transversal --cycle-free", ["transversal", "--input", str(square), "--cycle-free"],
+         transversal_keys),
+    ]
+    for title, argv, keys in runs:
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        first, *header = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+        assert first == title
+        logs = [line[len("log: "):] for line in header if line.startswith("log: ")]
+        assert logs == payload.get("log", [])
+        assert bool(logs) == (title == "solve --algo delta")
+        stated = []
+        for line in header[:len(header) - len(logs)]:
+            line_keys = re.findall(r"(?:^| )([a-z_]+): ", line)
+            assert line == " ".join(f"{key}: {json.dumps(payload[key])}" for key in line_keys)
+            stated += line_keys
+        assert stated == keys
 
 
 def test_sweep_shortcycle_k_below_two_exit_code(tmp_path, capsys):

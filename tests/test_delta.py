@@ -29,9 +29,13 @@ from rainbowmatch.delta import (
     ChainsExtended,
     GoodConfiguration,
     Matched,
+    _advance_level,
     _audit,
+    _checked_level,
+    _finish_full_twins,
     _restructure,
     chain_rotate,
+    extend_by_free_edge,
     resolve_case,
 )
 
@@ -179,7 +183,7 @@ def test_audit_rejects_a_stale_index():
         graph=g, target=3, twins_a=[], twins_b=[],
         core={1: (1, 2, 1), 2: (3, 4, 2)}, cover={},
     )
-    outcome = resolve_case(config, (5, 1))
+    outcome = resolve_case(config, (5, 1, g.color_of(5, 1)))
     assert isinstance(outcome, ChainsExtended)
     _audit(config)
     assert config.banned == {2}
@@ -285,10 +289,16 @@ _GUARD_FAULTS = [
     ("chain rotation reached color 4, which no chain covers", _rotate_into_an_uncovered_color),
     ("chain rotation loops through its cover records", _rotate_a_cover_loop),
     # the probe 13-9 has the twin color 1
-    ("probe color belongs to a twin pair", lambda c: resolve_case(c, (13, 9))),
+    ("probe color belongs to a twin pair", lambda c: resolve_case(c, (13, 9, c.graph.color_of(13, 9)))),
     # the probe 9-10 is the core edge of the uncovered color 4 itself
-    ("probe color belongs to an uncovered core edge", lambda c: resolve_case(c, (9, 10))),
-    ("probe edge landed on banned vertex 6 (('anchor',))", lambda c: resolve_case(c, (13, 6))),
+    (
+        "probe color belongs to an uncovered core edge",
+        lambda c: resolve_case(c, (9, 10, c.graph.color_of(9, 10))),
+    ),
+    (
+        "probe edge landed on banned vertex 6 (('anchor',))",
+        lambda c: resolve_case(c, (13, 6, c.graph.color_of(13, 6))),
+    ),
 ]
 
 
@@ -301,6 +311,59 @@ def test_rotation_and_probe_guards_name_each_fault(message, call):
     assert chain_rotate(config, 3) == ([(7, 8, 3), (5, 6, 2)], [(8, 12, 2), (6, 11, 7)])
     with pytest.raises(InternalInvariantBroken, match=f"^{re.escape(message)}$"):
         call(config)
+
+
+def _level_without_a_free_vertex(config):
+    # the carried matching covers both vertices of the graph
+    g = build_graph(2, [(1, 2, 1)])
+    carried = _MatchingIndex(g)
+    carried.apply((), [(1, 2, 1)])
+    _advance_level(g, 2, carried, False, None)
+
+
+def _stalled_level(config):
+    # every probe claims a chain extension but grows nothing
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delta, "resolve_case", lambda config, edge: ChainsExtended())
+        _advance_level(config.graph, 2, _MatchingIndex(config.graph), False, None)
+
+
+def _final_matching_off_the_graph(config):
+    # a level that carries an edge of a color the graph lacks, unchecked
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delta, "_advance_level", lambda g, d, carried, *rest: carried.apply((), [(1, 2, 9)]))
+        find_rainbow_matching_delta(build_graph(2, [(1, 2, 1)]))
+
+
+# one row per raise in the probe search, the restructure, the full-twin
+# finish and the level loop: (message, faulty call)
+_SOLVER_FAULTS = [
+    # the one edge at vertex 23 has the twin color 1
+    ("no admissible probe edge at vertex 23", lambda c: extend_by_free_edge(c, 23)),
+    ("no fresh-colored edge at vertex 23", lambda c: _finish_full_twins(c, 23)),
+    # twins_a and the core, with no probe edge to repeat a color
+    (
+        "candidate does not have exactly one duplicated color",
+        lambda c: _restructure(c, c.twins_a + list(c.core.values()), [1, 2, 3, 4]),
+    ),
+    (
+        "level 5 produced a bad matching: 0 edges, expected 5",
+        lambda c: _checked_level(c.graph, 5, _MatchingIndex(c.graph), [], False),
+    ),
+    ("no vertex left outside the structure", _level_without_a_free_vertex),
+    ("level 2 exceeded its probe budget", _stalled_level),
+    ("final matching invalid: edge 1-2 with color 9 is not in the graph", _final_matching_off_the_graph),
+]
+
+
+@pytest.mark.parametrize(
+    "message, call", _SOLVER_FAULTS,
+    ids=["no-probe-edge", "no-fresh-edge", "no-repeat", "bad-level", "no-free-vertex",
+         "probe-budget", "final-check"],
+)
+def test_solver_guards_name_each_fault(message, call):
+    with pytest.raises(InternalInvariantBroken, match=f"^{re.escape(message)}$"):
+        call(_chained_config())
 
 
 def _raised_messages(module, raised, default=None):
@@ -325,15 +388,13 @@ def _raised_messages(module, raised, default=None):
 
 
 def test_every_audit_and_guard_message_has_a_fault_row():
-    # delta: each _audit message and each raise in chain_rotate and
-    # resolve_case; layered: every raise but _check_level's in-regime
-    # claims, which no run reaches (ROADMAP item 7)
-    delta_patterns = _raised_messages(delta, {
-        "_audit": "fail", "chain_rotate": "InternalInvariantBroken", "resolve_case": "InternalInvariantBroken",
-    })
+    # delta: each _audit message and every other raise; layered: every
+    # raise but _check_level's in-regime claims, which no run reaches
+    # (ROADMAP item 7)
+    delta_patterns = _raised_messages(delta, {"_audit": "fail"}, "InternalInvariantBroken")
     layered_patterns = _raised_messages(layered, {"_check_level": None}, "InternalInvariantBroken")
-    assert len(layered_patterns) == 8
-    for patterns, faults in ((delta_patterns, _AUDIT_FAULTS + _GUARD_FAULTS),
+    assert len(delta_patterns) == 28 and len(layered_patterns) == 8
+    for patterns, faults in ((delta_patterns, _AUDIT_FAULTS + _GUARD_FAULTS + _SOLVER_FAULTS),
                              (layered_patterns, _CHECK_FAULTS)):
         rows = [row[0] for row in faults]
         missed = {p for p in patterns if not any(re.fullmatch(p, m) for m in rows)}
@@ -429,6 +490,38 @@ def test_trace_events_are_pinned_with_one_call_per_probe(monkeypatch):
     assert digest.hexdigest() == (
         "d31778ab8b2761af529c0b771a315f4b779e68814c86cf7c6859045409a5be99"
     )
+
+
+def test_probes_bring_their_color_and_only_the_final_matching_is_sorted(monkeypatch):
+    # each probe is (v, w, color) as the graph has it; each level's result
+    # reaches the level check as the list its case built, and the solve
+    # returns the last one sorted
+    probes = []
+    levels = []
+    real_extend, real_check = delta.extend_by_free_edge, delta._checked_level
+
+    def extend(config, v):
+        probe = real_extend(config, v)
+        probes.append((config.graph, probe))
+        return probe
+
+    def check(g, d, carried, edges, check):
+        levels.append(edges)
+        real_check(g, d, carried, edges, check)
+
+    monkeypatch.setattr(delta, "extend_by_free_edge", extend)
+    monkeypatch.setattr(delta, "_checked_level", check)
+    for d in range(1, 31):
+        seed = split_seed(707, d)
+        g = random_proper_graph(4 * d - 3 + seed % 14, d, seed)
+        levels.clear()
+        result = find_rainbow_matching_delta(g)
+        assert type(result) is tuple and result == tuple(sorted(levels[-1]))
+        assert [len(edges) for edges in levels] == list(range(1, d + 1))
+        assert all(type(edges) is list for edges in levels)
+    assert probes and all(g.color_of(v, w) == c for g, (v, w, c) in probes)
+    # the cases build lists in structure order, not sorted ones
+    assert any(edges != sorted(edges) for edges in levels)
 
 
 def _level_fault(g, d, prev, edges):
