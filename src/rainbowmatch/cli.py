@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
 import time
+from itertools import chain
 from typing import NamedTuple
 
 from . import generators
@@ -63,15 +63,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write text, ending in one newline, to stdout or to the file path."""
-    if not text.endswith("\n"):
-        text += "\n"
+def _write_lines(path: str | None, lines) -> None:
+    """Write lines, each ending in a newline, one at a time to stdout or
+    to the file path, so no joined copy of them is made."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def _emit(args, payload: dict, title: str, rows: tuple, word: str, items: tuple) -> None:
@@ -80,19 +79,21 @@ def _emit(args, payload: dict, title: str, rows: tuple, word: str, items: tuple)
     line per row of payload keys, each key written 'key: <its JSON
     value>', and one 'log: ' line per entry of the payload's log."""
     if args.format == "json":
-        _write_text(args.out, json.dumps(payload, indent=2))
+        _write_lines(args.out, (json.dumps(payload, indent=2), "\n"))
         return
-    lines = [f"# {title}"]
-    lines.extend("# " + " ".join(f"{key}: {json.dumps(payload[key])}" for key in row) for row in rows)
-    lines.extend(f"# log: {line}" for line in payload.get("log", ()))
-    lines.extend(f"{word} {a} {b} {c}" for a, b, c in items)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, chain(
+        (f"# {title}\n",),
+        ("# " + " ".join(f"{key}: {json.dumps(payload[key])}" for key in row) + "\n" for row in rows),
+        (f"# log: {line}\n" for line in payload.get("log", ())),
+        (f"{word} {a} {b} {c}\n" for a, b, c in items),
+    ))
 
 
 # ---------------------------------------------------------------- gen
 
 
-# each --kind, in the order the option lists them, and its file text
+# each --kind, in the order the option lists them, and its file text,
+# which ends in a newline
 _GEN_KINDS = {
     "graph": lambda a: format_graph(generators.random_proper_graph(a.n, a.target, a.seed)),
     "square": lambda a: serialize_latin(generators.random_square(a.n, seed=a.seed)),
@@ -103,51 +104,56 @@ _GEN_KINDS = {
 
 
 def _cmd_gen(args) -> int:
-    _write_text(args.out, _GEN_KINDS[args.kind](args))
+    _write_lines(args.out, (_GEN_KINDS[args.kind](args),))
     return 0
 
 
 # ---------------------------------------------------------------- solvers
 
 
-# An adapter takes (instance, cycle cutoff k, check flag, events), calls
+# An adapter takes (instance, cycle cutoff k, check flag, report), calls
 # its solver through this module's global name, so that a wrapper patched
-# onto the name sees the call, and appends the solver's own report to
-# events: the matching solvers' trace dicts or the transversal stats
-# dict. It returns (result, k used, stated bound, augmentations). With
-# events None the caller reads no report: the delta solver then gets no
-# trace, and the adapters that read their own report keep it locally.
+# onto the name sees the call, and passes the solver's own events to
+# report, a callable: the delta solver's trace dicts as they arrive, the
+# layered solver's once it returns, or the transversal stats dict once
+# the build is done. It returns (result, k used, stated bound,
+# augmentations). With report None the caller reads no event: the delta
+# solver then gets no trace, and the adapters that read their own
+# events keep them locally.
 
 
-def _run_delta(g, k, check, events):
-    m = find_rainbow_matching_delta(g, check=check, trace=None if events is None else events.append)
+def _run_delta(g, k, check, report):
+    m = find_rainbow_matching_delta(g, check=check, trace=report)
     return m, "", min_degree(g), len(m)
 
 
-def _run_layered(g, k, check, events):
-    events = [] if events is None else events
+def _run_layered(g, k, check, report):
+    events: list = []
     m = find_rainbow_matching_layered(g, check=check, trace=events.append)
+    if report is not None:
+        for event in events:
+            report(event)
     return m, "", guaranteed_size(min_degree(g)), events[-1]["final"] - events[-1]["initial"]
 
 
-def _run_oracle(g, k, check, events):
+def _run_oracle(g, k, check, report):
     m = max_rainbow_matching_exact(g)
     return m, "", len(m), 0
 
 
-def _run_shortcycle(sq, k, check, events):
+def _run_shortcycle(sq, k, check, report):
     stats: dict = {}
-    if events is not None:
-        events.append(stats)
     t = build_short_cycle_free_transversal(sq, k, check=check, stats=stats)
+    if report is not None:
+        report(stats)
     return t, k, theorem_bound(sq.order, k), stats["augmentations"]
 
 
-def _run_cyclefree(sq, k, check, events):
+def _run_cyclefree(sq, k, check, report):
     stats: dict = {}
-    if events is not None:
-        events.append(stats)
     t = cycle_free_transversal(sq, check=check, stats=stats)
+    if report is not None:
+        report(stats)
     return t, default_cycle_bound(sq.order), corollary_bound(sq.order), stats["augmentations"]
 
 
@@ -184,25 +190,23 @@ class _Solved(NamedTuple):
     k: object
     bound: int
     augmentations: int
-    events: list | None  # None when the caller asked for no report
     why: str | None  # None when the certificate revalidated
 
 
-def _solve(algo: str, instance, k, check: bool, report: bool = True) -> _Solved:
+def _solve(algo: str, instance, k, check: bool, report=None) -> _Solved:
     """Run one solver of the table and revalidate its sorted certificate;
-    report=False collects no events."""
+    report, if not None, is passed the solver's events (see the adapters)."""
     solver = _SOLVERS[algo]
-    events = [] if report else None
-    found, k_used, bound, augmentations = solver.run(instance, k, check, events)
+    found, k_used, bound, augmentations = solver.run(instance, k, check, report)
     if solver.cutoff is None:
         _, why = validate_rainbow_matching(instance, found)
     else:
         _, why = validate_transversal(instance, found, forbid_cycles_up_to=solver.cutoff(k_used))
-    return _Solved(found, k_used, bound, augmentations, events, why)
+    return _Solved(found, k_used, bound, augmentations, why)
 
 
-def _solve_valid(algo: str, instance, k, check: bool) -> _Solved:
-    solved = _solve(algo, instance, k, check)
+def _solve_valid(algo: str, instance, k, check: bool, report) -> _Solved:
+    solved = _solve(algo, instance, k, check, report)
     if solved.why is not None:
         raise InternalInvariantBroken(f"certificate failed revalidation: {solved.why}")
     return solved
@@ -222,12 +226,23 @@ def _log_line(event: dict) -> str:
 
 def _cmd_solve(args) -> int:
     g = parse_graph(_read_text(args.input))
-    solved = _solve_valid(args.algo, g, None, args.check)
+    # each event is rendered as it arrives and not kept: to its '# log:'
+    # line for the delta solver, and to its JSON line for --trace, which
+    # is written only once the solve has passed revalidation
+    log_lines: list = []
+    trace_lines: list = []
+
+    def keep(event: dict) -> None:
+        if args.algo == "delta":
+            log_lines.append(_log_line(event))
+        if args.trace:
+            trace_lines.append(json.dumps(event) + "\n")
+
+    solved = _solve_valid(args.algo, g, None, args.check, keep)
     edges, bound = solved.found, solved.bound
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(event) + "\n" for event in solved.events)
-    log_lines = [_log_line(event) for event in solved.events] if args.algo == "delta" else []
+            fh.writelines(trace_lines)
     payload = {
         "algo": args.algo,
         "vertices": g.vertex_count,
@@ -254,7 +269,8 @@ def _cmd_transversal(args) -> int:
             f"--k must be at least 2 (got {args.k}); use --cycle-free for the automatic cutoff"
         )
     algo = "cyclefree" if args.cycle_free else "shortcycle"
-    solved = _solve_valid(algo, sq, args.k, args.check)
+    stats: list = []
+    solved = _solve_valid(algo, sq, args.k, args.check, stats.append)
     cells, k_used, bound = solved.found, solved.k, solved.bound
     parts = cycles_of(sq, cells)
     payload = {
@@ -269,7 +285,7 @@ def _cmd_transversal(args) -> int:
         "cells": [list(c) for c in cells],
     }
     if args.cycle_free:
-        payload["cycles_removed"] = solved.events[-1]["cycles_removed"]
+        payload["cycles_removed"] = stats[-1]["cycles_removed"]
     title = "transversal" + (" --cycle-free" if args.cycle_free else f" --k {k_used}")
     rows = (("order", "k"), ("size", "bound"), ("cycles", "paths"), ("valid",))
     _emit(args, payload, title, rows, "cell", cells)
@@ -355,7 +371,7 @@ def parse_sizes(spec: str) -> list:
 
 def _sweep_row(suite: str, size: int, trial: int, seed: int, k: int, check: bool) -> dict:
     """Run one instance; returns the CSV row fields."""
-    solved = _solve(suite, _SOLVERS[suite].make(size, seed), k, check, report=False)
+    solved = _solve(suite, _SOLVERS[suite].make(size, seed), k, check)
     return {
         "instance": f"{suite}-{size}-{trial}",
         "size": size,
@@ -389,7 +405,7 @@ def _cmd_sweep(args) -> int:
     try:
         writer.writeheader()
         out.flush()
-        for si, size in enumerate(itertools.chain.from_iterable(parts)):
+        for si, size in enumerate(chain.from_iterable(parts)):
             for trial in range(args.trials):
                 seed = generators.split_seed(args.seed, si * args.trials + trial)
                 started = time.perf_counter()

@@ -424,6 +424,8 @@ def find_rainbow_matching_delta(g: ColoredGraph, *, check: bool = False, trace=N
         _advance_level(g, d, carried, check, trace)
     matching = tuple(sorted(carried.edges))
     ok, why = validate_rainbow_matching(g, matching)
-    if not ok or len(matching) != delta:
+    if ok and len(matching) != delta:
+        ok, why = False, f"{len(matching)} edges, expected {delta}"
+    if not ok:
         raise InternalInvariantBroken(f"final matching invalid: {why}")
     return matching

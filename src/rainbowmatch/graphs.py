@@ -6,7 +6,8 @@ certifies its output against the unchanged instance. A graph stores
 one {neighbor: color} map per vertex with an edge and nothing else;
 its edge list is read off the maps on demand. The constructor checks
 the maps a caller's edges build, in bulk, and reads a rejected list
-again, edge by edge, to name its first fault.
+again, edge by edge, to name its first fault; parse_graph fills the
+maps straight from the text's lines and checks them the same way.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from operator import lt
 from types import MappingProxyType
 
 from .errors import (
@@ -316,14 +318,37 @@ class _MatchingIndex:
         return None
 
 
+# the characters of text that _content_lines splits into lines at a time
+_SLICE = 1 << 12
+
+
 def _content_lines(text: str):
     """Yield (line number, stripped line) for each line of text, a str,
-    that is neither blank nor a '#' comment."""
+    that is neither blank nor a '#' comment. The lines and their numbers
+    are those of text.splitlines(), which ends a line at "\\r" and at
+    "\\f" among others, read a slice of text at a time, so no list of
+    every line is built."""
     require_type(text, str)
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield ln, line
+    ln, start, end = 0, 0, len(text)
+    while start < end:
+        # a slice's last line may go on past it, as a long line or as "\r"
+        # then "\n", so it is read again in the next slice; a slice that
+        # holds less than one whole line is widened
+        size = _SLICE
+        while True:
+            piece = text[start:start + size]
+            lines = piece.splitlines(True)
+            if start + size >= end or len(lines) > 1:
+                break
+            size *= 2
+        if start + size < end:
+            start += len(piece) - len(lines.pop())
+        else:
+            start = end
+        for ln, raw in enumerate(lines, ln + 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield ln, line
 
 
 def _line_number(text: str, k: int) -> int:
@@ -337,42 +362,53 @@ def parse_graph(text: str) -> ColoredGraph:
 
     Line 1: ``graph V E``; then E lines ``u v c``. Lines starting with
     '#' and blank lines are ignored. The parser checks the header, the
-    integer fields and the edge count; ColoredGraph checks the edges, and
-    the first failing one is raised again as ``line N: <message>``, ahead
-    of a wrong edge count. Each vertex is kept as the first int parsed
-    for it, so the graph holds one int per vertex, as a generated one does.
+    integer fields and the edge count, and fills each vertex's neighbor
+    map straight from the lines, re-sorting only a map whose neighbors
+    came out of order (never, for the text format_graph writes). The
+    maps get ColoredGraph's bulk check; if it fails, the edges are read
+    again as a list and checked one by one as the constructor checks
+    them, and the first failing one is raised again as ``line N:
+    <message>``, ahead of a wrong edge count. Each vertex is kept as the first int parsed for it, so
+    the graph holds one int per vertex, as a generated one does.
     """
-    header: tuple[int, int] | None = None
-    edges: list[Edge] = []
+    lines = _content_lines(text)
+    ln, line = next(lines, (0, None))
+    if line is None:
+        raise BadShape("empty input: missing 'graph V E' header")
+    parts = line.split()
+    if len(parts) != 3 or parts[0] != "graph":
+        raise BadShape(f"line {ln}: expected header 'graph V E'")
+    try:
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise BadShape(f"line {ln}: header counts must be integers") from None
+    if n < 0 or m < 0:
+        raise BadShape(f"line {ln}: header counts must be non-negative")
+    adj: defaultdict = defaultdict(dict)
     seen: dict = {}  # each vertex parsed so far, mapped to itself
-    for ln, line in _content_lines(text):
-        parts = line.split()
-        if header is None:
-            if len(parts) != 3 or parts[0] != "graph":
-                raise BadShape(f"line {ln}: expected header 'graph V E'")
-            try:
-                header = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise BadShape(f"line {ln}: header counts must be integers") from None
-            if header[0] < 0 or header[1] < 0:
-                raise BadShape(f"line {ln}: header counts must be non-negative")
-            continue
+    count = 0
+    for count, (ln, line) in enumerate(lines, 1):
         try:
-            u, v, c = map(int, parts)
+            u, v, c = map(int, line.split())
         except ValueError:
             raise BadShape(f"line {ln}: expected 'u v c' integers") from None
-        edges.append((seen.setdefault(u, u), seen.setdefault(v, v), c))
-    if header is None:
-        raise BadShape("empty input: missing 'graph V E' header")
-    try:
-        g = ColoredGraph(header[0], edges)
-    except InternalInvariantBroken:
-        raise
-    except RainbowError as exc:
-        raise type(exc)(f"line {_line_number(text, exc.position + 1)}: {exc}") from None
-    if len(edges) != header[1]:
-        raise BadShape(f"header announced {header[1]} edges, found {len(edges)}")
-    return g
+        u = seen.setdefault(u, u)
+        v = seen.setdefault(v, v)
+        adj[u][v] = c
+        adj[v][u] = c
+    if not _proper_maps(n, adj, count):
+        edges = [tuple(map(int, line.split())) for _, line in islice(_content_lines(text), 1, None)]
+        try:
+            _raise_first_fault(n, edges)
+        except RainbowError as exc:
+            raise type(exc)(f"line {_line_number(text, exc.position + 1)}: {exc}") from None
+        raise InternalInvariantBroken("the bulk edge check rejected edges that pass one by one")
+    if count != m:
+        raise BadShape(f"header announced {m} edges, found {count}")
+    for u, nb in adj.items():
+        if not all(map(lt, nb, islice(nb, 1, None))):
+            adj[u] = dict(sorted(nb.items()))
+    return ColoredGraph._proved(n, dict(adj))
 
 
 def format_graph(g: ColoredGraph) -> str:

@@ -113,13 +113,17 @@ def parse_latin(text: str) -> LatinSquare:
 
     Line 1: order n; then n rows of n symbols. '#' comments and blank
     lines are ignored. Any alphabet of n distinct integers is accepted
-    and normalized to 1..n by rank; each row is replaced in place by its
-    ranks, so the parsed ints go row by row. A repeat is raised again as
-    ``line N: symbol S repeated in ...``, naming the file's own symbol
-    and the line of the faulting cell's row.
+    and normalized to 1..n by rank. Each symbol is kept as the first int
+    parsed for it, through one dict, and each row as a tuple once read,
+    so only the row being read is a list of fresh ints; unless the
+    alphabet is already 1..n, each row is then replaced in place by its
+    ranks. A repeat is raised again as ``line N: symbol S repeated in
+    ...``, naming the file's own symbol and the line of the faulting
+    cell's row.
     """
     n: int | None = None
     rows: list = []
+    seen: dict = {}  # each symbol parsed so far, mapped to itself
     for ln, line in _content_lines(text):
         parts = line.split()
         if n is None:
@@ -135,22 +139,23 @@ def parse_latin(text: str) -> LatinSquare:
         if len(rows) == n:
             raise BadShape(f"line {ln}: more than {n} rows")
         try:
-            row = [int(p) for p in parts]
+            row = list(map(int, parts))
         except ValueError:
             raise BadShape(f"line {ln}: row entries must be integers") from None
         if len(row) != n:
             raise BadShape(f"line {ln}: row has {len(row)} entries, expected {n}")
-        rows.append(row)
+        rows.append(tuple(map(seen.setdefault, row, row)))
     if n is None:
         raise BadShape("empty input: missing order line")
     if len(rows) != n:
         raise BadShape(f"expected {n} rows, found {len(rows)}")
-    alphabet = sorted({s for row in rows for s in row})
-    if len(alphabet) != n and n > 0:
+    alphabet = sorted(seen)
+    if len(alphabet) != n:
         raise NotLatin(f"found {len(alphabet)} distinct symbols, expected {n}")
-    rank = {s: i + 1 for i, s in enumerate(alphabet)}
-    for i, row in enumerate(rows):
-        rows[i] = tuple(map(rank.__getitem__, row))
+    if n and (alphabet[0] != 1 or alphabet[-1] != n):
+        rank = {s: i + 1 for i, s in enumerate(alphabet)}
+        for i, row in enumerate(rows):
+            rows[i] = tuple(map(rank.__getitem__, row))
     try:
         return build_square(rows)
     except NotLatin as exc:

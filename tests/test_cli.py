@@ -22,8 +22,10 @@ from rainbowmatch import (
     random_square,
     serialize_latin,
 )
-from rainbowmatch import cli
+from rainbowmatch import cli, delta
 from rainbowmatch.cli import main, parse_sizes
+
+from test_graphs import LINE_END_CASES, LINE_END_IDS, _ended
 
 
 def run(capsys, *argv):
@@ -376,6 +378,38 @@ def test_verify_accepts_an_empty_certificate(tmp_path, capsys):
     assert code == 0 and out.strip() == "valid"
 
 
+@pytest.mark.parametrize("ends", LINE_END_CASES, ids=LINE_END_IDS)
+def test_verify_numbers_lines_at_every_line_end(tmp_path, capsys, ends):
+    # the files are read with universal newlines, which turn "\r\n" and
+    # "\r" into "\n"; the other line ends reach the parsers as they are
+    def write(path, lines):
+        path.write_bytes(_ended(lines, ends).encode())
+
+    inst, cert = tmp_path / "inst.txt", tmp_path / "cert.txt"
+    graph = ["# a graph", "graph 4 3", "", "1 2 1", "# between", " \t", "2 3 2", "3 4 3"]
+    square = ["# a square", "3", "", "10 20 30", "# between", " \t", "20 30 10", "30 10 20"]
+    for instance, certificate, flags in [
+        (graph, ["# a matching", "", "edge 1 2 1", "# next", "edge 3 4 3"], ()),
+        (square, ["# a transversal", "", "cell 1 2 2", "# next", "cell 2 3 1"], ("--k", "2")),
+    ]:
+        write(inst, instance)
+        write(cert, certificate)
+        argv = ("verify", "--input", str(inst), "--certificate", str(cert), *flags)
+        assert run(capsys, *argv) == (0, "valid\n", "")
+        write(cert, [*certificate, "", "# next", "edge 1 x 2"])
+        assert run(capsys, *argv) == (1, "", "error: non-integer field in certificate line: 'edge 1 x 2'\n")
+        write(cert, certificate)
+    argv = ("verify", "--input", str(inst), "--certificate", str(cert))
+    for instance, line, message in [
+        (["# a graph", "graph 4 4", *graph[2:], "", "# next", "2 4 2"], "edge 1 2 1",
+         "line 11: color 2 repeated at vertex 2"),
+        ([*square[:-1], "", "# next", "30 20 10"], "cell 1 2 2", "line 10: symbol 20 repeated in column 2"),
+    ]:
+        write(inst, instance)
+        write(cert, [line])
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_verify_non_integer_field_exit_code(tmp_path, capsys):
     inst = tmp_path / "sq.txt"
     cert = tmp_path / "t.txt"
@@ -559,7 +593,7 @@ def test_sweep_delta_small_sizes_on_every_spread(capsys):
         assert rows[3:] == [f"delta-1-{t},1,,1,1,true,1" for t in range(3)]
 
 
-def test_a_delta_sweep_row_asks_for_no_trace(monkeypatch, capsys):
+def test_a_delta_sweep_row_asks_for_no_trace(monkeypatch, capsys, tmp_path):
     # a sweep row reads no probe event, so the solver collects none;
     # solve still passes a sink, for its '# log:' lines and --trace file
     traces = []
@@ -573,8 +607,10 @@ def test_a_delta_sweep_row_asks_for_no_trace(monkeypatch, capsys):
                        "--trials", "2", "--check")
     assert code == 0 and len(out.splitlines()) == 5
     assert traces == [None] * 4
-    solved = cli._solve("delta", random_proper_graph(9, 3, 1), None, False)
-    assert traces[-1] is not None and solved.events
+    inst = tmp_path / "g.txt"
+    inst.write_text(format_graph(random_proper_graph(9, 3, 1)))
+    code, out, _ = run(capsys, "solve", "--algo", "delta", "--input", str(inst))
+    assert code == 0 and traces[-1] is not None and "# log: " in out
 
 
 def test_cycle_free_and_k_are_exclusive(tmp_path, capsys):
@@ -632,6 +668,34 @@ def test_solve_trace_works_for_every_algo(tmp_path, capsys):
         assert code == 1
         assert out == "" and "error:" in err
         assert not trace.exists()
+
+
+def test_a_delta_solve_keeps_no_trace_event(tmp_path, monkeypatch):
+    # the solve kept every probe's trace dict beside its rendered '# log:'
+    # line until the certificate was written (0.41 MiB for 1,581 probes
+    # in a benchmark file); each event is now rendered as it arrives
+    inst, cert = tmp_path / "g.txt", tmp_path / "m.txt"
+    inst.write_text(format_graph(random_proper_graph(4 * 40 - 3, 40, 11)))
+    held = []
+    emit = cli._emit
+
+    def measured(*args):
+        # what allocations made in delta.py hold as the certificate is written
+        snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, delta.__file__)])
+        held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+        emit(*args)
+
+    monkeypatch.setattr(cli, "_emit", measured)
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--algo", "delta", "--input", str(inst), "--out", str(cert)])
+    finally:
+        tracemalloc.stop()
+    probes = sum(line.startswith("# log: ") for line in cert.read_text().splitlines())
+    assert code == 0 and probes > 500
+    # a kept dict per probe held 247 bytes each; the bytes left are
+    # mostly the matching's 40 edges
+    assert held[0] < 32 * probes, (held, probes)
 
 
 def test_text_headers_state_the_json_payload(tmp_path, capsys):

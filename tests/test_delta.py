@@ -335,6 +335,13 @@ def _final_matching_off_the_graph(config):
         find_rainbow_matching_delta(build_graph(2, [(1, 2, 1)]))
 
 
+def _final_matching_short(config):
+    # levels that carry nothing leave a valid matching of the wrong size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delta, "_advance_level", lambda *args: None)
+        find_rainbow_matching_delta(build_graph(2, [(1, 2, 1)]))
+
+
 # one row per raise in the probe search, the restructure, the full-twin
 # finish and the level loop: (message, faulty call)
 _SOLVER_FAULTS = [
@@ -353,13 +360,14 @@ _SOLVER_FAULTS = [
     ("no vertex left outside the structure", _level_without_a_free_vertex),
     ("level 2 exceeded its probe budget", _stalled_level),
     ("final matching invalid: edge 1-2 with color 9 is not in the graph", _final_matching_off_the_graph),
+    ("final matching invalid: 0 edges, expected 1", _final_matching_short),
 ]
 
 
 @pytest.mark.parametrize(
     "message, call", _SOLVER_FAULTS,
     ids=["no-probe-edge", "no-fresh-edge", "no-repeat", "bad-level", "no-free-vertex",
-         "probe-budget", "final-check"],
+         "probe-budget", "final-check", "final-size"],
 )
 def test_solver_guards_name_each_fault(message, call):
     with pytest.raises(InternalInvariantBroken, match=f"^{re.escape(message)}$"):

@@ -27,6 +27,8 @@ from rainbowmatch import (
     validate_transversal,
 )
 
+from test_graphs import LINE_END_CASES, LINE_END_IDS, _ended
+
 # rows of a 4x4 square whose full transversals all contain a cycle
 WITNESS_ROWS = ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1))
 
@@ -138,6 +140,25 @@ def test_parse_latin_names_the_files_symbol_and_line(text, message):
     with pytest.raises(NotLatin) as info:
         parse_latin(text)
     assert type(info.value) is NotLatin and str(info.value) == message
+
+
+_SQUARE_LINES = ["# a square", "3", "", "10 20 30", "# between", " \t", "20 30 10", "30 10 20"]
+
+
+@pytest.mark.parametrize("ends", LINE_END_CASES, ids=LINE_END_IDS)
+def test_parse_latin_numbers_lines_at_every_line_end(ends):
+    assert parse_latin(_ended(_SQUARE_LINES, ends)).rows == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    last = _SQUARE_LINES[:-1]
+    for lines, error, message in [
+        ([*_SQUARE_LINES, "", "# next", "10 20 30"], BadShape, "line 11: more than 3 rows"),
+        ([*last, "", "# next", "30 x 20"], BadShape, "line 10: row entries must be integers"),
+        ([*last, "", "# next", "30 10"], BadShape, "line 10: row has 2 entries, expected 3"),
+        ([*last, "", "# next", "30 20 10"], NotLatin, "line 10: symbol 20 repeated in column 2"),
+        ([*last, "", "# next", "30 10 40"], NotLatin, "found 4 distinct symbols, expected 3"),
+    ]:
+        with pytest.raises(error) as info:
+            parse_latin(_ended(lines, ends))
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_build_square_names_the_faulting_cell():
@@ -459,6 +480,24 @@ def test_the_square_build_peaks_near_what_it_keeps():
         tracemalloc.stop()
     assert sq.rows == rows
     assert peak <= 1.1 * kept, (peak, kept)
+
+
+def test_parsing_a_square_peaks_near_what_it_keeps():
+    # the text is made outside the measured region. The parser kept a
+    # fresh int per cell above 256 until it knew the alphabet: with every
+    # symbol above 256 it peaked at 1.70x what it keeps (1.54x at order
+    # 2000 with the symbols 1..n)
+    sq = _shuffled_cyclic_square(400, 6)
+    for shift in (0, 1000):
+        text = "".join([f"{sq.order}\n", *(" ".join(str(s + shift) for s in row) + "\n" for row in sq.rows)])
+        tracemalloc.start()
+        try:
+            parsed = parse_latin(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == sq
+        assert peak <= 1.1 * kept, (shift, peak, kept)
 
 
 def test_validate_transversal_strictest_setting_accepts_paths():
